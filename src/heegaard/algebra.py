@@ -10,19 +10,24 @@ relations are
     w_i* w_i  = 1,
 
 so the product of two basis words is a single basis word times a unimodular
-phase.  Quotient contexts impose extra relations: unitary slots add
-w_s w_s* = 1, and the sphere quotient kills the range-complement product
-prod_j (1 - w_j w_j*).
+phase, bilinear in the exponents.  With m = min(q, r) slot-wise,
+r' = r - m and q' = q - m (at most one of r'_a, q'_a is nonzero),
+
+    (W_p W_q*)(W_r W_t*) = e(phi) W_{p+r'} W_{q'+t}*,
+    phi = sum_{a<c} [r'_a (q_c - p_c) + q'_a (t_c - r_c)] theta_ac,
+
+with e(x) = e^{2*pi*i*x}.  Quotient contexts impose extra relations:
+unitary slots add w_s w_s* = 1, and the sphere quotient kills the
+range-complement product prod_j (1 - w_j w_j*).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Tuple
 
 from .coeff import Coeff
-from .phases import RATIONAL, ThetaMatrix, check_dims
+from .phases import ThetaMatrix, check_dims
 
 TOEPLITZ = "toeplitz"
 SPHERE = "sphere"
@@ -85,76 +90,27 @@ class Context:
         return Context(TOEPLITZ, self.theta)
 
 
-def _zero_phase(theta: ThetaMatrix):
-    return Fraction(0) if theta.mode == RATIONAL else 0.0
-
-
-def _normal_order(theta: ThetaMatrix, letters):
-    """Rewrite a word into creations-ascending / stars-descending form.
-
-    ``letters`` is a list of (index, is_star).  Returns (phase exponent, p, q).
-    Each step applies one defining relation, so the accumulated phase is exact
-    in rational mode.
-    """
-    word = list(letters)
-    phase = _zero_phase(theta)
-    # move stars right past creations, cancelling matched w_i* w_i pairs
-    moved = True
-    while moved:
-        moved = False
-        idx = 0
-        while idx + 1 < len(word):
-            (a, sa), (b, sb) = word[idx], word[idx + 1]
-            if sa and not sb:
-                if a == b:
-                    del word[idx:idx + 2]
-                    idx = max(idx - 1, 0)
-                else:
-                    # w_a* w_b = e^{2 pi i theta_ba} w_b w_a*
-                    phase += theta.entry(b, a)
-                    word[idx], word[idx + 1] = (b, sb), (a, sa)
-                    idx += 1
-                moved = True
-            else:
-                idx += 1
-    p = [0] * theta.n
-    q = [0] * theta.n
-    cre = []
-    for a, sa in word:
-        if sa:
-            q[a] += 1
-        else:
-            cre.append(a)
-            p[a] += 1
-    # sorting the creation block ascending: each adjacent swap of w_a w_b
-    # with a > b contributes theta_ab; count inversions exactly
-    for pos, a in enumerate(cre):
-        for b in cre[pos + 1:]:
-            if a > b:
-                phase += theta.entry(a, b)
-    # the star block is the adjoint picture: sorting w_a* w_b* with a < b
-    # to descending contributes theta_ab per inversion; the incoming star
-    # letters are in word order, stars of the left factor first
-    stars = [a for a, sa in word if sa]
-    for pos, a in enumerate(stars):
-        for b in stars[pos + 1:]:
-            if a < b:
-                phase += theta.entry(a, b)
-    return phase, tuple(p), tuple(q)
-
-
 def _mono_product(theta: ThetaMatrix, p, q, r, t):
-    """(W_p W_q*)(W_r W_t*) = phase * W_p' W_q'*; returns (phase, p', q')."""
-    letters = []
-    for i in range(theta.n):
-        letters.extend([(i, False)] * p[i])
-    for j in reversed(range(theta.n)):
-        letters.extend([(j, True)] * q[j])
-    for i in range(theta.n):
-        letters.extend([(i, False)] * r[i])
-    for j in reversed(range(theta.n)):
-        letters.extend([(j, True)] * t[j])
-    return _normal_order(theta, letters)
+    """(W_p W_q*)(W_r W_t*) = e(phase) W_{p+r'} W_{q'+t}*; returns (phase, p', q').
+
+    The closed form of the module docstring.  Zero integer coefficients are
+    skipped: in rational mode a Fraction times 0 still costs a multiplication.
+    """
+    table = theta.table
+    rr = [max(b - a, 0) for a, b in zip(q, r)]
+    qq = [max(a - b, 0) for a, b in zip(q, r)]
+    phase = 0
+    for a in range(theta.n):
+        ra, qa = rr[a], qq[a]
+        if not (ra or qa):
+            continue
+        row = table[a]
+        for c in range(a + 1, theta.n):
+            k = ra * (q[c] - p[c]) + qa * (t[c] - r[c])
+            if k:
+                phase += k * row[c]
+    return (phase, tuple(x + y for x, y in zip(p, rr)),
+            tuple(x + y for x, y in zip(qq, t)))
 
 
 def _unitary_reduce(theta: ThetaMatrix, slots, p, q):
@@ -164,16 +120,17 @@ def _unitary_reduce(theta: ThetaMatrix, slots, p, q):
     higher-index creations and the matching w_s* left past the higher-index
     stars, for a net exponent sum_{j>s} theta_sj (p_j - q_j) per pair.
     """
-    phase = _zero_phase(theta)
+    table = theta.table
+    phase = 0
     p = list(p)
     q = list(q)
     for s in slots:
         k = min(p[s], q[s])
         if k:
-            shift = _zero_phase(theta)
             for j in range(s + 1, theta.n):
-                shift += theta.entry(s, j) * (p[j] - q[j])
-            phase += k * shift
+                d = p[j] - q[j]
+                if d:
+                    phase += k * d * table[s][j]
             p[s] -= k
             q[s] -= k
     return phase, tuple(p), tuple(q)

@@ -64,10 +64,6 @@ class TensorElement:
             out = out + a * r
         return out
 
-    def map_factors(self, fn) -> "TensorElement":
-        return TensorElement(fn(unit(self.ctx)).ctx,
-                             [(fn(a), fn(r)) for a, r in self.summands])
-
     def __len__(self):
         return len(self.summands)
 

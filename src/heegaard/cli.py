@@ -11,11 +11,10 @@ import argparse
 import sys
 
 from . import serialize
-from .algebra import AlgebraElement, Context
-from .bundles import (chern_galois_projector, strong_connection,
-                      verify_connection)
+from .algebra import unit
+from .bundles import chern_galois_projector, strong_connection
 from .fock import UnstableInvariant, class_invariant, relation_residual
-from .phases import RATIONAL, ThetaMatrix
+from .phases import ThetaMatrix
 from .quotients import (IncompatibleTuple, MultipullbackTuple, SupportOverflow,
                         cocycle_check, glue)
 
@@ -30,6 +29,8 @@ def _parse_theta(arg: str, n: int, seed: int, den: int) -> ThetaMatrix:
     if arg == "zero":
         return ThetaMatrix.zero(n)
     if arg == "random-rational":
+        if den < 1:
+            raise UsageError("--den must be positive")
         return ThetaMatrix.random_rational(n, seed=seed, den=den)
     if arg.lstrip().startswith("{"):
         text = arg
@@ -117,7 +118,6 @@ def _run(args) -> int:
     if args.command == "verify":
         conn = strong_connection(args.n, args.N, theta)
         contracted = conn.contract()
-        from .algebra import unit
         is_one = contracted == unit(conn.ctx)
         bidegree = all(not (a.degrees() - {-args.n}) and not (r.degrees() - {args.n})
                        for a, r in conn.summands)
@@ -149,6 +149,8 @@ def _run(args) -> int:
         return 0
 
     if args.command == "cocycle":
+        if args.degree < 0:
+            raise UsageError("--degree must be non-negative")
         report = cocycle_check(theta, args.degree)
         obj = {"passed": report.passed,
                "checked_degree": report.checked_degree,

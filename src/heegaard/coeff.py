@@ -7,7 +7,7 @@ is the phase t = 1/4, so Gaussian-rational amplitudes need no separate
 real/imaginary bookkeeping.
 
 In float mode a coefficient is a plain complex number and comparisons use
-``PRUNE_TOL``.
+``FLOAT_TOL``.
 """
 
 from __future__ import annotations
@@ -15,9 +15,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 
-from .phases import FLOAT, RATIONAL, phase_mod1
-
-PRUNE_TOL = 1e-14
+from .phases import FLOAT, FLOAT_TOL, RATIONAL, phase_mod1
 
 
 class Coeff:
@@ -129,7 +127,7 @@ class Coeff:
 
     def is_zero(self) -> bool:
         if self.mode == FLOAT:
-            return abs(self.value) < PRUNE_TOL
+            return abs(self.value) < FLOAT_TOL
         return not self.parts
 
     def is_single_phase(self) -> bool:
@@ -147,7 +145,7 @@ class Coeff:
         if self.mode != other.mode:
             return False
         if self.mode == FLOAT:
-            return abs(self.value - other.value) < PRUNE_TOL
+            return abs(self.value - other.value) < FLOAT_TOL
         return (self - other).is_zero()
 
     def __hash__(self):
@@ -158,8 +156,3 @@ class Coeff:
             return f"Coeff({self.value!r})"
         body = " + ".join(f"{w}*e(2pi*{t})" for t, w in sorted(self.parts.items()))
         return f"Coeff({body or 0})"
-
-    def sort_key(self):
-        """Deterministic ordering key (rational mode only)."""
-        return tuple(sorted((t.numerator, t.denominator, w.numerator, w.denominator)
-                            for t, w in self.parts.items()))

@@ -180,8 +180,3 @@ def _solve_float(columns, target, tol: float = 1e-10) -> Optional[List[Coeff]]:
         return None
     return [Coeff.from_complex(z) for z in x]
 
-
-def in_span(columns: Sequence[Dict[Hashable, Coeff]],
-            target: Dict[Hashable, Coeff],
-            mode: str = RATIONAL) -> bool:
-    return solve_exact(columns, target, mode) is not None

@@ -11,15 +11,16 @@ integer charge that distinguishes the line-bundle classes.
 
 from __future__ import annotations
 
-import cmath
 import os
 from dataclasses import dataclass
+from functools import reduce
+from itertools import permutations
 from typing import List, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from .algebra import AlgebraElement, Context
+from .algebra import AlgebraElement
 from .bundles import ProjectorMatrix
 from .phases import ThetaMatrix
 
@@ -81,27 +82,25 @@ def _identity(n: int, M: int) -> SparseOperator:
 
 
 def fock_generator(i: int, M: int, theta: ThetaMatrix) -> SparseOperator:
-    """Twisted shift: e_mu -> prod_{j>i} Theta_ij^{mu_j} e_{mu+delta_i}."""
+    """Twisted shift: e_mu -> prod_{j>i} Theta_ij^{mu_j} e_{mu+delta_i}.
+
+    The Kronecker product over the slots of the identity (j < i), the 1-D
+    shift (j == i) and diag(e(theta_ij * k)) (j > i): one band at offset
+    -(M+1)^(n-1-i), itself the Kronecker product of the 1-D diagonals.
+    """
     n = theta.n
     if not 0 <= i < n:
         raise IndexError(f"generator index {i} out of range")
     if M < 1:
         raise ValueError("truncation must be at least 1")
     dim = _check_dim(n, M)
-    shape = (M + 1,) * n
-    rows, cols, vals = [], [], []
-    for col in range(dim):
-        mu = np.unravel_index(col, shape)
-        if mu[i] + 1 > M:
-            continue
-        nu = list(mu)
-        nu[i] += 1
-        t = sum(theta.entry(i, j) * mu[j] for j in range(i + 1, n))
-        rows.append(np.ravel_multi_index(nu, shape))
-        cols.append(col)
-        vals.append(cmath.exp(2j * cmath.pi * float(t)))
-    m = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=complex)
-    return SparseOperator(n, M, m.tocsr())
+    ks = np.arange(M + 1)
+    band = [np.ones(M + 1)] * i + [(ks < M).astype(float)]
+    band += [np.exp(2j * np.pi * float(theta.entry(i, j)) * ks) for j in range(i + 1, n)]
+    stride = (M + 1) ** (n - 1 - i)
+    vals = reduce(np.kron, band)[:dim - stride]
+    return SparseOperator(n, M, sp.diags(vals, -stride, shape=(dim, dim), dtype=complex,
+                                         format="csr"))
 
 
 def represent(x: AlgebraElement, M: int) -> SparseOperator:
@@ -113,29 +112,23 @@ def represent(x: AlgebraElement, M: int) -> SparseOperator:
         x = x.with_context(ctx.ambient())        # any lift represents the class
         ctx = x.ctx
     gens = [fock_generator(i, M, ctx.theta) for i in range(ctx.n)]
-    out = _identity(ctx.n, M).scale(0.0)
+    ident = _identity(ctx.n, M)
+
+    def word(exps) -> SparseOperator:
+        """S_0^{e_0} ... S_N^{e_N}."""
+        return reduce(SparseOperator.__matmul__,
+                      [g for g, e in zip(gens, exps) for _ in range(e)], ident)
+
+    out = ident.scale(0.0)
     for (p, q), c in x.terms.items():
-        word = _identity(ctx.n, M)
-        for i in range(ctx.n):
-            for _ in range(p[i]):
-                word = word @ gens[i]
-        tail = _identity(ctx.n, M)
-        for i in range(ctx.n):
-            for _ in range(q[i]):
-                tail = tail @ gens[i]
-        out = out + (word @ tail.adjoint()).scale(c.to_complex())
+        out = out + (word(p) @ word(q).adjoint()).scale(c.to_complex())
     return out
 
 
 def _interior_projection(n: int, M: int) -> SparseOperator:
-    dim = _check_dim(n, M)
-    shape = (M + 1,) * n
-    diag = np.zeros(dim)
-    for idx in range(dim):
-        mu = np.unravel_index(idx, shape)
-        if all(v <= M - 2 for v in mu):
-            diag[idx] = 1.0
-    return SparseOperator(n, M, sp.diags(diag, dtype=complex, format="csr"))
+    _check_dim(n, M)
+    mask = (np.arange(M + 1) <= M - 2).astype(complex)
+    return SparseOperator(n, M, sp.diags(reduce(np.kron, [mask] * n), format="csr"))
 
 
 def relation_residual(N: int, theta: ThetaMatrix, M: int) -> float:
@@ -152,15 +145,12 @@ def relation_residual(N: int, theta: ThetaMatrix, M: int) -> float:
     for i in range(N + 1):
         d = (gens[i].adjoint() @ gens[i]) - ident
         worst = max(worst, (d @ proj).norm())
-    for i in range(N + 1):
-        for j in range(N + 1):
-            if i == j:
-                continue
-            ph = cmath.exp(2j * cmath.pi * float(theta.entry(i, j)))
-            d1 = (gens[i] @ gens[j]) - (gens[j] @ gens[i]).scale(ph)
-            d2 = (gens[i] @ gens[j].adjoint()) \
-                - (gens[j].adjoint() @ gens[i]).scale(1 / ph)
-            worst = max(worst, (d1 @ proj).norm(), (d2 @ proj).norm())
+    for i, j in permutations(range(N + 1), 2):
+        ph = np.exp(2j * np.pi * float(theta.entry(i, j)))
+        d1 = (gens[i] @ gens[j]) - (gens[j] @ gens[i]).scale(ph)
+        d2 = (gens[i] @ gens[j].adjoint()) \
+            - (gens[j].adjoint() @ gens[i]).scale(1 / ph)
+        worst = max(worst, (d1 @ proj).norm(), (d2 @ proj).norm())
     return worst
 
 

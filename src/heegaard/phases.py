@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -110,8 +111,11 @@ class ThetaMatrix:
                 return v if j < k else -v
         return zero
 
-    def rows(self):
-        return [[self.entry(j, k) for k in range(self.n)] for j in range(self.n)]
+    @cached_property
+    def table(self) -> tuple:
+        """Dense antisymmetric table: ``table[j][k] == entry(j, k)``."""
+        return tuple(tuple(self.entry(j, k) for k in range(self.n))
+                     for j in range(self.n))
 
     def is_zero(self) -> bool:
         return not self.upper

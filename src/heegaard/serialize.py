@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import json
+import sys
 from fractions import Fraction
 from typing import Any, Dict
 
@@ -33,6 +34,16 @@ def _expect(cond: bool, path: str, message: str):
         raise SchemaError(path, message)
 
 
+def _is_int(v) -> bool:
+    """JSON integer; ``true`` and ``false`` are not integers here."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    """JSON number in float range; ``json`` also reads NaN and Infinity."""
+    return (_is_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max
+
+
 # -- twist matrices ---------------------------------------------------------
 
 def theta_to_obj(theta: ThetaMatrix) -> Dict[str, Any]:
@@ -49,7 +60,7 @@ def theta_from_obj(obj: Any, path: str = "theta") -> ThetaMatrix:
     for key in ("n", "mode", "upper"):
         _expect(key in obj, f"{path}.{key}", "missing field")
     n, mode, upper = obj["n"], obj["mode"], obj["upper"]
-    _expect(isinstance(n, int) and n >= 1, f"{path}.n", "must be a positive integer")
+    _expect(_is_int(n) and n >= 1, f"{path}.n", "must be a positive integer")
     _expect(mode in (RATIONAL, FLOAT), f"{path}.mode", f"unknown mode {mode!r}")
     _expect(isinstance(upper, list), f"{path}.upper", "expected a list")
     entries = {}
@@ -59,13 +70,14 @@ def theta_from_obj(obj: Any, path: str = "theta") -> ThetaMatrix:
         if mode == RATIONAL:
             _expect(len(row) == 4, p, "expected [j, k, num, den]")
             j, k, num, den = row
-            _expect(all(isinstance(v, int) for v in row), p, "expected integers")
+            _expect(all(_is_int(v) for v in row), p, "expected integers")
             _expect(den != 0, f"{p}[3]", "denominator must be nonzero")
             value = Fraction(num, den)
         else:
             _expect(len(row) == 3, p, "expected [j, k, value]")
             j, k, value = row
-            _expect(isinstance(j, int) and isinstance(k, int), p, "bad indices")
+            _expect(_is_int(j) and _is_int(k), p, "bad indices")
+            _expect(_is_number(value), f"{p}[2]", "expected a number")
             value = float(value)
         _expect(0 <= j < k < n, p, "need 0 <= j < k < n")
         entries[(j, k)] = value
@@ -86,7 +98,7 @@ def context_from_obj(obj: Any, path: str = "context") -> Context:
         _expect(key in obj, f"{path}.{key}", "missing field")
     theta = theta_from_obj(obj["theta"], f"{path}.theta")
     unitary = obj["unitary"]
-    _expect(isinstance(unitary, list) and all(isinstance(v, int) for v in unitary),
+    _expect(isinstance(unitary, list) and all(_is_int(v) for v in unitary),
             f"{path}.unitary", "expected a list of integers")
     try:
         return Context(obj["kind"], theta, tuple(unitary))
@@ -113,12 +125,12 @@ def _coeff_from_record(rec: Any, mode: str, path: str) -> Coeff:
     _expect(isinstance(rec, dict), path, "expected an object")
     for key in ("re", "im"):
         _expect(key in rec, f"{path}.{key}", "missing field")
-        _expect(isinstance(rec[key], (int, float)), f"{path}.{key}", "expected a number")
+        _expect(_is_number(rec[key]), f"{path}.{key}", "expected a number")
     if mode == FLOAT:
         return Coeff.from_complex(complex(rec["re"], rec["im"]))
     for key in ("phase_num", "phase_den", "amp_num", "amp_den"):
         _expect(key in rec, f"{path}.{key}", "missing field")
-        _expect(isinstance(rec[key], int), f"{path}.{key}", "expected an integer")
+        _expect(_is_int(rec[key]), f"{path}.{key}", "expected an integer")
     _expect(rec["phase_den"] != 0, f"{path}.phase_den", "denominator must be nonzero")
     _expect(rec["amp_den"] != 0, f"{path}.amp_den", "denominator must be nonzero")
     return Coeff.from_phase(Fraction(rec["phase_num"], rec["phase_den"]), RATIONAL,
@@ -147,7 +159,7 @@ def element_from_obj(obj: Any, path: str = "element") -> AlgebraElement:
             _expect(key in rec, f"{p_path}.{key}", "missing field")
             v = rec[key]
             _expect(isinstance(v, list) and len(v) == ctx.n
-                    and all(isinstance(a, int) and a >= 0 for a in v),
+                    and all(_is_int(a) and a >= 0 for a in v),
                     f"{p_path}.{key}", f"expected {ctx.n} non-negative integers")
         c = _coeff_from_record(rec, ctx.mode, p_path)
         out = out + AlgebraElement.monomial(ctx, tuple(rec["p"]), tuple(rec["q"]), c)
@@ -194,8 +206,9 @@ def projector_from_obj(obj: Any, path: str = "projector") -> ProjectorMatrix:
     _expect(isinstance(obj, dict), path, "expected an object")
     for key in ("n", "size", "context", "entries"):
         _expect(key in obj, f"{path}.{key}", "missing field")
-    _expect(isinstance(obj["n"], int), f"{path}.n", "expected an integer")
+    _expect(_is_int(obj["n"]), f"{path}.n", "expected an integer")
     size = obj["size"]
+    _expect(_is_int(size), f"{path}.size", "expected an integer")
     entries = obj["entries"]
     _expect(isinstance(entries, list) and len(entries) == size,
             f"{path}.entries", "row count must equal size")

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 from heegaard import AlgebraElement, Coeff
 from heegaard.algebra import Context
+from heegaard.phases import ThetaMatrix
 
 
 def random_element(ctx: Context, rng: random.Random,
@@ -25,3 +26,10 @@ def random_element(ctx: Context, rng: random.Random,
 
 def rng_for(name: str) -> random.Random:
     return random.Random(zlib.crc32(name.encode()))
+
+
+def random_float_theta(n: int, rng: random.Random) -> ThetaMatrix:
+    """Float-mode twist with entries drawn from (-1, 1)."""
+    return ThetaMatrix.from_upper(
+        n, {(j, k): rng.uniform(-1, 1) for j in range(n) for k in range(j + 1, n)},
+        mode="float")

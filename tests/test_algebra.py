@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_element, rng_for
+from conftest import random_element, random_float_theta, rng_for
 from heegaard import (AlgebraElement, Coeff, compact_matrix_unit, generator,
                       sphere_defect, unit)
 from heegaard.algebra import Context, ContextMismatch
@@ -84,13 +84,13 @@ def test_star_involution_and_antihomomorphism():
 
 
 def test_associativity():
-    ctx = toeplitz(3, seed=13)
     rng = rng_for("assoc")
-    for _ in range(15):
-        x = random_element(ctx, rng, nterms=3, degree=2)
-        y = random_element(ctx, rng, nterms=3, degree=2)
-        z = random_element(ctx, rng, nterms=2, degree=2)
-        assert (x * y) * z == x * (y * z)
+    for ctx in (toeplitz(3, seed=13), Context.toeplitz(random_float_theta(3, rng))):
+        for _ in range(15):
+            x = random_element(ctx, rng, nterms=3, degree=2)
+            y = random_element(ctx, rng, nterms=3, degree=2)
+            z = random_element(ctx, rng, nterms=2, degree=2)
+            assert (x * y) * z == x * (y * z)
 
 
 def test_sphere_defect_shapes():

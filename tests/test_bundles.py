@@ -53,6 +53,15 @@ def test_connection_sweep():
                 assert verify_connection(conn, n)
 
 
+def test_float_connection_verifies_within_float_tolerance():
+    # rounding leaves the float contraction of this correct connection
+    # 1e-14 to 5e-14 away from 1, which the comparison tolerance must absorb
+    upper = {(0, 1): -0.546588, (0, 2): 0.92459, (0, 3): -0.747338,
+             (1, 2): 0.409634, (1, 3): -0.829629, (2, 3): -0.505118}
+    th = ThetaMatrix.from_upper(4, upper, mode="float")
+    assert verify_connection(strong_connection(-4, 3, th), -4)
+
+
 def test_verify_connection_negative_cases():
     ctx = sphere(2)
     s0, s1 = generator(ctx, 0), generator(ctx, 1)

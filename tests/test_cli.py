@@ -117,3 +117,16 @@ def test_usage_errors(capsys):
     code, _, err = run(capsys, "verify", "--N", "1", "--n", "1",
                        "--theta", json.dumps(th3))
     assert code == 2
+    for argv in [
+            ("verify", "--N", "1", "--n", "1", "--theta", "random-rational", "--den", "0"),
+            ("verify", "--N", "1", "--n", "1", "--theta",
+             json.dumps({"n": 2, "mode": "float", "upper": [[0, 1, "abc"]]})),
+            ("verify", "--N", "1", "--n", "1", "--theta",
+             json.dumps({"n": 2, "mode": "float", "upper": [[0, 1, float("nan")]]})),
+            ("verify", "--N", "1", "--n", "1", "--theta",
+             json.dumps({"n": 2, "mode": "float", "upper": [[0, 1, 10 ** 400]]})),
+            ("verify", "--N", "1", "--n", "1", "--theta",
+             json.dumps({"n": 2, "mode": "rational", "upper": [[0, True, 1, True]]})),
+            ("cocycle", "--N", "2", "--degree", "-1")]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and "error:" in err, argv

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import random_element, rng_for
+from conftest import random_element, random_float_theta, rng_for
 from heegaard import (ClassInvariant, SparseOperator, UnstableInvariant,
                       chern_galois_projector, class_invariant, fock_generator,
                       generator, relation_residual, represent, sphere_defect,
@@ -25,19 +25,23 @@ def test_single_generator_is_shift():
 
 
 def test_twisted_phase_on_basis():
-    th = ThetaMatrix.random_rational(2, seed=3)
+    # e_mu -> prod_{j>i} e(theta_ij mu_j) e_{mu + delta_i}, vector by vector
     M = 3
-    s0 = fock_generator(0, M, th)
-    shape = (M + 1, M + 1)
-    for mu1 in range(M + 1):
-        col = np.ravel_multi_index((0, mu1), shape)
-        row = np.ravel_multi_index((1, mu1), shape)
-        want = cmath.exp(2j * cmath.pi * float(th.entry(0, 1)) * mu1)
-        assert abs(s0.matrix[row, col] - want) < 1e-14
-    # slot 1 shifts with no phase (no higher slots)
-    s1 = fock_generator(1, M, th)
-    assert np.allclose(np.abs(s1.matrix.toarray()[np.nonzero(s1.matrix.toarray())]), 1)
-    assert np.allclose(s1.matrix.toarray(), np.abs(s1.matrix.toarray()))
+    for th in (ThetaMatrix.random_rational(2, seed=3),
+               ThetaMatrix.random_rational(3, seed=4)):
+        shape = (M + 1,) * th.n
+        for i in range(th.n):
+            dense = fock_generator(i, M, th).matrix.toarray()
+            want = np.zeros_like(dense)
+            for col in range(dense.shape[1]):
+                mu = np.unravel_index(col, shape)
+                if mu[i] == M:
+                    continue
+                nu = list(mu)
+                nu[i] += 1
+                t = sum(float(th.entry(i, j)) * mu[j] for j in range(i + 1, th.n))
+                want[np.ravel_multi_index(nu, shape), col] = cmath.exp(2j * cmath.pi * t)
+            assert np.abs(dense - want).max() < 1e-14
 
 
 def test_isometry_minus_top_layer():
@@ -76,16 +80,17 @@ def test_defect_represents_vacuum_projection():
         assert np.allclose(rep, expected)
 
 
-def test_represent_multiplicative_in_the_interior():
-    th = ThetaMatrix.random_rational(2, seed=11)
-    ctx = Context.toeplitz(th)
+@pytest.mark.parametrize("n,mode", [(2, "rational"), (3, "rational"), (2, "float")])
+def test_represent_multiplicative_in_the_interior(n, mode):
     rng = rng_for("fock-mult")
+    th = (ThetaMatrix.random_rational(n, seed=11) if mode == "rational"
+          else random_float_theta(n, rng))
+    ctx = Context.toeplitz(th)
     M = 6
-    dim = (M + 1) ** 2
-    deep = np.zeros(dim)
-    for idx in range(dim):
-        mu = np.unravel_index(idx, (M + 1, M + 1))
-        if all(v <= M - 4 for v in mu):
+    shape = (M + 1,) * n
+    deep = np.zeros((M + 1) ** n)
+    for idx in range(deep.size):
+        if all(v <= M - 4 for v in np.unravel_index(idx, shape)):
             deep[idx] = 1
     proj = sp.diags(deep, dtype=complex, format="csr")
     for _ in range(6):

@@ -1,0 +1,32 @@
+"""Smoke runs of the sweep scripts in ``scripts/`` at their smallest sizes."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          capture_output=True, text=True, timeout=120, env=env,
+                          check=True)
+    return [json.loads(line) for line in proc.stdout.splitlines()]
+
+
+def test_verify_connections_script():
+    rows = run_script("verify_connections.py",
+                      "--max-N", "1", "--max-winding", "1", "--seeds", "1")
+    assert len(rows) == 2
+    assert all(r["connections_ok"] and r["projectors_idempotent"] for r in rows)
+
+
+def test_invariant_sweep_script():
+    # "=" keeps argparse from reading "-1,0,1" as a flag
+    rows = run_script("invariant_sweep.py", "--windings=-1,0,1")
+    assert [r["compact_charge"] for r in rows[:-1]] == [1, 0, -1]
+    assert rows[-1] == {"pairwise_distinct": True}

@@ -118,6 +118,14 @@ def test_schema_errors_carry_paths():
                                      "amp_num": 1, "amp_den": 1}]})
     assert "terms[0].p" in str(exc.value)
 
+    with pytest.raises(SchemaError) as exc:
+        element_from_obj({"context": ctx_obj,
+                          "terms": [{"p": [True, 0], "q": [0, 0],
+                                     "re": 1.0, "im": 0.0,
+                                     "phase_num": 0, "phase_den": 1,
+                                     "amp_num": 1, "amp_den": 1}]})
+    assert "terms[0].p" in str(exc.value)
+
     with pytest.raises(SchemaError):
         from_json("{not json")
 
