@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass
 from functools import reduce
 from itertools import permutations
-from typing import List, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,7 +32,10 @@ class UnstableInvariant(RuntimeError):
 
 
 def max_dim() -> int:
-    return int(os.environ.get("NCG_MAX_DIM", DEFAULT_MAX_DIM))
+    raw = os.environ.get("NCG_MAX_DIM", str(DEFAULT_MAX_DIM))
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ValueError(f"NCG_MAX_DIM must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def _check_dim(n: int, M: int) -> int:
@@ -73,7 +76,17 @@ class SparseOperator:
         return complex(self.matrix.diagonal().sum())
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.matrix.toarray(), 2))
+        """Exact operator 2-norm of a weighted partial permutation.
+
+        With at most one stored entry per row and per column the operator is
+        a partial permutation times a diagonal, so A*A is diagonal and the
+        norm is max |entry|, in O(nnz).  Any other pattern is refused.
+        """
+        m = self.matrix.tocsr()
+        if (np.diff(m.indptr) > 1).any() \
+                or (np.bincount(m.indices, minlength=m.shape[1]) > 1).any():
+            raise ValueError("norm needs at most one stored entry per row and column")
+        return float(np.abs(m.data).max()) if m.nnz else 0.0
 
 
 def _identity(n: int, M: int) -> SparseOperator:
@@ -131,9 +144,11 @@ def _interior_projection(n: int, M: int) -> SparseOperator:
     return SparseOperator(n, M, sp.diags(reduce(np.kron, [mask] * n), format="csr"))
 
 
-def relation_residual(N: int, theta: ThetaMatrix, M: int) -> float:
-    """Largest operator-norm defect of the defining relations on vectors
-    supported away from the cutoff boundary."""
+def relation_defects(N: int, theta: ThetaMatrix, M: int) -> Iterator[SparseOperator]:
+    """The defects S_i*S_i - 1, S_iS_j - e(theta_ij)S_jS_i and
+    S_iS_j* - e(-theta_ij)S_j*S_i, each restricted to vectors supported away
+    from the cutoff boundary.  Each is a single band, so a weighted partial
+    permutation."""
     if M < 3:
         raise ValueError("truncation too small to leave an interior")
     if theta.n != N + 1:
@@ -141,17 +156,19 @@ def relation_residual(N: int, theta: ThetaMatrix, M: int) -> float:
     gens = [fock_generator(i, M, theta) for i in range(N + 1)]
     ident = _identity(N + 1, M)
     proj = _interior_projection(N + 1, M)
-    worst = 0.0
     for i in range(N + 1):
-        d = (gens[i].adjoint() @ gens[i]) - ident
-        worst = max(worst, (d @ proj).norm())
+        yield ((gens[i].adjoint() @ gens[i]) - ident) @ proj
     for i, j in permutations(range(N + 1), 2):
         ph = np.exp(2j * np.pi * float(theta.entry(i, j)))
-        d1 = (gens[i] @ gens[j]) - (gens[j] @ gens[i]).scale(ph)
-        d2 = (gens[i] @ gens[j].adjoint()) \
-            - (gens[j].adjoint() @ gens[i]).scale(1 / ph)
-        worst = max(worst, (d1 @ proj).norm(), (d2 @ proj).norm())
-    return worst
+        yield ((gens[i] @ gens[j]) - (gens[j] @ gens[i]).scale(ph)) @ proj
+        yield ((gens[i] @ gens[j].adjoint())
+               - (gens[j].adjoint() @ gens[i]).scale(1 / ph)) @ proj
+
+
+def relation_residual(N: int, theta: ThetaMatrix, M: int) -> float:
+    """Largest operator-norm defect of the defining relations on vectors
+    supported away from the cutoff boundary."""
+    return max(d.norm() for d in relation_defects(N, theta, M))
 
 
 def truncated_trace(x: AlgebraElement, M: int) -> complex:
@@ -192,22 +209,31 @@ def scalar_part(x: AlgebraElement) -> complex:
     return total
 
 
+def compact_charge(diag: List[AlgebraElement]) -> complex:
+    """Coefficient of X^N, X = M+1, in the truncated trace of the lifted
+    diagonal entries, sum_p c_p prod_i (X - p_i) once X >= max p_i:
+    -sum_k sum_p c^{kk}_p |p| over the diagonal words W_p W_p*."""
+    return -sum((c.to_complex() * sum(p) for x in diag
+                 for (p, q), c in x.terms.items() if p == q), 0j)
+
+
 def class_invariant(e: ProjectorMatrix, m_list: List[int],
                     tol: float = 1e-6) -> ClassInvariant:
     """Numerical K-class data (dimension class, compact charge) of a
     projector over the sphere quotient.
 
     The compact charge is the coefficient of (M+1)^N in
-    Tr rep_M(lift(E)) - d*(M+1)^{N+1}, extracted by polynomial fits over the
-    truncation list; it must agree across fits to within ``tol`` and round
-    to an integer.
+    Tr rep_M(lift(E)) - d*(M+1)^{N+1}, read from its closed form
+    (``compact_charge``).  The trace is that polynomial in M+1 once M+1 is at
+    least every exponent of the diagonal words, so the truncations (at least
+    N+2, ascending) must all lie in that range.
     """
     if not e.entries:
         raise ValueError("empty projector")
     ctx = e.entries[0][0].ctx
     n = ctx.n                       # N + 1
     if len(m_list) < n + 1:
-        raise ValueError(f"need at least {n + 1} truncations for degree-{n - 1} fits")
+        raise ValueError(f"need at least {n + 1} truncations")
     if sorted(m_list) != list(m_list):
         raise ValueError("truncations must be ascending")
     s = np.array([[scalar_part(x) for x in row] for row in e.entries])
@@ -215,34 +241,19 @@ def class_invariant(e: ProjectorMatrix, m_list: List[int],
 
     lifted_diag = [e.entries[k][k].with_context(ctx.ambient())
                    for k in range(e.size)]
-
-    def remainder(m: int) -> float:
-        tr = sum(truncated_trace(x, m) for x in lifted_diag)
-        val = tr - d * (m + 1) ** n
-        if abs(val.imag) > tol:
-            raise UnstableInvariant(f"non-real regularized trace {val}")
-        return val.real
-
-    xs = np.array([m + 1 for m in m_list], dtype=float)
-    ys = np.array([remainder(m) for m in m_list])
-    deg = n - 1                     # fit degree N, read the leading coefficient
-
-    def fit(idx) -> float:
-        return float(np.polyfit(xs[idx], ys[idx], deg)[0])
-
-    full = list(range(len(m_list)))
-    estimates = [fit(full)]
-    if len(m_list) > deg + 1:
-        estimates.append(fit(full[1:]))
-        estimates.append(fit(full[:-1]))
-    spread = max(estimates) - min(estimates)
-    chi = estimates[0]
-    off = abs(chi - round(chi))
-    if spread > tol or off > tol:
+    longest = max((max(p) for x in lifted_diag for (p, q) in x.terms if p == q),
+                  default=0)
+    if m_list[0] + 1 < longest:
         raise UnstableInvariant(
-            f"charge estimate {chi} unstable (spread {spread:.2e}, "
-            f"integer distance {off:.2e}) over truncations {m_list}")
+            f"truncation {m_list[0]} is below the longest diagonal word "
+            f"(exponent {longest}), where the truncated trace is not yet "
+            f"polynomial; truncations {m_list}")
+    charge = compact_charge(lifted_diag)
+    chi = round(charge.real)
+    off = max(abs(charge.imag), abs(charge.real - chi))
+    if off > tol:
+        raise UnstableInvariant(f"closed-form charge {charge} is not an integer")
     return ClassInvariant(dimension_class=d,
-                          compact_charge=int(round(chi)),
+                          compact_charge=chi,
                           truncations_used=tuple(m_list),
-                          residual=max(spread, off))
+                          residual=off)

@@ -63,6 +63,14 @@ def test_residual(capsys):
     assert obj["residual"] <= obj["tolerance"]
 
 
+@pytest.mark.parametrize("cap", ["abc", "0"])
+def test_bad_dimension_cap_names_the_variable(capsys, monkeypatch, cap):
+    monkeypatch.setenv("NCG_MAX_DIM", cap)
+    code, out, err = run(capsys, "residual", "--N", "1", "--M", "4")
+    assert (code, out) == (2, "")
+    assert f"error: NCG_MAX_DIM must be a positive integer, got '{cap}'" in err
+
+
 def test_theta_file_and_output(tmp_path, capsys):
     th = ThetaMatrix.random_rational(2, seed=5)
     theta_path = tmp_path / "theta.json"

@@ -1,4 +1,8 @@
 import cmath
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +14,7 @@ from heegaard import (ClassInvariant, SparseOperator, UnstableInvariant,
                       generator, relation_residual, represent, sphere_defect,
                       truncated_trace, unit)
 from heegaard.algebra import Context
-from heegaard.fock import _identity, scalar_part
+from heegaard.fock import _identity, compact_charge, relation_defects, scalar_part
 from heegaard.phases import ThetaMatrix
 
 
@@ -68,6 +72,47 @@ def test_relation_residuals():
             assert relation_residual(n_gen, th, M) <= 1e-10
     with pytest.raises(ValueError):
         relation_residual(1, ThetaMatrix.zero(2), 2)
+
+
+@pytest.mark.parametrize("N", [1, 2])
+@pytest.mark.parametrize("M", [3, 4, 5])
+@pytest.mark.parametrize("kind", ["zero", "rational", "float"])
+def test_norm_matches_dense_norm_on_every_relation_defect(N, M, kind):
+    th = {"zero": ThetaMatrix.zero(N + 1),
+          "rational": ThetaMatrix.random_rational(N + 1, seed=17),
+          "float": random_float_theta(N + 1, rng_for(f"defects-{N}-{M}"))}[kind]
+    defects = list(relation_defects(N, th, M))
+    assert len(defects) == (N + 1) + 2 * N * (N + 1)
+    for d in defects:
+        assert abs(d.norm() - np.linalg.norm(d.matrix.toarray(), 2)) <= 1e-12
+
+
+def test_norm_refuses_more_than_one_entry_per_row():
+    th = ThetaMatrix.random_rational(2, seed=19)
+    two_bands = fock_generator(0, 4, th) + fock_generator(1, 4, th)
+    with pytest.raises(ValueError):
+        two_bands.norm()
+    with pytest.raises(ValueError):
+        two_bands.adjoint().norm()           # two entries per column
+
+
+def test_residual_memory_at_the_dimension_cap():
+    # dim (315+1)^2 = 99856 sits under the default cap; the residual must
+    # run in O(dim) memory, not the ~160 GB of a dense matrix that size
+    root = Path(__file__).resolve().parent.parent
+    code = ("import resource\n"
+            "from heegaard.fock import relation_residual\n"
+            "from heegaard.phases import ThetaMatrix\n"
+            "r = relation_residual(1, ThetaMatrix.random_rational(2, seed=1), 315)\n"
+            "print(r, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    env = {k: v for k, v in os.environ.items() if k != "NCG_MAX_DIM"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                      os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=300, env=env, check=True)
+    residual, max_rss_kb = proc.stdout.split()
+    assert float(residual) <= 1e-10
+    assert int(max_rss_kb) / 1024 < 250
 
 
 def test_defect_represents_vacuum_projection():
@@ -142,6 +187,47 @@ def test_invariant_winding_sweep_distinct():
     assert len(set(pairs.values())) == 7
 
 
+def _lifted_diagonal(e):
+    amb = e.entries[0][0].ctx.ambient()
+    return [e.entries[k][k].with_context(amb) for k in range(e.size)]
+
+
+def _fitted_charge(diag, d, N, ms):
+    # fit Tr rep_M(lift(E)) - d(M+1)^{N+1} over M and read the (M+1)^N
+    # coefficient, independently of the closed form
+    xs = np.array([m + 1 for m in ms], dtype=float)
+    ys = [sum(truncated_trace(x, m) for x in diag).real - d * (m + 1) ** (N + 1)
+          for m in ms]
+    return np.polyfit(xs, ys, N)[0]
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_compact_charge_closed_form_matches_polyfit(N):
+    for th in [ThetaMatrix.zero(N + 1), ThetaMatrix.random_rational(N + 1, seed=23)]:
+        for n in range(-3, 4):
+            e = chern_galois_projector(n, N, th)
+            diag = _lifted_diagonal(e)
+            longest = max(max(p) for x in diag for (p, q) in x.terms if p == q)
+            # the largest truncations and the smallest that class_invariant
+            # accepts (M+1 = longest exponent) both fit to the closed form
+            for ms in ([8 * k for k in range(1, N + 3)],
+                       [longest - 1 + k for k in range(N + 2)]):
+                inv = class_invariant(e, ms)
+                assert inv.compact_charge == -n
+                fitted = _fitted_charge(diag, inv.dimension_class, N, ms)
+                assert abs(compact_charge(diag) - fitted) < 1e-6, (N, n, ms)
+
+
+def test_invariant_truncation_below_the_longest_word_is_unstable():
+    # winding 3 at N=1 lifts to diagonal words up to S_0^3 S_0^3*; below
+    # M+1 = 3 the truncated trace is not yet polynomial and the fit is off
+    e = chern_galois_projector(3, 1, ThetaMatrix.zero(2))
+    assert abs(_fitted_charge(_lifted_diagonal(e), 1, 1, [1, 2, 3]) + 3) > 1e-3
+    with pytest.raises(UnstableInvariant):
+        class_invariant(e, [1, 2, 3])
+    assert class_invariant(e, [2, 3, 4]).as_pair() == (1, -3)
+
+
 def test_invariant_input_validation():
     e = chern_galois_projector(1, 1, ThetaMatrix.zero(2))
     with pytest.raises(ValueError):
@@ -168,3 +254,7 @@ def test_dimension_cap(monkeypatch):
     monkeypatch.setenv("NCG_MAX_DIM", "10")
     with pytest.raises(ValueError):
         fock_generator(0, 5, ThetaMatrix.zero(2))
+    for bad in ("abc", "0", "-3", "1.5"):
+        monkeypatch.setenv("NCG_MAX_DIM", bad)
+        with pytest.raises(ValueError, match="NCG_MAX_DIM must be a positive integer"):
+            fock_generator(0, 1, ThetaMatrix.zero(2))
