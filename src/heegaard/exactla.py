@@ -6,134 +6,94 @@ keys to :class:`~heegaard.coeff.Coeff`.  In rational mode every phase present
 has some denominator dividing a common D, so each unknown expands over the
 rational vector space spanned by the D phases e^{2*pi*i*k/D}; phase
 multiplication becomes an index shift mod D and the whole system becomes a
-rational linear system solved by Fraction Gaussian elimination.  In float
-mode the system is solved by least squares with a residual threshold.
+rational linear system.  In float mode the system is solved by least
+squares with a residual threshold.
 
-Connected components of the column/key incidence graph are solved
-independently, which keeps the expanded systems small.
+Each D-block of the expanded system is a circulant with one nonzero per row
+for every phase of its coefficient, so the system is kept sparse: a row is
+a dict from column index to ``Fraction``, and one elimination routine
+(``_reduce``/``_insert``) brings rows to row-echelon form with pivots taken
+in a fixed column order.  The particular solution sets the free unknowns to
+zero and back-substitutes the pivot unknowns.  That is the right-hand side
+of the reduced row-echelon form (RREF), which is unique for a fixed column
+order whatever the order in which rows are eliminated, so the solution is
+the one a dense Gauss-Jordan elimination of the same system gives.
+
+Columns are ordered unknown by unknown, phase by phase (column j*D + k is
+the weight of e^{2*pi*i*k/D} in c_j), with the right-hand side last.  Span
+membership (:func:`first_outside_span`) eliminates the D phase shifts of
+the spanning vectors once and reduces each candidate against them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import lcm
 from typing import Dict, Hashable, List, Optional, Sequence
+
+import numpy as np
 
 from .coeff import Coeff
 from .phases import FLOAT, RATIONAL
 
+Vector = Dict[Hashable, Coeff]
 
-def _components(columns: Sequence[Dict[Hashable, Coeff]]):
-    """Group column indices by shared coordinate keys (union-find)."""
-    parent = list(range(len(columns)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    owner: Dict[Hashable, int] = {}
-    for j, col in enumerate(columns):
-        for key in col:
-            if key in owner:
-                ra, rb = find(owner[key]), find(j)
-                if ra != rb:
-                    parent[rb] = ra
-            else:
-                owner[key] = j
-    groups: Dict[int, List[int]] = {}
-    for j in range(len(columns)):
-        groups.setdefault(find(j), []).append(j)
-    return groups.values(), owner, find
+FLOAT_SOLVE_TOL = 1e-10
 
 
-def _phase_den(c: Coeff) -> int:
-    return lcm(1, *(t.denominator for t in c.parts))
+def _conductor(vectors) -> int:
+    """Common denominator D of every phase in the vectors."""
+    return lcm(1, *(t.denominator for v in vectors
+                    for c in v.values() for t in c.parts))
 
 
-def _gauss_solve(rows: List[List[Fraction]], rhs: List[Fraction]) -> Optional[List[Fraction]]:
-    """Particular solution of rows*x = rhs over the rationals, or None."""
-    nr = len(rows)
-    nc = len(rows[0]) if rows else 0
-    aug = [rows[i] + [rhs[i]] for i in range(nr)]
-    pivots = []
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if aug[i][c]), None)
-        if piv is None:
+def _shifts(c: Coeff, D: int):
+    """(s, w) for each part w * e^{2*pi*i*s/D} of c."""
+    return [(t.numerator * (D // t.denominator), w) for t, w in c.parts.items()]
+
+
+def _reduce(rows: Dict[int, dict], v: dict) -> dict:
+    """Subtract stored rows from v, in place, until no pivot column of
+    ``rows`` is left in v.  Each stored row has entry 1 at its pivot, its
+    smallest column, so pivots are cleared in ascending order."""
+    heap = [c for c in v if c in rows]
+    heapify(heap)
+    while heap:
+        c = heappop(heap)
+        f = v.pop(c, None)
+        if f is None:
             continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(nr):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    for i in range(r, nr):
-        if aug[i][nc]:
-            return None
-    x = [Fraction(0)] * nc
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][nc]
-    return x
-
-
-def _solve_component_rational(columns, target, col_idx, keys) -> Optional[List[Coeff]]:
-    D = 1
-    for j in col_idx:
-        for c in columns[j].values():
-            D = lcm(D, _phase_den(c))
-    for key in keys:
-        if key in target:
-            D = lcm(D, _phase_den(target[key]))
-
-    def expand(c: Coeff) -> List[Fraction]:
-        v = [Fraction(0)] * D
-        for t, w in c.parts.items():
-            v[(t.numerator * (D // t.denominator)) % D] += w
-        return v
-
-    key_list = sorted(keys, key=repr)
-    nrow = len(key_list) * D
-    ncol = len(col_idx) * D
-    rows = [[Fraction(0)] * ncol for _ in range(nrow)]
-    rhs = [Fraction(0)] * nrow
-    for ki, key in enumerate(key_list):
-        if key in target:
-            tv = expand(target[key])
-            for r in range(D):
-                rhs[ki * D + r] = tv[r]
-        for cj, j in enumerate(col_idx):
-            c = columns[j].get(key)
-            if c is None:
+        for col, w in rows[c].items():
+            if col == c:
                 continue
-            av = expand(c)
-            # (a * x)[r] = sum_s a[s] x[(r - s) mod D]
-            for s in range(D):
-                if av[s]:
-                    for k in range(D):
-                        rows[ki * D + (s + k) % D][cj * D + k] += av[s]
-    x = _gauss_solve(rows, rhs)
-    if x is None:
+            s = v.get(col)
+            if s is None:
+                v[col] = -f * w
+                if col in rows:
+                    heappush(heap, col)
+            else:
+                s -= f * w
+                if s:
+                    v[col] = s
+                else:
+                    del v[col]
+    return v
+
+
+def _insert(rows: Dict[int, dict], v: dict) -> Optional[int]:
+    """Reduce v and store it under its pivot; returns the pivot, or None if
+    v lies in the span of the stored rows."""
+    _reduce(rows, v)
+    if not v:
         return None
-    out = []
-    for cj in range(len(col_idx)):
-        parts = {}
-        for k in range(D):
-            w = x[cj * D + k]
-            if w:
-                parts[Fraction(k, D)] = w
-        out.append(Coeff(RATIONAL, parts))
-    return out
+    p = min(v)
+    inv = 1 / v[p]
+    rows[p] = {c: w * inv for c, w in v.items()}
+    return p
 
 
-def solve_exact(columns: Sequence[Dict[Hashable, Coeff]],
-                target: Dict[Hashable, Coeff],
+def solve_exact(columns: Sequence[Vector], target: Vector,
                 mode: str = RATIONAL) -> Optional[List[Coeff]]:
     """Scalars c_j with sum_j c_j*column_j == target, or None if inconsistent.
 
@@ -142,41 +102,84 @@ def solve_exact(columns: Sequence[Dict[Hashable, Coeff]],
     """
     if mode == FLOAT:
         return _solve_float(columns, target)
-    groups, owner, find = _components(columns)
-    # target keys not touched by any column must carry zero
-    for key, c in target.items():
-        if key not in owner and not c.is_zero():
-            return None
-    result: List[Optional[Coeff]] = [None] * len(columns)
-    for col_idx in groups:
-        keys = set()
-        for j in col_idx:
-            keys.update(columns[j])
-        sub = _solve_component_rational(columns, target, col_idx, keys)
-        if sub is None:
-            return None
-        for j, c in zip(col_idx, sub):
-            result[j] = c
-    return [c if c is not None else Coeff.zero(RATIONAL) for c in result]
+    D = _conductor(list(columns) + [target])
+    rhs = len(columns) * D
+    by_key: Dict[Hashable, list] = {}
+    for j, col in enumerate(columns):
+        for key, c in col.items():
+            by_key.setdefault(key, []).append((j * D, _shifts(c, D)))
+    for key in target:
+        by_key.setdefault(key, [])
+    rows: Dict[int, dict] = {}
+    for key, entries in by_key.items():
+        tv = dict(_shifts(target[key], D)) if key in target else {}
+        # (c * x)[r] = sum_s c[s] x[(r - s) mod D]
+        for r in range(D):
+            v = {base + (r - s) % D: w for base, parts in entries for s, w in parts}
+            if r in tv:
+                v[rhs] = tv[r]
+            if _insert(rows, v) == rhs:
+                return None
+    x = [Fraction(0)] * rhs
+    for p in sorted(rows, reverse=True):
+        row = rows[p]
+        x[p] = row.get(rhs, 0) - sum(w * x[c] for c, w in row.items()
+                                     if p < c < rhs)
+    return [Coeff(RATIONAL, {Fraction(k, D): x[base + k] for k in range(D) if x[base + k]})
+            for base in range(0, rhs, D)]
 
 
-def _solve_float(columns, target, tol: float = 1e-10) -> Optional[List[Coeff]]:
-    import numpy as np
+def first_outside_span(span: Sequence[Vector], vectors: Sequence[Vector],
+                       mode: str = RATIONAL) -> Optional[int]:
+    """Index of the first vector that is not a Coeff-combination of ``span``
+    (``solve_exact(span, v, mode) is None``), or None if all of them are."""
+    if mode == FLOAT:
+        bad = np.flatnonzero(_float_residuals(span, vectors)[1] > FLOAT_SOLVE_TOL)
+        return int(bad[0]) if bad.size else None
+    D = _conductor(list(span) + list(vectors))
+    index: Dict[Hashable, int] = {}
 
-    keys = sorted({k for col in columns for k in col} | set(target), key=repr)
-    if not columns:
-        ok = all(c.is_zero() for c in target.values())
-        return [] if ok else None
-    a = np.zeros((len(keys), len(columns)), dtype=complex)
-    b = np.zeros(len(keys), dtype=complex)
-    for ki, key in enumerate(keys):
-        if key in target:
-            b[ki] = target[key].to_complex()
-        for j, col in enumerate(columns):
-            if key in col:
-                a[ki, j] = col[key].to_complex()
-    x, *_ = np.linalg.lstsq(a, b, rcond=None)
-    if np.linalg.norm(a @ x - b) > tol:
+    def expand(v: Vector, shift: int) -> dict:
+        out = {}
+        for key, c in v.items():
+            base = index.setdefault(key, len(index)) * D
+            for s, w in _shifts(c, D):
+                out[base + (s + shift) % D] = w
+        return out
+
+    rows: Dict[int, dict] = {}
+    for v in span:
+        for shift in range(D):
+            _insert(rows, expand(v, shift))
+    for idx, v in enumerate(vectors):
+        if _reduce(rows, expand(v, 0)):
+            return idx
+    return None
+
+
+# -- float mode ------------------------------------------------------------
+
+def _float_residuals(columns: Sequence[Vector], targets: Sequence[Vector]):
+    """Least-squares solutions for every target at once, and their residual
+    norms.  The dense complex system has one row per key and is filled from
+    each vector's own entries."""
+    keys = sorted({k for v in list(columns) + list(targets) for k in v}, key=repr)
+    row = {k: i for i, k in enumerate(keys)}
+
+    def fill(vectors):
+        m = np.zeros((len(keys), len(vectors)), dtype=complex)
+        for j, v in enumerate(vectors):
+            for key, c in v.items():
+                m[row[key], j] = c.to_complex()
+        return m
+
+    a, b = fill(columns), fill(targets)
+    x = np.linalg.lstsq(a, b, rcond=None)[0]
+    return x, np.linalg.norm(a @ x - b, axis=0)
+
+
+def _solve_float(columns, target) -> Optional[List[Coeff]]:
+    x, residual = _float_residuals(columns, [target])
+    if residual[0] > FLOAT_SOLVE_TOL:
         return None
-    return [Coeff.from_complex(z) for z in x]
-
+    return [Coeff.from_complex(z) for z in x[:, 0]]

@@ -15,7 +15,7 @@ from typing import Dict, List, Tuple
 
 from .algebra import (AlgebraElement, Context, ContextMismatch, _unitary_reduce)
 from .coeff import Coeff
-from .exactla import solve_exact
+from .exactla import first_outside_span, solve_exact
 from .phases import ThetaMatrix
 
 
@@ -182,23 +182,35 @@ def _kernel_image_vectors(theta: ThetaMatrix, i: int, j: int, k: int,
     return vectors
 
 
-def _phi(a: int, b: int, x: AlgebraElement) -> AlgebraElement:
-    """Transport a B_b representative to a B_a representative of the same
-    class modulo the third slot: project to B_ab, then read the canonical
-    form as a B_a element."""
-    theta = x.ctx.theta
-    return (x.with_context(Context.quotient(theta, a, b))
-            .with_context(Context.quotient(theta, a)))
+def _coherence_sides(theta: ThetaMatrix, i: int, j: int, k: int, p, q):
+    """The monomial W_p W_q* of B_k carried to B_i via B_j and directly,
+    each read modulo all three slots, as (phase, p', q').
+
+    On a monomial the transport B_b -> B_a modulo the third slot (project
+    to B_ab, read the canonical form in B_a) is the slot-(a, b) unitary
+    reduction, so both routes are compositions of ``_unitary_reduce``."""
+    def reduce(slots, phase, p, q):
+        d, p, q = _unitary_reduce(theta, sorted(slots), p, q)
+        return phase + d, p, q
+
+    via_j = reduce((i, j), *reduce((j, k), 0, p, q))
+    direct = reduce((i, k), 0, p, q)
+    return reduce((i, j, k), *via_j), reduce((i, j, k), *direct)
 
 
 def cocycle_check(theta: ThetaMatrix, degree_bound: int) -> CocycleReport:
     """Kernel-image equality and coherence of the induced isomorphisms.
 
     For all distinct i,j,k: (1) pi^i_j(ker pi^i_k) == pi^j_i(ker pi^j_k) as
-    spans inside B_ij, on monomials up to the degree bound; (2) transporting
-    a class B_k -> B_j -> B_i agrees with B_k -> B_i modulo all three slots.
+    spans inside B_ij, on monomials up to the degree bound: each side is
+    eliminated once and the other side's vectors are reduced against it,
+    and the witness names the first vector outside the span; (2)
+    transporting a class B_k -> B_j -> B_i agrees with B_k -> B_i modulo all
+    three slots, compared monomial by monomial in closed form, with the
+    phases equal as coefficients (within the float tolerance in float mode).
     """
     n = theta.n
+    mode = theta.mode
     failures = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -207,28 +219,24 @@ def cocycle_check(theta: ThetaMatrix, degree_bound: int) -> CocycleReport:
                     continue
                 side_a = _kernel_image_vectors(theta, i, j, k, degree_bound)
                 side_b = _kernel_image_vectors(theta, j, i, k, degree_bound)
-                for v in side_a:
-                    if solve_exact(side_b, v, theta.mode) is None:
-                        failures.append((i, j, k, sorted(v)[0]))
-                        break
-                else:
-                    for v in side_b:
-                        if solve_exact(side_a, v, theta.mode) is None:
-                            failures.append((j, i, k, sorted(v)[0]))
-                            break
+                bad = first_outside_span(side_b, side_a, mode)
+                if bad is not None:
+                    failures.append((i, j, k, sorted(side_a[bad])[0]))
+                    continue
+                bad = first_outside_span(side_a, side_b, mode)
+                if bad is not None:
+                    failures.append((j, i, k, sorted(side_b[bad])[0]))
+    bases = [_basis_monomials(n, degree_bound, zero_slots=(k,)) for k in range(n)]
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 if len({i, j, k}) != 3:
                     continue
-                bk = Context.quotient(theta, k)
-                triple = Context.quotient(theta, i, j, k)
-                for (p, q) in _basis_monomials(theta.n, degree_bound,
-                                               zero_slots=(k,)):
-                    m = AlgebraElement.monomial(bk, p, q)
-                    via_j = _phi(i, j, _phi(j, k, m))
-                    direct = _phi(i, k, m)
-                    if via_j.with_context(triple) != direct.with_context(triple):
+                for (p, q) in bases[k]:
+                    (ph_a, *m_a), (ph_b, *m_b) = _coherence_sides(theta, i, j, k, p, q)
+                    same = m_a == m_b and (ph_a == ph_b or Coeff.from_phase(ph_a, mode)
+                                           == Coeff.from_phase(ph_b, mode))
+                    if not same:
                         failures.append((i, j, k, (p, q)))
                         break
     return CocycleReport(passed=not failures,

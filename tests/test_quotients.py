@@ -1,13 +1,17 @@
+import json
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
-from conftest import random_element, rng_for
+from conftest import random_element, random_float_theta, rng_for
+from heegaard import cli, quotients, serialize
 from heegaard import (AlgebraElement, CocycleReport, Coeff, IncompatibleTuple,
                       MultipullbackTuple, SupportOverflow, cocycle_check,
                       generator, glue, is_compatible, pi_i_j, sigma_i,
                       sphere_defect, sphere_reduce, unit)
 from heegaard.algebra import Context, ContextMismatch
+from heegaard.exactla import solve_exact
 from heegaard.phases import ThetaMatrix
 
 
@@ -172,3 +176,96 @@ def test_partition_of_unity_in_quotients():
     assert total == unit(ctx) - sphere_defect(ctx)
     for i in range(3):
         assert sigma_i(total, i) == unit(Context.quotient(ctx.theta, i))
+
+
+def _phi(a, b, x):
+    """Reference transport B_b -> B_a: project to B_ab, then read the
+    canonical form as a B_a element."""
+    theta = x.ctx.theta
+    return (x.with_context(Context.quotient(theta, a, b))
+            .with_context(Context.quotient(theta, a)))
+
+
+@pytest.mark.parametrize("twist", ["zero", "rational", "float"])
+def test_closed_form_coherence_matches_context_transport(twist):
+    rng = rng_for(f"coherence-{twist}")
+    for n in (2, 3, 4):
+        if twist == "zero":
+            th = ThetaMatrix.zero(n)
+        elif twist == "rational":
+            th = ThetaMatrix.random_rational(n, seed=n, den=12)
+        else:
+            th = random_float_theta(n, rng)
+        for i, j, k in permutations(range(n), 3):
+            bk = Context.quotient(th, k)
+            triple = Context.quotient(th, i, j, k)
+            for (p, q) in quotients._basis_monomials(n, 3, zero_slots=(k,)):
+                m = AlgebraElement.monomial(bk, p, q)
+                via_ref = _phi(i, j, _phi(j, k, m)).with_context(triple)
+                direct_ref = _phi(i, k, m).with_context(triple)
+                via, direct = quotients._coherence_sides(th, i, j, k, p, q)
+                for (phase, pp, qq), ref in ((via, via_ref), (direct, direct_ref)):
+                    assert AlgebraElement(triple, {(pp, qq): Coeff.from_phase(
+                        phase, th.mode)}) == ref
+
+
+def _per_vector_failures(theta, degree):
+    """Span-equality witnesses from one exact solve per vector."""
+    failures = []
+    n = theta.n
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                if k in (i, j):
+                    continue
+                side_a = quotients._kernel_image_vectors(theta, i, j, k, degree)
+                side_b = quotients._kernel_image_vectors(theta, j, i, k, degree)
+                for v in side_a:
+                    if solve_exact(side_b, v, theta.mode) is None:
+                        failures.append([i, j, k, sorted(v)[0]])
+                        break
+                else:
+                    for v in side_b:
+                        if solve_exact(side_a, v, theta.mode) is None:
+                            failures.append([j, i, k, sorted(v)[0]])
+                            break
+    return [[i, j, k, [list(p), list(q)]] for i, j, k, (p, q) in failures]
+
+
+@pytest.mark.parametrize("twist", ["zero", "rational", "float"])
+def test_cocycle_span_failure_names_the_first_vector_outside(twist, monkeypatch, capsys):
+    if twist == "zero":
+        th_arg, th = "zero", ThetaMatrix.zero(3)
+    elif twist == "rational":
+        th_arg = '{"n":3,"mode":"rational","upper":[[0,1,1,8],[0,2,3,8],[1,2,5,8]]}'
+        th = serialize.theta_from_obj(serialize.from_json(th_arg))
+    else:
+        th_arg = '{"n":3,"mode":"float","upper":[[0,1,0.31],[0,2,-0.17],[1,2,0.42]]}'
+        th = serialize.theta_from_obj(serialize.from_json(th_arg))
+    original = quotients._kernel_image_vectors
+    one = Coeff.one(th.mode)
+
+    def outside(d):
+        # a monomial of degree above the bound lies in no span of the other side
+        return {((d, 0, 0), (0, 0, 0)): one}
+
+    def patched(theta, i, j, k, degree):
+        vectors = original(theta, i, j, k, degree)
+        if (i, j, k) == (0, 1, 2):
+            # side a gains, after its third vector, one inside the other
+            # side's span and then two outside it
+            inside = original(theta, j, i, k, degree)[0]
+            vectors[3:3] = [inside, outside(degree + 2), outside(degree + 1)]
+        if (i, j, k) == (2, 1, 0):
+            # side b of the pair (1, 2) gains one outside vector at the end
+            vectors.append(outside(degree + 3))
+        return vectors
+
+    monkeypatch.setattr(quotients, "_kernel_image_vectors", patched)
+    want = _per_vector_failures(th, 2)
+    assert want == [[0, 1, 2, [[4, 0, 0], [0, 0, 0]]],
+                    [2, 1, 0, [[5, 0, 0], [0, 0, 0]]]]
+    code = cli.main(["cocycle", "--N", "2", "--degree", "2", "--theta", th_arg])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1 and not out["passed"]
+    assert out["failures"] == want
