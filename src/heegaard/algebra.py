@@ -19,11 +19,28 @@ r' = r - m and q' = q - m (at most one of r'_a, q'_a is nonzero),
 with e(x) = e^{2*pi*i*x}.  Quotient contexts impose extra relations:
 unitary slots add w_s w_s* = 1, and the sphere quotient kills the
 range-complement product prod_j (1 - w_j w_j*).
+
+Reducing W_p W_q* on a slot set V cancels the min(p_s, q_s) pairs w_s w_s*
+of each s in V for the phase sum_{s in V} min(p_s, q_s) sum_{j>s}
+theta_sj (p_j - q_j).  It is additive over slots and independent of their
+order, because a reduction leaves every p_j - q_j unchanged.  In the sphere
+quotient every fully-interior word (all k_s = min(p_s, q_s) >= 1) has the
+closed normal form
+
+    W_p W_q*  =  sum_{V nonempty} (-1)^{|V|+1} (W_p W_q* reduced on V),
+
+2^n - 1 words, each with min 0 on some slot.  Why: the projections
+Q_s = w_s^{k_s} w_s*^{k_s} commute with the letters of every other slot, so
+W_p W_q* is prod_s Q_s sandwiched between the reduced outer letters, and
+dropping Q_s for s in V is the reduction on V.  The ideal contains
+prod_s (1 - Q_s), since 1 - Q_s = sum_{i<k_s} w_s^i (1 - w_s w_s*) w_s*^i;
+expanding that product and solving for prod_s Q_s gives the sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Dict, Tuple
 
 from .coeff import Coeff
@@ -259,20 +276,35 @@ class AlgebraElement:
         return " + ".join(bits)
 
 
+def _reductions(ctx: Context, p, q):
+    """The signed slot reductions a word expands into in ``ctx``.
+
+    Unitary contexts reduce every word on their unitary slots; in the sphere
+    quotient a fully-interior word is the inclusion-exclusion sum over the
+    nonempty slot sets of the module docstring; any other word is itself.
+    """
+    if ctx.unitary:
+        return [(ctx.unitary, 1)]
+    if ctx.kind == SPHERE and all(min(a, b) for a, b in zip(p, q)):
+        return [(v, (-1) ** (k + 1)) for k in range(1, ctx.n + 1)
+                for v in combinations(range(ctx.n), k)]
+    return [((), 1)]
+
+
 def _canonicalize(ctx: Context,
                   terms: Dict[Tuple[MultiIndex, MultiIndex], Coeff]) -> AlgebraElement:
     """Apply the context's extra relations term-wise and prune zeros."""
-    if ctx.unitary:
-        reduced: Dict[Tuple[MultiIndex, MultiIndex], Coeff] = {}
-        for (p, q), c in terms.items():
-            phase, pp, qq = _unitary_reduce(ctx.theta, ctx.unitary, p, q)
-            key = (pp, qq)
-            c = c.times_phase(phase)
-            reduced[key] = reduced[key] + c if key in reduced else c
-        terms = reduced
-    if ctx.kind == SPHERE:
-        terms = _sphere_normalize(ctx.theta, terms)
-    return AlgebraElement(ctx, terms)
+    theta, mode = ctx.theta, ctx.mode
+    out: Dict[Tuple[MultiIndex, MultiIndex], Coeff] = {}
+    for (p, q), c in terms.items():
+        for slots, sign in _reductions(ctx, p, q):
+            if slots:
+                phase, pp, qq = _unitary_reduce(theta, slots, p, q)
+                key, cc = (pp, qq), c * Coeff.from_phase(phase, mode, sign)
+            else:
+                key, cc = (p, q), c
+            out[key] = out[key] + cc if key in out else cc
+    return AlgebraElement(ctx, out)
 
 
 def generator(ctx: Context, i: int) -> AlgebraElement:
@@ -305,61 +337,3 @@ def compact_matrix_unit(p, q, ctx: Context) -> AlgebraElement:
     right = AlgebraElement.monomial(ctx, q, (0,) * ctx.n).star()
     return left * sphere_defect(ctx) * right
 
-
-# -- sphere-quotient normal form ------------------------------------------
-
-_REWRITE_CACHE: Dict[tuple, dict] = {}
-
-
-def _interior(p, q) -> bool:
-    return all(min(a, b) >= 1 for a, b in zip(p, q))
-
-
-def _sphere_rewrite(theta: ThetaMatrix, p, q):
-    """Express the fully-interior word W_p W_q* through smaller words.
-
-    W_{p-1} R W_{q-1}* vanishes in the quotient; expanding R and solving for
-    the top term (which is W_p W_q* times an invertible phase) rewrites the
-    word through terms of strictly smaller total degree.
-    """
-    key = (theta, p, q)
-    hit = _REWRITE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    ctx = Context.toeplitz(theta)
-    ones = (1,) * theta.n
-    pm = tuple(a - 1 for a in p)
-    qm = tuple(a - 1 for a in q)
-    expr = (AlgebraElement.monomial(ctx, pm, (0,) * theta.n)
-            * sphere_defect(ctx)
-            * AlgebraElement.monomial(ctx, qm, (0,) * theta.n).star())
-    top = expr.terms.get((p, q))
-    if top is None:
-        raise AssertionError("top term missing from range-complement expansion")
-    inv = top.inverse()
-    repl = {m: (-(c * inv)) for m, c in expr.terms.items() if m != (p, q)}
-    _REWRITE_CACHE[key] = repl
-    return repl
-
-
-def _sphere_normalize(theta: ThetaMatrix, terms):
-    work = {m: c for m, c in terms.items() if not c.is_zero()}
-    while True:
-        target = None
-        for m in work:
-            if _interior(*m):
-                target = m
-                break
-        if target is None:
-            return work
-        c = work.pop(target)
-        for m, w in _sphere_rewrite(theta, *target).items():
-            cc = c * w
-            if m in work:
-                s = work[m] + cc
-                if s.is_zero():
-                    del work[m]
-                else:
-                    work[m] = s
-            elif not cc.is_zero():
-                work[m] = cc

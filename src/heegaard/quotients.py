@@ -167,18 +167,22 @@ def _basis_monomials(n: int, degree_bound: int, zero_slots=(), positive_slots=()
 
 def _kernel_image_vectors(theta: ThetaMatrix, i: int, j: int, k: int,
                           degree_bound: int):
-    """Spanning vectors of pi^i_j(ker pi^i_k) inside B_ij, up to degree."""
-    bi = Context.quotient(theta, i)
-    bij = Context.quotient(theta, i, j)
+    """Spanning vectors of pi^i_j(ker pi^i_k) inside B_ij, up to degree.
+
+    Each is the image of m - e(phi_k) m_k for a word m of B_i with slot k
+    interior and m_k its slot-k reduction: two words, since only the second
+    has min 0 in slot k, read off by slot-(i, j) reductions."""
+    mode = theta.mode
+    ij = tuple(sorted((i, j)))
     vectors = []
     for (p, q) in _basis_monomials(theta.n, degree_bound,
                                    zero_slots=(i,), positive_slots=(k,)):
-        m = AlgebraElement.monomial(bi, p, q)
-        phase, pp, qq = _unitary_reduce(theta, (k,), p, q)
-        hat = AlgebraElement.monomial(bi, pp, qq).times_phase(phase)
-        v = (m - hat).with_context(bij)
-        if not v.is_zero():
-            vectors.append(dict(v.terms))
+        a, pa, qa = _unitary_reduce(theta, ij, p, q)
+        phi, pk, qk = _unitary_reduce(theta, (k,), p, q)
+        b, pb, qb = _unitary_reduce(theta, ij, pk, qk)
+        vectors.append({(pa, qa): Coeff.from_phase(a, mode),
+                        (pb, qb): Coeff.from_phase(phi, mode, -1)
+                        * Coeff.from_phase(b, mode)})
     return vectors
 
 

@@ -2,11 +2,13 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_element, random_float_theta, rng_for
 from heegaard import (AlgebraElement, Coeff, compact_matrix_unit, generator,
                       sphere_defect, unit)
-from heegaard.algebra import Context, ContextMismatch
+from heegaard.algebra import Context, ContextMismatch, _unitary_reduce
 from heegaard.phases import ThetaMatrix
 
 
@@ -148,3 +150,103 @@ def test_zero_pruning():
     x = generator(ctx, 0)
     assert (x - x).terms == {}
     assert (x - x).is_zero()
+
+
+def _rewrite_loop_normal_form(theta, terms):
+    """The sphere normal form by a rewrite loop, the reference for the
+    closed form.
+
+    W_{p-1} R W_{q-1}* vanishes in the quotient; solving it for its top term
+    W_p W_q* rewrites an interior word through words of lower degree, until
+    no interior word is left.
+    """
+    ctx = Context.toeplitz(theta)
+    z = (0,) * theta.n
+    defect = sphere_defect(ctx)
+    rewrites = {}
+
+    def rewrite(p, q):
+        if (p, q) not in rewrites:
+            expr = (AlgebraElement.monomial(ctx, [a - 1 for a in p], z) * defect
+                    * AlgebraElement.monomial(ctx, [a - 1 for a in q], z).star())
+            inv = expr.terms[(p, q)].inverse()
+            rewrites[(p, q)] = {m: -(c * inv) for m, c in expr.terms.items()
+                                if m != (p, q)}
+        return rewrites[(p, q)]
+
+    work = {m: c for m, c in terms.items() if not c.is_zero()}
+    while True:
+        target = next((m for m in work if all(min(a, b) for a, b in zip(*m))), None)
+        if target is None:
+            return work
+        c = work.pop(target)
+        for m, w in rewrite(*target).items():
+            cc = c * w
+            s = work[m] + cc if m in work else cc
+            if s.is_zero():
+                work.pop(m, None)
+            else:
+                work[m] = s
+
+
+def _random_word(rng, n, low, high):
+    return (tuple(rng.randint(low, high) for _ in range(n)),
+            tuple(rng.randint(low, high) for _ in range(n)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_sphere_normal_form_matches_the_rewrite_loop(n):
+    rng = rng_for(f"sphere-nf-{n}")
+    thetas = [ThetaMatrix.zero(n)] + [ThetaMatrix.random_rational(n, seed=n, den=d)
+                                      for d in (2, 3, 4, 8, 12)]
+    for th in thetas:
+        sphere = Context.sphere(th)
+        for _ in range(3 if n < 5 else 1):
+            # interior words next to words that are not, so their images collide
+            terms = {}
+            for low in (1, 1, 0):
+                c = Coeff.from_phase(Fraction(rng.randrange(12), 12), "rational",
+                                     Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3)))
+                terms[_random_word(rng, n, low, 4)] = c
+            got = AlgebraElement(Context.toeplitz(th), terms).with_context(sphere)
+            want = _rewrite_loop_normal_form(th, terms)
+            assert got.terms.keys() == want.keys()
+            assert {m: repr(c) for m, c in got.terms.items()} == \
+                {m: repr(c) for m, c in want.items()}
+
+
+def test_float_sphere_normal_form_has_one_term_per_slot_set():
+    # the closed form is 2^n - 1 words of modulus |c|; a rewrite cascade
+    # subtracts nearly equal floats and can leave residues above FLOAT_TOL
+    rng = rng_for("sphere-nf-float")
+    for n in (2, 3, 4, 5):
+        th = random_float_theta(n, rng)
+        sphere = Context.sphere(th)
+        for _ in range(30):
+            p, q = _random_word(rng, n, 1, 4)
+            c = Coeff.from_complex(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)))
+            nf = AlgebraElement.monomial(sphere, p, q, c)
+            assert len(nf.terms) == 2 ** n - 1, (p, q)
+            for v in nf.terms.values():
+                assert abs(abs(v.to_complex()) - abs(c.to_complex())) < 1e-12
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_slot_reductions_compose(data):
+    # reducing on A u B is reducing on A, then on B, in either order: the
+    # lemma behind the sphere normal form and the cocycle coherence check
+    n = data.draw(st.integers(1, 5))
+    den = data.draw(st.sampled_from([1, 2, 3, 8, 12]))
+    th = ThetaMatrix.random_rational(n, seed=data.draw(st.integers(0, 99)), den=den)
+    word = st.lists(st.integers(0, 4), min_size=n, max_size=n).map(tuple)
+    p, q = data.draw(word), data.draw(word)
+    side = st.lists(st.sampled_from(["A", "B", None]), min_size=n, max_size=n)
+    label = data.draw(side)
+    a = [s for s in range(n) if label[s] == "A"]
+    b = [s for s in range(n) if label[s] == "B"]
+    both = _unitary_reduce(th, sorted(a + b), p, q)
+    for first, second in ((a, b), (b, a)):
+        ph1, p1, q1 = _unitary_reduce(th, first, p, q)
+        ph2, p2, q2 = _unitary_reduce(th, second, p1, q1)
+        assert (ph1 + ph2, p2, q2) == both

@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import random_element, random_float_theta, rng_for
-from heegaard import (ClassInvariant, SparseOperator, UnstableInvariant,
+from heegaard import (AlgebraElement, ClassInvariant, SparseOperator, UnstableInvariant,
                       chern_galois_projector, class_invariant, fock_generator,
                       generator, relation_residual, represent, sphere_defect,
                       truncated_trace, unit)
@@ -144,6 +144,33 @@ def test_represent_multiplicative_in_the_interior(n, mode):
         lhs = represent(x * y, M).matrix @ proj
         rhs = represent(x, M).matrix @ represent(y, M).matrix @ proj
         assert abs(sp.linalg.norm(lhs - rhs)) < 1e-10
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["zero", "rational", "float"])
+def test_sphere_normal_form_agrees_with_the_word_off_the_corner(N, kind):
+    # represent compresses word by word, so for an interior word the
+    # difference from its sphere normal form is the compression of an ideal
+    # element W_{p-k} prod_s (1 - Q_s) W_{q-k}*, with k = min(p, q) and Q_s
+    # the range projection of w_s^{k_s}: zero on e_mu once some mu_s >= q_s,
+    # a unimodular entry at mu = q - k
+    n = N + 1
+    rng = rng_for(f"fock-sphere-nf-{N}-{kind}")
+    th = {"zero": ThetaMatrix.zero(n),
+          "rational": ThetaMatrix.random_rational(n, seed=N, den=12),
+          "float": random_float_theta(n, rng)}[kind]
+    M = 4
+    mus = np.indices((M + 1,) * n).reshape(n, -1)
+    for _ in range(6):
+        p, q = (tuple(rng.randint(1, 3) for _ in range(n)) for _ in range(2))
+        word = AlgebraElement.monomial(Context.toeplitz(th), p, q)
+        nf = word.with_context(Context.sphere(th))
+        assert all(any(min(a, b) == 0 for a, b in zip(*m)) for m in nf.terms)
+        diff = (represent(word, M).matrix - represent(nf, M).matrix).toarray()
+        off_corner = (mus >= np.array(q)[:, None]).any(axis=0)
+        assert np.abs(diff[:, off_corner]).max() < 1e-12, (p, q)
+        corner = np.ravel_multi_index([b - min(a, b) for a, b in zip(p, q)], (M + 1,) * n)
+        assert abs(abs(diff[:, corner]).max() - 1) < 1e-12
 
 
 def test_trace_formula_matches_matrix_trace():

@@ -10,7 +10,7 @@ from heegaard import (AlgebraElement, CocycleReport, Coeff, IncompatibleTuple,
                       MultipullbackTuple, SupportOverflow, cocycle_check,
                       generator, glue, is_compatible, pi_i_j, sigma_i,
                       sphere_defect, sphere_reduce, unit)
-from heegaard.algebra import Context, ContextMismatch
+from heegaard.algebra import Context, ContextMismatch, _unitary_reduce
 from heegaard.exactla import solve_exact
 from heegaard.phases import ThetaMatrix
 
@@ -207,6 +207,29 @@ def test_closed_form_coherence_matches_context_transport(twist):
                 for (phase, pp, qq), ref in ((via, via_ref), (direct, direct_ref)):
                     assert AlgebraElement(triple, {(pp, qq): Coeff.from_phase(
                         phase, th.mode)}) == ref
+
+
+@pytest.mark.parametrize("twist", ["zero", "rational", "float"])
+def test_kernel_image_vectors_match_the_element_arithmetic(twist):
+    # reference: m - e(phi_k) m_k built as elements of B_i, carried to B_ij;
+    # the same group-ring form, the same floats (up to the sign of a zero)
+    rng = rng_for(f"kernel-image-{twist}")
+    exact = repr if twist != "float" else Coeff.to_complex
+    for n in (3, 4):
+        th = {"zero": ThetaMatrix.zero(n),
+              "rational": ThetaMatrix.random_rational(n, seed=n, den=12),
+              "float": random_float_theta(n, rng)}[twist]
+        for i, j, k in permutations(range(n), 3):
+            bi, bij = Context.quotient(th, i), Context.quotient(th, i, j)
+            want = []
+            for (p, q) in quotients._basis_monomials(n, 3, zero_slots=(i,),
+                                                     positive_slots=(k,)):
+                phase, pp, qq = _unitary_reduce(th, (k,), p, q)
+                hat = AlgebraElement.monomial(bi, pp, qq).times_phase(phase)
+                v = (AlgebraElement.monomial(bi, p, q) - hat).with_context(bij)
+                want.append([(m, exact(c)) for m, c in v.terms.items()])
+            got = quotients._kernel_image_vectors(th, i, j, k, 3)
+            assert [[(m, exact(c)) for m, c in v.items()] for v in got] == want
 
 
 def _per_vector_failures(theta, degree):
