@@ -10,6 +10,7 @@ import argparse
 import json
 
 from heegaard import chern_galois_projector, class_invariant
+from heegaard.fock import default_truncations
 from heegaard.phases import ThetaMatrix
 
 
@@ -17,18 +18,18 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--N", type=int, default=1)
     ap.add_argument("--windings", default="-3,-2,-1,0,1,2,3")
-    ap.add_argument("--truncations", default="8,16,24")
+    ap.add_argument("--truncations", help="default: the smallest admissible list")
     ap.add_argument("--seed", type=int, default=None,
                     help="random rational twist; untwisted when omitted")
     args = ap.parse_args()
 
     theta = (ThetaMatrix.zero(args.N + 1) if args.seed is None
              else ThetaMatrix.random_rational(args.N + 1, seed=args.seed))
-    ms = [int(v) for v in args.truncations.split(",")]
+    ms = args.truncations and [int(v) for v in args.truncations.split(",")]
     rows = []
     for n in (int(v) for v in args.windings.split(",")):
         e = chern_galois_projector(n, args.N, theta)
-        inv = class_invariant(e, ms)
+        inv = class_invariant(e, ms or default_truncations(e))
         rows.append({"winding": n,
                      "size": e.size,
                      "dimension_class": inv.dimension_class,

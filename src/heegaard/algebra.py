@@ -16,7 +16,8 @@ r' = r - m and q' = q - m (at most one of r'_a, q'_a is nonzero),
     (W_p W_q*)(W_r W_t*) = e(phi) W_{p+r'} W_{q'+t}*,
     phi = sum_{a<c} [r'_a (q_c - p_c) + q'_a (t_c - r_c)] theta_ac,
 
-with e(x) = e^{2*pi*i*x}.  Quotient contexts impose extra relations:
+with e(x) = e^{2*pi*i*x} and phi an integer exponent over the twist's
+conductor (``ThetaMatrix.table``).  Quotient contexts impose extra relations:
 unitary slots add w_s w_s* = 1, and the sphere quotient kills the
 range-complement product prod_j (1 - w_j w_j*).
 
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import add
 from typing import Dict, Tuple
 
 from .coeff import Coeff
@@ -108,30 +110,29 @@ class Context:
 
 
 def _mono_product(theta: ThetaMatrix, p, q, r, t):
-    """(W_p W_q*)(W_r W_t*) = e(phase) W_{p+r'} W_{q'+t}*; returns (phase, p', q').
+    """(W_p W_q*)(W_r W_t*) = e(phase/D) W_{p+r'} W_{q'+t}*; returns
+    (phase, p', q') with phase an exponent over the conductor D.
 
-    The closed form of the module docstring.  Zero integer coefficients are
-    skipped: in rational mode a Fraction times 0 still costs a multiplication.
+    The closed form of the module docstring, with zero integer factors skipped.
     """
-    table = theta.table
-    rr = [max(b - a, 0) for a, b in zip(q, r)]
-    qq = [max(a - b, 0) for a, b in zip(q, r)]
+    table, n = theta.table, theta.n
+    rr = [b - a if b > a else 0 for a, b in zip(q, r)]
+    qq = [a - b if a > b else 0 for a, b in zip(q, r)]
     phase = 0
-    for a in range(theta.n):
+    for a in range(n):
         ra, qa = rr[a], qq[a]
         if not (ra or qa):
             continue
         row = table[a]
-        for c in range(a + 1, theta.n):
+        for c in range(a + 1, n):
             k = ra * (q[c] - p[c]) + qa * (t[c] - r[c])
             if k:
                 phase += k * row[c]
-    return (phase, tuple(x + y for x, y in zip(p, rr)),
-            tuple(x + y for x, y in zip(qq, t)))
+    return phase, tuple(map(add, p, rr)), tuple(map(add, qq, t))
 
 
 def _unitary_reduce(theta: ThetaMatrix, slots, p, q):
-    """Cancel w_s w_s* pairs in unitary slots; returns (phase, p', q').
+    """Cancel w_s w_s* pairs in unitary slots; returns (phase over D, p', q').
 
     Cancelling one pair in slot s moves the innermost w_s right past the
     higher-index creations and the matching w_s* left past the higher-index
@@ -214,12 +215,12 @@ class AlgebraElement:
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
-        theta = self.ctx.theta
+        theta, D = self.ctx.theta, self.ctx.theta.conductor
         terms: Dict[Tuple[MultiIndex, MultiIndex], Coeff] = {}
         for (p, q), c1 in self.terms.items():
             for (r, t), c2 in other.terms.items():
                 phase, pp, qq = _mono_product(theta, p, q, r, t)
-                c = (c1 * c2).times_phase(phase)
+                c = (c1 * c2).times_exponent(phase, D)
                 key = (pp, qq)
                 terms[key] = terms[key] + c if key in terms else c
         return _canonicalize(self.ctx, terms)
@@ -294,13 +295,13 @@ def _reductions(ctx: Context, p, q):
 def _canonicalize(ctx: Context,
                   terms: Dict[Tuple[MultiIndex, MultiIndex], Coeff]) -> AlgebraElement:
     """Apply the context's extra relations term-wise and prune zeros."""
-    theta, mode = ctx.theta, ctx.mode
+    theta, D = ctx.theta, ctx.theta.conductor
     out: Dict[Tuple[MultiIndex, MultiIndex], Coeff] = {}
     for (p, q), c in terms.items():
         for slots, sign in _reductions(ctx, p, q):
             if slots:
                 phase, pp, qq = _unitary_reduce(theta, slots, p, q)
-                key, cc = (pp, qq), c * Coeff.from_phase(phase, mode, sign)
+                key, cc = (pp, qq), c.times_exponent(phase, D, sign)
             else:
                 key, cc = (p, q), c
             out[key] = out[key] + cc if key in out else cc

@@ -13,7 +13,8 @@ import sys
 from . import serialize
 from .algebra import unit
 from .bundles import chern_galois_projector, strong_connection
-from .fock import UnstableInvariant, class_invariant, relation_residual
+from .fock import (UnstableInvariant, class_invariant, default_truncations,
+                   relation_residual)
 from .phases import ThetaMatrix
 from .quotients import (IncompatibleTuple, MultipullbackTuple, SupportOverflow,
                         cocycle_check, glue)
@@ -89,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("projector", help="line-bundle projector"), winding=True)
     p = sub.add_parser("invariant", help="numerical K-class invariant")
     common(p, winding=True)
-    p.add_argument("--truncations", default="8,16,24")
+    p.add_argument("--truncations", help="default: the smallest admissible list")
     p = sub.add_parser("cocycle", help="cocycle-condition report")
     common(p)
     p.add_argument("--degree", type=int, default=3)
@@ -132,8 +133,9 @@ def _run(args) -> int:
         return 0
 
     if args.command == "invariant":
-        ms = _truncations(args.truncations)
         e = chern_galois_projector(args.n, args.N, theta)
+        ms = (default_truncations(e) if args.truncations is None
+              else _truncations(args.truncations))
         try:
             inv = class_invariant(e, ms)
         except UnstableInvariant as exc:

@@ -29,12 +29,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import lcm
+from math import gcd, lcm
 from typing import Dict, Hashable, List, Optional, Sequence
 
 import numpy as np
 
-from .coeff import Coeff
+from .coeff import Coeff, _exact
 from .phases import FLOAT, RATIONAL
 
 Vector = Dict[Hashable, Coeff]
@@ -44,13 +44,13 @@ FLOAT_SOLVE_TOL = 1e-10
 
 def _conductor(vectors) -> int:
     """Common denominator D of every phase in the vectors."""
-    return lcm(1, *(t.denominator for v in vectors
-                    for c in v.values() for t in c.parts))
+    return lcm(1, *(c.D // gcd(c.D, *c.terms) for v in vectors for c in v.values()))
 
 
 def _shifts(c: Coeff, D: int):
-    """(s, w) for each part w * e^{2*pi*i*s/D} of c."""
-    return [(t.numerator * (D // t.denominator), w) for t, w in c.parts.items()]
+    """(s, w) for each part w * e^{2*pi*i*s/D} of c (D a multiple of every
+    exponent's denominator)."""
+    return [(k * D // c.D, w) for k, w in c.terms.items()]
 
 
 def _reduce(rows: Dict[int, dict], v: dict) -> dict:
@@ -88,7 +88,7 @@ def _insert(rows: Dict[int, dict], v: dict) -> Optional[int]:
     if not v:
         return None
     p = min(v)
-    inv = 1 / v[p]
+    inv = Fraction(1) / v[p]
     rows[p] = {c: w * inv for c, w in v.items()}
     return p
 
@@ -125,7 +125,7 @@ def solve_exact(columns: Sequence[Vector], target: Vector,
         row = rows[p]
         x[p] = row.get(rhs, 0) - sum(w * x[c] for c, w in row.items()
                                      if p < c < rhs)
-    return [Coeff(RATIONAL, {Fraction(k, D): x[base + k] for k in range(D) if x[base + k]})
+    return [_exact(D, {k: x[base + k] for k in range(D) if x[base + k]})
             for base in range(0, rhs, D)]
 
 

@@ -217,6 +217,19 @@ def compact_charge(diag: List[AlgebraElement]) -> complex:
                  for (p, q), c in x.terms.items() if p == q), 0j)
 
 
+def _lifted_diagonal(e: ProjectorMatrix):
+    """The lifted diagonal entries and the longest exponent of their diagonal words."""
+    lifted = [row[k].with_context(row[k].ctx.ambient()) for k, row in enumerate(e.entries)]
+    return lifted, max((max(p) for x in lifted for (p, q) in x.terms if p == q), default=0)
+
+
+def default_truncations(e: ProjectorMatrix) -> List[int]:
+    """The smallest truncations ``class_invariant`` admits: N+2 consecutive
+    cutoffs from max(1, longest diagonal exponent - 1)."""
+    start = max(1, _lifted_diagonal(e)[1] - 1)
+    return list(range(start, start + e.entries[0][0].ctx.n + 1))
+
+
 def class_invariant(e: ProjectorMatrix, m_list: List[int],
                     tol: float = 1e-6) -> ClassInvariant:
     """Numerical K-class data (dimension class, compact charge) of a
@@ -239,10 +252,7 @@ def class_invariant(e: ProjectorMatrix, m_list: List[int],
     s = np.array([[scalar_part(x) for x in row] for row in e.entries])
     d = int(np.linalg.matrix_rank(s, tol=1e-9))
 
-    lifted_diag = [e.entries[k][k].with_context(ctx.ambient())
-                   for k in range(e.size)]
-    longest = max((max(p) for x in lifted_diag for (p, q) in x.terms if p == q),
-                  default=0)
+    lifted_diag, longest = _lifted_diagonal(e)
     if m_list[0] + 1 < longest:
         raise UnstableInvariant(
             f"truncation {m_list[0]} is below the longest diagonal word "

@@ -1,8 +1,8 @@
 """Exact phase arithmetic and twist-matrix transformations.
 
-Phases are kept as exponents t of the unimodular scalar e^{2*pi*i*t}.  In
-rational mode t is a ``Fraction`` and all arithmetic is exact; in float mode
-t is a double reduced mod 1 and compared with tolerance ``FLOAT_TOL``.
+Phases are kept as exponents t of e^{2*pi*i*t}.  In rational mode t is a
+``Fraction``, or the integer t*D mod the twist's conductor D, and exact; in
+float mode t is a double reduced mod 1, compared with tolerance ``FLOAT_TOL``.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Union
 
 RATIONAL = "rational"
@@ -112,9 +113,15 @@ class ThetaMatrix:
         return zero
 
     @cached_property
+    def conductor(self) -> int:
+        """D with every entry in (1/D)Z (1 in float mode)."""
+        return 1 if self.mode == FLOAT else lcm(1, *(v.denominator for _, v in self.upper))
+
+    @cached_property
     def table(self) -> tuple:
-        """Dense antisymmetric table: ``table[j][k] == entry(j, k)``."""
-        return tuple(tuple(self.entry(j, k) for k in range(self.n))
+        """Dense antisymmetric table ``table[j][k] == entry(j, k) * conductor``."""
+        scaled = float if self.mode == FLOAT else (lambda v: int(v * self.conductor))
+        return tuple(tuple(scaled(self.entry(j, k)) for k in range(self.n))
                      for j in range(self.n))
 
     def is_zero(self) -> bool:

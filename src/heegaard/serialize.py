@@ -113,8 +113,8 @@ def _coeff_records(c: Coeff):
     if c.mode == FLOAT:
         return [{"re": c.value.real, "im": c.value.imag}]
     records = []
-    for t, w in sorted(c.parts.items()):
-        z = complex(w) * cmath.exp(2j * cmath.pi * float(t))
+    for k, w in sorted(c.terms.items()):
+        z, t = complex(w) * cmath.exp(2j * cmath.pi * (k / c.D)), Fraction(k, c.D)
         records.append({"re": z.real, "im": z.imag,
                         "phase_num": t.numerator, "phase_den": t.denominator,
                         "amp_num": w.numerator, "amp_den": w.denominator})

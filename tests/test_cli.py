@@ -48,6 +48,24 @@ def test_invariant(capsys):
     assert obj["residual"] <= 1e-6
 
 
+@pytest.mark.parametrize("N, n, truncations", [(2, -1, [1, 2, 3, 4]),
+                                                (2, 4, [3, 4, 5, 6]),
+                                                (3, 3, [2, 3, 4, 5, 6])])
+def test_invariant_default_truncations(capsys, N, n, truncations):
+    # without the flag: N+2 consecutive cutoffs from the longest diagonal
+    # exponent (n for n > 0, 1 for n < 0) minus one, at least 1
+    code, out, _ = run(capsys, "invariant", "--N", str(N), "--n", str(n),
+                       "--theta", "random-rational", "--seed", "4")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["truncations"] == truncations
+    assert (obj["dimension_class"], obj["compact_charge"]) == (1, -n)
+    code, out, _ = run(capsys, "invariant", "--N", str(N), "--n", str(n),
+                       "--theta", "random-rational", "--seed", "4",
+                       "--truncations", ",".join(map(str, truncations)))
+    assert code == 0 and json.loads(out) == obj
+
+
 def test_cocycle(capsys):
     code, out, _ = run(capsys, "cocycle", "--N", "2", "--degree", "2",
                        "--theta", "random-rational", "--seed", "1")

@@ -1,9 +1,12 @@
+import cmath
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heegaard import serialize
 from heegaard.coeff import Coeff
 from heegaard.phases import FLOAT, RATIONAL
 
@@ -63,3 +66,131 @@ def test_complex_evaluation_consistent(a):
     lhs = (a * b).to_complex()
     rhs = a.to_complex() * b.to_complex()
     assert abs(lhs - rhs) < 1e-12
+
+
+# -- reference: the Fraction-exponent group ring -----------------------------
+
+def _mod1(t):
+    return t - (t.numerator // t.denominator)
+
+
+class RefCoeff:
+    """Rational-mode Coeff keyed by Fraction exponents in [0, 1), reduced
+    with ``_mod1`` after every product: the representation the integer
+    exponents replaced, kept as the reference for their arithmetic."""
+
+    def __init__(self, parts):
+        self.parts = dict(parts)
+
+    @classmethod
+    def from_phase(cls, t, w):
+        return cls({_mod1(Fraction(t)): Fraction(w)} if w else {})
+
+    def __add__(self, other):
+        parts = dict(self.parts)
+        for t, w in other.parts.items():
+            s = parts.get(t, Fraction(0)) + w
+            if s:
+                parts[t] = s
+            else:
+                parts.pop(t, None)
+        return RefCoeff(parts)
+
+    def __neg__(self):
+        return RefCoeff({t: -w for t, w in self.parts.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        parts = {}
+        for t1, w1 in self.parts.items():
+            for t2, w2 in other.parts.items():
+                t = _mod1(t1 + t2)
+                s = parts.get(t, Fraction(0)) + w1 * w2
+                if s:
+                    parts[t] = s
+                else:
+                    parts.pop(t, None)
+        return RefCoeff(parts)
+
+    def conj(self):
+        return RefCoeff({_mod1(-t): w for t, w in self.parts.items()})
+
+    def scale(self, w):
+        w = Fraction(w)
+        return RefCoeff({t: c * w for t, c in self.parts.items()} if w else {})
+
+    def inverse(self):
+        if len(self.parts) != 1:
+            raise ArithmeticError("can only invert single-phase coefficients exactly")
+        (t, w), = self.parts.items()
+        return RefCoeff({_mod1(-t): 1 / w})
+
+    def is_zero(self):
+        return not self.parts
+
+    def __eq__(self, other):
+        return (self - other).is_zero()
+
+    def to_complex(self):
+        return sum((complex(w) * cmath.exp(2j * cmath.pi * float(t))
+                    for t, w in self.parts.items()), 0j)
+
+    def records(self):
+        out = []
+        for t, w in sorted(self.parts.items()):
+            z = complex(w) * cmath.exp(2j * cmath.pi * float(t))
+            out.append({"re": z.real, "im": z.imag,
+                        "phase_num": t.numerator, "phase_den": t.denominator,
+                        "amp_num": w.numerator, "amp_den": w.denominator})
+        return out
+
+
+def _any_phase(den):
+    return st.integers(0, den - 1).map(lambda k: Fraction(k, den))
+
+
+any_phases = st.integers(1, 24).flatmap(_any_phase)
+nonzero_weights = weights.filter(bool)
+
+
+@st.composite
+def pairs(draw, max_size=3):
+    """The same sum of phases as a Coeff and as a RefCoeff."""
+    terms = draw(st.lists(st.tuples(any_phases, nonzero_weights), max_size=max_size))
+    c, ref = Coeff.zero(RATIONAL), RefCoeff({})
+    for t, w in terms:
+        c, ref = c + Coeff.from_phase(t, RATIONAL, w), ref + RefCoeff.from_phase(t, w)
+    return c, ref
+
+
+def assert_same(c, ref):
+    assert c.parts == ref.parts
+    assert serialize._coeff_records(c) == ref.records()
+    assert c.is_zero() == ref.is_zero()
+    assert c.to_complex() == ref.to_complex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=pairs(), b=pairs(), w=weights, single=pairs(max_size=1))
+def test_integer_exponents_match_the_fraction_reference(a, b, w, single):
+    (x, rx), (y, ry) = a, b
+    assert_same(x, rx)
+    for op in (operator.add, operator.mul, operator.sub):
+        assert_same(op(x, y), op(rx, ry))
+    assert_same(-x, -rx)
+    assert_same(x.conj(), rx.conj())
+    assert_same(x.scale(w), rx.scale(w))
+    assert (x == y) == (rx == ry)
+    assert x == x * Coeff.one(RATIONAL) and (x == x + Coeff.one(RATIONAL)) is False
+    k, D = w.numerator % 48, w.denominator * 4
+    for sign in (1, -1):
+        assert_same(x.times_exponent(k, D, sign), rx * RefCoeff.from_phase(Fraction(k, D), sign))
+    s, rs = single
+    if rs.is_zero():
+        with pytest.raises(ArithmeticError):
+            s.inverse()
+    else:
+        assert_same(s.inverse(), rs.inverse())
+        assert_same(x * s * s.inverse(), rx * rs * rs.inverse())

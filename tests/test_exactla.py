@@ -121,6 +121,26 @@ def test_sparse_solve_matches_dense_reference(D):
     assert solved >= 10 and unsolvable >= 3
 
 
+@pytest.mark.parametrize("D", [1, 2, 3, 8, 12])
+def test_solution_weights_are_exact(D):
+    # integer weights make the pivot inverse 1 / w a float unless the
+    # elimination divides in Fraction
+    rng = rng_for(f"exactla-weights-{D}")
+    for trial in range(20):
+        columns, target = random_system(rng, D, consistent=True)
+        if trial % 2:
+            columns = [{k: Coeff.from_phase(Fraction(rng.randrange(D), D), RATIONAL,
+                                            rng.randint(2, 5)) for k in col}
+                       for col in columns]
+            target = combine([Coeff.rational(rng.randint(-3, 3)) for _ in columns],
+                             columns)
+        got = solve_exact(columns, target)
+        assert got is not None
+        assert all(type(w) in (int, Fraction) for c in got for w in c.parts.values())
+        residual = combine([Coeff.rational(-1)], [target])
+        assert combine([Coeff.rational(1)] + got, [residual] + columns) == {}
+
+
 def test_solve_edge_cases():
     one = Coeff.rational(1)
     assert solve_exact([], {}) == []

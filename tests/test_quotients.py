@@ -186,8 +186,26 @@ def _phi(a, b, x):
             .with_context(Context.quotient(theta, a)))
 
 
+def _coherence_sides(theta, i, j, k, p, q):
+    """The monomial W_p W_q* of B_k carried to B_i via B_j and directly,
+    each read modulo all three slots, as (phase, p', q').
+
+    On a monomial the transport B_b -> B_a modulo the third slot (project
+    to B_ab, read the canonical form in B_a) is the slot-(a, b) unitary
+    reduction, so both routes are compositions of ``_unitary_reduce``."""
+    def reduce(slots, phase, p, q):
+        d, p, q = _unitary_reduce(theta, sorted(slots), p, q)
+        return phase + d, p, q
+
+    via_j = reduce((i, j), *reduce((j, k), 0, p, q))
+    direct = reduce((i, k), 0, p, q)
+    return reduce((i, j, k), *via_j), reduce((i, j, k), *direct)
+
+
 @pytest.mark.parametrize("twist", ["zero", "rational", "float"])
 def test_closed_form_coherence_matches_context_transport(twist):
+    # the lemma in the cocycle_check docstring: both routes agree, and each
+    # is the element-level transport
     rng = rng_for(f"coherence-{twist}")
     for n in (2, 3, 4):
         if twist == "zero":
@@ -203,10 +221,11 @@ def test_closed_form_coherence_matches_context_transport(twist):
                 m = AlgebraElement.monomial(bk, p, q)
                 via_ref = _phi(i, j, _phi(j, k, m)).with_context(triple)
                 direct_ref = _phi(i, k, m).with_context(triple)
-                via, direct = quotients._coherence_sides(th, i, j, k, p, q)
-                for (phase, pp, qq), ref in ((via, via_ref), (direct, direct_ref)):
-                    assert AlgebraElement(triple, {(pp, qq): Coeff.from_phase(
-                        phase, th.mode)}) == ref
+                via, direct = _coherence_sides(th, i, j, k, p, q)
+                closed = [AlgebraElement(triple, {(pp, qq): Coeff.from_exponent(phase, th)})
+                          for phase, pp, qq in (via, direct)]
+                assert closed == [via_ref, direct_ref]
+                assert closed[0] == closed[1]
 
 
 @pytest.mark.parametrize("twist", ["zero", "rational", "float"])
@@ -225,7 +244,8 @@ def test_kernel_image_vectors_match_the_element_arithmetic(twist):
             for (p, q) in quotients._basis_monomials(n, 3, zero_slots=(i,),
                                                      positive_slots=(k,)):
                 phase, pp, qq = _unitary_reduce(th, (k,), p, q)
-                hat = AlgebraElement.monomial(bi, pp, qq).times_phase(phase)
+                hat = AlgebraElement.monomial(bi, pp, qq).times_coeff(
+                    Coeff.from_exponent(phase, th))
                 v = (AlgebraElement.monomial(bi, p, q) - hat).with_context(bij)
                 want.append([(m, exact(c)) for m, c in v.terms.items()])
             got = quotients._kernel_image_vectors(th, i, j, k, 3)

@@ -1,4 +1,4 @@
-"""Smoke runs of the sweep scripts in ``scripts/`` at their smallest sizes."""
+"""Smoke runs of the scripts in ``scripts/`` at their smallest sizes."""
 
 import json
 import os
@@ -30,3 +30,9 @@ def test_invariant_sweep_script():
     rows = run_script("invariant_sweep.py", "--windings=-1,0,1")
     assert [r["compact_charge"] for r in rows[:-1]] == [1, 0, -1]
     assert rows[-1] == {"pairwise_distinct": True}
+
+
+def test_stdout_diff_script_tree_against_itself():
+    rows = run_script("stdout_diff.py", "--a", str(ROOT), "--b", str(ROOT),
+                      "--workloads", "fock", "--seeds", "0")
+    assert rows == [{"jobs": 35, "differ": 0}]
