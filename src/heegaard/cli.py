@@ -156,8 +156,9 @@ def _run(args) -> int:
         report = cocycle_check(theta, args.degree)
         obj = {"passed": report.passed,
                "checked_degree": report.checked_degree,
-               "failures": [[i, j, k, [list(m[0]), list(m[1])]]
-                            for (i, j, k, m) in report.failures]}
+               "failures": [[i, j, k, [list(m[0]), list(m[1])],
+                             serialize.vector_to_obj(v)]
+                            for (i, j, k, m, v) in report.failures]}
         _emit(obj, args.output)
         return 0 if report.passed else 1
 

@@ -11,10 +11,12 @@ squares with a residual threshold.
 
 Each D-block of the expanded system is a circulant with one nonzero per row
 for every phase of its coefficient, so the system is kept sparse: a row is
-a dict from column index to ``Fraction``, and one elimination routine
+a dict from column index to a rational weight, and one elimination routine
 (``_reduce``/``_insert``) brings rows to row-echelon form with pivots taken
-in a fixed column order.  The particular solution sets the free unknowns to
-zero and back-substitutes the pivot unknowns.  That is the right-hand side
+in a fixed column order.  A row is divided by its pivot only when the pivot
+is not +-1, so weights stay ints as long as they can, and integral solution
+weights are returned as ints.  The particular solution sets the free
+unknowns to zero and back-substitutes the pivot unknowns.  That is the right-hand side
 of the reduced row-echelon form (RREF), which is unique for a fixed column
 order whatever the order in which rows are eliminated, so the solution is
 the one a dense Gauss-Jordan elimination of the same system gives.
@@ -88,8 +90,14 @@ def _insert(rows: Dict[int, dict], v: dict) -> Optional[int]:
     if not v:
         return None
     p = min(v)
-    inv = Fraction(1) / v[p]
-    rows[p] = {c: w * inv for c, w in v.items()}
+    pivot = v[p]
+    if pivot == 1:
+        rows[p] = v
+    elif pivot == -1:
+        rows[p] = {c: -w for c, w in v.items()}
+    else:
+        inv = Fraction(1) / pivot
+        rows[p] = {c: w * inv for c, w in v.items()}
     return p
 
 
@@ -120,11 +128,11 @@ def solve_exact(columns: Sequence[Vector], target: Vector,
                 v[rhs] = tv[r]
             if _insert(rows, v) == rhs:
                 return None
-    x = [Fraction(0)] * rhs
+    x = [0] * rhs
     for p in sorted(rows, reverse=True):
         row = rows[p]
-        x[p] = row.get(rhs, 0) - sum(w * x[c] for c, w in row.items()
-                                     if p < c < rhs)
+        s = row.get(rhs, 0) - sum(w * x[c] for c, w in row.items() if p < c < rhs)
+        x[p] = s.numerator if type(s) is Fraction and s.denominator == 1 else s
     return [_exact(D, {k: x[base + k] for k in range(D) if x[base + k]})
             for base in range(0, rhs, D)]
 

@@ -2,9 +2,24 @@
 K-class invariants.
 
 The generators act on l2 of multi-indices mu with 0 <= mu_i <= M by
-phase-twisted shifts; anything shifted past the cutoff is dropped.  The
-invariant of a projector combines the rank of its circle-averaged symbol
-with a regularized trace: the truncated trace of a lift grows like
+phase-twisted shifts; anything shifted past the cutoff is dropped.  Every
+operator here is kept as bands on the grid of multi-indices:
+
+* a band is a shift delta (a tuple, so nothing wraps across a boundary) and
+  a complex array v of shape (M+1,)*n, acting by A e_mu = v[mu] e_{mu+delta};
+  v is zero wherever mu + delta leaves the grid;
+* the product of bands (da, va) and (db, vb) is the band da + db with values
+  vb[mu] * va[mu + db], zero-filled off the grid, and a product of operators
+  sums the products of their bands;
+* the adjoint of (delta, v) is (-delta, w) with w[mu] = conj(v[mu - delta]);
+* a sum adds the values of equal shifts, and the trace sums the delta = 0
+  band;
+* a single band is a weighted partial permutation, so its operator norm is
+  max |v|.
+
+Each generator, word and relation defect is a single band.  The invariant
+of a projector combines the rank of its circle-averaged symbol with a
+regularized trace: the truncated trace of a lift grows like
 rank * (M+1)^{N+1}, and the coefficient of (M+1)^N in the remainder is an
 integer charge that distinguishes the line-bundle classes.
 """
@@ -15,10 +30,9 @@ import os
 from dataclasses import dataclass
 from functools import reduce
 from itertools import permutations
-from typing import Iterator, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .algebra import AlgebraElement
 from .bundles import ProjectorMatrix
@@ -45,75 +59,121 @@ def _check_dim(n: int, M: int) -> int:
     return dim
 
 
+def _take(v: np.ndarray, d: Tuple[int, ...]) -> np.ndarray:
+    """w[mu] = v[mu + d], zero where mu + d leaves the grid."""
+    if not any(d):
+        return v
+    m = v.shape[0]
+    out = np.zeros_like(v)
+    if max(map(abs, d)) < m:
+        out[tuple(slice(0, m - s) if s >= 0 else slice(-s, m) for s in d)] = \
+            v[tuple(slice(s, m) if s >= 0 else slice(0, m + s) for s in d)]
+    return out
+
+
 @dataclass(frozen=True)
 class SparseOperator:
-    """Complex sparse matrix on the truncated multi-index basis."""
+    """Operator on the truncated multi-index basis, as {shift: values} bands
+    (module docstring)."""
 
     n: int
     M: int
-    matrix: sp.csr_matrix
+    bands: Dict[Tuple[int, ...], np.ndarray]
 
     @property
     def dim(self) -> int:
         return (self.M + 1) ** self.n
 
     def adjoint(self) -> "SparseOperator":
-        return SparseOperator(self.n, self.M, self.matrix.conj().T.tocsr())
+        bands = {}
+        for d, v in self.bands.items():
+            back = tuple(-s for s in d)
+            bands[back] = np.conj(_take(v, back))
+        return SparseOperator(self.n, self.M, bands)
 
     def __matmul__(self, other: "SparseOperator") -> "SparseOperator":
-        return SparseOperator(self.n, self.M, (self.matrix @ other.matrix).tocsr())
+        out: Dict[Tuple[int, ...], np.ndarray] = {}
+        for da, va in self.bands.items():
+            for db, vb in other.bands.items():
+                d = tuple(a + b for a, b in zip(da, db))
+                if max(map(abs, d)) > self.M:
+                    continue
+                v = vb * _take(va, db)
+                out[d] = out[d] + v if d in out else v
+        return SparseOperator(self.n, self.M, out)
+
+    def _merge(self, other: "SparseOperator", op) -> "SparseOperator":
+        out = dict(self.bands)
+        for d, v in other.bands.items():
+            out[d] = op(out[d], v) if d in out else op(0, v)
+        return SparseOperator(self.n, self.M, out)
 
     def __add__(self, other: "SparseOperator") -> "SparseOperator":
-        return SparseOperator(self.n, self.M, (self.matrix + other.matrix).tocsr())
+        return self._merge(other, np.add)
 
     def __sub__(self, other: "SparseOperator") -> "SparseOperator":
-        return SparseOperator(self.n, self.M, (self.matrix - other.matrix).tocsr())
+        return self._merge(other, np.subtract)
 
     def scale(self, z) -> "SparseOperator":
-        return SparseOperator(self.n, self.M, (self.matrix * z).tocsr())
+        return SparseOperator(self.n, self.M, {d: v * z for d, v in self.bands.items()})
 
     def trace(self) -> complex:
-        return complex(self.matrix.diagonal().sum())
+        v = self.bands.get((0,) * self.n)
+        return 0j if v is None else complex(v.sum())
 
     def norm(self) -> float:
-        """Exact operator 2-norm of a weighted partial permutation.
+        """Exact operator 2-norm of a single band.
 
-        With at most one stored entry per row and per column the operator is
-        a partial permutation times a diagonal, so A*A is diagonal and the
-        norm is max |entry|, in O(nnz).  Any other pattern is refused.
+        A band is a weighted partial permutation, so A*A is diagonal and the
+        norm is max |v|.  An operator with more than one nonzero band is
+        refused.
         """
-        m = self.matrix.tocsr()
-        if (np.diff(m.indptr) > 1).any() \
-                or (np.bincount(m.indices, minlength=m.shape[1]) > 1).any():
-            raise ValueError("norm needs at most one stored entry per row and column")
-        return float(np.abs(m.data).max()) if m.nnz else 0.0
+        live = [v for v in self.bands.values() if v.any()]
+        if len(live) > 1:
+            raise ValueError("norm needs at most one nonzero band")
+        return float(np.abs(live[0]).max()) if live else 0.0
+
+    def toarray(self) -> np.ndarray:
+        """Dense (dim, dim) matrix in the row-major order of the multi-indices."""
+        shape = (self.M + 1,) * self.n
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        mus = np.indices(shape).reshape(self.n, -1)
+        for d, v in self.bands.items():
+            nus = mus + np.array(d)[:, None]
+            ok = ((nus >= 0) & (nus <= self.M)).all(axis=0)
+            out[np.ravel_multi_index(nus[:, ok], shape), ok.nonzero()[0]] += v.ravel()[ok]
+        return out
+
+
+def _band(n: int, M: int, d, factors) -> SparseOperator:
+    """The band at shift d with values prod_i factors[i][mu_i]."""
+    v = reduce(np.multiply, [f.reshape((M + 1,) + (1,) * (n - 1 - i))
+                             for i, f in enumerate(factors)])
+    return SparseOperator(n, M, {tuple(d): v.astype(complex, copy=False)})
 
 
 def _identity(n: int, M: int) -> SparseOperator:
-    dim = _check_dim(n, M)
-    return SparseOperator(n, M, sp.identity(dim, dtype=complex, format="csr"))
+    _check_dim(n, M)
+    return _band(n, M, (0,) * n, [np.ones(M + 1)] * n)
 
 
 def fock_generator(i: int, M: int, theta: ThetaMatrix) -> SparseOperator:
     """Twisted shift: e_mu -> prod_{j>i} Theta_ij^{mu_j} e_{mu+delta_i}.
 
-    The Kronecker product over the slots of the identity (j < i), the 1-D
-    shift (j == i) and diag(e(theta_ij * k)) (j > i): one band at offset
-    -(M+1)^(n-1-i), itself the Kronecker product of the 1-D diagonals.
+    One band at shift delta_i, whose values are the outer product over the
+    slots of ones (j < i), the cutoff mask mu_i < M (j == i) and
+    e(theta_ij * mu_j) (j > i).
     """
     n = theta.n
     if not 0 <= i < n:
         raise IndexError(f"generator index {i} out of range")
     if M < 1:
         raise ValueError("truncation must be at least 1")
-    dim = _check_dim(n, M)
+    _check_dim(n, M)
     ks = np.arange(M + 1)
-    band = [np.ones(M + 1)] * i + [(ks < M).astype(float)]
-    band += [np.exp(2j * np.pi * float(theta.entry(i, j)) * ks) for j in range(i + 1, n)]
-    stride = (M + 1) ** (n - 1 - i)
-    vals = reduce(np.kron, band)[:dim - stride]
-    return SparseOperator(n, M, sp.diags(vals, -stride, shape=(dim, dim), dtype=complex,
-                                         format="csr"))
+    factors = [np.ones(M + 1)] * i + [(ks < M).astype(float)]
+    factors += [np.exp(2j * np.pi * float(theta.entry(i, j)) * ks) for j in range(i + 1, n)]
+    return _band(n, M, [int(j == i) for j in range(n)], factors)
 
 
 def represent(x: AlgebraElement, M: int) -> SparseOperator:
@@ -132,7 +192,7 @@ def represent(x: AlgebraElement, M: int) -> SparseOperator:
         return reduce(SparseOperator.__matmul__,
                       [g for g, e in zip(gens, exps) for _ in range(e)], ident)
 
-    out = ident.scale(0.0)
+    out = SparseOperator(ctx.n, M, {})
     for (p, q), c in x.terms.items():
         out = out + (word(p) @ word(q).adjoint()).scale(c.to_complex())
     return out
@@ -140,8 +200,8 @@ def represent(x: AlgebraElement, M: int) -> SparseOperator:
 
 def _interior_projection(n: int, M: int) -> SparseOperator:
     _check_dim(n, M)
-    mask = (np.arange(M + 1) <= M - 2).astype(complex)
-    return SparseOperator(n, M, sp.diags(reduce(np.kron, [mask] * n), format="csr"))
+    mask = (np.arange(M + 1) <= M - 2).astype(float)
+    return _band(n, M, (0,) * n, [mask] * n)
 
 
 def relation_defects(N: int, theta: ThetaMatrix, M: int) -> Iterator[SparseOperator]:
@@ -154,15 +214,15 @@ def relation_defects(N: int, theta: ThetaMatrix, M: int) -> Iterator[SparseOpera
     if theta.n != N + 1:
         raise ValueError("twist size must be N+1")
     gens = [fock_generator(i, M, theta) for i in range(N + 1)]
+    adjs = [g.adjoint() for g in gens]
     ident = _identity(N + 1, M)
     proj = _interior_projection(N + 1, M)
     for i in range(N + 1):
-        yield ((gens[i].adjoint() @ gens[i]) - ident) @ proj
+        yield ((adjs[i] @ gens[i]) - ident) @ proj
     for i, j in permutations(range(N + 1), 2):
         ph = np.exp(2j * np.pi * float(theta.entry(i, j)))
         yield ((gens[i] @ gens[j]) - (gens[j] @ gens[i]).scale(ph)) @ proj
-        yield ((gens[i] @ gens[j].adjoint())
-               - (gens[j].adjoint() @ gens[i]).scale(1 / ph)) @ proj
+        yield ((gens[i] @ adjs[j]) - (adjs[j] @ gens[i]).scale(1 / ph)) @ proj
 
 
 def relation_residual(N: int, theta: ThetaMatrix, M: int) -> float:

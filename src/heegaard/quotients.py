@@ -190,11 +190,13 @@ def cocycle_check(theta: ThetaMatrix, degree_bound: int) -> CocycleReport:
 
     For all distinct i,j,k: pi^i_j(ker pi^i_k) == pi^j_i(ker pi^j_k) as spans
     inside B_ij, on monomials up to the degree bound: each side is eliminated
-    once and the other side's vectors are reduced against it, and the
-    witness names the first vector outside the span.  The isomorphisms cohere
-    for every twist: B_k -> B_j -> B_i and B_k -> B_i, modulo all three slots,
-    both compose slot reductions, whose phase (``algebra`` docstring) is
-    additive over slots, since each leaves every p_j - q_j unchanged.
+    once and the other side's vectors are reduced against it.  A failure is
+    (i, j, k, first word, vector) for the first vector outside the span: the
+    vector is in pi^i_j(ker pi^i_k) but not in pi^j_i(ker pi^j_k).  The
+    isomorphisms cohere for every twist: B_k -> B_j -> B_i and B_k -> B_i,
+    modulo all three slots, both compose slot reductions, whose phase
+    (``algebra`` docstring) is additive over slots, since each leaves every
+    p_j - q_j unchanged.
     """
     n = theta.n
     mode = theta.mode
@@ -208,11 +210,11 @@ def cocycle_check(theta: ThetaMatrix, degree_bound: int) -> CocycleReport:
                 side_b = _kernel_image_vectors(theta, j, i, k, degree_bound)
                 bad = first_outside_span(side_b, side_a, mode)
                 if bad is not None:
-                    failures.append((i, j, k, sorted(side_a[bad])[0]))
+                    failures.append((i, j, k, sorted(side_a[bad])[0], side_a[bad]))
                     continue
                 bad = first_outside_span(side_a, side_b, mode)
                 if bad is not None:
-                    failures.append((j, i, k, sorted(side_b[bad])[0]))
+                    failures.append((j, i, k, sorted(side_b[bad])[0], side_b[bad]))
     return CocycleReport(passed=not failures,
                          checked_degree=degree_bound,
                          failures=tuple(failures))

@@ -145,6 +145,11 @@ def element_to_obj(x: AlgebraElement) -> Dict[str, Any]:
     return {"context": context_to_obj(x.ctx), "terms": terms}
 
 
+def vector_to_obj(v) -> list:
+    """A {(p, q): Coeff} vector as [[p, q, <Coeff records>], ...], sorted by word."""
+    return [[list(p), list(q), _coeff_records(v[(p, q)])] for p, q in sorted(v)]
+
+
 def element_from_obj(obj: Any, path: str = "element") -> AlgebraElement:
     _expect(isinstance(obj, dict), path, "expected an object")
     for key in ("context", "terms"):

@@ -157,7 +157,7 @@ def test_criterion_07_fock_consistency():
             assert relation_residual(N, th, 8) <= 1e-10, N
             for M in (3, 5):
                 rep = represent(sphere_defect(Context.toeplitz(th)), M)
-                dense = rep.matrix.toarray()
+                dense = rep.toarray()
                 expected = np.zeros_like(dense)
                 expected[0, 0] = 1
                 assert np.array_equal(dense, expected), (N, M)

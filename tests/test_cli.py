@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -156,3 +160,28 @@ def test_usage_errors(capsys):
             ("cocycle", "--N", "2", "--degree", "-1")]:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "") and "error:" in err, argv
+
+
+def test_cli_imports_numpy_and_no_other_third_party_package():
+    # numpy stays imported at start-up on purpose: benchmark and batch jobs
+    # fork from a parent that has imported heegaard, and a lazy numpy import
+    # would cost each fock or invariant job about 0.2 s
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "def added():\n"
+            "    tops = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+            "    return ' '.join(sorted(tops - set(sys.stdlib_module_names)))\n"
+            "import heegaard.cli\n"
+            "print(added())\n"
+            "code = heegaard.cli.main(['residual', '--N', '2', '--M', '4'])\n"
+            "print(code, added())\n")
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                      os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=env, check=True)
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "heegaard numpy"
+    assert json.loads(lines[1])["residual"] <= 1e-10
+    assert lines[2] == "0 heegaard numpy"

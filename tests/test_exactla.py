@@ -141,6 +141,31 @@ def test_solution_weights_are_exact(D):
         assert combine([Coeff.rational(1)] + got, [residual] + columns) == {}
 
 
+@pytest.mark.parametrize("D", [1, 2, 3, 8, 12])
+def test_integral_solution_weights_are_ints(D):
+    # unit pivots keep the elimination in ints, and an integral weight that
+    # passed through a Fraction comes back as an int, as in Coeff
+    rng = rng_for(f"exactla-int-weights-{D}")
+    ints = fractions = 0
+    for trial in range(20):
+        columns, target = random_system(rng, D, consistent=True)
+        if trial % 2:
+            columns = [{k: Coeff.from_phase(Fraction(rng.randrange(D), D), RATIONAL,
+                                            rng.choice((-1, 1))) for k in col}
+                       for col in columns]
+            target = combine([Coeff.rational(rng.randint(-3, 3)) for _ in columns],
+                             columns)
+        got = solve_exact(columns, target)
+        assert got is not None
+        for w in (w for c in got for w in c.terms.values()):
+            if w.denominator == 1:
+                assert type(w) is int, w
+                ints += 1
+            else:
+                fractions += 1
+    assert ints >= 10 and fractions >= 1
+
+
 def test_solve_edge_cases():
     one = Coeff.rational(1)
     assert solve_exact([], {}) == []

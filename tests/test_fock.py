@@ -2,11 +2,11 @@ import cmath
 import os
 import subprocess
 import sys
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from conftest import random_element, random_float_theta, rng_for
 from heegaard import (AlgebraElement, ClassInvariant, SparseOperator, UnstableInvariant,
@@ -21,7 +21,7 @@ from heegaard.phases import ThetaMatrix
 def test_single_generator_is_shift():
     th = ThetaMatrix.zero(1)
     s = fock_generator(0, 4, th)
-    dense = s.matrix.toarray()
+    dense = s.toarray()
     expected = np.zeros((5, 5))
     for k in range(4):
         expected[k + 1, k] = 1
@@ -35,7 +35,7 @@ def test_twisted_phase_on_basis():
                ThetaMatrix.random_rational(3, seed=4)):
         shape = (M + 1,) * th.n
         for i in range(th.n):
-            dense = fock_generator(i, M, th).matrix.toarray()
+            dense = fock_generator(i, M, th).toarray()
             want = np.zeros_like(dense)
             for col in range(dense.shape[1]):
                 mu = np.unravel_index(col, shape)
@@ -48,12 +48,67 @@ def test_twisted_phase_on_basis():
             assert np.abs(dense - want).max() < 1e-14
 
 
+def _dense_generator(i, M, th):
+    """S_i as a dense matrix, built vector by vector."""
+    shape = (M + 1,) * th.n
+    out = np.zeros(((M + 1) ** th.n,) * 2, dtype=complex)
+    for col, mu in enumerate(np.ndindex(shape)):
+        if mu[i] < M:
+            nu = list(mu)
+            nu[i] += 1
+            t = sum(float(th.entry(i, j)) * mu[j] for j in range(i + 1, th.n))
+            out[np.ravel_multi_index(nu, shape), col] = cmath.exp(2j * cmath.pi * t)
+    return out
+
+
+# N = 3 stays at M = 3 (dim 256): the dense 2-norms of the reference take
+# about 3 s a case at M = 4 (dim 625)
+@pytest.mark.parametrize("N,M", [(1, 3), (1, 6), (2, 4), (2, 5), (2, 6), (3, 3)])
+@pytest.mark.parametrize("kind", ["zero", "rational", "float"])
+def test_band_algebra_matches_dense(N, M, kind):
+    n = N + 1
+    rng = rng_for(f"fock-bands-{N}-{M}-{kind}")
+    th = {"zero": ThetaMatrix.zero(n),
+          "rational": ThetaMatrix.random_rational(n, seed=N + M, den=12),
+          "float": random_float_theta(n, rng)}[kind]
+    gens = [fock_generator(i, M, th) for i in range(n)]
+    letters = gens + [g.adjoint() for g in gens]
+    dense = [_dense_generator(i, M, th) for i in range(n)]
+    dense += [d.conj().T for d in dense]
+    steps = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    steps += [tuple(-s for s in d) for d in steps]
+
+    def word():
+        idx = [rng.randrange(2 * n) for _ in range(rng.randint(1, 4))]
+        shift = tuple(map(sum, zip(*(steps[k] for k in idx))))
+        return (reduce(SparseOperator.__matmul__, [letters[k] for k in idx]),
+                reduce(np.matmul, [dense[k] for k in idx]), shift)
+
+    for _ in range(4):
+        (a, da, sa), (b, db, sb) = word(), word()
+        z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        for op, want in [(a @ b, da @ db), (a.adjoint(), da.conj().T),
+                         (a + b, da + db), (a - b, da - db), (a.scale(z), da * z),
+                         (a.adjoint() @ a, da.conj().T @ da)]:
+            assert op.dim == want.shape[0]
+            assert np.abs(op.toarray() - want).max() < 1e-12
+            assert abs(op.trace() - np.trace(want)) < 1e-12
+        for op, want in [(a, da), (b, db), (a @ b, da @ db), (a.adjoint(), da.conj().T)]:
+            assert abs(op.norm() - np.linalg.norm(want, 2)) < 1e-12
+        # a difference of two words of one shift is one band; two shifts are refused
+        c = (a @ b) - (b @ a).scale(z)
+        assert abs(c.norm() - np.linalg.norm(da @ db - db @ da * z, 2)) < 1e-12
+        if sa != sb and da.any() and db.any():
+            with pytest.raises(ValueError):
+                (a - b).norm()
+
+
 def test_isometry_minus_top_layer():
     th = ThetaMatrix.random_rational(2, seed=5)
     M = 4
     for i in range(2):
         s = fock_generator(i, M, th)
-        d = (s.adjoint() @ s).matrix.toarray()
+        d = (s.adjoint() @ s).toarray()
         shape = (M + 1, M + 1)
         expected = np.eye((M + 1) ** 2, dtype=complex)
         for idx in range((M + 1) ** 2):
@@ -84,7 +139,7 @@ def test_norm_matches_dense_norm_on_every_relation_defect(N, M, kind):
     defects = list(relation_defects(N, th, M))
     assert len(defects) == (N + 1) + 2 * N * (N + 1)
     for d in defects:
-        assert abs(d.norm() - np.linalg.norm(d.matrix.toarray(), 2)) <= 1e-12
+        assert abs(d.norm() - np.linalg.norm(d.toarray(), 2)) <= 1e-12
 
 
 def test_norm_refuses_more_than_one_entry_per_row():
@@ -119,7 +174,7 @@ def test_defect_represents_vacuum_projection():
     for th in [ThetaMatrix.zero(2), ThetaMatrix.random_rational(2, seed=9)]:
         ctx = Context.toeplitz(th)
         M = 4
-        rep = represent(sphere_defect(ctx), M).matrix.toarray()
+        rep = represent(sphere_defect(ctx), M).toarray()
         expected = np.zeros_like(rep)
         expected[0, 0] = 1
         assert np.allclose(rep, expected)
@@ -137,13 +192,13 @@ def test_represent_multiplicative_in_the_interior(n, mode):
     for idx in range(deep.size):
         if all(v <= M - 4 for v in np.unravel_index(idx, shape)):
             deep[idx] = 1
-    proj = sp.diags(deep, dtype=complex, format="csr")
+    proj = np.diag(deep).astype(complex)
     for _ in range(6):
         x = random_element(ctx, rng, nterms=2, degree=2)
         y = random_element(ctx, rng, nterms=2, degree=2)
-        lhs = represent(x * y, M).matrix @ proj
-        rhs = represent(x, M).matrix @ represent(y, M).matrix @ proj
-        assert abs(sp.linalg.norm(lhs - rhs)) < 1e-10
+        lhs = represent(x * y, M).toarray() @ proj
+        rhs = represent(x, M).toarray() @ represent(y, M).toarray() @ proj
+        assert abs(np.linalg.norm(lhs - rhs)) < 1e-10
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
@@ -166,7 +221,7 @@ def test_sphere_normal_form_agrees_with_the_word_off_the_corner(N, kind):
         word = AlgebraElement.monomial(Context.toeplitz(th), p, q)
         nf = word.with_context(Context.sphere(th))
         assert all(any(min(a, b) == 0 for a, b in zip(*m)) for m in nf.terms)
-        diff = (represent(word, M).matrix - represent(nf, M).matrix).toarray()
+        diff = (represent(word, M) - represent(nf, M)).toarray()
         off_corner = (mus >= np.array(q)[:, None]).any(axis=0)
         assert np.abs(diff[:, off_corner]).max() < 1e-12, (p, q)
         corner = np.ravel_multi_index([b - min(a, b) for a, b in zip(p, q)], (M + 1,) * n)
@@ -271,9 +326,9 @@ def test_projector_residual_is_bounded_not_exact():
     ctx = e.entries[0][0].ctx
     norms = []
     for M in (4, 8):
-        blocks = [[represent(x, M).matrix for x in row] for row in e.entries]
-        big = sp.bmat(blocks, format="csr")
-        norms.append(np.linalg.norm((big @ big - big).toarray(), 2))
+        blocks = [[represent(x, M).toarray() for x in row] for row in e.entries]
+        big = np.block(blocks)
+        norms.append(np.linalg.norm(big @ big - big, 2))
     assert all(v < 5 for v in norms)
 
 

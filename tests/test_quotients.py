@@ -252,8 +252,13 @@ def test_kernel_image_vectors_match_the_element_arithmetic(twist):
             assert [[(m, exact(c)) for m, c in v.items()] for v in got] == want
 
 
+def _vector_records(v):
+    return [[list(p), list(q), serialize._coeff_records(v[(p, q)])] for p, q in sorted(v)]
+
+
 def _per_vector_failures(theta, degree):
-    """Span-equality witnesses from one exact solve per vector."""
+    """Span-equality witnesses from one exact solve per vector: the triple,
+    the first word and the whole vector, sorted by word."""
     failures = []
     n = theta.n
     for i in range(n):
@@ -265,14 +270,15 @@ def _per_vector_failures(theta, degree):
                 side_b = quotients._kernel_image_vectors(theta, j, i, k, degree)
                 for v in side_a:
                     if solve_exact(side_b, v, theta.mode) is None:
-                        failures.append([i, j, k, sorted(v)[0]])
+                        failures.append([i, j, k, v])
                         break
                 else:
                     for v in side_b:
                         if solve_exact(side_a, v, theta.mode) is None:
-                            failures.append([j, i, k, sorted(v)[0]])
+                            failures.append([j, i, k, v])
                             break
-    return [[i, j, k, [list(p), list(q)]] for i, j, k, (p, q) in failures]
+    return [[i, j, k, [list(m) for m in min(v)], _vector_records(v)]
+            for i, j, k, v in failures]
 
 
 @pytest.mark.parametrize("twist", ["zero", "rational", "float"])
@@ -306,9 +312,35 @@ def test_cocycle_span_failure_names_the_first_vector_outside(twist, monkeypatch,
 
     monkeypatch.setattr(quotients, "_kernel_image_vectors", patched)
     want = _per_vector_failures(th, 2)
-    assert want == [[0, 1, 2, [[4, 0, 0], [0, 0, 0]]],
-                    [2, 1, 0, [[5, 0, 0], [0, 0, 0]]]]
+    one_records = serialize._coeff_records(one)
+    assert want == [[0, 1, 2, [[4, 0, 0], [0, 0, 0]], [[[4, 0, 0], [0, 0, 0], one_records]]],
+                    [2, 1, 0, [[5, 0, 0], [0, 0, 0]], [[[5, 0, 0], [0, 0, 0], one_records]]]]
     code = cli.main(["cocycle", "--N", "2", "--degree", "2", "--theta", th_arg])
     out = json.loads(capsys.readouterr().out)
     assert code == 1 and not out["passed"]
     assert out["failures"] == want
+
+
+def test_cocycle_witness_carries_the_whole_vector(monkeypatch, capsys):
+    th_arg = '{"n":3,"mode":"rational","upper":[[0,1,1,8],[0,2,3,8],[1,2,5,8]]}'
+    th = serialize.theta_from_obj(serialize.from_json(th_arg))
+    original = quotients._kernel_image_vectors
+    # a word above the degree bound plus a vector of the other side's span:
+    # outside that span, with three words and non-trivial phases, and the
+    # word that sorts last stored first
+    inside = original(th, 1, 0, 2, 2)[-1]
+    bad = {((4, 0, 0), (0, 0, 0)): Coeff.from_exponent(3, th, -2), **inside}
+    assert len(bad) == 3 and next(iter(bad)) == max(bad)
+
+    def patched(theta, i, j, k, degree):
+        vectors = original(theta, i, j, k, degree)
+        return vectors + [bad] if (i, j, k) == (0, 1, 2) else vectors
+
+    monkeypatch.setattr(quotients, "_kernel_image_vectors", patched)
+    (i, j, k, first, vector), = quotients.cocycle_check(th, 2).failures
+    assert (i, j, k, first) == (0, 1, 2, min(bad)) and vector is bad
+    code = cli.main(["cocycle", "--N", "2", "--degree", "2", "--theta", th_arg])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert out["failures"] == [[0, 1, 2, [list(m) for m in min(bad)], _vector_records(bad)]]
+    assert [w[:2] for w in out["failures"][0][4]] == sorted([list(p), list(q)] for p, q in bad)
