@@ -1,14 +1,15 @@
-"""Command-line interface.
+"""Command-line interface: ``heegaard COMMAND --flag value ...``.
 
-Every command prints a single JSON document.  Exit status 0 means success,
-1 means a verification failed (the JSON carries the witness), and 2 means a
-usage error (bad flags, malformed twist JSON, or an unsupported size).
+Every command prints one JSON document.  Exit status 0 means success, 1 a
+failed verification (the JSON carries the witness), 2 a usage error: a bad
+flag or input, an unsupported size, or an unwritable output.  ``FLAGS`` is
+the whole grammar: ``--flag value`` or ``--flag=value``, the value always
+the next token (so ``--n -3`` works), exact names, the last of a repeated
+flag wins, and a flag with no entry in ``DEFAULTS`` is required.
 """
 
-from __future__ import annotations
-
-import argparse
 import sys
+from types import SimpleNamespace
 
 from . import serialize
 from .algebra import unit
@@ -26,6 +27,14 @@ class UsageError(Exception):
     pass
 
 
+def _read(path: str, what: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, ValueError) as exc:   # ValueError: undecodable, or NUL in path
+        raise UsageError(f"cannot read {what}: {exc}") from None
+
+
 def _parse_theta(arg: str, n: int, seed: int, den: int) -> ThetaMatrix:
     if arg == "zero":
         return ThetaMatrix.zero(n)
@@ -33,14 +42,7 @@ def _parse_theta(arg: str, n: int, seed: int, den: int) -> ThetaMatrix:
         if den < 1:
             raise UsageError("--den must be positive")
         return ThetaMatrix.random_rational(n, seed=seed, den=den)
-    if arg.lstrip().startswith("{"):
-        text = arg
-    else:
-        try:
-            with open(arg, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise UsageError(f"cannot read twist file: {exc}") from None
+    text = arg if arg.lstrip().startswith("{") else _read(arg, "twist file")
     try:
         theta = serialize.theta_from_obj(serialize.from_json(text))
     except serialize.SchemaError as exc:
@@ -53,8 +55,11 @@ def _parse_theta(arg: str, n: int, seed: int, den: int) -> ThetaMatrix:
 def _emit(obj, output):
     text = serialize.to_json(obj)
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except (OSError, ValueError) as exc:
+            raise UsageError(f"cannot write output: {exc}") from None
     else:
         print(text)
 
@@ -64,44 +69,47 @@ def _truncations(text: str):
         ms = [int(v) for v in text.split(",") if v]
     except ValueError:
         raise UsageError(f"bad truncation list {text!r}") from None
-    if not ms or ms != sorted(ms):
-        raise UsageError("truncations must be a non-empty ascending list")
+    if not ms or ms != sorted(ms) or ms[0] < 0:
+        raise UsageError("need a non-empty ascending list of truncations >= 0")
     return ms
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="heegaard",
-                                 description="Twisted multipullback sphere toolkit")
-    sub = ap.add_subparsers(dest="command", required=True)
+_COMMON = {"N": int, "theta": str, "seed": int, "den": int, "output": str}
+_WINDING = {**_COMMON, "n": int}
+FLAGS = {"connection": _WINDING, "verify": _WINDING, "projector": _WINDING,
+         "invariant": {**_WINDING, "truncations": str},
+         "cocycle": {**_COMMON, "degree": int}, "residual": {**_COMMON, "M": int},
+         "glue": {"input": str, "output": str}}
+DEFAULTS = {"theta": "zero", "seed": 0, "den": 8, "output": None,
+            "truncations": None, "degree": 3}
+USAGE = "usage: heegaard COMMAND [--flag value | --flag=value ...] (or --help)"
 
-    def common(p, winding=False):
-        p.add_argument("--N", type=int, required=True,
-                       help="number of generators minus one")
-        p.add_argument("--theta", default="zero",
-                       help="'zero', 'random-rational', inline JSON, or a path")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--den", type=int, default=8)
-        p.add_argument("--output", default=None)
-        if winding:
-            p.add_argument("--n", type=int, required=True, help="winding number")
 
-    common(sub.add_parser("connection", help="strong connection value"), winding=True)
-    common(sub.add_parser("verify", help="check a strong connection"), winding=True)
-    common(sub.add_parser("projector", help="line-bundle projector"), winding=True)
-    p = sub.add_parser("invariant", help="numerical K-class invariant")
-    common(p, winding=True)
-    p.add_argument("--truncations", help="default: the smallest admissible list")
-    p = sub.add_parser("cocycle", help="cocycle-condition report")
-    common(p)
-    p.add_argument("--degree", type=int, default=3)
-    p = sub.add_parser("residual", help="truncated relation residual")
-    common(p)
-    p.add_argument("--M", type=int, required=True)
-    p = sub.add_parser("glue", help="lift a compatible tuple")
-    p.add_argument("--input", required=True,
-                   help="tuple JSON path, or '-' for standard input")
-    p.add_argument("--output", default=None)
-    return ap
+def parse_args(argv):
+    """The namespace of ``argv`` read against ``FLAGS``, or None for help."""
+    command, tokens = (argv[0] if argv else None), iter(argv[1:])
+    if command in ("-h", "--help"):
+        return None
+    if command not in FLAGS:
+        raise UsageError(f"unknown command {command!r}" if argv else "no command")
+    flags, given = FLAGS[command], dict(DEFAULTS)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return None
+        name, eq, value = token.partition("=")
+        if name[:2] != "--" or name[2:] not in flags:
+            raise UsageError(f"unrecognized argument {token!r}")
+        value = value if eq else next(tokens, None)
+        if value is None:
+            raise UsageError(f"{name} expects a value")
+        try:
+            given[name[2:]] = flags[name[2:]](value)
+        except ValueError:
+            raise UsageError(f"{name} expects an integer, got {value!r}") from None
+    for f in flags:
+        if f not in given:
+            raise UsageError(f"missing required flag --{f}")
+    return SimpleNamespace(command=command, **{f: given[f] for f in flags})
 
 
 def _run(args) -> int:
@@ -122,9 +130,8 @@ def _run(args) -> int:
         is_one = contracted == unit(conn.ctx)
         bidegree = all(not (a.degrees() - {-args.n}) and not (r.degrees() - {args.n})
                        for a, r in conn.summands)
-        obj = {"m_circ_l": "1" if is_one else serialize.element_to_obj(contracted),
-               "bidegree": bidegree}
-        _emit(obj, args.output)
+        _emit({"m_circ_l": "1" if is_one else serialize.element_to_obj(contracted),
+               "bidegree": bidegree}, args.output)
         return 0 if (is_one and bidegree) else 1
 
     if args.command == "projector":
@@ -154,12 +161,11 @@ def _run(args) -> int:
         if args.degree < 0:
             raise UsageError("--degree must be non-negative")
         report = cocycle_check(theta, args.degree)
-        obj = {"passed": report.passed,
+        _emit({"passed": report.passed,
                "checked_degree": report.checked_degree,
                "failures": [[i, j, k, [list(m[0]), list(m[1])],
                              serialize.vector_to_obj(v)]
-                            for (i, j, k, m, v) in report.failures]}
-        _emit(obj, args.output)
+                            for (i, j, k, m, v) in report.failures]}, args.output)
         return 0 if report.passed else 1
 
     if args.command == "residual":
@@ -171,22 +177,13 @@ def _run(args) -> int:
               args.output)
         return 0 if value <= RESIDUAL_TOL else 1
 
-    raise UsageError(f"unknown command {args.command!r}")
-
 
 def _run_glue(args) -> int:
-    if args.input == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(args.input, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise UsageError(f"cannot read input: {exc}") from None
+    text = sys.stdin.read() if args.input == "-" else _read(args.input, "input")
     try:
         obj = serialize.from_json(text)
-        if not isinstance(obj, dict) or "components" not in obj:
-            raise serialize.SchemaError("$", "expected an object with components")
+        if not isinstance(obj, dict) or not isinstance(obj.get("components"), list):
+            raise serialize.SchemaError("$", "expected an object with a components list")
         comps = tuple(serialize.element_from_obj(c, f"components[{i}]")
                       for i, c in enumerate(obj["components"]))
         t = MultipullbackTuple(comps)
@@ -194,26 +191,29 @@ def _run_glue(args) -> int:
         raise UsageError(str(exc)) from None
     try:
         lifted = glue(t)
-    except IncompatibleTuple as exc:
-        _emit({"error": "incompatible tuple", "detail": str(exc)}, args.output)
-        return 1
-    except SupportOverflow as exc:
-        _emit({"error": "support overflow", "detail": str(exc)}, args.output)
+    except (IncompatibleTuple, SupportOverflow) as exc:
+        kind = ("incompatible tuple" if isinstance(exc, IncompatibleTuple)
+                else "support overflow")
+        _emit({"error": kind, "detail": str(exc)}, args.output)
         return 1
     _emit(serialize.element_to_obj(lifted), args.output)
     return 0
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0,) else 0
-    try:
+        args = parse_args(argv)
+        if args is None:
+            print(USAGE, "commands, with [optional flags]:", sep="\n")
+            for command, flags in FLAGS.items():
+                words = [f"--{f} {t.__name__.upper()}" for f, t in flags.items()]
+                print(f"  {command}", *(f"[{w}]" if f in DEFAULTS else w
+                                        for f, w in zip(flags, words)))
+            return 0
         return _run(args)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"{USAGE}\nerror: {exc}", file=sys.stderr)
         return 2
 
 

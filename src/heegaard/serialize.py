@@ -236,5 +236,5 @@ def to_json(obj: Dict[str, Any]) -> str:
 def from_json(text: str) -> Any:
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:   # also over-long ints, deep nesting
         raise SchemaError("$", f"invalid JSON: {exc}") from None

@@ -8,7 +8,7 @@ import pytest
 
 from heegaard import generator, unit
 from heegaard.algebra import Context
-from heegaard.cli import main
+from heegaard.cli import FLAGS, main
 from heegaard.phases import ThetaMatrix
 from heegaard.quotients import MultipullbackTuple, sigma_i
 from heegaard.serialize import element_from_obj, element_to_obj, theta_to_obj
@@ -162,19 +162,102 @@ def test_usage_errors(capsys):
         assert (code, out) == (2, "") and "error:" in err, argv
 
 
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    ctx = Context.toeplitz(ThetaMatrix.zero(2))
+    t = MultipullbackTuple.from_element(generator(ctx, 0))
+    tuple_path = tmp_path / "tuple.json"
+    tuple_path.write_text(json.dumps({"components": [element_to_obj(c)
+                                                     for c in t.components]}))
+    for argv in [("verify", "--N", "1", "--n", "1"),
+                 ("glue", "--input", str(tuple_path))]:
+        for output in (tmp_path / "missing" / "x.json", tmp_path):
+            code, out, err = run(capsys, *argv, "--output", str(output))
+            assert (code, out) == (2, ""), (argv, output)
+            assert "error: cannot write output:" in err
+
+
+def test_undecodable_and_deeply_nested_files_are_usage_errors(tmp_path, capsys):
+    binary, deep = tmp_path / "binary.json", tmp_path / "deep.json"
+    binary.write_bytes(b"\xff\xfe{")
+    deep.write_text("[" * 100_000)
+    for path in (binary, deep):
+        for argv in [("verify", "--N", "1", "--n", "1", "--theta", str(path)),
+                     ("glue", "--input", str(path))]:
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "") and "error:" in err, argv
+    code, out, err = run(capsys, "verify", "--N", "1", "--n", "1", "--theta",
+                         '{"n": ' + "9" * 5000 + "}")
+    assert (code, out) == (2, "") and "error: malformed twist JSON" in err
+
+
+@pytest.mark.parametrize("form", ["joined", "separate"])
+def test_negative_truncations_are_a_usage_error(capsys, form):
+    argv = ["invariant", "--N", "1", "--n", "-1"]
+    argv += (["--truncations=-3,-2,-1"] if form == "joined"
+             else ["--truncations", "-3,-2,-1"])
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "error: need a non-empty ascending list of truncations >= 0" in err
+
+
+def test_flag_forms_negative_values_and_last_value_wins(capsys):
+    expected = run(capsys, "connection", "--N", "1", "--n", "-2")
+    assert expected[0] == 0
+    for argv in [("connection", "--N=1", "--n=-2"),
+                 ("connection", "--n", "-2", "--N", "1"),
+                 ("connection", "--N", "1", "--n", "5", "--n", "-2"),
+                 ("connection", "--N", "1", "--n=3", "--n", "-2"),
+                 ("connection", "--theta=zero", "--N", "1", "--n", "-2")]:
+        assert run(capsys, *argv)[:2] == expected[:2], argv
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("residual", "--N", "1", "--M", "4", "--bogus", "1"), "unrecognized argument '--bogus'"),
+    (("residual", "--th", "zero", "--N", "1", "--M", "4"), "unrecognized argument '--th'"),
+    (("residual", "--N", "1", "--M", "4", "extra"), "unrecognized argument 'extra'"),
+    (("residual", "-N", "1", "--M", "4"), "unrecognized argument '-N'"),
+    (("residual", "--N", "1", "--M"), "--M expects a value"),
+    (("residual", "--N", "one", "--M", "4"), "--N expects an integer, got 'one'"),
+    (("residual", "--N=", "--M", "4"), "--N expects an integer, got ''"),
+    (("residual", "--N", "1"), "missing required flag --M"),
+    (("glue",), "missing required flag --input"),
+    (("glue", "--N", "1"), "unrecognized argument '--N'"),
+    (("unknown-command",), "unknown command 'unknown-command'"),
+    ((), "no command"),
+])
+def test_parse_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: heegaard ")
+    assert f"error: {message}\n" in err
+
+
+@pytest.mark.parametrize("argv", [("-h",), ("--help",), ("verify", "--help"),
+                                  ("residual", "--N", "1", "-h")])
+def test_help_lists_every_command_and_flag(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    lines = {line.split()[0]: line.split()[1:] for line in out.splitlines()[2:]}
+    assert set(lines) == set(FLAGS)
+    for command, flags in FLAGS.items():
+        named = [w.strip("[]") for w in lines[command] if w.lstrip("[").startswith("--")]
+        assert named == [f"--{f}" for f in flags]
+
+
 def test_cli_imports_numpy_and_no_other_third_party_package():
     # numpy stays imported at start-up on purpose: benchmark and batch jobs
     # fork from a parent that has imported heegaard, and a lazy numpy import
-    # would cost each fock or invariant job about 0.2 s
+    # would cost each fock or invariant job about 0.2 s; argparse stays out,
+    # because building its parser was most of a small job
     code = ("import sys\n"
             "before = set(sys.modules)\n"
             "def added():\n"
             "    tops = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
             "    return ' '.join(sorted(tops - set(sys.stdlib_module_names)))\n"
             "import heegaard.cli\n"
-            "print(added())\n"
+            "print(added(), 'argparse' in sys.modules)\n"
             "code = heegaard.cli.main(['residual', '--N', '2', '--M', '4'])\n"
-            "print(code, added())\n")
+            "print(code, added(), 'argparse' in sys.modules)\n")
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
@@ -182,6 +265,6 @@ def test_cli_imports_numpy_and_no_other_third_party_package():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120, env=env, check=True)
     lines = proc.stdout.splitlines()
-    assert lines[0] == "heegaard numpy"
+    assert lines[0] == "heegaard numpy False"
     assert json.loads(lines[1])["residual"] <= 1e-10
-    assert lines[2] == "0 heegaard numpy"
+    assert lines[2] == "0 heegaard numpy False"
