@@ -8,7 +8,7 @@ from .bundles import (ConjugationWitness, NonzeroTwist, ProjectorMatrix,
                       TensorElement, chern_galois_projector, h_tail,
                       pullback_hom, pullback_projector, strong_connection,
                       verify_connection)
-from .coeff import Coeff
+from .coeff import Coeff, FloatCoeff
 from .fock import (ClassInvariant, SparseOperator, UnstableInvariant,
                    class_invariant, fock_generator, relation_residual,
                    represent, truncated_trace)

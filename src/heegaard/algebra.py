@@ -172,7 +172,7 @@ class AlgebraElement:
     @classmethod
     def unit(cls, ctx: Context) -> "AlgebraElement":
         z = (0,) * ctx.n
-        return cls(ctx, {(z, z): Coeff.one(ctx.mode)})
+        return cls(ctx, {(z, z): Coeff.from_exponent(0, ctx.theta)})
 
     @classmethod
     def monomial(cls, ctx: Context, p, q, coeff=None) -> "AlgebraElement":
@@ -180,7 +180,7 @@ class AlgebraElement:
         check_dims(ctx.theta, p, q)
         if any(v < 0 for v in p + q):
             raise ValueError("multi-index entries must be non-negative")
-        c = coeff if coeff is not None else Coeff.one(ctx.mode)
+        c = coeff if coeff is not None else Coeff.from_exponent(0, ctx.theta)
         return _canonicalize(ctx, {(p, q): c})
 
     # -- linear structure --------------------------------------------------

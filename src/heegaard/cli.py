@@ -36,11 +36,11 @@ def _read(path: str, what: str) -> str:
 
 
 def _parse_theta(arg: str, n: int, seed: int, den: int) -> ThetaMatrix:
+    if den < 1:
+        raise UsageError("--den must be positive")
     if arg == "zero":
         return ThetaMatrix.zero(n)
     if arg == "random-rational":
-        if den < 1:
-            raise UsageError("--den must be positive")
         return ThetaMatrix.random_rational(n, seed=seed, den=den)
     text = arg if arg.lstrip().startswith("{") else _read(arg, "twist file")
     try:

@@ -1,14 +1,15 @@
 """Scalar coefficients: exact combinations of unimodular phases.
 
-In rational mode a coefficient is a finite sum  sum_k  w_k * e^{2*pi*i*k/D}
-with rational weights w_k (ints when integral) and integer exponents k mod
-a conductor D; operands with different conductors are lifted to the lcm.
-Addition, multiplication, conjugation and equality are exact; in particular
-i itself is the phase 1/4, so Gaussian-rational amplitudes need no separate
-real/imaginary bookkeeping.
+A coefficient is a finite sum  sum_k  w_k * e^{2*pi*i*k/D}, stored as
+``terms`` {k mod D: w_k} over a conductor D; mixed conductors lift to the
+lcm.  In rational mode (``Coeff``) the weights are rational (ints when
+integral) and all arithmetic is exact; i itself is the phase 1/4, so
+Gaussian-rational amplitudes need no real/imaginary bookkeeping.
 
-In float mode a coefficient is a plain complex number and comparisons use
-``FLOAT_TOL``.
+In float mode (``FloatCoeff``) a complex z is the one-term sum {0: z}: C is
+the group ring at conductor 1.  So the float class inherits the arithmetic
+and overrides only how a phase is applied (folded into the weight), the
+zero test (``FLOAT_TOL``) and the readers.
 """
 
 from __future__ import annotations
@@ -21,129 +22,122 @@ from .phases import FLOAT, FLOAT_TOL, RATIONAL
 
 
 def _common(a: "Coeff", b: "Coeff"):
-    """The lcm D of two conductors, and the terms of a and of b over it."""
-    if a.D == b.D:
-        return a.D, a.terms, b.terms
+    """The lcm D of two conductors, and the terms of a and of b lifted to it."""
     D = lcm(a.D, b.D)
     return D, *({k * (D // c.D): w for k, w in c.terms.items()} for c in (a, b))
 
 
+def _new(cls, D: int, terms: dict) -> "Coeff":
+    """A ``cls`` coefficient of {exponent mod D: weight}, unchecked."""
+    c = object.__new__(cls)
+    c.D, c.terms = D, terms
+    return c
+
+
 class Coeff:
-    """Immutable scalar; ``mode`` selects exact or floating arithmetic."""
+    """Immutable exact scalar; results have the class of their operands."""
 
-    __slots__ = ("mode", "D", "terms", "value")
-
-    def __init__(self, mode, parts=None, value=0j):
-        self.mode = mode
-        if mode == RATIONAL:
-            c = sum((Coeff.from_phase(t, mode, w) for t, w in (parts or {}).items()),
-                    Coeff.zero(mode))
-            self.D, self.terms, self.value = c.D, c.terms, None
-        else:
-            self.value = complex(value)
+    __slots__ = ("D", "terms")
+    mode = RATIONAL
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, mode):
-        return cls(mode) if mode == FLOAT else _exact(1, {})
+        return _CLASS[mode].rational(0)
 
     @classmethod
     def one(cls, mode):
-        return _exact(1, {0: 1}) if mode == RATIONAL else cls(FLOAT, value=1.0)
+        return _CLASS[mode].rational(1)
 
     @classmethod
     def rational(cls, w) -> "Coeff":
         w = Fraction(w)
         w = w.numerator if w.denominator == 1 else w
-        return _exact(1, {0: w} if w else {})
+        return _new(cls, 1, {0: w} if w else {})
 
     @classmethod
     def from_phase(cls, t, mode, weight=1) -> "Coeff":
         """weight * e^{2*pi*i*t}."""
-        if mode == RATIONAL:
-            t = Fraction(t)
-            return cls.rational(weight).times_exponent(t.numerator, t.denominator)
-        return cls(FLOAT, value=weight * cmath.exp(2j * cmath.pi * float(t)))
+        t = Fraction(t)
+        return _CLASS[mode].rational(weight).times_exponent(t.numerator, t.denominator)
 
     @classmethod
     def from_exponent(cls, k, theta, weight=1) -> "Coeff":
-        """weight * e(k/D) for an exponent k over ``theta``'s conductor D."""
-        return cls.one(theta.mode).times_exponent(k, theta.conductor, weight)
+        """weight * e(k/D) for an exponent k over ``theta``'s conductor D, kept
+        at D so that its products with the twist's phases need no lift."""
+        D = theta.conductor
+        return _new(_CLASS[theta.mode], D, {0: 1}).times_exponent(k, D, weight)
 
     @classmethod
-    def from_complex(cls, z) -> "Coeff":
-        return cls(FLOAT, value=z)
+    def from_complex(cls, z) -> "FloatCoeff":
+        return _new(FloatCoeff, 1, {0: complex(z)})
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Coeff") -> "Coeff":
-        if self.mode == FLOAT:
-            return Coeff(FLOAT, value=self.value + other.value)
-        D, terms, others = _common(self, other)
-        terms = dict(terms)
+        D = self.D
+        if D == other.D:
+            terms, others = dict(self.terms), other.terms
+        else:
+            D, terms, others = _common(self, other)
         for k, w in others.items():
             s = terms.get(k, 0) + w
             if s:
                 terms[k] = s
             else:
                 terms.pop(k, None)
-        return _exact(D, terms)
+        return _new(type(self), D, terms)
 
     def __neg__(self) -> "Coeff":
-        if self.mode == FLOAT:
-            return Coeff(FLOAT, value=-self.value)
-        return _exact(self.D, {k: -w for k, w in self.terms.items()})
+        return _new(type(self), self.D, {k: -w for k, w in self.terms.items()})
 
     def __sub__(self, other: "Coeff") -> "Coeff":
         return self + (-other)
 
     def __mul__(self, other: "Coeff") -> "Coeff":
-        if self.mode == FLOAT:
-            return Coeff(FLOAT, value=self.value * other.value)
-        D, terms, others = _common(self, other)
+        D = self.D
+        if D == other.D:
+            terms, others = self.terms, other.terms
+        else:
+            D, terms, others = _common(self, other)
         out = {}
         for k1, w1 in terms.items():
             for k2, w2 in others.items():
-                k = (k1 + k2) % D
-                s = out.get(k, 0) + w1 * w2
+                # no 0 + w1*w2 on a first product: it would flip a -0.0 part
+                k, s = (k1 + k2) % D, w1 * w2
+                if k in out:
+                    s += out[k]
                 if s:
                     out[k] = s
                 else:
                     out.pop(k, None)
-        return _exact(D, out)
+        return _new(type(self), D, out)
 
     def conj(self) -> "Coeff":
-        if self.mode == FLOAT:
-            return Coeff(FLOAT, value=self.value.conjugate())
-        return _exact(self.D, {-k % self.D: w for k, w in self.terms.items()})
+        D = self.D
+        return _new(type(self), D, {-k % D: w.conjugate() for k, w in self.terms.items()})
 
     def times_phase(self, t) -> "Coeff":
         """Multiply by e^{2*pi*i*t}."""
         return self * Coeff.from_phase(t, self.mode)
 
     def times_exponent(self, k, D, weight=1) -> "Coeff":
-        """Multiply by weight * e(k/D) for an exponent k over a conductor D
-        (1 in float mode); free when k = 0 mod D and weight is 1."""
-        if self.mode == FLOAT:
-            return Coeff(FLOAT, value=self.value * (weight * cmath.exp(2j * cmath.pi * k)))
+        """Multiply by weight * e(k/D) for an exponent k over a conductor D;
+        free when k = 0 mod D and weight is 1."""
         L = lcm(self.D, D)
         a, b = L // self.D, k * (L // D) % L
         if not b and weight == 1:
             return self
-        return _exact(L, {(t * a + b) % L: w * weight for t, w in self.terms.items()})
+        return _new(Coeff, L, {(t * a + b) % L: w * weight for t, w in self.terms.items()})
 
     def scale(self, w) -> "Coeff":
         """Multiply by a rational (or real/complex in float mode) scalar."""
-        if self.mode == FLOAT:
-            return Coeff(FLOAT, value=self.value * w)
-        return self * Coeff.rational(w)
+        return self * self.rational(w)
 
     def inverse(self) -> "Coeff":
-        """Exact inverse; in rational mode only single-phase coefficients
+        """Exact inverse; only single-phase coefficients
         (weight * e^{2*pi*i*t}) are invertible here."""
-        if self.mode == FLOAT:
-            return Coeff(FLOAT, value=1.0 / self.value)
         if len(self.terms) != 1:
             raise ArithmeticError("can only invert single-phase coefficients exactly")
         (k, w), = self.terms.items()
@@ -154,45 +148,62 @@ class Coeff:
     @property
     def parts(self):
         """Read-only {Fraction exponent in [0, 1): weight}; None in float mode."""
-        if self.mode == FLOAT:
-            return None
         return {Fraction(k, self.D): w for k, w in self.terms.items()}
 
     def is_zero(self) -> bool:
-        if self.mode == FLOAT:
-            return abs(self.value) < FLOAT_TOL
         return not self.terms
 
     def is_single_phase(self) -> bool:
-        return self.mode == FLOAT or len(self.terms) == 1
+        return len(self.terms) == 1
 
     def to_complex(self) -> complex:
-        if self.mode == FLOAT:
-            return self.value
         return sum((complex(w) * cmath.exp(2j * cmath.pi * (k / self.D))
                     for k, w in self.terms.items()), 0j)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Coeff):
             return NotImplemented
-        if self.mode != other.mode:
+        if type(self) is not type(other):
             return False
-        if self.mode == FLOAT:
-            return abs(self.value - other.value) < FLOAT_TOL
         return (self - other).is_zero()
 
     def __hash__(self):
         raise TypeError("Coeff is not hashable")
 
     def __repr__(self):
-        if self.mode == FLOAT:
-            return f"Coeff({self.value!r})"
         body = " + ".join(f"{w}*e(2pi*{t})" for t, w in sorted(self.parts.items()))
         return f"Coeff({body or 0})"
 
 
-def _exact(D: int, terms: dict) -> Coeff:
-    """Rational-mode Coeff of {exponent mod D: nonzero weight}, unchecked."""
-    c = object.__new__(Coeff)
-    c.mode, c.D, c.terms, c.value = RATIONAL, D, terms, None
-    return c
+class FloatCoeff(Coeff):
+    """Complex scalar z, held as {0: z} at conductor 1; compares within ``FLOAT_TOL``."""
+
+    __slots__ = ()
+    mode = FLOAT
+
+    @classmethod
+    def rational(cls, w) -> "FloatCoeff":
+        return _new(cls, 1, {0: complex(w)})
+
+    def times_exponent(self, k, D, weight=1) -> "FloatCoeff":
+        z = weight * cmath.exp(2j * cmath.pi * (k / D))
+        return _new(FloatCoeff, 1, self.terms and {0: self.terms[0] * z})
+
+    def inverse(self) -> "FloatCoeff":
+        return _new(FloatCoeff, 1, {0: 1.0 / self.to_complex()})
+
+    @property
+    def parts(self):
+        return None
+
+    def is_zero(self) -> bool:
+        return not self.terms or abs(self.terms[0]) < FLOAT_TOL
+
+    def to_complex(self) -> complex:
+        return self.terms.get(0, 0j)
+
+    def __repr__(self):
+        return f"Coeff({self.to_complex()!r})"
+
+
+_CLASS = {RATIONAL: Coeff, FLOAT: FloatCoeff}

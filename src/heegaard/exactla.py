@@ -36,7 +36,7 @@ from typing import Dict, Hashable, List, Optional, Sequence
 
 import numpy as np
 
-from .coeff import Coeff, _exact
+from .coeff import Coeff, _new
 from .phases import FLOAT, RATIONAL
 
 Vector = Dict[Hashable, Coeff]
@@ -133,7 +133,7 @@ def solve_exact(columns: Sequence[Vector], target: Vector,
         row = rows[p]
         s = row.get(rhs, 0) - sum(w * x[c] for c, w in row.items() if p < c < rhs)
         x[p] = s.numerator if type(s) is Fraction and s.denominator == 1 else s
-    return [_exact(D, {k: x[base + k] for k in range(D) if x[base + k]})
+    return [_new(Coeff, D, {k: x[base + k] for k in range(D) if x[base + k]})
             for base in range(0, rhs, D)]
 
 

@@ -2,7 +2,8 @@
 
 Phases are kept as exponents t of e^{2*pi*i*t}.  In rational mode t is a
 ``Fraction``, or the integer t*D mod the twist's conductor D, and exact; in
-float mode t is a double reduced mod 1, compared with tolerance ``FLOAT_TOL``.
+float mode t is a double, and scalars built from it compare with tolerance
+``FLOAT_TOL``.
 """
 
 from __future__ import annotations
@@ -12,33 +13,16 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Union
+from typing import Iterable
 
 RATIONAL = "rational"
 FLOAT = "float"
 
 FLOAT_TOL = 1e-12
 
-PhaseExponent = Union[Fraction, float]
-
 
 class DimensionMismatch(ValueError):
     pass
-
-
-def phase_mod1(t: PhaseExponent) -> PhaseExponent:
-    """Reduce an exponent to [0, 1); the represented scalar is unchanged."""
-    if isinstance(t, Fraction):
-        return t - (t.numerator // t.denominator)
-    return t % 1.0
-
-
-def phase_eq(a: PhaseExponent, b: PhaseExponent, mode: str = RATIONAL) -> bool:
-    """Equality of represented scalars, i.e. equality of exponents mod 1."""
-    if mode == RATIONAL:
-        return phase_mod1(Fraction(a)) == phase_mod1(Fraction(b))
-    d = (float(a) - float(b)) % 1.0
-    return d < FLOAT_TOL or 1.0 - d < FLOAT_TOL
 
 
 @dataclass(frozen=True)
@@ -100,7 +84,7 @@ class ThetaMatrix:
 
     # -- access ------------------------------------------------------------
 
-    def entry(self, j: int, k: int) -> PhaseExponent:
+    def entry(self, j: int, k: int):
         if not (0 <= j < self.n and 0 <= k < self.n):
             raise IndexError(f"index out of range: ({j},{k})")
         zero = Fraction(0) if self.mode == RATIONAL else 0.0
@@ -138,7 +122,7 @@ def check_dims(theta: ThetaMatrix, *indices: Iterable[int]) -> None:
                 f"multi-index of length {len(mu)} against matrix of size {theta.n}")
 
 
-def cocycle_phase(theta: ThetaMatrix, mu, nu) -> PhaseExponent:
+def cocycle_phase(theta: ThetaMatrix, mu, nu):
     """Exponent t = (1/2) mu^T theta nu, so the scalar is e^{pi*i*mu^T.theta.nu}."""
     check_dims(theta, mu, nu)
     half = Fraction(1, 2) if theta.mode == RATIONAL else 0.5

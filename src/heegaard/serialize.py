@@ -111,7 +111,8 @@ def context_from_obj(obj: Any, path: str = "context") -> Context:
 def _coeff_records(c: Coeff):
     """One record per phase (rational) or a single re/im record (float)."""
     if c.mode == FLOAT:
-        return [{"re": c.value.real, "im": c.value.imag}]
+        z = c.to_complex()
+        return [{"re": z.real, "im": z.imag}]
     records = []
     for k, w in sorted(c.terms.items()):
         z, t = complex(w) * cmath.exp(2j * cmath.pi * (k / c.D)), Fraction(k, c.D)

@@ -149,6 +149,9 @@ def test_usage_errors(capsys):
     assert code == 2
     for argv in [
             ("verify", "--N", "1", "--n", "1", "--theta", "random-rational", "--den", "0"),
+            ("verify", "--N", "1", "--n", "1", "--den", "0"),
+            ("verify", "--N", "1", "--n", "1", "--den", "0", "--theta",
+             json.dumps(theta_to_obj(ThetaMatrix.zero(2)))),
             ("verify", "--N", "1", "--n", "1", "--theta",
              json.dumps({"n": 2, "mode": "float", "upper": [[0, 1, "abc"]]})),
             ("verify", "--N", "1", "--n", "1", "--theta",

@@ -1,4 +1,5 @@
 import cmath
+import math
 import operator
 from fractions import Fraction
 
@@ -7,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heegaard import serialize
-from heegaard.coeff import Coeff
-from heegaard.phases import FLOAT, RATIONAL
+from heegaard.algebra import AlgebraElement, Context
+from heegaard.coeff import Coeff, FloatCoeff
+from heegaard.phases import FLOAT, RATIONAL, ThetaMatrix
 
 phases = st.fractions(min_value=0, max_value=1, max_denominator=12)
 weights = st.fractions(min_value=-3, max_value=3, max_denominator=6)
@@ -194,3 +196,66 @@ def test_integer_exponents_match_the_fraction_reference(a, b, w, single):
     else:
         assert_same(s.inverse(), rs.inverse())
         assert_same(x * s * s.inverse(), rx * rs * rs.inverse())
+
+
+# -- float mode: the conductor-1 subclass -------------------------------------
+
+reals = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-1e3, 1e3, allow_nan=False)
+complexes = st.builds(complex, reals, reals)
+
+
+def assert_bits(c, z):
+    """``c`` is the complex z; a nonzero z matches on each component's sign bit."""
+    assert type(c) is FloatCoeff
+    got = c.to_complex()
+    assert got == z
+    if z:
+        for x, y in ((got.real, z.real), (got.imag, z.imag)):
+            assert math.copysign(1.0, x) == math.copysign(1.0, y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(za=complexes, zb=complexes, k=st.sampled_from([0, 0.0]) | reals,
+       weight=st.sampled_from([1, -1]), r=reals, w=complexes)
+def test_float_coeff_matches_plain_complex_arithmetic(za, zb, k, weight, r, w):
+    # the formulas are those of the complex-valued float Coeff it replaced
+    a, b = Coeff.from_complex(za), Coeff.from_complex(zb)
+    assert_bits(a, za)
+    assert_bits(a + b, za + zb)
+    assert_bits(a - b, za + (-zb))
+    assert_bits(a * b, za * zb)
+    assert_bits(-a, -za)
+    assert_bits(a.conj(), za.conjugate())
+    assert_bits(a.times_exponent(k, 1, weight),
+                za * (weight * cmath.exp(2j * cmath.pi * k)))
+    assert_bits(a.scale(r), za * r)
+    assert_bits(a.scale(w), za * w)
+    if za:
+        assert_bits(a.inverse(), 1.0 / za)
+    assert (a == b) == (abs(za - zb) < 1e-12)
+
+
+def test_class_closure():
+    fa, fb = Coeff.from_complex(1 + 2j), Coeff.from_phase(Fraction(1, 3), FLOAT, 2)
+    ea, eb = Coeff.from_phase(Fraction(1, 4), RATIONAL, 3), Coeff.one(RATIONAL)
+    for x, y, cls in ((fa, fb, FloatCoeff), (ea, eb, Coeff)):
+        for c in (x + y, x - y, x * y, -x, x.conj(), x.times_phase(Fraction(1, 6)),
+                  x.times_exponent(1, 4), x.scale(2), x.inverse()):
+            assert type(c) is cls
+    assert Coeff.one(FLOAT) != Coeff.one(RATIONAL)
+    assert Coeff.zero(FLOAT) != Coeff.zero(RATIONAL)
+
+
+def test_float_coeff_inherits_the_traced_arithmetic():
+    # The benchmark's layer tracer hooks Coeff.__mul__ and Coeff.__add__ for
+    # both modes, so the float class must not define its own.
+    for name in ("__mul__", "__add__"):
+        assert name in Coeff.__dict__ and name not in FloatCoeff.__dict__
+
+
+def test_unit_coefficients_are_built_at_the_twist_conductor():
+    theta = ThetaMatrix.from_upper(3, {(0, 1): Fraction(1, 8), (1, 2): Fraction(1, 3)})
+    ctx = Context.toeplitz(theta)
+    for x in (AlgebraElement.unit(ctx), AlgebraElement.monomial(ctx, (1, 0, 0), (0, 0, 1))):
+        assert [c.D for c in x.terms.values()] == [theta.conductor] == [24]
+    assert Coeff.from_exponent(5, theta, -1) == Coeff.from_phase(Fraction(5, 24), RATIONAL, -1)

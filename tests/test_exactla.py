@@ -59,9 +59,14 @@ def dense_solve(columns, target):
     x = [Fraction(0)] * nc
     for i, c in enumerate(pivots):
         x[c] = aug[i][nc]
-    return [Coeff(RATIONAL, {Fraction(k, D): x[j * D + k]
-                             for k in range(D) if x[j * D + k]})
+    return [phase_sum({Fraction(k, D): x[j * D + k] for k in range(D) if x[j * D + k]})
             for j in range(len(columns))]
+
+
+def phase_sum(parts) -> Coeff:
+    """sum_t w * e^{2*pi*i*t} over the {t: w} items of ``parts``."""
+    return sum((Coeff.from_phase(t, RATIONAL, w) for t, w in parts.items()),
+               Coeff.zero(RATIONAL))
 
 
 def random_coeff(rng: random.Random, D: int) -> Coeff:
@@ -71,7 +76,7 @@ def random_coeff(rng: random.Random, D: int) -> Coeff:
         t = Fraction(rng.randrange(D), D)
         parts[t] = parts.get(t, 0) + Fraction(rng.choice((-1, 1)) * rng.randint(1, 5),
                                               rng.randint(1, 3))
-    return Coeff(RATIONAL, {t: w for t, w in parts.items() if w})
+    return phase_sum({t: w for t, w in parts.items() if w})
 
 
 def combine(coeffs, vectors):
@@ -174,7 +179,7 @@ def test_solve_edge_cases():
     zero_target = solve_exact([{"a": one}, {}], {"a": Coeff.zero(RATIONAL)})
     assert [c.is_zero() for c in zero_target] == [True, True]
     # 1 + e(1/2) is a zero divisor of the group ring: it does not reach 1
-    half = Coeff(RATIONAL, {Fraction(0): Fraction(1), Fraction(1, 2): Fraction(1)})
+    half = phase_sum({Fraction(0): Fraction(1), Fraction(1, 2): Fraction(1)})
     assert solve_exact([{"a": half}], {"a": one}) is None
     assert solve_exact([{"a": half}], {"a": half})[0].parts == one.parts
 

@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heegaard.phases import (DimensionMismatch, FLOAT, RATIONAL, ThetaMatrix,
+from heegaard.phases import (DimensionMismatch, ThetaMatrix,
                              cocycle_phase, kappa_check_matrix,
-                             kappa_inv_matrix, kappa_matrix, phase_eq,
-                             phase_mod1)
+                             kappa_inv_matrix, kappa_matrix)
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=12)
 vectors3 = st.lists(st.integers(min_value=0, max_value=5), min_size=3, max_size=3)
@@ -15,13 +14,6 @@ vectors3 = st.lists(st.integers(min_value=0, max_value=5), min_size=3, max_size=
 
 def random_theta(n, seed):
     return ThetaMatrix.random_rational(n, seed=seed)
-
-
-def test_phase_mod1_exact():
-    assert phase_mod1(Fraction(7, 3)) == Fraction(1, 3)
-    assert phase_mod1(Fraction(-1, 4)) == Fraction(3, 4)
-    assert phase_eq(Fraction(5, 4), Fraction(1, 4))
-    assert phase_eq(0.999999999999999, 0.0, mode=FLOAT)
 
 
 def test_antisymmetry_is_structural():
@@ -58,7 +50,7 @@ def test_cocycle_dimension_mismatch():
 def test_cocycle_antisymmetric(mu, nu, seed):
     th = random_theta(3, seed)
     s = cocycle_phase(th, mu, nu) + cocycle_phase(th, nu, mu)
-    assert phase_mod1(s) == 0
+    assert s.denominator == 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -68,7 +60,7 @@ def test_cocycle_bilinear(mu, mu2, nu, seed):
     total = tuple(a + b for a, b in zip(mu, mu2))
     lhs = cocycle_phase(th, total, nu)
     rhs = cocycle_phase(th, mu, nu) + cocycle_phase(th, mu2, nu)
-    assert phase_mod1(lhs - rhs) == 0
+    assert (lhs - rhs).denominator == 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -80,7 +72,7 @@ def test_cocycle_identity(lam, mu, nu, seed):
     lam_mu = tuple(a + b for a, b in zip(lam, mu))
     lhs = cocycle_phase(th, mu, nu) + cocycle_phase(th, lam, mu_nu)
     rhs = cocycle_phase(th, lam, mu) + cocycle_phase(th, lam_mu, nu)
-    assert phase_mod1(lhs - rhs) == 0
+    assert (lhs - rhs).denominator == 1
 
 
 def test_kappa_zero_fixed():
