@@ -4,7 +4,8 @@ A strong connection value is a finite sum sum_l a_l (x) r_l of elementary
 tensors over the sphere quotient with sum_l a_l r_l = 1 and bidegree
 (-n, n).  The associated projector has entries E_kl = r_k a_l; idempotency
 follows from the multiplicativity condition alone, so any presentation of
-the connection value works and summand merging just shrinks the matrix.
+the connection value works.  Merging summands (``simplify``) shrinks the
+matrix, but finds nothing in ``strong_connection``: one per multi-index.
 """
 
 from __future__ import annotations
@@ -37,23 +38,17 @@ class TensorElement:
                 pruned.append((a, r))
         self.summands = pruned
 
-    @classmethod
-    def one(cls, ctx: Context) -> "TensorElement":
-        return cls(ctx, [(unit(ctx), unit(ctx))])
-
     def simplify(self) -> "TensorElement":
         """Merge summands whose left factors are exact scalar multiples."""
         # insertion order is kept, so the summand layout is deterministic
         merged: List[Tuple[AlgebraElement, AlgebraElement]] = []
         for a, r in self.summands:
-            placed = False
             for idx, (a0, r0) in enumerate(merged):
                 lam = _proportionality(a, a0)
                 if lam is not None:
                     merged[idx] = (a0, r0 + r.times_coeff(lam))
-                    placed = True
                     break
-            if not placed:
+            else:
                 merged.append((a, r))
         return TensorElement(self.ctx, merged)
 
@@ -63,9 +58,6 @@ class TensorElement:
         for a, r in self.summands:
             out = out + a * r
         return out
-
-    def __len__(self):
-        return len(self.summands)
 
 
 def _proportionality(a: AlgebraElement, b: AlgebraElement):
@@ -95,9 +87,13 @@ def h_tail(i: int, ctx: Context) -> AlgebraElement:
 def strong_connection(n: int, N: int, theta: ThetaMatrix) -> TensorElement:
     """Connection value for winding n over the sphere quotient.
 
-    Non-negative windings have the closed form s_0*^n (x) s_0^n; negative
-    windings descend one step at a time by multiplying with (s_k (x) 1) on
-    the left and (1 (x) s_k* H_k) on the right, summed over k.
+    Non-negative windings have the closed form s_0*^n (x) s_0^n.  Winding -m
+    is the m-th power of sum_k s_k (x) s_k* H_k, H_k = ``h_tail(k)``.  Since
+    (s_l* H_l)(s_k* H_k) = 0 for k < l (H_k holds 1 - s_l s_l*, which
+    commutes with s_k* and with H_l, and s_l* (1 - s_l s_l*) = 0), the
+    summands are s_{k_m}...s_{k_1} (x) s_{k_1}* H_{k_1}...s_{k_m}* H_{k_m} for
+    k_1 <= ... <= k_m, one per multi-index of length m, with distinct left
+    words; they are ordered by k_m, then as the sequences without k_m are.
     """
     if theta.n != N + 1:
         raise ValueError("twist size must be N+1")
@@ -105,16 +101,13 @@ def strong_connection(n: int, N: int, theta: ThetaMatrix) -> TensorElement:
     if n >= 0:
         s0 = generator(ctx, 0)
         return TensorElement(ctx, [(s0.star() ** n, s0 ** n)]).simplify()
-    tails = [generator(ctx, k).star() * h_tail(k, ctx) for k in range(N + 1)]
-    conn = TensorElement.one(ctx)
+    gens = [generator(ctx, k) for k in range(N + 1)]
+    tails = [g.star() * h_tail(k, ctx) for k, g in enumerate(gens)]
+    layer = [(0, unit(ctx), unit(ctx))]
     for _ in range(-n):
-        summands = []
-        for k in range(N + 1):
-            sk = generator(ctx, k)
-            for a, r in conn.summands:
-                summands.append((sk * a, r * tails[k]))
-        conn = TensorElement(ctx, summands).simplify()
-    return conn
+        layer = [(k, gens[k] * a, r * tails[k])
+                 for k in range(N + 1) for last, a, r in layer if last <= k]
+    return TensorElement(ctx, [(a, r) for _, a, r in layer]).simplify()
 
 
 def verify_connection(conn: TensorElement, n: int) -> bool:

@@ -36,7 +36,7 @@ import numpy as np
 
 from .algebra import AlgebraElement
 from .bundles import ProjectorMatrix
-from .phases import ThetaMatrix
+from .phases import ThetaMatrix, frac_part
 
 DEFAULT_MAX_DIM = 100_000
 
@@ -172,7 +172,8 @@ def fock_generator(i: int, M: int, theta: ThetaMatrix) -> SparseOperator:
     _check_dim(n, M)
     ks = np.arange(M + 1)
     factors = [np.ones(M + 1)] * i + [(ks < M).astype(float)]
-    factors += [np.exp(2j * np.pi * float(theta.entry(i, j)) * ks) for j in range(i + 1, n)]
+    factors += [np.exp(2j * np.pi * float(frac_part(theta.entry(i, j))) * ks)
+                for j in range(i + 1, n)]
     return _band(n, M, [int(j == i) for j in range(n)], factors)
 
 
@@ -220,7 +221,7 @@ def relation_defects(N: int, theta: ThetaMatrix, M: int) -> Iterator[SparseOpera
     for i in range(N + 1):
         yield ((adjs[i] @ gens[i]) - ident) @ proj
     for i, j in permutations(range(N + 1), 2):
-        ph = np.exp(2j * np.pi * float(theta.entry(i, j)))
+        ph = np.exp(2j * np.pi * float(frac_part(theta.entry(i, j))))
         yield ((gens[i] @ gens[j]) - (gens[j] @ gens[i]).scale(ph)) @ proj
         yield ((gens[i] @ adjs[j]) - (adjs[j] @ gens[i]).scale(1 / ph)) @ proj
 

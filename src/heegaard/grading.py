@@ -70,29 +70,28 @@ def extend_hom(x: AlgebraElement, target: Context,
 
 # -- gauge maps on the one-unitary-slot quotients ---------------------------
 
-def kappa_gen_map(i: int, x: AlgebraElement) -> AlgebraElement:
-    """Regrading isomorphism B_i(theta) -> B_i(kappa_i(theta)) sending
-    w_k to w_k w_i for k != i and fixing w_i."""
+def _regrade(i: int, x: AlgebraElement, inverse: bool) -> AlgebraElement:
+    """``kappa_gen_map``, or ``kappa_gen_inv`` when ``inverse``."""
     theta = x.ctx.theta
     if x.ctx != Context.quotient(theta, i):
         raise ContextMismatch("expected a slot-i quotient element")
-    target = Context.quotient(kappa_matrix(theta, i), i)
-    wi = generator(target, i)
-    images = [generator(target, k) if k == i else generator(target, k) * wi
+    gauge = kappa_inv_matrix if inverse else kappa_matrix
+    target = Context.quotient(gauge(theta, i), i)
+    u = generator(target, i).star() if inverse else generator(target, i)
+    images = [generator(target, k) if k == i else generator(target, k) * u
               for k in range(theta.n)]
     return extend_hom(x, target, images)
 
 
+def kappa_gen_map(i: int, x: AlgebraElement) -> AlgebraElement:
+    """Regrading isomorphism B_i(theta) -> B_i(kappa_i(theta)) sending
+    w_k to w_k w_i for k != i and fixing w_i."""
+    return _regrade(i, x, inverse=False)
+
+
 def kappa_gen_inv(i: int, x: AlgebraElement) -> AlgebraElement:
     """Inverse regrading, w_k -> w_k w_i* for k != i."""
-    gauged = x.ctx.theta
-    if x.ctx != Context.quotient(gauged, i):
-        raise ContextMismatch("expected a slot-i quotient element")
-    target = Context.quotient(kappa_inv_matrix(gauged, i), i)
-    wi_star = generator(target, i).star()
-    images = [generator(target, k) if k == i else generator(target, k) * wi_star
-              for k in range(gauged.n)]
-    return extend_hom(x, target, images)
+    return _regrade(i, x, inverse=True)
 
 
 # -- fixed-point algebras ---------------------------------------------------

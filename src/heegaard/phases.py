@@ -103,8 +103,9 @@ class ThetaMatrix:
 
     @cached_property
     def table(self) -> tuple:
-        """Dense antisymmetric table ``table[j][k] == entry(j, k) * conductor``."""
-        scaled = float if self.mode == FLOAT else (lambda v: int(v * self.conductor))
+        """Dense antisymmetric table ``table[j][k] == entry(j, k) * conductor``
+        (in float mode the fractional part of the entry)."""
+        scaled = frac_part if self.mode == FLOAT else (lambda v: int(v * self.conductor))
         return tuple(tuple(scaled(self.entry(j, k)) for k in range(self.n))
                      for j in range(self.n))
 
@@ -113,6 +114,13 @@ class ThetaMatrix:
 
     def __repr__(self):
         return f"ThetaMatrix(n={self.n}, mode={self.mode}, upper={dict(self.upper)})"
+
+
+def frac_part(t):
+    """t - int(t), the fractional part on which a phase e(t) depends alone;
+    exact for ``Fraction`` and ``float``, and t untouched when |t| < 1."""
+    whole = int(t)
+    return t - whole if whole else t
 
 
 def check_dims(theta: ThetaMatrix, *indices: Iterable[int]) -> None:
@@ -132,9 +140,8 @@ def cocycle_phase(theta: ThetaMatrix, mu, nu):
     return half * acc
 
 
-def kappa_matrix(theta: ThetaMatrix, i: int) -> ThetaMatrix:
-    """Gauge transform: entry (j,k) becomes theta_ij + theta_jk + theta_ki for
-    j,k != i, while row/column i is left unchanged."""
+def _gauge(theta: ThetaMatrix, i: int, sign: int) -> ThetaMatrix:
+    """``kappa_matrix`` for sign 1, ``kappa_inv_matrix`` for sign -1."""
     if not 0 <= i < theta.n:
         raise IndexError(f"index {i} out of range")
     entries = {}
@@ -143,22 +150,20 @@ def kappa_matrix(theta: ThetaMatrix, i: int) -> ThetaMatrix:
             if i in (j, k):
                 entries[(j, k)] = theta.entry(j, k)
             else:
-                entries[(j, k)] = theta.entry(i, j) + theta.entry(j, k) + theta.entry(k, i)
+                entries[(j, k)] = (sign * theta.entry(i, j) + theta.entry(j, k)
+                                   + sign * theta.entry(k, i))
     return ThetaMatrix.from_upper(theta.n, entries, theta.mode)
+
+
+def kappa_matrix(theta: ThetaMatrix, i: int) -> ThetaMatrix:
+    """Gauge transform: entry (j,k) becomes theta_ij + theta_jk + theta_ki for
+    j,k != i, while row/column i is left unchanged."""
+    return _gauge(theta, i, 1)
 
 
 def kappa_inv_matrix(theta: ThetaMatrix, i: int) -> ThetaMatrix:
     """Inverse of :func:`kappa_matrix` for the same index."""
-    if not 0 <= i < theta.n:
-        raise IndexError(f"index {i} out of range")
-    entries = {}
-    for j in range(theta.n):
-        for k in range(j + 1, theta.n):
-            if i in (j, k):
-                entries[(j, k)] = theta.entry(j, k)
-            else:
-                entries[(j, k)] = -theta.entry(i, j) + theta.entry(j, k) - theta.entry(k, i)
-    return ThetaMatrix.from_upper(theta.n, entries, theta.mode)
+    return _gauge(theta, i, -1)
 
 
 def kappa_check_matrix(theta: ThetaMatrix, i: int) -> ThetaMatrix:

@@ -80,6 +80,7 @@ def theta_from_obj(obj: Any, path: str = "theta") -> ThetaMatrix:
             _expect(_is_number(value), f"{p}[2]", "expected a number")
             value = float(value)
         _expect(0 <= j < k < n, p, "need 0 <= j < k < n")
+        _expect((j, k) not in entries, p, f"duplicate entry {(j, k)}")
         entries[(j, k)] = value
     return ThetaMatrix.from_upper(n, entries, mode)
 

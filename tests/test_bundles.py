@@ -1,5 +1,8 @@
+from math import comb
+
 import pytest
 
+from conftest import random_float_theta, rng_for
 from heegaard import (AlgebraElement, NonzeroTwist, TensorElement,
                       chern_galois_projector, generator, h_tail, pullback_hom,
                       pullback_projector, sphere_defect, strong_connection,
@@ -140,3 +143,78 @@ def test_pullback_projector_requires_connection_data():
     bare = type(e)(e.winding, e.entries)
     with pytest.raises(ValueError):
         pullback_projector(bare)
+
+
+def twist(kind, n):
+    """The twist kinds the connection tests sweep: zero, random rational
+    with denominator 8 or 12, and random float."""
+    if kind == "zero":
+        return ThetaMatrix.zero(n)
+    if kind == "float":
+        return random_float_theta(n, rng_for(f"connection-float-{n}"))
+    return ThetaMatrix.random_rational(n, seed=n, den=int(kind[len("den-"):]))
+
+
+TWISTS = ("zero", "den-8", "den-12", "float")
+
+
+def reference_connection(n, N, theta):
+    """The generate-and-filter loop: every summand extended by every slot,
+    zero summands dropped and summands merged after each step."""
+    ctx = Context.sphere(theta)
+    tails = [generator(ctx, k).star() * h_tail(k, ctx) for k in range(N + 1)]
+    conn = TensorElement(ctx, [(unit(ctx), unit(ctx))])
+    for _ in range(-n):
+        summands = []
+        for k in range(N + 1):
+            sk = generator(ctx, k)
+            for a, r in conn.summands:
+                summands.append((sk * a, r * tails[k]))
+        conn = TensorElement(ctx, summands).simplify()
+    return conn
+
+
+@pytest.mark.parametrize("kind", TWISTS)
+@pytest.mark.parametrize("N, lowest", [(1, -5), (2, -5), (3, -5), (4, -2)])
+def test_connection_matches_generate_and_filter_reference(N, lowest, kind):
+    th = twist(kind, N + 1)
+    for n in range(-1, lowest - 1, -1):
+        got = strong_connection(n, N, th).summands
+        want = reference_connection(n, N, th).summands
+        assert len(got) == len(want) == comb(-n + N, N), (N, n, kind)
+        assert [(repr(a), repr(r)) for a, r in got] == \
+            [(repr(a), repr(r)) for a, r in want], (N, n, kind)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_connection_products_grow_with_the_multi_indices(N, monkeypatch):
+    # winding -m has C(m+N, N) summands, each made by two products from
+    # one of winding -(m-1); extending by every slot costs 2(N+1)C(m-1+N, N)
+    calls = [0]
+    mul = AlgebraElement.__mul__
+
+    def counting(self, other):
+        calls[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(AlgebraElement, "__mul__", counting)
+    th = twist("den-8", N + 1)
+    made = {}
+    for m in range(1, 6):
+        calls[0] = 0
+        strong_connection(-m, N, th)
+        made[m] = calls[0]
+    for m in range(2, 6):
+        assert made[m] - made[m - 1] == 2 * comb(m + N, N), (N, m)
+
+
+@pytest.mark.parametrize("kind", TWISTS)
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_descending_tail_products_vanish(N, kind):
+    # (s_l* H_l)(s_k* H_k) = 0 for k < l: H_k holds 1 - s_l s_l*
+    ctx = Context.sphere(twist(kind, N + 1))
+    tails = [generator(ctx, k).star() * h_tail(k, ctx) for k in range(N + 1)]
+    for l in range(N + 1):
+        for k in range(l):
+            assert (tails[l] * tails[k]).is_zero(), (N, kind, l, k)
+        assert not (tails[l] * tails[l]).is_zero(), (N, kind, l)

@@ -160,9 +160,21 @@ def test_usage_errors(capsys):
              json.dumps({"n": 2, "mode": "float", "upper": [[0, 1, 10 ** 400]]})),
             ("verify", "--N", "1", "--n", "1", "--theta",
              json.dumps({"n": 2, "mode": "rational", "upper": [[0, True, 1, True]]})),
+            ("verify", "--N", "1", "--n", "1", "--theta",
+             json.dumps({"n": 2, "mode": "rational", "upper": [[0, 1, 1, 3], [0, 1, 1, 4]]})),
+            ("verify", "--N", "1", "--n", "1", "--theta",
+             json.dumps({"n": 2, "mode": "float", "upper": [[0, 1, 0.25], [0, 1, 0.5]]})),
             ("cocycle", "--N", "2", "--degree", "-1")]:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "") and "error:" in err, argv
+
+
+@pytest.mark.parametrize("t", [0.3, 100000.3])
+def test_float_verify_reads_the_twist_mod_one(capsys, t):
+    upper = [[0, 1, t], [0, 2, 0.2], [1, 2, -t], [2, 3, t], [0, 3, 0.7]]
+    code, out, _ = run(capsys, "verify", "--N", "3", "--n", "-4", "--theta",
+                       json.dumps({"n": 4, "mode": "float", "upper": upper}))
+    assert (code, json.loads(out)) == (0, {"bidegree": True, "m_circ_l": "1"})
 
 
 def test_unwritable_output_is_a_usage_error(tmp_path, capsys):

@@ -2,6 +2,7 @@ import cmath
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from functools import reduce
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from heegaard import (AlgebraElement, ClassInvariant, SparseOperator, UnstableIn
                       truncated_trace, unit)
 from heegaard.algebra import Context
 from heegaard.fock import _identity, compact_charge, relation_defects, scalar_part
-from heegaard.phases import ThetaMatrix
+from heegaard.phases import ThetaMatrix, frac_part
 
 
 def test_single_generator_is_shift():
@@ -127,6 +128,30 @@ def test_relation_residuals():
             assert relation_residual(n_gen, th, M) <= 1e-10
     with pytest.raises(ValueError):
         relation_residual(1, ThetaMatrix.zero(2), 2)
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_residual_reads_the_twist_mod_one(mode):
+    # phases are computed from the fractional part of each entry, so a twist
+    # shifted by an integer loses no precision and gives the same residual
+    base = {(0, 1): Fraction(3, 10), (0, 2): Fraction(-2, 5), (1, 2): Fraction(7, 10)}
+    conv = Fraction if mode == "rational" else float
+    res = [relation_residual(2, ThetaMatrix.from_upper(
+               3, {jk: conv(v + shift) for jk, v in base.items()}, mode), 6)
+           for shift in (0, 10 ** 5, 10 ** 8)]
+    assert max(res) <= 1e-10, res
+    assert max(res) - min(res) <= 1e-15, res
+
+
+def test_frac_part_is_exact():
+    assert frac_part(Fraction(300001, 3)) == Fraction(1, 3)
+    assert frac_part(Fraction(-7, 2)) == Fraction(-1, 2)
+    assert frac_part(100000.3) == 100000.3 - 100000
+    assert frac_part(-2.75) == -0.75
+    for t in (0.3, -0.3, Fraction(2, 3), 0.0):
+        assert frac_part(t) == t
+    th = ThetaMatrix.from_upper(2, {(0, 1): -100000.25}, mode="float")
+    assert th.table == ((0.0, -0.25), (0.25, 0.0))
 
 
 @pytest.mark.parametrize("N", [1, 2])

@@ -100,6 +100,12 @@ def test_schema_errors_carry_paths():
         theta_from_obj({"n": 2, "mode": "rational", "upper": [[1, 0, 1, 2]]})
     assert "0 <= j < k < n" in str(exc.value)
 
+    with pytest.raises(SchemaError) as exc:
+        theta_from_obj({"n": 2, "mode": "rational",
+                        "upper": [[0, 1, 1, 3], [0, 1, 1, 4]]})
+    assert exc.value.path == "theta.upper[1]"
+    assert "duplicate entry (0, 1)" in str(exc.value)
+
     ctx_obj = {"kind": "toeplitz", "unitary": [],
                "theta": theta_to_obj(ThetaMatrix.zero(2))}
     with pytest.raises(SchemaError) as exc:
