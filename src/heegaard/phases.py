@@ -57,9 +57,10 @@ class ThetaMatrix:
 
     @classmethod
     def from_upper(cls, n: int, entries: dict, mode: str = RATIONAL) -> "ThetaMatrix":
-        """Build from a {(j, k): value} dict over the strict upper triangle."""
+        """Build from a {(j, k): value} dict; (k, j) stands for (j, k) with the
+        value negated, and a pair may be given only one way."""
         conv = Fraction if mode == RATIONAL else float
-        items = []
+        items = {}
         for (j, k), v in entries.items():
             if j == k:
                 if v:
@@ -67,10 +68,10 @@ class ThetaMatrix:
                 continue
             if j > k:
                 j, k, v = k, j, -v
-            v = conv(v)
-            if v:
-                items.append(((j, k), v))
-        return cls(n, mode, tuple(sorted(items)))
+            if (j, k) in items:
+                raise ValueError(f"pair {(j, k)} given as both {(j, k)} and {(k, j)}")
+            items[(j, k)] = conv(v)
+        return cls(n, mode, tuple(sorted((jk, v) for jk, v in items.items() if v)))
 
     @classmethod
     def random_rational(cls, n: int, seed: int, den: int = 8) -> "ThetaMatrix":

@@ -11,6 +11,7 @@ solve.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Dict, List, Tuple
 
 from .algebra import (AlgebraElement, Context, ContextMismatch, _unitary_reduce)
@@ -138,31 +139,20 @@ class CocycleReport:
 
 def _basis_monomials(n: int, degree_bound: int, zero_slots=(), positive_slots=()):
     """Multi-index pairs (p, q) with |p|+|q| <= bound, min(p_s,q_s)=0 on
-    zero_slots and min(p_s,q_s)>=1 on positive_slots."""
-    def vecs(total):
-        if n == 0:
-            yield ()
-            return
-        def rec(i, rem):
-            if i == n - 1:
-                yield (rem,)
-                return
-            for v in range(rem + 1):
-                for rest in rec(i + 1, rem - v):
-                    yield (v,) + rest
-        yield from rec(0, total)
+    zero_slots and min(p_s,q_s)>=1 on positive_slots, ordered by |p|+|q|,
+    then |p|, then p, then q.  A word positive on the slot set P is (e_P, e_P)
+    plus a word of degree <= bound - 2|P|, so only those are enumerated (in
+    ascending order, by stars and bars), and only zero_slots are filtered."""
+    shift = [int(s in positive_slots) for s in range(n)]
 
-    out = []
-    for d in range(degree_bound + 1):
-        for dp in range(d + 1):
-            for p in vecs(dp):
-                for q in vecs(d - dp):
-                    if any(min(p[s], q[s]) for s in zero_slots):
-                        continue
-                    if any(min(p[s], q[s]) < 1 for s in positive_slots):
-                        continue
-                    out.append((p, q))
-    return out
+    def vecs(total):
+        for cut in combinations(range(total + n - 1), n - 1):
+            yield tuple(b - a - 1 + e for a, b, e
+                        in zip((-1,) + cut, cut + (total + n - 1,), shift))
+
+    words = ((p, q) for d in range(degree_bound - 2 * sum(shift) + 1)
+             for dp in range(d + 1) for p in vecs(dp) for q in vecs(d - dp))
+    return [(p, q) for p, q in words if not any(min(p[s], q[s]) for s in zero_slots)]
 
 
 def _kernel_image_vectors(theta: ThetaMatrix, i: int, j: int, k: int,

@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from typing import Any, Dict
 
-from .algebra import AlgebraElement, Context
+from .algebra import AlgebraElement, Context, _canonicalize
 from .bundles import ProjectorMatrix, TensorElement
 from .coeff import Coeff
 from .phases import FLOAT, RATIONAL, ThetaMatrix
@@ -32,6 +32,14 @@ class SchemaError(ValueError):
 def _expect(cond: bool, path: str, message: str):
     if not cond:
         raise SchemaError(path, message)
+
+
+def _fields(obj: Any, path: str, *keys: str) -> list:
+    """The values of ``keys`` in the JSON object ``obj``, which must hold them all."""
+    _expect(isinstance(obj, dict), path, "expected an object")
+    for key in keys:
+        _expect(key in obj, f"{path}.{key}", "missing field")
+    return [obj[key] for key in keys]
 
 
 def _is_int(v) -> bool:
@@ -56,10 +64,7 @@ def theta_to_obj(theta: ThetaMatrix) -> Dict[str, Any]:
 
 
 def theta_from_obj(obj: Any, path: str = "theta") -> ThetaMatrix:
-    _expect(isinstance(obj, dict), path, "expected an object")
-    for key in ("n", "mode", "upper"):
-        _expect(key in obj, f"{path}.{key}", "missing field")
-    n, mode, upper = obj["n"], obj["mode"], obj["upper"]
+    n, mode, upper = _fields(obj, path, "n", "mode", "upper")
     _expect(_is_int(n) and n >= 1, f"{path}.n", "must be a positive integer")
     _expect(mode in (RATIONAL, FLOAT), f"{path}.mode", f"unknown mode {mode!r}")
     _expect(isinstance(upper, list), f"{path}.upper", "expected a list")
@@ -94,20 +99,17 @@ def context_to_obj(ctx: Context) -> Dict[str, Any]:
 
 
 def context_from_obj(obj: Any, path: str = "context") -> Context:
-    _expect(isinstance(obj, dict), path, "expected an object")
-    for key in ("kind", "unitary", "theta"):
-        _expect(key in obj, f"{path}.{key}", "missing field")
-    theta = theta_from_obj(obj["theta"], f"{path}.theta")
-    unitary = obj["unitary"]
+    kind, unitary, theta = _fields(obj, path, "kind", "unitary", "theta")
+    theta = theta_from_obj(theta, f"{path}.theta")
     _expect(isinstance(unitary, list) and all(_is_int(v) for v in unitary),
             f"{path}.unitary", "expected a list of integers")
     try:
-        return Context(obj["kind"], theta, tuple(unitary))
+        return Context(kind, theta, tuple(unitary))
     except (ValueError, IndexError) as exc:
         raise SchemaError(path, str(exc)) from None
 
 
-# -- scalars and elements ---------------------------------------------------
+# -- scalars and terms ------------------------------------------------------
 
 def _coeff_records(c: Coeff):
     """One record per phase (rational) or a single re/im record (float)."""
@@ -123,28 +125,56 @@ def _coeff_records(c: Coeff):
     return records
 
 
-def _coeff_from_record(rec: Any, mode: str, path: str) -> Coeff:
-    _expect(isinstance(rec, dict), path, "expected an object")
-    for key in ("re", "im"):
-        _expect(key in rec, f"{path}.{key}", "missing field")
-        _expect(_is_number(rec[key]), f"{path}.{key}", "expected a number")
-    if mode == FLOAT:
-        return Coeff.from_complex(complex(rec["re"], rec["im"]))
-    for key in ("phase_num", "phase_den", "amp_num", "amp_den"):
-        _expect(key in rec, f"{path}.{key}", "missing field")
-        _expect(_is_int(rec[key]), f"{path}.{key}", "expected an integer")
-    _expect(rec["phase_den"] != 0, f"{path}.phase_den", "denominator must be nonzero")
-    _expect(rec["amp_den"] != 0, f"{path}.amp_den", "denominator must be nonzero")
-    return Coeff.from_phase(Fraction(rec["phase_num"], rec["phase_den"]), RATIONAL,
-                            Fraction(rec["amp_num"], rec["amp_den"]))
+def _coeff_from_record(rec: Any, theta: ThetaMatrix, path: str) -> Coeff:
+    """The scalar of one record; a rational one is built at the lcm of the
+    twist's conductor and its phase denominator, so sums and products with
+    the twist's phases need no lift."""
+    re, im = _fields(rec, path, "re", "im")
+    for key, v in (("re", re), ("im", im)):
+        _expect(_is_number(v), f"{path}.{key}", "expected a number")
+    if theta.mode == FLOAT:
+        return Coeff.from_complex(complex(re, im))
+    keys = ("phase_num", "phase_den", "amp_num", "amp_den")
+    num, den, a, b = values = _fields(rec, path, *keys)
+    for key, v in zip(keys, values):
+        _expect(_is_int(v), f"{path}.{key}", "expected an integer")
+    _expect(den != 0, f"{path}.phase_den", "denominator must be nonzero")
+    _expect(b != 0, f"{path}.amp_den", "denominator must be nonzero")
+    w = Fraction(a, b)
+    if not w:
+        return Coeff.zero(RATIONAL)
+    w = w.numerator if w.denominator == 1 else w
+    return Coeff.from_exponent(0, theta).times_exponent(num, den, w)
 
+
+def _terms_to_obj(x: AlgebraElement) -> list:
+    return [{"p": list(p), "q": list(q), **rec}
+            for (p, q), c in x.sorted_terms() for rec in _coeff_records(c)]
+
+
+def _terms_from_obj(ctx: Context, records: Any, path: str) -> AlgebraElement:
+    """The element of ``ctx`` whose term records are ``records``: the records
+    of one word add up to one term, and the sum is brought to normal form
+    once, so non-canonical words are still reduced."""
+    _expect(isinstance(records, list), path, "expected a list")
+    n, terms = ctx.n, {}
+    for idx, rec in enumerate(records):
+        at = f"{path}[{idx}]"
+        p, q = _fields(rec, at, "p", "q")
+        for key, v in (("p", p), ("q", q)):
+            _expect(isinstance(v, list) and len(v) == n
+                    and all(_is_int(a) and a >= 0 for a in v),
+                    f"{at}.{key}", f"expected {n} non-negative integers")
+        c = _coeff_from_record(rec, ctx.theta, at)
+        word = (tuple(p), tuple(q))
+        terms[word] = terms[word] + c if word in terms else c
+    return _canonicalize(ctx, terms)
+
+
+# -- elements, tensors and projectors ---------------------------------------
 
 def element_to_obj(x: AlgebraElement) -> Dict[str, Any]:
-    terms = []
-    for (p, q), c in x.sorted_terms():
-        for rec in _coeff_records(c):
-            terms.append({"p": list(p), "q": list(q), **rec})
-    return {"context": context_to_obj(x.ctx), "terms": terms}
+    return {"context": context_to_obj(x.ctx), "terms": _terms_to_obj(x)}
 
 
 def vector_to_obj(v) -> list:
@@ -153,81 +183,50 @@ def vector_to_obj(v) -> list:
 
 
 def element_from_obj(obj: Any, path: str = "element") -> AlgebraElement:
-    _expect(isinstance(obj, dict), path, "expected an object")
-    for key in ("context", "terms"):
-        _expect(key in obj, f"{path}.{key}", "missing field")
-    ctx = context_from_obj(obj["context"], f"{path}.context")
-    _expect(isinstance(obj["terms"], list), f"{path}.terms", "expected a list")
-    out = AlgebraElement.zero(ctx)
-    for idx, rec in enumerate(obj["terms"]):
-        p_path = f"{path}.terms[{idx}]"
-        _expect(isinstance(rec, dict), p_path, "expected an object")
-        for key in ("p", "q"):
-            _expect(key in rec, f"{p_path}.{key}", "missing field")
-            v = rec[key]
-            _expect(isinstance(v, list) and len(v) == ctx.n
-                    and all(_is_int(a) and a >= 0 for a in v),
-                    f"{p_path}.{key}", f"expected {ctx.n} non-negative integers")
-        c = _coeff_from_record(rec, ctx.mode, p_path)
-        out = out + AlgebraElement.monomial(ctx, tuple(rec["p"]), tuple(rec["q"]), c)
-    return out
+    ctx, terms = _fields(obj, path, "context", "terms")
+    ctx = context_from_obj(ctx, f"{path}.context")
+    return _terms_from_obj(ctx, terms, f"{path}.terms")
 
-
-# -- tensors and projectors -------------------------------------------------
 
 def tensor_to_obj(t: TensorElement) -> Dict[str, Any]:
     return {"context": context_to_obj(t.ctx),
-            "summands": [{"left": element_to_obj(a)["terms"],
-                          "right": element_to_obj(r)["terms"]}
+            "summands": [{"left": _terms_to_obj(a), "right": _terms_to_obj(r)}
                          for a, r in t.summands]}
 
 
 def tensor_from_obj(obj: Any, path: str = "tensor") -> TensorElement:
-    _expect(isinstance(obj, dict), path, "expected an object")
-    for key in ("context", "summands"):
-        _expect(key in obj, f"{path}.{key}", "missing field")
-    ctx = context_from_obj(obj["context"], f"{path}.context")
-    _expect(isinstance(obj["summands"], list), f"{path}.summands", "expected a list")
-    summands = []
-    for idx, rec in enumerate(obj["summands"]):
+    ctx, summands = _fields(obj, path, "context", "summands")
+    ctx = context_from_obj(ctx, f"{path}.context")
+    _expect(isinstance(summands, list), f"{path}.summands", "expected a list")
+    pairs = []
+    for idx, rec in enumerate(summands):
         p = f"{path}.summands[{idx}]"
-        _expect(isinstance(rec, dict) and "left" in rec and "right" in rec,
-                p, "expected an object with left and right")
-        a = element_from_obj({"context": obj["context"], "terms": rec["left"]},
-                             f"{p}.left")
-        r = element_from_obj({"context": obj["context"], "terms": rec["right"]},
-                             f"{p}.right")
-        summands.append((a, r))
-    return TensorElement(ctx, summands)
+        left, right = _fields(rec, p, "left", "right")
+        pairs.append((_terms_from_obj(ctx, left, f"{p}.left.terms"),
+                      _terms_from_obj(ctx, right, f"{p}.right.terms")))
+    return TensorElement(ctx, pairs)
 
 
 def projector_to_obj(e: ProjectorMatrix) -> Dict[str, Any]:
-    ctx = e.entries[0][0].ctx
     return {"n": e.winding, "size": e.size,
-            "context": context_to_obj(ctx),
-            "entries": [[element_to_obj(x)["terms"] for x in row]
-                        for row in e.entries]}
+            "context": context_to_obj(e.entries[0][0].ctx),
+            "entries": [[_terms_to_obj(x) for x in row] for row in e.entries]}
 
 
 def projector_from_obj(obj: Any, path: str = "projector") -> ProjectorMatrix:
-    _expect(isinstance(obj, dict), path, "expected an object")
-    for key in ("n", "size", "context", "entries"):
-        _expect(key in obj, f"{path}.{key}", "missing field")
-    _expect(_is_int(obj["n"]), f"{path}.n", "expected an integer")
-    size = obj["size"]
+    n, size, ctx, entries = _fields(obj, path, "n", "size", "context", "entries")
+    _expect(_is_int(n), f"{path}.n", "expected an integer")
     _expect(_is_int(size), f"{path}.size", "expected an integer")
-    entries = obj["entries"]
+    ctx = context_from_obj(ctx, f"{path}.context")
     _expect(isinstance(entries, list) and len(entries) == size,
             f"{path}.entries", "row count must equal size")
     rows = []
     for i, row in enumerate(entries):
         _expect(isinstance(row, list) and len(row) == size,
                 f"{path}.entries[{i}]", "column count must equal size")
-        rows.append(tuple(
-            element_from_obj({"context": obj["context"], "terms": cell},
-                             f"{path}.entries[{i}][{j}]")
-            for j, cell in enumerate(row)))
-    return ProjectorMatrix(obj["n"], tuple(rows))
+        rows.append(tuple(_terms_from_obj(ctx, cell, f"{path}.entries[{i}][{j}].terms")
+                          for j, cell in enumerate(row)))
+    return ProjectorMatrix(n, tuple(rows))
 
 
 def to_json(obj: Dict[str, Any]) -> str:

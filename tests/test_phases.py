@@ -26,6 +26,20 @@ def test_antisymmetry_is_structural():
         ThetaMatrix.from_upper(2, {(0, 0): Fraction(1, 2)})
 
 
+@pytest.mark.parametrize("entries,mode", [
+    ({(0, 1): 0.25, (1, 0): 0.5}, "float"),
+    ({(0, 1): Fraction(1, 4), (1, 0): Fraction(-1, 4)}, "rational"),
+    ({(1, 2): Fraction(1, 3), (2, 1): 0}, "rational"),
+])
+def test_from_upper_refuses_a_pair_given_both_ways(entries, mode):
+    with pytest.raises(ValueError, match=r"pair \((0, 1|1, 2)\)"):
+        ThetaMatrix.from_upper(3, entries, mode)
+    # each orientation alone is fine
+    one_way = {jk: v for jk, v in entries.items() if jk[0] < jk[1]}
+    assert ThetaMatrix.from_upper(3, one_way, mode).upper == \
+        tuple((jk, v) for jk, v in one_way.items() if v)
+
+
 def test_cocycle_zero_matrix():
     th = ThetaMatrix.zero(3)
     assert cocycle_phase(th, (1, 2, 3), (4, 5, 6)) == 0

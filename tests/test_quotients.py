@@ -252,6 +252,33 @@ def test_kernel_image_vectors_match_the_element_arithmetic(twist):
             assert [[(m, exact(c)) for m, c in v.items()] for v in got] == want
 
 
+def _reference_basis_monomials(n, degree_bound, zero_slots=(), positive_slots=()):
+    """Every word of degree <= bound in the old generate-and-filter order."""
+    def vecs(total, i=0):
+        if i == n - 1:
+            yield (total,)
+            return
+        for v in range(total + 1):
+            for rest in vecs(total - v, i + 1):
+                yield (v,) + rest
+
+    return [(p, q) for d in range(degree_bound + 1) for dp in range(d + 1)
+            for p in vecs(dp) for q in vecs(d - dp)
+            if not any(min(p[s], q[s]) for s in zero_slots)
+            and all(min(p[s], q[s]) >= 1 for s in positive_slots)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_basis_monomials_match_generate_and_filter(n):
+    slot_sets = [()] + [(s,) for s in range(n)] + [(0, n - 1)] * (n > 1)
+    for d in range(6):
+        for zero in slot_sets:
+            for positive in slot_sets:
+                got = quotients._basis_monomials(n, d, zero, positive)
+                assert got == _reference_basis_monomials(n, d, zero, positive), \
+                    (d, zero, positive)
+
+
 def _vector_records(v):
     return [[list(p), list(q), serialize._coeff_records(v[(p, q)])] for p, q in sorted(v)]
 
