@@ -41,7 +41,7 @@ expanding that product and solving for prod_s Q_s gives the sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from operator import add
 from typing import Dict, Tuple
 
@@ -319,16 +319,20 @@ def unit(ctx: Context) -> AlgebraElement:
     return AlgebraElement.unit(ctx)
 
 
-def sphere_defect(ctx: Context) -> AlgebraElement:
-    """prod_i (1 - w_i w_i*) expanded in the monomial basis.
-
-    In the sphere context this normalizes to 0 by construction.
+def range_complement(ctx: Context, slots) -> AlgebraElement:
+    """The ordered product prod_{s in slots} (1 - w_s w_s*) in closed form,
+    sum_{T subset slots} (-1)^{|T|} W_{e_T} W_{e_T}*: the projections w_s w_s*
+    commute, and by the product formula a product of them is the canonical
+    word with phase 0.  Words come in ascending e_T, as the product makes them.
     """
-    out = AlgebraElement.unit(ctx)
-    for i in range(ctx.n):
-        g = generator(ctx, i)
-        out = out * (AlgebraElement.unit(ctx) - g * g.star())
-    return out
+    one, slots = Coeff.from_exponent(0, ctx.theta), set(slots)
+    words = product(*((0, 1) if s in slots else (0,) for s in range(ctx.n)))
+    return _canonicalize(ctx, {(e, e): -one if sum(e) % 2 else one for e in words})
+
+
+def sphere_defect(ctx: Context) -> AlgebraElement:
+    """prod_i (1 - w_i w_i*); in the sphere context it normalizes to 0."""
+    return range_complement(ctx, range(ctx.n))
 
 
 def compact_matrix_unit(p, q, ctx: Context) -> AlgebraElement:

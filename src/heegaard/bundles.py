@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from .algebra import (AlgebraElement, Context, ContextMismatch, generator,
-                      unit)
+                      range_complement, unit)
 from .grading import extend_hom
 from .phases import ThetaMatrix
 
@@ -77,11 +77,7 @@ def h_tail(i: int, ctx: Context) -> AlgebraElement:
     """The ordered product of range complements in slots above i."""
     if not 0 <= i < ctx.n:
         raise IndexError(f"index {i} out of range")
-    out = unit(ctx)
-    for j in range(i + 1, ctx.n):
-        g = generator(ctx, j)
-        out = out * (unit(ctx) - g * g.star())
-    return out
+    return range_complement(ctx, range(i + 1, ctx.n))
 
 
 def strong_connection(n: int, N: int, theta: ThetaMatrix) -> TensorElement:
@@ -130,6 +126,10 @@ class ProjectorMatrix:
     entries: Tuple[Tuple[AlgebraElement, ...], ...]
     lefts: Tuple[AlgebraElement, ...] = ()
     rights: Tuple[AlgebraElement, ...] = ()
+
+    def __post_init__(self):
+        if not self.entries:
+            raise ValueError("empty projector")
 
     @property
     def size(self) -> int:

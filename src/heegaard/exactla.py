@@ -2,29 +2,33 @@
 
 Systems sum_j c_j * column_j = target are solved for scalars c_j, where the
 columns and the target are finitely supported maps from abstract coordinate
-keys to :class:`~heegaard.coeff.Coeff`.  In rational mode every phase present
-has some denominator dividing a common D, so each unknown expands over the
-rational vector space spanned by the D phases e^{2*pi*i*k/D}; phase
-multiplication becomes an index shift mod D and the whole system becomes a
-rational linear system.  In float mode the system is solved by least
-squares with a residual threshold.
+keys to :class:`~heegaard.coeff.Coeff`, whose class picks the method.  Exact
+phases all have some denominator dividing a common D, so each unknown
+expands over the rational vector space spanned by the D phases
+e^{2*pi*i*k/D}; phase multiplication becomes an index shift mod D and the
+whole system becomes a rational linear system.  A
+:class:`~heegaard.coeff.FloatCoeff` system is solved by least squares with a
+residual threshold.
 
 Each D-block of the expanded system is a circulant with one nonzero per row
 for every phase of its coefficient, so the system is kept sparse: a row is
 a dict from column index to a rational weight, and one elimination routine
-(``_reduce``/``_insert``) brings rows to row-echelon form with pivots taken
-in a fixed column order.  A row is divided by its pivot only when the pivot
+(``_insert``) brings rows to row-echelon form with pivots taken in a fixed
+column order.  A row is divided by its pivot only when the pivot
 is not +-1, so weights stay ints as long as they can, and integral solution
 weights are returned as ints.  The particular solution sets the free
-unknowns to zero and back-substitutes the pivot unknowns.  That is the right-hand side
-of the reduced row-echelon form (RREF), which is unique for a fixed column
-order whatever the order in which rows are eliminated, so the solution is
-the one a dense Gauss-Jordan elimination of the same system gives.
+unknowns to zero and back-substitutes the pivot unknowns.  That is the
+right-hand side of the reduced row-echelon form (RREF), which is unique for
+a fixed column order whatever the order in which rows are eliminated, so the
+solution is the one a dense Gauss-Jordan elimination of the same system
+gives.
 
 Columns are ordered unknown by unknown, phase by phase (column j*D + k is
-the weight of e^{2*pi*i*k/D} in c_j), with the right-hand side last.  Span
-membership (:func:`first_outside_span`) eliminates the D phase shifts of
-the spanning vectors once and reduces each candidate against them.
+the weight of e^{2*pi*i*k/D} in c_j), with one right-hand side column per
+target last (``_echelon``).  Column rhs + t is a pivot exactly when target t
+lies outside the span of the columns and the earlier targets, so the
+smallest such t is the first vector outside the span
+(:func:`first_outside_span`).
 """
 
 from __future__ import annotations
@@ -36,8 +40,7 @@ from typing import Dict, Hashable, List, Optional, Sequence
 
 import numpy as np
 
-from .coeff import Coeff, _new
-from .phases import FLOAT, RATIONAL
+from .coeff import Coeff, FloatCoeff, _new
 
 Vector = Dict[Hashable, Coeff]
 
@@ -55,10 +58,12 @@ def _shifts(c: Coeff, D: int):
     return [(k * D // c.D, w) for k, w in c.terms.items()]
 
 
-def _reduce(rows: Dict[int, dict], v: dict) -> dict:
+def _insert(rows: Dict[int, dict], v: dict) -> Optional[int]:
     """Subtract stored rows from v, in place, until no pivot column of
-    ``rows`` is left in v.  Each stored row has entry 1 at its pivot, its
-    smallest column, so pivots are cleared in ascending order."""
+    ``rows`` is left in v, and store the rest under its pivot, its smallest
+    column.  Each stored row has entry 1 at its pivot, so pivots are cleared
+    in ascending order.  Returns the pivot, or None if v lies in the span of
+    the stored rows."""
     heap = [c for c in v if c in rows]
     heapify(heap)
     while heap:
@@ -80,13 +85,6 @@ def _reduce(rows: Dict[int, dict], v: dict) -> dict:
                     v[col] = s
                 else:
                     del v[col]
-    return v
-
-
-def _insert(rows: Dict[int, dict], v: dict) -> Optional[int]:
-    """Reduce v and store it under its pivot; returns the pivot, or None if
-    v lies in the span of the stored rows."""
-    _reduce(rows, v)
     if not v:
         return None
     p = min(v)
@@ -101,33 +99,54 @@ def _insert(rows: Dict[int, dict], v: dict) -> Optional[int]:
     return p
 
 
-def solve_exact(columns: Sequence[Vector], target: Vector,
-                mode: str = RATIONAL) -> Optional[List[Coeff]]:
+def _is_float(*groups) -> bool:
+    """Whether the first scalar in the groups of vectors is a FloatCoeff."""
+    first = next((c for vs in groups for v in vs for c in v.values()), None)
+    return isinstance(first, FloatCoeff)
+
+
+def _echelon(columns: Sequence[Vector], targets: Sequence[Vector]):
+    """(D, rhs, rows): the expanded system sum_j c_j*column_j with target t as
+    right-hand column rhs + t, in row-echelon form.  rows is None as soon as
+    a row's pivot is the first target column."""
+    D = _conductor(list(columns) + list(targets))
+    rhs = len(columns) * D
+    # per key: the column parts, and the target parts as {phase: {column: weight}}
+    by_key: Dict[Hashable, tuple] = {}
+    for j, col in enumerate(columns):
+        for key, c in col.items():
+            by_key.setdefault(key, ([], {}))[0].append((j * D, _shifts(c, D)))
+    for t, vec in enumerate(targets):
+        for key, c in vec.items():
+            tv = by_key.setdefault(key, ([], {}))[1]
+            for r, w in _shifts(c, D):
+                tv.setdefault(r, {})[rhs + t] = w
+    rows: Dict[int, dict] = {}
+    for entries, tv in by_key.values():
+        # (c * x)[r] = sum_s c[s] x[(r - s) mod D]
+        for r in range(D):
+            v = {base + (r - s) % D: w for base, parts in entries for s, w in parts}
+            if r in tv:
+                v.update(tv[r])
+            if _insert(rows, v) == rhs:
+                return D, rhs, None
+    return D, rhs, rows
+
+
+def solve_exact(columns: Sequence[Vector], target: Vector) -> Optional[List[Coeff]]:
     """Scalars c_j with sum_j c_j*column_j == target, or None if inconsistent.
 
     Free variables are set to zero, so the returned solution is particular,
     not unique.
     """
-    if mode == FLOAT:
-        return _solve_float(columns, target)
-    D = _conductor(list(columns) + [target])
-    rhs = len(columns) * D
-    by_key: Dict[Hashable, list] = {}
-    for j, col in enumerate(columns):
-        for key, c in col.items():
-            by_key.setdefault(key, []).append((j * D, _shifts(c, D)))
-    for key in target:
-        by_key.setdefault(key, [])
-    rows: Dict[int, dict] = {}
-    for key, entries in by_key.items():
-        tv = dict(_shifts(target[key], D)) if key in target else {}
-        # (c * x)[r] = sum_s c[s] x[(r - s) mod D]
-        for r in range(D):
-            v = {base + (r - s) % D: w for base, parts in entries for s, w in parts}
-            if r in tv:
-                v[rhs] = tv[r]
-            if _insert(rows, v) == rhs:
-                return None
+    if _is_float(columns, [target]):
+        x, residual = _float_residuals(columns, [target])
+        if residual[0] > FLOAT_SOLVE_TOL:
+            return None
+        return [Coeff.from_complex(z) for z in x[:, 0]]
+    D, rhs, rows = _echelon(columns, [target])
+    if rows is None:
+        return None
     x = [0] * rhs
     for p in sorted(rows, reverse=True):
         row = rows[p]
@@ -137,32 +156,17 @@ def solve_exact(columns: Sequence[Vector], target: Vector,
             for base in range(0, rhs, D)]
 
 
-def first_outside_span(span: Sequence[Vector], vectors: Sequence[Vector],
-                       mode: str = RATIONAL) -> Optional[int]:
+def first_outside_span(span: Sequence[Vector],
+                       vectors: Sequence[Vector]) -> Optional[int]:
     """Index of the first vector that is not a Coeff-combination of ``span``
-    (``solve_exact(span, v, mode) is None``), or None if all of them are."""
-    if mode == FLOAT:
+    (``solve_exact(span, v) is None``), or None if all of them are."""
+    if _is_float(span, vectors):
         bad = np.flatnonzero(_float_residuals(span, vectors)[1] > FLOAT_SOLVE_TOL)
         return int(bad[0]) if bad.size else None
-    D = _conductor(list(span) + list(vectors))
-    index: Dict[Hashable, int] = {}
-
-    def expand(v: Vector, shift: int) -> dict:
-        out = {}
-        for key, c in v.items():
-            base = index.setdefault(key, len(index)) * D
-            for s, w in _shifts(c, D):
-                out[base + (s + shift) % D] = w
-        return out
-
-    rows: Dict[int, dict] = {}
-    for v in span:
-        for shift in range(D):
-            _insert(rows, expand(v, shift))
-    for idx, v in enumerate(vectors):
-        if _reduce(rows, expand(v, 0)):
-            return idx
-    return None
+    _, rhs, rows = _echelon(span, vectors)
+    if rows is None:
+        return 0
+    return min((p - rhs for p in rows if p >= rhs), default=None)
 
 
 # -- float mode ------------------------------------------------------------
@@ -184,10 +188,3 @@ def _float_residuals(columns: Sequence[Vector], targets: Sequence[Vector]):
     a, b = fill(columns), fill(targets)
     x = np.linalg.lstsq(a, b, rcond=None)[0]
     return x, np.linalg.norm(a @ x - b, axis=0)
-
-
-def _solve_float(columns, target) -> Optional[List[Coeff]]:
-    x, residual = _float_residuals(columns, [target])
-    if residual[0] > FLOAT_SOLVE_TOL:
-        return None
-    return [Coeff.from_complex(z) for z in x[:, 0]]

@@ -302,8 +302,6 @@ def class_invariant(e: ProjectorMatrix, m_list: List[int],
     least every exponent of the diagonal words, so the truncations (at least
     N+2, ascending) must all lie in that range.
     """
-    if not e.entries:
-        raise ValueError("empty projector")
     ctx = e.entries[0][0].ctx
     n = ctx.n                       # N + 1
     if len(m_list) < n + 1:

@@ -123,7 +123,7 @@ def glue(t: MultipullbackTuple, max_support: int = 4000) -> AlgebraElement:
         for i, b in enumerate(t.components):
             for m, c in b.terms.items():
                 target[(i, m)] = c
-        sol = solve_exact(columns, target, theta.mode)
+        sol = solve_exact(columns, target)
         if sol is not None:
             terms = {m: c for m, c in zip(cand_list, sol) if not c.is_zero()}
             return AlgebraElement(ctx, terms)
@@ -189,7 +189,6 @@ def cocycle_check(theta: ThetaMatrix, degree_bound: int) -> CocycleReport:
     p_j - q_j unchanged.
     """
     n = theta.n
-    mode = theta.mode
     failures = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -198,11 +197,11 @@ def cocycle_check(theta: ThetaMatrix, degree_bound: int) -> CocycleReport:
                     continue
                 side_a = _kernel_image_vectors(theta, i, j, k, degree_bound)
                 side_b = _kernel_image_vectors(theta, j, i, k, degree_bound)
-                bad = first_outside_span(side_b, side_a, mode)
+                bad = first_outside_span(side_b, side_a)
                 if bad is not None:
                     failures.append((i, j, k, sorted(side_a[bad])[0], side_a[bad]))
                     continue
-                bad = first_outside_span(side_a, side_b, mode)
+                bad = first_outside_span(side_a, side_b)
                 if bad is not None:
                     failures.append((j, i, k, sorted(side_b[bad])[0], side_b[bad]))
     return CocycleReport(passed=not failures,

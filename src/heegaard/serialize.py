@@ -141,8 +141,6 @@ def _coeff_from_record(rec: Any, theta: ThetaMatrix, path: str) -> Coeff:
     _expect(den != 0, f"{path}.phase_den", "denominator must be nonzero")
     _expect(b != 0, f"{path}.amp_den", "denominator must be nonzero")
     w = Fraction(a, b)
-    if not w:
-        return Coeff.zero(RATIONAL)
     w = w.numerator if w.denominator == 1 else w
     return Coeff.from_exponent(0, theta).times_exponent(num, den, w)
 
@@ -218,6 +216,7 @@ def projector_from_obj(obj: Any, path: str = "projector") -> ProjectorMatrix:
     _expect(_is_int(n), f"{path}.n", "expected an integer")
     _expect(_is_int(size), f"{path}.size", "expected an integer")
     ctx = context_from_obj(ctx, f"{path}.context")
+    _expect(size > 0, f"{path}.size", "must be a positive integer")
     _expect(isinstance(entries, list) and len(entries) == size,
             f"{path}.entries", "row count must equal size")
     rows = []

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from conftest import random_element, random_float_theta, rng_for
 from heegaard import (AlgebraElement, Coeff, compact_matrix_unit, generator,
-                      sphere_defect, unit)
-from heegaard.algebra import Context, ContextMismatch, _unitary_reduce
+                      h_tail, sphere_defect, unit)
+from heegaard.algebra import (Context, ContextMismatch, _unitary_reduce,
+                              range_complement)
 from heegaard.phases import ThetaMatrix
 
 
@@ -104,6 +105,55 @@ def test_sphere_defect_shapes():
                 + AlgebraElement.monomial(ctx, (1, 1), (1, 1)))
     assert sphere_defect(ctx) == expected
     assert len(sphere_defect(toeplitz(3, seed=1)).terms) == 8
+
+
+def _ordered_range_complement(ctx, slots):
+    """prod_{s in slots} (1 - w_s w_s*) by ordered products, slot by slot."""
+    out = unit(ctx)
+    for s in sorted(slots):
+        g = generator(ctx, s)
+        out = out * (unit(ctx) - g * g.star())
+    return out
+
+
+def _exact_terms(x):
+    """Words in order, with the class, conductor and bit-exact weights of each
+    scalar (repr tells -0.0 from 0.0)."""
+    return [(m, type(c), c.D, repr(c.terms)) for m, c in x.terms.items()]
+
+
+@pytest.mark.parametrize("twist", ["zero", "den-12", "float"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_range_complement_matches_ordered_product(n, twist):
+    rng = rng_for(f"range-complement-{n}-{twist}")
+    th = {"zero": ThetaMatrix.zero(n),
+          "den-12": ThetaMatrix.random_rational(n, seed=n, den=12),
+          "float": random_float_theta(n, rng)}[twist]
+    for ctx in (Context.toeplitz(th), Context.sphere(th)):
+        for k in range(n + 1):
+            for slots in itertools.combinations(range(n), k):
+                got = range_complement(ctx, slots)
+                want = _ordered_range_complement(ctx, slots)
+                assert got == want
+                assert _exact_terms(got) == _exact_terms(want), (ctx, slots)
+
+
+def test_range_complements_multiply_no_elements(monkeypatch):
+    calls = []
+    mul = AlgebraElement.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(AlgebraElement, "__mul__", counting)
+    th = ThetaMatrix.random_rational(4, seed=3, den=12)
+    for ctx in (Context.toeplitz(th), Context.sphere(th)):
+        sphere_defect(ctx)
+        for i in range(4):
+            h_tail(i, ctx)
+        range_complement(ctx, (1, 3))
+    assert calls == []
 
 
 def test_defect_killed_by_annihilation():

@@ -259,3 +259,12 @@ def test_unit_coefficients_are_built_at_the_twist_conductor():
     for x in (AlgebraElement.unit(ctx), AlgebraElement.monomial(ctx, (1, 0, 0), (0, 0, 1))):
         assert [c.D for c in x.terms.values()] == [theta.conductor] == [24]
     assert Coeff.from_exponent(5, theta, -1) == Coeff.from_phase(Fraction(5, 24), RATIONAL, -1)
+
+
+def test_zero_weight_gives_no_terms():
+    th = ThetaMatrix.random_rational(2, seed=1)
+    for c in (Coeff.from_exponent(3, th, 0), Coeff.rational(2).times_exponent(1, 4, 0),
+              Coeff.from_phase(Fraction(1, 3), RATIONAL).times_exponent(0, 1, Fraction(0))):
+        assert c.terms == {}
+        assert c.is_zero()
+        assert c == Coeff.zero(RATIONAL)

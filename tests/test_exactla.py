@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from conftest import rng_for
-from heegaard.coeff import Coeff
-from heegaard.exactla import first_outside_span, solve_exact
-from heegaard.phases import FLOAT, RATIONAL
+from heegaard.coeff import Coeff, FloatCoeff
+from heegaard.exactla import FLOAT_SOLVE_TOL, first_outside_span, solve_exact
+from heegaard.phases import RATIONAL
 
 
 def dense_solve(columns, target):
@@ -184,9 +184,9 @@ def test_solve_edge_cases():
     assert solve_exact([{"a": half}], {"a": half})[0].parts == one.parts
 
 
-def per_vector_first_failure(span, vectors, mode):
+def per_vector_first_failure(span, vectors):
     return next((i for i, v in enumerate(vectors)
-                 if solve_exact(span, v, mode) is None), None)
+                 if solve_exact(span, v) is None), None)
 
 
 @pytest.mark.parametrize("D", [1, 2, 3, 4, 8, 12])
@@ -201,7 +201,7 @@ def test_span_helper_matches_per_vector_solves(D):
                 vectors.append(combine([random_coeff(rng, D) for _ in span], span))
             else:
                 vectors.append(random_system(rng, D, consistent=False)[1])
-        want = per_vector_first_failure(span, vectors, RATIONAL)
+        want = per_vector_first_failure(span, vectors)
         assert first_outside_span(span, vectors) == want
         seen.add(want)
     # the first failure occurs at several positions, and sometimes never
@@ -226,8 +226,8 @@ def test_span_helper_float_matches_per_vector_solves():
                 vectors.append(combine([Coeff.from_complex(z) for z in w], span))
             else:
                 vectors.append(vec(rng.sample(keys, 2)))
-        want = per_vector_first_failure(span, vectors, FLOAT)
-        assert first_outside_span(span, vectors, FLOAT) == want
+        want = per_vector_first_failure(span, vectors)
+        assert first_outside_span(span, vectors) == want
         seen.add(want)
     assert None in seen and len(seen) >= 3
 
@@ -241,12 +241,46 @@ def test_float_solve_matches_dense_least_squares():
                    for _ in range(rng.randint(1, 4))]
         w = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in columns]
         target = combine([Coeff.from_complex(z) for z in w], columns)
-        got = solve_exact(columns, target, FLOAT)
+        got = solve_exact(columns, target)
         rows = sorted({k for col in columns for k in col} | set(target), key=repr)
         a = np.array([[col[k].to_complex() if k in col else 0 for col in columns]
                       for k in rows])
         b = np.array([target[k].to_complex() if k in target else 0 for k in rows])
         x = np.linalg.lstsq(a, b, rcond=None)[0]
         assert np.allclose([c.to_complex() for c in got], x, atol=1e-12)
-    assert solve_exact([{0: Coeff.from_complex(1)}], {1: Coeff.from_complex(1)},
-                       FLOAT) is None
+    assert solve_exact([{0: Coeff.from_complex(1)}], {1: Coeff.from_complex(1)}) is None
+
+
+def test_float_scalars_pick_least_squares():
+    # no mode argument: FloatCoeff inputs are read as complex and solved by
+    # dense least squares, for a single target and for a span check
+    rng = rng_for("exactla-float-class")
+
+    def z():
+        return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+
+    seen = set()
+    for _ in range(20):
+        keys = list(range(rng.randint(2, 6)))
+        span = [{k: Coeff.from_complex(z()) for k in rng.sample(keys, rng.randint(1, 2))}
+                for _ in range(rng.randint(1, 3))]
+        vectors = [combine([Coeff.from_complex(z()) for _ in span], span)
+                   if rng.random() < 0.5 else
+                   {k: Coeff.from_complex(z()) for k in rng.sample(keys, 2)}
+                   for _ in range(rng.randint(1, 4))]
+        rows = sorted({k for v in span + vectors for k in v})
+        a = np.array([[v[k].to_complex() if k in v else 0 for v in span] for k in rows])
+        b = np.array([[v[k].to_complex() if k in v else 0 for v in vectors]
+                      for k in rows])
+        x = np.linalg.lstsq(a, b, rcond=None)[0]
+        outside = np.linalg.norm(a @ x - b, axis=0) > FLOAT_SOLVE_TOL
+        want = int(np.flatnonzero(outside)[0]) if outside.any() else None
+        assert first_outside_span(span, vectors) == want
+        seen.add(want)
+        got = solve_exact(span, vectors[0])
+        if outside[0]:
+            assert got is None
+        else:
+            assert all(type(c) is FloatCoeff for c in got)
+            assert np.allclose([c.to_complex() for c in got], x[:, 0], atol=1e-12)
+    assert None in seen and len(seen) >= 2

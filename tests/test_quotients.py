@@ -296,12 +296,12 @@ def _per_vector_failures(theta, degree):
                 side_a = quotients._kernel_image_vectors(theta, i, j, k, degree)
                 side_b = quotients._kernel_image_vectors(theta, j, i, k, degree)
                 for v in side_a:
-                    if solve_exact(side_b, v, theta.mode) is None:
+                    if solve_exact(side_b, v) is None:
                         failures.append([i, j, k, v])
                         break
                 else:
                     for v in side_b:
-                        if solve_exact(side_a, v, theta.mode) is None:
+                        if solve_exact(side_a, v) is None:
                             failures.append([j, i, k, v])
                             break
     return [[i, j, k, [list(m) for m in min(v)], _vector_records(v)]

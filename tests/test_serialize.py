@@ -276,3 +276,14 @@ def test_float_roundtrip(emit, parse, x):
 def test_unknown_mode_rejected():
     with pytest.raises(SchemaError):
         theta_from_obj({"n": 2, "mode": "decimal", "upper": []})
+
+
+def test_empty_projector_is_refused():
+    with pytest.raises(ValueError, match="empty projector"):
+        ProjectorMatrix(0, ())
+    th = ThetaMatrix.random_rational(2, seed=6)
+    empty = {"n": 0, "size": 0, "entries": [],
+             "context": serialize.context_to_obj(Context.sphere(th))}
+    with pytest.raises(SchemaError) as exc:
+        projector_from_obj(empty)
+    assert exc.value.path == "projector.size"
