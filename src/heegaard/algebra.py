@@ -21,6 +21,12 @@ conductor (``ThetaMatrix.table``).  Quotient contexts impose extra relations:
 unitary slots add w_s w_s* = 1, and the sphere quotient kills the
 range-complement product prod_j (1 - w_j w_j*).
 
+``AlgebraElement.__mul__`` evaluates this formula once per pair of terms:
+q - p of each left word and t - r of each right word are taken once, and
+one pass over the slots builds the word and sums phi in a fixed order (a
+ascending, then c ascending, zero integer factors skipped), so float phases
+repeat bit for bit.
+
 Reducing W_p W_q* on a slot set V cancels the min(p_s, q_s) pairs w_s w_s*
 of each s in V for the phase sum_{s in V} min(p_s, q_s) sum_{j>s}
 theta_sj (p_j - q_j).  It is additive over slots and independent of their
@@ -41,8 +47,9 @@ expanding that product and solving for prod_s Q_s gives the sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
-from operator import add
+from operator import sub
 from typing import Dict, Tuple
 
 from .coeff import Coeff
@@ -107,28 +114,6 @@ class Context:
     def ambient(self) -> "Context":
         """The plain algebra with the same twist (all extra relations dropped)."""
         return Context(TOEPLITZ, self.theta)
-
-
-def _mono_product(theta: ThetaMatrix, p, q, r, t):
-    """(W_p W_q*)(W_r W_t*) = e(phase/D) W_{p+r'} W_{q'+t}*; returns
-    (phase, p', q') with phase an exponent over the conductor D.
-
-    The closed form of the module docstring, with zero integer factors skipped.
-    """
-    table, n = theta.table, theta.n
-    rr = [b - a if b > a else 0 for a, b in zip(q, r)]
-    qq = [a - b if a > b else 0 for a, b in zip(q, r)]
-    phase = 0
-    for a in range(n):
-        ra, qa = rr[a], qq[a]
-        if not (ra or qa):
-            continue
-        row = table[a]
-        for c in range(a + 1, n):
-            k = ra * (q[c] - p[c]) + qa * (t[c] - r[c])
-            if k:
-                phase += k * row[c]
-    return phase, tuple(map(add, p, rr)), tuple(map(add, qq, t))
 
 
 def _unitary_reduce(theta: ThetaMatrix, slots, p, q):
@@ -215,13 +200,32 @@ class AlgebraElement:
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
-        theta, D = self.ctx.theta, self.ctx.theta.conductor
+        theta = self.ctx.theta
+        table, D, n = theta.table, theta.conductor, theta.n
+        rights = [(r, t, tuple(map(sub, t, r)), c2) for (r, t), c2 in other.terms.items()]
         terms: Dict[Tuple[MultiIndex, MultiIndex], Coeff] = {}
         for (p, q), c1 in self.terms.items():
-            for (r, t), c2 in other.terms.items():
-                phase, pp, qq = _mono_product(theta, p, q, r, t)
+            qp = tuple(map(sub, q, p))
+            for r, t, tr, c2 in rights:
+                phase, pp, qq = 0, list(p), list(t)
+                for a in range(n):
+                    d = r[a] - q[a]
+                    if d > 0:       # r'_a = d pairs with q_c - p_c
+                        pp[a] += d
+                        u = qp
+                    elif d:         # q'_a = -d pairs with t_c - r_c
+                        d = -d
+                        qq[a] += d
+                        u = tr
+                    else:
+                        continue
+                    row = table[a]
+                    for c in range(a + 1, n):
+                        k = d * u[c]
+                        if k:
+                            phase += k * row[c]
                 c = (c1 * c2).times_exponent(phase, D)
-                key = (pp, qq)
+                key = (tuple(pp), tuple(qq))
                 terms[key] = terms[key] + c if key in terms else c
         return _canonicalize(self.ctx, terms)
 
@@ -268,7 +272,7 @@ class AlgebraElement:
         """
         if ctx.theta != self.ctx.theta:
             raise ContextMismatch("contexts carry different twist matrices")
-        return _canonicalize(ctx, dict(self.terms))
+        return _canonicalize(ctx, self.terms)
 
     def __repr__(self):
         if not self.terms:
@@ -277,33 +281,39 @@ class AlgebraElement:
         return " + ".join(bits)
 
 
-def _reductions(ctx: Context, p, q):
-    """The signed slot reductions a word expands into in ``ctx``.
-
-    Unitary contexts reduce every word on their unitary slots; in the sphere
-    quotient a fully-interior word is the inclusion-exclusion sum over the
-    nonempty slot sets of the module docstring; any other word is itself.
-    """
-    if ctx.unitary:
-        return [(ctx.unitary, 1)]
-    if ctx.kind == SPHERE and all(min(a, b) for a, b in zip(p, q)):
-        return [(v, (-1) ** (k + 1)) for k in range(1, ctx.n + 1)
-                for v in combinations(range(ctx.n), k)]
-    return [((), 1)]
+@lru_cache(maxsize=None)
+def _signed_slot_sets(n: int):
+    """The nonempty slot sets V of range(n) with their signs (-1)^{|V|+1}."""
+    return tuple((v, (-1) ** (k + 1)) for k in range(1, n + 1)
+                 for v in combinations(range(n), k))
 
 
 def _canonicalize(ctx: Context,
                   terms: Dict[Tuple[MultiIndex, MultiIndex], Coeff]) -> AlgebraElement:
-    """Apply the context's extra relations term-wise and prune zeros."""
+    """Apply the context's extra relations term-wise and prune zeros.
+
+    Unitary contexts reduce every word on their unitary slots; in the sphere
+    quotient a fully-interior word (no zero exponent) is the inclusion-
+    exclusion sum over the nonempty slot sets of the module docstring; the
+    plain algebra keeps every word.
+    """
+    sphere = ctx.kind == SPHERE
+    if sphere:
+        signed = _signed_slot_sets(ctx.n)
+    elif ctx.unitary:
+        signed = ((ctx.unitary, 1),)
+    else:
+        return AlgebraElement(ctx, terms)
     theta, D = ctx.theta, ctx.theta.conductor
     out: Dict[Tuple[MultiIndex, MultiIndex], Coeff] = {}
     for (p, q), c in terms.items():
-        for slots, sign in _reductions(ctx, p, q):
-            if slots:
-                phase, pp, qq = _unitary_reduce(theta, slots, p, q)
-                key, cc = (pp, qq), c.times_exponent(phase, D, sign)
-            else:
-                key, cc = (p, q), c
+        if sphere and (0 in p or 0 in q):
+            key = (p, q)
+            out[key] = out[key] + c if key in out else c
+            continue
+        for slots, sign in signed:
+            phase, pp, qq = _unitary_reduce(theta, slots, p, q)
+            key, cc = (pp, qq), c.times_exponent(phase, D, sign)
             out[key] = out[key] + cc if key in out else cc
     return AlgebraElement(ctx, out)
 

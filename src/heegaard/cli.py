@@ -191,11 +191,11 @@ def _run_glue(args) -> int:
         raise UsageError(str(exc)) from None
     try:
         lifted = glue(t)
-    except (IncompatibleTuple, SupportOverflow) as exc:
-        kind = ("incompatible tuple" if isinstance(exc, IncompatibleTuple)
-                else "support overflow")
-        _emit({"error": kind, "detail": str(exc)}, args.output)
+    except IncompatibleTuple as exc:
+        _emit({"error": "incompatible tuple", "detail": str(exc)}, args.output)
         return 1
+    except SupportOverflow as exc:      # an unsupported size, not a witness
+        raise UsageError(str(exc)) from None
     _emit(serialize.element_to_obj(lifted), args.output)
     return 0
 

@@ -156,6 +156,86 @@ def test_range_complements_multiply_no_elements(monkeypatch):
     assert calls == []
 
 
+def _reference_product(x, y):
+    """x * y as a pair-by-pair rewrite: the closed-form word product of the
+    module docstring, its phase summed a ascending then c ascending with zero
+    integer factors skipped, the scalar step, then each word expanded over
+    the context's signed slot reductions."""
+    ctx = x.ctx
+    th, D, n = ctx.theta, ctx.theta.conductor, ctx.n
+    prods = {}
+    for (p, q), c1 in x.terms.items():
+        for (r, t), c2 in y.terms.items():
+            rr = [max(b - a, 0) for a, b in zip(q, r)]
+            qq = [max(a - b, 0) for a, b in zip(q, r)]
+            phase = 0
+            for a in range(n):
+                for c in range(a + 1, n):
+                    k = rr[a] * (q[c] - p[c]) + qq[a] * (t[c] - r[c])
+                    if k:
+                        phase += k * th.table[a][c]
+            key = (tuple(map(sum, zip(p, rr))), tuple(map(sum, zip(qq, t))))
+            cc = (c1 * c2).times_exponent(phase, D)
+            prods[key] = prods[key] + cc if key in prods else cc
+    out = {}
+    for (p, q), c in prods.items():
+        if ctx.unitary:
+            reductions = [(ctx.unitary, 1)]
+        elif ctx.kind == "sphere" and all(min(a, b) for a, b in zip(p, q)):
+            reductions = [(v, (-1) ** (k + 1)) for k in range(1, n + 1)
+                          for v in itertools.combinations(range(n), k)]
+        else:
+            reductions = [((), 1)]
+        for slots, sign in reductions:
+            if slots:
+                phase, pp, qq = _unitary_reduce(th, slots, p, q)
+                key, cc = (pp, qq), c.times_exponent(phase, D, sign)
+            else:
+                key, cc = (p, q), c
+            out[key] = out[key] + cc if key in out else cc
+    return AlgebraElement(ctx, out)
+
+
+@pytest.mark.parametrize("twist", ["zero", "den-12", "float"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_product_matches_the_pairwise_reference(n, twist):
+    rng = rng_for(f"product-kernel-{n}-{twist}")
+    th = {"zero": ThetaMatrix.zero(n),
+          "den-12": ThetaMatrix.random_rational(n, seed=n, den=12),
+          "float": random_float_theta(n, rng)}[twist]
+    contexts = [Context.toeplitz(th), Context.quotient(th, n - 1), Context.sphere(th)]
+    if n > 1:
+        contexts.append(Context.quotient(th, 0, n - 1))
+    ones, zeros, interior = (1,) * n, (0,) * n, 0
+    for ctx in contexts:
+        # W_1 times W_1* is a fully-interior word, so the sphere expands it
+        w1 = AlgebraElement.monomial(ctx, ones, zeros)
+        for _ in range(4):
+            x = random_element(ctx, rng, degree=2 * n) + w1
+            y = random_element(ctx, rng, degree=2 * n) + w1.star()
+            got, want = x * y, _reference_product(x, y)
+            assert _exact_terms(got) == _exact_terms(want), (ctx, x, y)
+            if ctx.kind == "sphere":
+                amb = x.with_context(ctx.ambient()) * y.with_context(ctx.ambient())
+                interior += any(0 not in p + q for p, q in amb.terms)
+    assert interior
+
+
+def test_products_call_the_scalar_product(monkeypatch):
+    # the benchmark tracer counts products through Coeff.__mul__
+    calls = []
+    mul = Coeff.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Coeff, "__mul__", counting)
+    ctx = Context.sphere(ThetaMatrix.random_rational(2, seed=3, den=12))
+    assert not (generator(ctx, 0) * generator(ctx, 1).star()).is_zero()
+    assert calls
+
+
 def test_defect_killed_by_annihilation():
     ctx = toeplitz(3, seed=17)
     r = sphere_defect(ctx)

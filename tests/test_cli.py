@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from heegaard import generator, unit
+from heegaard import generator, quotients, unit
 from heegaard.algebra import Context
 from heegaard.cli import FLAGS, main
 from heegaard.phases import ThetaMatrix
@@ -128,6 +128,19 @@ def test_glue_incompatible(tmp_path, capsys):
     code, out, _ = run(capsys, "glue", "--input", str(path))
     assert code == 1
     assert json.loads(out)["error"] == "incompatible tuple"
+
+
+def test_glue_support_overflow_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # an unsupported size is exit 2 with stdout empty; exit 1 needs a witness
+    monkeypatch.setattr(quotients.glue, "__defaults__", (1,))
+    ctx = Context.toeplitz(ThetaMatrix.random_rational(2, seed=7))
+    x = generator(ctx, 0) * generator(ctx, 1).star() + unit(ctx)
+    t = MultipullbackTuple.from_element(x)
+    path = tmp_path / "tuple.json"
+    path.write_text(json.dumps({"components": [element_to_obj(c) for c in t.components]}))
+    code, out, err = run(capsys, "glue", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert "candidate support exceeds 1" in err
 
 
 def test_usage_errors(capsys):
