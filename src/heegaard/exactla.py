@@ -10,6 +10,16 @@ whole system becomes a rational linear system.  A
 :class:`~heegaard.coeff.FloatCoeff` system is solved by least squares with a
 residual threshold.
 
+The system is expanded over the columns' own conductor D, not over the
+conductor D_T = R*D of columns and targets together.  A target splits into
+its R cosets, t = sum_r e(r/D_T) * t_r with every t_r at conductor D, and
+each coset is one right-hand column.  Expanded over D_T the system is
+block-diagonal over the cosets: block r holds the unknowns' parts
+e(r/D_T) e(s/D), in the same order, and is the D-expanded system with t_r
+on the right.  So every block has the same pivots, and the particular
+solution (below) of the D_T-fold expansion is read off one block's
+elimination with R right-hand sides, as c_j = sum_r e(r/D_T) * x_{j,r}.
+
 Each D-block of the expanded system is a circulant with one nonzero per row
 for every phase of its coefficient, so the system is kept sparse: a row is
 a dict from column index to a rational weight, and one elimination routine
@@ -23,12 +33,13 @@ a fixed column order whatever the order in which rows are eliminated, so the
 solution is the one a dense Gauss-Jordan elimination of the same system
 gives.
 
-Columns are ordered unknown by unknown, phase by phase (column j*D + k is
-the weight of e^{2*pi*i*k/D} in c_j), with one right-hand side column per
-target last (``_echelon``).  Column rhs + t is a pivot exactly when target t
-lies outside the span of the columns and the earlier targets, so the
-smallest such t is the first vector outside the span
-(:func:`first_outside_span`).
+Columns are ordered unknown by unknown, phase by phase (column j*D + s is
+the weight of e^{2*pi*i*s/D} in c_j), with the cosets of each target last:
+coset r of target t is column rhs + t*R + r (``_echelon``).  A right-hand
+column is a pivot exactly when it lies outside the span of the columns and
+the earlier right-hand columns.  So the smallest such pivot belongs to the
+first vector outside the span (:func:`first_outside_span`): every earlier
+right-hand column lies in the span of the columns alone.
 """
 
 from __future__ import annotations
@@ -106,10 +117,13 @@ def _is_float(*groups) -> bool:
 
 
 def _echelon(columns: Sequence[Vector], targets: Sequence[Vector]):
-    """(D, rhs, rows): the expanded system sum_j c_j*column_j with target t as
-    right-hand column rhs + t, in row-echelon form.  rows is None as soon as
-    a row's pivot is the first target column."""
-    D = _conductor(list(columns) + list(targets))
+    """(D, R, rhs, rows): the system sum_j c_j*column_j expanded over the
+    columns' conductor D, with coset r of target t (its parts at exponents
+    r mod R over D_T = R*D) as right-hand column rhs + t*R + r, in
+    row-echelon form.  rows is None as soon as a row's pivot is a column of
+    the first target."""
+    D = _conductor(columns)
+    R = lcm(D, _conductor(targets)) // D
     rhs = len(columns) * D
     # per key: the column parts, and the target parts as {phase: {column: weight}}
     by_key: Dict[Hashable, tuple] = {}
@@ -119,18 +133,20 @@ def _echelon(columns: Sequence[Vector], targets: Sequence[Vector]):
     for t, vec in enumerate(targets):
         for key, c in vec.items():
             tv = by_key.setdefault(key, ([], {}))[1]
-            for r, w in _shifts(c, D):
-                tv.setdefault(r, {})[rhs + t] = w
+            for k, w in _shifts(c, D * R):
+                s, r = divmod(k, R)
+                tv.setdefault(s, {})[rhs + t * R + r] = w
     rows: Dict[int, dict] = {}
     for entries, tv in by_key.values():
-        # (c * x)[r] = sum_s c[s] x[(r - s) mod D]
-        for r in range(D):
-            v = {base + (r - s) % D: w for base, parts in entries for s, w in parts}
-            if r in tv:
-                v.update(tv[r])
-            if _insert(rows, v) == rhs:
-                return D, rhs, None
-    return D, rhs, rows
+        # (c * x)[k] = sum_s c[s] x[(k - s) mod D]
+        for k in range(D):
+            v = {base + (k - s) % D: w for base, parts in entries for s, w in parts}
+            if k in tv:
+                v.update(tv[k])
+            p = _insert(rows, v)
+            if p is not None and rhs <= p < rhs + R:
+                return D, R, rhs, None
+    return D, R, rhs, rows
 
 
 def solve_exact(columns: Sequence[Vector], target: Vector) -> Optional[List[Coeff]]:
@@ -144,15 +160,23 @@ def solve_exact(columns: Sequence[Vector], target: Vector) -> Optional[List[Coef
         if residual[0] > FLOAT_SOLVE_TOL:
             return None
         return [Coeff.from_complex(z) for z in x[:, 0]]
-    D, rhs, rows = _echelon(columns, [target])
+    D, R, rhs, rows = _echelon(columns, [target])
     if rows is None:
         return None
-    x = [0] * rhs
+    # x[j*D + s]: {r: the weight of e(r/(R*D)) * e(s/D) in c_j}
+    x = [{}] * rhs
     for p in sorted(rows, reverse=True):
-        row = rows[p]
-        s = row.get(rhs, 0) - sum(w * x[c] for c, w in row.items() if p < c < rhs)
-        x[p] = s.numerator if type(s) is Fraction and s.denominator == 1 else s
-    return [_new(Coeff, D, {k: x[base + k] for k in range(D) if x[base + k]})
+        acc = {}
+        for c, w in rows[p].items():
+            if c >= rhs:
+                acc[c - rhs] = acc.get(c - rhs, 0) + w
+            elif c != p:
+                for r, v in x[c].items():
+                    acc[r] = acc.get(r, 0) - w * v
+        x[p] = {r: v.numerator if type(v) is Fraction and v.denominator == 1 else v
+                for r, v in acc.items() if v}
+    return [_new(Coeff, D * R, dict(sorted((r + R * s, w) for s in range(D)
+                                           for r, w in x[base + s].items())))
             for base in range(0, rhs, D)]
 
 
@@ -163,10 +187,10 @@ def first_outside_span(span: Sequence[Vector],
     if _is_float(span, vectors):
         bad = np.flatnonzero(_float_residuals(span, vectors)[1] > FLOAT_SOLVE_TOL)
         return int(bad[0]) if bad.size else None
-    _, rhs, rows = _echelon(span, vectors)
+    _, R, rhs, rows = _echelon(span, vectors)
     if rows is None:
         return 0
-    return min((p - rhs for p in rows if p >= rhs), default=None)
+    return min(((p - rhs) // R for p in rows if p >= rhs), default=None)
 
 
 # -- float mode ------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Dict, List, Tuple
+from typing import Tuple
 
 from .algebra import (AlgebraElement, Context, ContextMismatch, _unitary_reduce)
 from .coeff import Coeff
@@ -91,12 +91,32 @@ def glue(t: MultipullbackTuple, max_support: int = 4000) -> AlgebraElement:
     Candidate monomials are the slot-i towers over the component supports;
     the coefficients are found by an exact linear solve (least squares within
     1e-10 in float mode).  The lift is not unique; any solution is returned.
+
+    The twist enters only through phases, and a gauge removes them.  Let
+    psi(m) be the phase of reducing the word m on every slot.  Slot
+    reductions add their phases (``algebra`` docstring), so reducing m on
+    slot i has phase phi_i(m) = psi(m) - psi(sigma_i m), and
+    sum_{sigma_i m = w} e(phi_i(m)) c_m = b_i[w] holds exactly when
+    c'_m = e(psi(m)) c_m solves sum_{sigma_i m = w} c'_m = e(psi(w)) b_i[w].
+    So every column entry is the rational 1, and c_m = e(-psi(m)) c'_m.
+    In the phase-free system the expanded parts of an unknown are all
+    pivots or all free, so the gauge (a phase on each unknown and each row)
+    frees the same unknowns: the lift is the particular solution of the
+    system with e(phi_i(m)) in the columns.
     """
     if not is_compatible(t):
         raise IncompatibleTuple("pairwise images in B_ij do not agree")
     theta = t.theta
     n = theta.n
+    D = theta.conductor
     ctx = Context.toeplitz(theta)
+    one = Coeff.one(theta.mode)
+
+    def psi(p, q):
+        return _unitary_reduce(theta, range(n), p, q)[0]
+
+    target = {(i, m): c.times_exponent(psi(*m), D)
+              for i, b in enumerate(t.components) for m, c in b.terms.items()}
     maxdeg = max((sum(p) + sum(q)
                   for b in t.components for p, q in b.terms), default=0)
     for depth in range(maxdeg + 3):
@@ -112,20 +132,12 @@ def glue(t: MultipullbackTuple, max_support: int = 4000) -> AlgebraElement:
         if len(cands) > max_support:
             raise SupportOverflow(f"candidate support exceeds {max_support}")
         cand_list = sorted(cands)
-        columns: List[Dict] = []
-        for (p, q) in cand_list:
-            col = {}
-            for i in range(n):
-                phase, pp, qq = _unitary_reduce(theta, (i,), p, q)
-                col[(i, (pp, qq))] = Coeff.from_exponent(phase, theta)
-            columns.append(col)
-        target = {}
-        for i, b in enumerate(t.components):
-            for m, c in b.terms.items():
-                target[(i, m)] = c
+        columns = [{(i, _unitary_reduce(theta, (i,), p, q)[1:]): one for i in range(n)}
+                   for (p, q) in cand_list]
         sol = solve_exact(columns, target)
         if sol is not None:
-            terms = {m: c for m, c in zip(cand_list, sol) if not c.is_zero()}
+            terms = {m: c.times_exponent(-psi(*m), D)
+                     for m, c in zip(cand_list, sol) if not c.is_zero()}
             return AlgebraElement(ctx, terms)
     raise SupportOverflow("no lift found within the candidate tower depth")
 

@@ -31,7 +31,6 @@ def test_isometry_relation():
     for i in range(3):
         s = generator(ctx, i)
         assert s.star() * s == unit(ctx)
-        assert (s * s.star()).terms.keys() == {((0,) * 3, (0,) * 3)} or True
         (m,) = (s * s.star()).terms
         assert m == (tuple(int(j == i) for j in range(3)),) * 2
 

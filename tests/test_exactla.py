@@ -284,3 +284,64 @@ def test_float_scalars_pick_least_squares():
             assert all(type(c) is FloatCoeff for c in got)
             assert np.allclose([c.to_complex() for c in got], x[:, 0], atol=1e-12)
     assert None in seen and len(seen) >= 2
+
+
+def coset_system(rng: random.Random, Dc: int, DT: int, kind: str):
+    """Columns at conductor Dc (rank-deficient ones among them) and a target
+    at DT: a combination of the columns with coefficients at DT, plus, for
+    kind "coset", a stray vector at Dc times e(r/L) for a coset r > 0 of
+    L = lcm(Dc, DT), so that coset 0 stays consistent.  The stray vector
+    sits on the columns' keys, and sometimes on one key that no column has."""
+    columns, _ = random_system(rng, Dc, consistent=True)
+    target = combine([random_coeff(rng, DT) for _ in columns], columns)
+    if kind == "coset":
+        L = lcm(Dc, DT)
+        keys = sorted({k for col in columns for k in col}, key=repr)
+        keys = rng.sample(keys, min(2, len(keys))) + ["fresh"] * (rng.random() < 0.3)
+        stray = {k: random_coeff(rng, Dc) for k in keys}
+        r = rng.randrange(1, L // Dc)
+        target = combine([Coeff.rational(1), Coeff.from_phase(Fraction(r, L), RATIONAL)],
+                         [target, stray])
+    return columns, target
+
+
+@pytest.mark.parametrize("Dc", [1, 2, 3, 4])
+@pytest.mark.parametrize("DT", [4, 8, 12])
+def test_target_cosets_match_the_target_conductor_expansion(Dc, DT):
+    # the system is expanded over the columns' conductor with one right-hand
+    # column per target coset; the dense reference expands over the lcm
+    rng = rng_for(f"exactla-cosets-{Dc}-{DT}")
+    solved = unsolvable = 0
+    kinds = ["consistent", "coset"] if lcm(Dc, DT) > Dc else ["consistent"]
+    for trial in range(16):
+        columns, target = coset_system(rng, Dc, DT, kinds[trial % len(kinds)])
+        got = solve_exact(columns, target)
+        want = dense_solve(columns, target)
+        if want is None:
+            assert got is None
+            unsolvable += 1
+            continue
+        assert got is not None
+        assert [repr(c) for c in got] == [repr(c) for c in want]
+        solved += 1
+    assert solved >= 6
+    assert unsolvable >= 3 or len(kinds) == 1
+
+
+@pytest.mark.parametrize("Dc", [1, 2, 3])
+@pytest.mark.parametrize("DT", [4, 8, 12])
+def test_span_helper_finds_a_failure_in_a_nonzero_coset(Dc, DT):
+    rng = rng_for(f"exactla-span-cosets-{Dc}-{DT}")
+    hits = 0
+    for _ in range(10):
+        span, bad = coset_system(rng, Dc, DT, "coset")
+        vectors = [combine([random_coeff(rng, DT) for _ in span], span)
+                   for _ in range(rng.randint(0, 3))]
+        at = len(vectors)
+        vectors += [bad, combine([random_coeff(rng, DT) for _ in span], span)]
+        want = per_vector_first_failure(span, vectors)
+        assert first_outside_span(span, vectors) == want
+        if dense_solve(span, bad) is None:
+            assert want == at
+            hits += 1
+    assert hits >= 3

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 from itertools import permutations
 
@@ -371,3 +372,94 @@ def test_cocycle_witness_carries_the_whole_vector(monkeypatch, capsys):
     assert code == 1
     assert out["failures"] == [[0, 1, 2, [list(m) for m in min(bad)], _vector_records(bad)]]
     assert [w[:2] for w in out["failures"][0][4]] == sorted([list(p), list(q)] for p, q in bad)
+
+
+def _phase_column_glue(t):
+    """Reference lift: glue with the slot phases in the columns,
+    e(phi_i(m)) at (i, sigma_i m), solved for the coefficients themselves.
+    Returns the lift's terms and the tower depth that reached it."""
+    theta, n = t.theta, t.theta.n
+    target = {(i, m): c for i, b in enumerate(t.components) for m, c in b.terms.items()}
+    maxdeg = max((sum(p) + sum(q) for b in t.components for p, q in b.terms), default=0)
+    for depth in range(maxdeg + 3):
+        cands = sorted({(tuple(a + k * (s == i) for s, a in enumerate(p)),
+                         tuple(a + k * (s == i) for s, a in enumerate(q)))
+                        for i, b in enumerate(t.components) for p, q in b.terms
+                        for k in range(depth + 1)})
+        columns = []
+        for p, q in cands:
+            col = {}
+            for i in range(n):
+                phase, pp, qq = _unitary_reduce(theta, (i,), p, q)
+                col[(i, (pp, qq))] = Coeff.from_exponent(phase, theta)
+            columns.append(col)
+        sol = solve_exact(columns, target)
+        if sol is not None:
+            return {m: c for m, c in zip(cands, sol) if not c.is_zero()}, depth
+    raise AssertionError("the reference found no lift")
+
+
+def _glue_tuples(theta, rng, count):
+    """Tuples of random elements, every other one plus a word W_e W_e* with
+    e = (1, ..., 1): no component keeps it, so the tuple needs a tower of
+    depth > 0."""
+    ctx = Context.toeplitz(theta)
+    ones = (1,) * theta.n
+    for trial in range(count):
+        x = random_element(ctx, rng, nterms=3, degree=3)
+        if trial % 2:
+            x = x + AlgebraElement.monomial(ctx, ones, ones, Coeff.from_phase(
+                Fraction(rng.randrange(8), 8), theta.mode, rng.randint(1, 3)))
+        yield MultipullbackTuple.from_element(x)
+
+
+@pytest.mark.parametrize("den", [0, 2, 3, 4, 8, 12])
+def test_gauged_glue_matches_the_phase_column_lift(den):
+    # same words and the same exact coefficients as solving with the phases
+    # in the columns, at every twist denominator, and towers of depth > 0
+    rng = rng_for(f"glue-gauge-{den}")
+    deep = 0
+    for n in (2, 3, 4):
+        theta = (ThetaMatrix.zero(n) if den == 0 else
+                 ThetaMatrix.random_rational(n, seed=rng.randrange(100), den=den))
+        for t in _glue_tuples(theta, rng, 8):
+            want, depth = _phase_column_glue(t)
+            got = glue(t)
+            assert list(got.terms) == list(want)
+            assert [repr(c) for c in got.terms.values()] == [repr(c) for c in want.values()]
+            deep += depth > 0
+    assert deep >= 6
+
+
+def test_gauged_float_glue_matches_the_phase_column_lift():
+    rng = rng_for("glue-gauge-float")
+    for n in (2, 3, 4):
+        theta = random_float_theta(n, rng)
+        for t in _glue_tuples(theta, rng, 6):
+            want, _ = _phase_column_glue(t)
+            got = glue(t).terms
+            for m in set(got) | set(want):
+                z = got[m].to_complex() if m in got else 0
+                w = want[m].to_complex() if m in want else 0
+                assert abs(z - w) < 1e-12, (m, z, w)
+
+
+@pytest.mark.parametrize("twist", ["zero", "rational", "float"])
+def test_glue_columns_are_phase_free(twist, monkeypatch):
+    # the gauge leaves the rational 1 (or the complex 1) in every column entry
+    rng = rng_for(f"glue-phase-free-{twist}")
+    seen = []
+
+    def recording(columns, target):
+        seen.extend(c for col in columns for c in col.values())
+        return solve_exact(columns, target)
+
+    monkeypatch.setattr(quotients, "solve_exact", recording)
+    theta = {"zero": ThetaMatrix.zero(3),
+             "rational": ThetaMatrix.random_rational(3, seed=5, den=12),
+             "float": random_float_theta(3, rng)}[twist]
+    for t in _glue_tuples(theta, rng, 4):
+        glue(t)
+    assert seen
+    assert all(c.D // math.gcd(c.D, *c.terms) == 1 for c in seen)
+    assert all(c == Coeff.one(theta.mode) for c in seen)
