@@ -4,13 +4,16 @@ A strong connection value is a finite sum sum_l a_l (x) r_l of elementary
 tensors over the sphere quotient with sum_l a_l r_l = 1 and bidegree
 (-n, n).  The associated projector has entries E_kl = r_k a_l; idempotency
 follows from the multiplicativity condition alone, so any presentation of
-the connection value works.  Merging summands (``simplify``) shrinks the
-matrix, but finds nothing in ``strong_connection``: one per multi-index.
+the connection value works.  In the summand order of ``strong_connection``
+it is lower-triangular (lemma in ``chern_galois_projector``).  Merging
+summands (``simplify``) shrinks the matrix, but finds nothing in
+``strong_connection``: one per multi-index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import List, Tuple
 
 from .algebra import (AlgebraElement, Context, ContextMismatch, generator,
@@ -19,8 +22,28 @@ from .grading import extend_hom
 from .phases import ThetaMatrix
 
 
+MAX_SIZE = 128
+"""Cap on both C(|n|+N, N), the summand count of winding n (the projector
+has its square for entries), and 2^N, the word count of ``h_tail(0)``."""
+
+
 class NonzeroTwist(ValueError):
     pass
+
+
+class SizeOverflow(ValueError):
+    pass
+
+
+def check_size(n: int, N: int) -> None:
+    """Raise ``SizeOverflow`` unless winding n at N is within ``MAX_SIZE``.
+
+    C(|n|+N, N) exceeds both |n| and N, so a size with either at the cap
+    is refused before a huge binomial or power is formed."""
+    m = abs(n)
+    if m >= MAX_SIZE or N >= MAX_SIZE or max(comb(m + N, N), 2 ** N) > MAX_SIZE:
+        raise SizeOverflow(f"winding {n} at N={N} exceeds the size cap: C(|n|+N, N) "
+                           f"and 2^N must be at most {MAX_SIZE}")
 
 
 class TensorElement:
@@ -90,9 +113,11 @@ def strong_connection(n: int, N: int, theta: ThetaMatrix) -> TensorElement:
     summands are s_{k_m}...s_{k_1} (x) s_{k_1}* H_{k_1}...s_{k_m}* H_{k_m} for
     k_1 <= ... <= k_m, one per multi-index of length m, with distinct left
     words; they are ordered by k_m, then as the sequences without k_m are.
+    A size over ``MAX_SIZE`` raises ``SizeOverflow`` before anything is built.
     """
     if theta.n != N + 1:
         raise ValueError("twist size must be N+1")
+    check_size(n, N)
     ctx = Context.sphere(theta)
     if n >= 0:
         s0 = generator(ctx, 0)
@@ -163,11 +188,24 @@ def mat_eq(a, b) -> bool:
 
 
 def chern_galois_projector(n: int, N: int, theta: ThetaMatrix) -> ProjectorMatrix:
-    """E_kl = r_k a_l from the winding-n connection sum_l a_l (x) r_l."""
+    """E_kl = r_k a_l from the winding-n connection sum_l a_l (x) r_l.
+
+    E is lower-triangular in the summand order of ``strong_connection``, so
+    only the entries with l <= k are multiplied.  Proof: write
+    r_k a_l = s_{k_1}* H_{k_1} ... s_{k_m}* H_{k_m} s_{l_m} ... s_{l_1}.  The
+    summands are ordered by k_m, then by the prefix, so if l comes after k
+    there is a last position i with k_i != l_i, and l_i > k_i.  At each
+    position j > i, k_j = l_j and s_{k_j}* H_{k_j} s_{k_j} = H_{k_j}; H_{k_j}
+    holds only slots above k_j, so it commutes exactly with every remaining
+    s_{l_p} (l_p <= k_j) and moves out to the right.  At position i, H_{k_i}
+    holds 1 - s_{l_i} s_{l_i}*, and (1 - s s*) s = 0, so E_kl = 0.
+    """
     conn = strong_connection(n, N, theta)
     lefts = tuple(a for a, _ in conn.summands)
     rights = tuple(r for _, r in conn.summands)
-    entries = tuple(tuple(rk * al for al in lefts) for rk in rights)
+    zero = AlgebraElement.zero(conn.ctx)
+    entries = tuple(tuple(rk * al if l <= k else zero for l, al in enumerate(lefts))
+                    for k, rk in enumerate(rights))
     return ProjectorMatrix(n, entries, lefts, rights)
 
 

@@ -13,7 +13,8 @@ from types import SimpleNamespace
 
 from . import serialize
 from .algebra import unit
-from .bundles import chern_galois_projector, strong_connection
+from .bundles import (SizeOverflow, check_size, chern_galois_projector,
+                      strong_connection)
 from .fock import (UnstableInvariant, class_invariant, default_truncations,
                    relation_residual)
 from .phases import ThetaMatrix
@@ -117,6 +118,11 @@ def _run(args) -> int:
         return _run_glue(args)
     if args.N < 1:
         raise UsageError("need N >= 1")
+    if "n" in FLAGS[args.command]:      # before a twist of size N+1 is built
+        try:
+            check_size(args.n, args.N)
+        except SizeOverflow as exc:
+            raise UsageError(str(exc)) from None
     theta = _parse_theta(args.theta, args.N + 1, args.seed, args.den)
 
     if args.command == "connection":

@@ -8,6 +8,7 @@ from heegaard import (AlgebraElement, NonzeroTwist, TensorElement,
                       pullback_projector, sphere_defect, strong_connection,
                       unit, verify_connection)
 from heegaard.algebra import Context
+from heegaard.bundles import MAX_SIZE, SizeOverflow, check_size
 from heegaard.phases import ThetaMatrix
 
 
@@ -218,3 +219,57 @@ def test_descending_tail_products_vanish(N, kind):
         for k in range(l):
             assert (tails[l] * tails[k]).is_zero(), (N, kind, l, k)
         assert not (tails[l] * tails[l]).is_zero(), (N, kind, l)
+
+
+def full_projector(conn):
+    """Every entry r_k a_l of the projector, the zero ones above the
+    diagonal included."""
+    return [[r * a for a, _ in conn.summands] for _, r in conn.summands]
+
+
+@pytest.mark.parametrize("kind", TWISTS)
+@pytest.mark.parametrize("N, lowest", [(1, -6), (2, -5), (3, -4), (4, -3)])
+def test_projector_is_lower_triangular_in_summand_order(N, lowest, kind):
+    th = twist(kind, N + 1)
+    for n in range(lowest, 2):
+        full = full_projector(strong_connection(n, N, th))
+        assert all(full[k][l].is_zero()
+                   for k in range(len(full)) for l in range(k + 1, len(full))), (N, n, kind)
+        got = chern_galois_projector(n, N, th).entries
+        assert [[repr(x) for x in row] for row in got] == \
+            [[repr(x) for x in row] for row in full], (N, n, kind)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_projector_multiplies_only_the_lower_triangle(N, monkeypatch):
+    # m summands give m(m+1)/2 entry products on top of the connection's own
+    calls = [0]
+    mul = AlgebraElement.__mul__
+
+    def counting(self, other):
+        calls[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(AlgebraElement, "__mul__", counting)
+    th = twist("den-8", N + 1)
+    for m in range(1, 5):
+        calls[0] = 0
+        strong_connection(-m, N, th)
+        connection = calls[0]
+        calls[0] = 0
+        chern_galois_projector(-m, N, th)
+        size = comb(m + N, N)
+        assert calls[0] - connection == size * (size + 1) // 2, (N, m)
+
+
+def test_size_cap_bounds_summands_and_tail_words():
+    # C(|n|+N, N) summands and 2^N words of h_tail(0), each at most MAX_SIZE
+    assert MAX_SIZE == 128
+    for n, N in [(-14, 2), (14, 2), (-127, 1), (127, 1), (-1, 7), (-5, 4), (0, 1)]:
+        check_size(n, N)
+    for n, N in [(-15, 2), (15, 2), (-128, 1), (128, 1), (0, 8), (-8, 4),
+                 (-10 ** 400, 1), (1, 10 ** 400)]:
+        with pytest.raises(SizeOverflow):
+            check_size(n, N)
+    with pytest.raises(SizeOverflow):
+        strong_connection(-1, 16, ThetaMatrix.zero(17))

@@ -143,6 +143,17 @@ def test_glue_support_overflow_is_a_usage_error(tmp_path, capsys, monkeypatch):
     assert "candidate support exceeds 1" in err
 
 
+@pytest.mark.parametrize("command", ["connection", "verify", "projector", "invariant"])
+@pytest.mark.parametrize("N, n", [(16, -1), (4, -8), (2, -15), (1, 128), (8, 0),
+                                  (1, -10 ** 30), (10 ** 30, 1)])
+def test_oversized_windings_are_usage_errors(capsys, tmp_path, command, N, n):
+    # refused before the twist is read: the missing twist file is never opened
+    code, out, err = run(capsys, command, "--N", str(N), "--n", str(n),
+                         "--theta", str(tmp_path / "missing.json"))
+    assert (code, out) == (2, "")
+    assert "exceeds the size cap" in err
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "unknown-command")[0] == 2
     assert run(capsys, "verify", "--N", "1")[0] == 2          # missing --n

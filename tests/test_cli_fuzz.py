@@ -1,5 +1,6 @@
 """Fuzz of the CLI contract: ``cli.main`` on argv built from ``cli.FLAGS``
-plus junk tokens, at small sizes (N <= 2, |n| <= 3, M <= 6, degree <= 2).
+plus junk tokens, at small sizes (N <= 2, |n| <= 3, M <= 6, degree <= 2)
+and one winding over the size cap (n = -200).
 
 Whatever the argv, the exit status is 0, 1 or 2 and no exception escapes;
 exit 2 leaves stdout empty and writes ``error:`` to stderr; exits 0 and 1
@@ -22,8 +23,9 @@ from heegaard.phases import ThetaMatrix
 from heegaard.quotients import MultipullbackTuple
 from heegaard.serialize import element_to_obj, theta_to_obj
 
-SIZES = {"N": st.integers(1, 2), "n": st.integers(-3, 3), "M": st.integers(3, 6),
-         "degree": st.integers(0, 2), "seed": st.integers(-2 ** 70, 2 ** 70),
+SIZES = {"N": st.integers(1, 2), "n": st.sampled_from([*range(-3, 4), -200]),
+         "M": st.integers(3, 6), "degree": st.integers(0, 2),
+         "seed": st.integers(-2 ** 70, 2 ** 70),
          "den": st.sampled_from([8, 1, 2, 3, 12, 10 ** 30])}
 JUNK = st.sampled_from(["0", "-1", "2", "", "x", "1.5", "0x10", "1e3", "--N", "-",
                         " 2", "٣", "9" * 5000]) | st.text(max_size=8)

@@ -178,13 +178,16 @@ def test_norm_refuses_more_than_one_entry_per_row():
 
 def test_residual_memory_at_the_dimension_cap():
     # dim (315+1)^2 = 99856 sits under the default cap; the residual must
-    # run in O(dim) memory, not the ~160 GB of a dense matrix that size
+    # run in O(dim) memory, not the ~160 GB of a dense matrix that size.
+    # The child reads its own peak, VmHWM: its ru_maxrss after exec starts
+    # from the parent's high-water mark, so it would measure pytest's.
     root = Path(__file__).resolve().parent.parent
-    code = ("import resource\n"
-            "from heegaard.fock import relation_residual\n"
+    code = ("from heegaard.fock import relation_residual\n"
             "from heegaard.phases import ThetaMatrix\n"
             "r = relation_residual(1, ThetaMatrix.random_rational(2, seed=1), 315)\n"
-            "print(r, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+            "with open('/proc/self/status') as fh:\n"
+            "    hwm = next(line for line in fh if line.startswith('VmHWM:'))\n"
+            "print(r, hwm.split()[1])\n")
     env = {k: v for k, v in os.environ.items() if k != "NCG_MAX_DIM"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
                                                       os.environ.get("PYTHONPATH")]))
