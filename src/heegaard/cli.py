@@ -19,7 +19,7 @@ from .fock import (UnstableInvariant, class_invariant, default_truncations,
                    relation_residual)
 from .phases import ThetaMatrix
 from .quotients import (IncompatibleTuple, MultipullbackTuple, SupportOverflow,
-                        cocycle_check, glue)
+                        check_cocycle_size, cocycle_check, glue)
 
 RESIDUAL_TOL = 1e-10
 
@@ -118,11 +118,15 @@ def _run(args) -> int:
         return _run_glue(args)
     if args.N < 1:
         raise UsageError("need N >= 1")
-    if "n" in FLAGS[args.command]:      # before a twist of size N+1 is built
-        try:
+    if args.command == "cocycle" and args.degree < 0:
+        raise UsageError("--degree must be non-negative")
+    try:                                # before a twist of size N+1 is built
+        if "n" in FLAGS[args.command]:
             check_size(args.n, args.N)
-        except SizeOverflow as exc:
-            raise UsageError(str(exc)) from None
+        if args.command == "cocycle":
+            check_cocycle_size(args.N + 1, args.degree)
+    except (SizeOverflow, SupportOverflow) as exc:
+        raise UsageError(str(exc)) from None
     theta = _parse_theta(args.theta, args.N + 1, args.seed, args.den)
 
     if args.command == "connection":
@@ -164,8 +168,6 @@ def _run(args) -> int:
         return 0
 
     if args.command == "cocycle":
-        if args.degree < 0:
-            raise UsageError("--degree must be non-negative")
         report = cocycle_check(theta, args.degree)
         _emit({"passed": report.passed,
                "checked_degree": report.checked_degree,

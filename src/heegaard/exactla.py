@@ -11,7 +11,7 @@ whole system becomes a rational linear system.  A
 residual threshold.
 
 The system is expanded over the columns' own conductor D, not over the
-conductor D_T = R*D of columns and targets together.  A target splits into
+conductor D_T = R*D of columns and target together.  The target splits into
 its R cosets, t = sum_r e(r/D_T) * t_r with every t_r at conductor D, and
 each coset is one right-hand column.  Expanded over D_T the system is
 block-diagonal over the cosets: block r holds the unknowns' parts
@@ -20,26 +20,19 @@ on the right.  So every block has the same pivots, and the particular
 solution (below) of the D_T-fold expansion is read off one block's
 elimination with R right-hand sides, as c_j = sum_r e(r/D_T) * x_{j,r}.
 
-Each D-block of the expanded system is a circulant with one nonzero per row
-for every phase of its coefficient, so the system is kept sparse: a row is
-a dict from column index to a rational weight, and one elimination routine
-(``_insert``) brings rows to row-echelon form with pivots taken in a fixed
-column order.  A row is divided by its pivot only when the pivot
-is not +-1, so weights stay ints as long as they can, and integral solution
-weights are returned as ints.  The particular solution sets the free
-unknowns to zero and back-substitutes the pivot unknowns.  That is the
-right-hand side of the reduced row-echelon form (RREF), which is unique for
-a fixed column order whatever the order in which rows are eliminated, so the
-solution is the one a dense Gauss-Jordan elimination of the same system
-gives.
-
-Columns are ordered unknown by unknown, phase by phase (column j*D + s is
-the weight of e^{2*pi*i*s/D} in c_j), with the cosets of each target last:
-coset r of target t is column rhs + t*R + r (``_echelon``).  A right-hand
-column is a pivot exactly when it lies outside the span of the columns and
-the earlier right-hand columns.  So the smallest such pivot belongs to the
-first vector outside the span (:func:`first_outside_span`): every earlier
-right-hand column lies in the span of the columns alone.
+Each D-block is a circulant with one nonzero per row for every phase of its
+coefficient, so the system is kept sparse: a row is a dict from column
+index to a rational weight, and ``_insert`` brings rows to row-echelon form
+with pivots taken in a fixed column order: column j*D + s is the weight of
+e^{2*pi*i*s/D} in c_j, and coset r of the target is column rhs + r, last.
+The system is inconsistent exactly when a right-hand column becomes a
+pivot.  A row is divided by its pivot only when the pivot is not +-1, so
+weights stay ints as long as they can, and integral solution weights are
+returned as ints.  The particular solution sets the free unknowns to zero
+and back-substitutes the pivot unknowns.  That is the right-hand side of the
+reduced row-echelon form, which is unique for a fixed column order whatever
+the order in which rows are eliminated, so the solution is the one a dense
+Gauss-Jordan elimination of the same system gives.
 """
 
 from __future__ import annotations
@@ -110,32 +103,38 @@ def _insert(rows: Dict[int, dict], v: dict) -> Optional[int]:
     return p
 
 
-def _is_float(*groups) -> bool:
-    """Whether the first scalar in the groups of vectors is a FloatCoeff."""
-    first = next((c for vs in groups for v in vs for c in v.values()), None)
-    return isinstance(first, FloatCoeff)
+def solve_exact(columns: Sequence[Vector], target: Vector) -> Optional[List[Coeff]]:
+    """Scalars c_j with sum_j c_j*column_j == target, or None if inconsistent.
 
-
-def _echelon(columns: Sequence[Vector], targets: Sequence[Vector]):
-    """(D, R, rhs, rows): the system sum_j c_j*column_j expanded over the
-    columns' conductor D, with coset r of target t (its parts at exponents
-    r mod R over D_T = R*D) as right-hand column rhs + t*R + r, in
-    row-echelon form.  rows is None as soon as a row's pivot is a column of
-    the first target."""
+    Free variables are set to zero, so the returned solution is particular,
+    not unique.
+    """
+    vectors = (*columns, target)
+    if isinstance(next((c for v in vectors for c in v.values()), None), FloatCoeff):
+        # dense least squares, one row per key, the target in the last column
+        keys = sorted({k for v in vectors for k in v}, key=repr)
+        row = {k: i for i, k in enumerate(keys)}
+        m = np.zeros((len(keys), len(vectors)), dtype=complex)
+        for j, v in enumerate(vectors):
+            for key, c in v.items():
+                m[row[key], j] = c.to_complex()
+        a, b = m[:, :-1], m[:, -1]
+        x = np.linalg.lstsq(a, b, rcond=None)[0]
+        return (None if np.linalg.norm(a @ x - b) > FLOAT_SOLVE_TOL
+                else [Coeff.from_complex(z) for z in x])
     D = _conductor(columns)
-    R = lcm(D, _conductor(targets)) // D
+    R = lcm(D, _conductor([target])) // D
     rhs = len(columns) * D
     # per key: the column parts, and the target parts as {phase: {column: weight}}
     by_key: Dict[Hashable, tuple] = {}
     for j, col in enumerate(columns):
         for key, c in col.items():
             by_key.setdefault(key, ([], {}))[0].append((j * D, _shifts(c, D)))
-    for t, vec in enumerate(targets):
-        for key, c in vec.items():
-            tv = by_key.setdefault(key, ([], {}))[1]
-            for k, w in _shifts(c, D * R):
-                s, r = divmod(k, R)
-                tv.setdefault(s, {})[rhs + t * R + r] = w
+    for key, c in target.items():
+        tv = by_key.setdefault(key, ([], {}))[1]
+        for k, w in _shifts(c, D * R):
+            s, r = divmod(k, R)
+            tv.setdefault(s, {})[rhs + r] = w
     rows: Dict[int, dict] = {}
     for entries, tv in by_key.values():
         # (c * x)[k] = sum_s c[s] x[(k - s) mod D]
@@ -144,25 +143,8 @@ def _echelon(columns: Sequence[Vector], targets: Sequence[Vector]):
             if k in tv:
                 v.update(tv[k])
             p = _insert(rows, v)
-            if p is not None and rhs <= p < rhs + R:
-                return D, R, rhs, None
-    return D, R, rhs, rows
-
-
-def solve_exact(columns: Sequence[Vector], target: Vector) -> Optional[List[Coeff]]:
-    """Scalars c_j with sum_j c_j*column_j == target, or None if inconsistent.
-
-    Free variables are set to zero, so the returned solution is particular,
-    not unique.
-    """
-    if _is_float(columns, [target]):
-        x, residual = _float_residuals(columns, [target])
-        if residual[0] > FLOAT_SOLVE_TOL:
-            return None
-        return [Coeff.from_complex(z) for z in x[:, 0]]
-    D, R, rhs, rows = _echelon(columns, [target])
-    if rows is None:
-        return None
+            if p is not None and p >= rhs:
+                return None
     # x[j*D + s]: {r: the weight of e(r/(R*D)) * e(s/D) in c_j}
     x = [{}] * rhs
     for p in sorted(rows, reverse=True):
@@ -178,37 +160,3 @@ def solve_exact(columns: Sequence[Vector], target: Vector) -> Optional[List[Coef
     return [_new(Coeff, D * R, dict(sorted((r + R * s, w) for s in range(D)
                                            for r, w in x[base + s].items())))
             for base in range(0, rhs, D)]
-
-
-def first_outside_span(span: Sequence[Vector],
-                       vectors: Sequence[Vector]) -> Optional[int]:
-    """Index of the first vector that is not a Coeff-combination of ``span``
-    (``solve_exact(span, v) is None``), or None if all of them are."""
-    if _is_float(span, vectors):
-        bad = np.flatnonzero(_float_residuals(span, vectors)[1] > FLOAT_SOLVE_TOL)
-        return int(bad[0]) if bad.size else None
-    _, R, rhs, rows = _echelon(span, vectors)
-    if rows is None:
-        return 0
-    return min(((p - rhs) // R for p in rows if p >= rhs), default=None)
-
-
-# -- float mode ------------------------------------------------------------
-
-def _float_residuals(columns: Sequence[Vector], targets: Sequence[Vector]):
-    """Least-squares solutions for every target at once, and their residual
-    norms.  The dense complex system has one row per key and is filled from
-    each vector's own entries."""
-    keys = sorted({k for v in list(columns) + list(targets) for k in v}, key=repr)
-    row = {k: i for i, k in enumerate(keys)}
-
-    def fill(vectors):
-        m = np.zeros((len(keys), len(vectors)), dtype=complex)
-        for j, v in enumerate(vectors):
-            for key, c in v.items():
-                m[row[key], j] = c.to_complex()
-        return m
-
-    a, b = fill(columns), fill(targets)
-    x = np.linalg.lstsq(a, b, rcond=None)[0]
-    return x, np.linalg.norm(a @ x - b, axis=0)

@@ -5,18 +5,21 @@ The ambient algebra surjects onto B_i (slot-i generator unitary), B_ij (two
 unitary slots) and the sphere quotient.  A multipullback tuple is one element
 of each B_i; it is compatible when all pairwise images in B_ij agree, and
 ``glue`` reconstructs a common preimage by an exact finite-support linear
-solve.
+solve.  ``cocycle_check`` compares kernel images by a union-find over word
+pairs, with no scalar arithmetic (the gauge lemma is in its docstring).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import comb
+from operator import sub
 from typing import Tuple
 
 from .algebra import (AlgebraElement, Context, ContextMismatch, _unitary_reduce)
 from .coeff import Coeff
-from .exactla import first_outside_span, solve_exact
+from .exactla import solve_exact
 from .phases import ThetaMatrix
 
 
@@ -26,6 +29,10 @@ class IncompatibleTuple(ValueError):
 
 class SupportOverflow(RuntimeError):
     pass
+
+
+MAX_COCYCLE_WORDS = 100_000
+"""Cap on the words ``cocycle_check`` enumerates, as ``bundles.MAX_SIZE``."""
 
 
 def sigma_i(x: AlgebraElement, i: int) -> AlgebraElement:
@@ -167,55 +174,94 @@ def _basis_monomials(n: int, degree_bound: int, zero_slots=(), positive_slots=()
     return [(p, q) for p, q in words if not any(min(p[s], q[s]) for s in zero_slots)]
 
 
-def _kernel_image_vectors(theta: ThetaMatrix, i: int, j: int, k: int,
-                          degree_bound: int):
-    """Spanning vectors of pi^i_j(ker pi^i_k) inside B_ij, up to degree.
+def _reduced(w, slots):
+    """The word w = (p, q) reduced on ``slots``, without its phase."""
+    cut = [min(a, b) * (s in slots) for s, (a, b) in enumerate(zip(*w))]
+    return tuple(map(sub, w[0], cut)), tuple(map(sub, w[1], cut))
 
-    Each is the image of m - e(phi_k) m_k for a word m of B_i with slot k
-    interior and m_k its slot-k reduction: two words, since only the second
-    has min 0 in slot k, read off by slot-(i, j) reductions."""
-    ij = tuple(sorted((i, j)))
-    vectors = []
-    for (p, q) in _basis_monomials(theta.n, degree_bound,
-                                   zero_slots=(i,), positive_slots=(k,)):
-        a, pa, qa = _unitary_reduce(theta, ij, p, q)
-        phi, pk, qk = _unitary_reduce(theta, (k,), p, q)
-        b, pb, qb = _unitary_reduce(theta, ij, pk, qk)
-        vectors.append({(pa, qa): Coeff.from_exponent(a, theta),
-                        (pb, qb): Coeff.from_exponent(phi, theta, -1)
-                        * Coeff.from_exponent(b, theta)})
-    return vectors
+
+def _kernel_image_pairs(n: int, i: int, j: int, k: int, degree_bound: int):
+    """(m, A, B) for each spanning vector of pi^i_j(ker pi^i_k) in B_ij up to
+    the degree bound: m is a word of B_i with slot k interior, A is m reduced
+    on {i, j}, and B is m reduced on k, then on {i, j}: A reduced on k."""
+    for m in _basis_monomials(n, degree_bound, zero_slots=(i,), positive_slots=(k,)):
+        a = _reduced(m, (i, j))
+        yield m, a, _reduced(a, (k,))
+
+
+def _first_unjoined(edges, pairs):
+    """The first (m, A, B) of ``pairs`` whose words A and B no path of
+    ``edges`` (each an (m, A, B) too) joins, or None: a union-find."""
+    parent = {}
+
+    def find(w):
+        while w in parent:
+            parent[w] = w = parent.get(parent[w], parent[w])    # path halving
+        return w
+
+    for _, a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    return next((t for t in pairs if find(t[1]) != find(t[2])), None)
+
+
+def check_cocycle_size(n: int, d: int) -> None:
+    """Raise ``SupportOverflow`` if ``cocycle_check`` would enumerate more
+    than ``MAX_COCYCLE_WORDS`` words: C(d + 2n, 2n) for each of the
+    n(n-1)(n-2) ordered triples.  Too many triples are refused first, so the
+    binomial is formed only for small n."""
+    triples = n * (n - 1) * (n - 2)
+    if d >= 0 and (triples > MAX_COCYCLE_WORDS
+                   or triples * comb(d + 2 * n, 2 * n) > MAX_COCYCLE_WORDS):
+        raise SupportOverflow(f"degree {d} at N={n - 1} exceeds the size cap: "
+                              f"n(n-1)(n-2) C(d+2n, 2n) with n = N+1 must be at "
+                              f"most {MAX_COCYCLE_WORDS}")
 
 
 def cocycle_check(theta: ThetaMatrix, degree_bound: int) -> CocycleReport:
     """Kernel-image equality behind the induced isomorphisms.
 
     For all distinct i,j,k: pi^i_j(ker pi^i_k) == pi^j_i(ker pi^j_k) as spans
-    inside B_ij, on monomials up to the degree bound: each side is eliminated
-    once and the other side's vectors are reduced against it.  A failure is
-    (i, j, k, first word, vector) for the first vector outside the span: the
-    vector is in pi^i_j(ker pi^i_k) but not in pi^j_i(ker pi^j_k).  The
-    isomorphisms cohere for every twist: B_k -> B_j -> B_i and B_k -> B_i,
-    modulo all three slots, both compose slot reductions, whose phase
-    (``algebra`` docstring) is additive over slots, since each leaves every
-    p_j - q_j unchanged.
+    inside B_ij, on monomials up to the degree bound.  A failure is
+    (i, j, k, first word, vector) for the first vector outside the span
+    (side a before side b): the vector is in pi^i_j(ker pi^i_k) but not in
+    pi^j_i(ker pi^j_k).  A size over ``MAX_COCYCLE_WORDS`` raises
+    ``SupportOverflow`` before anything is enumerated.
+
+    Spans are compared without scalar arithmetic.  Let psi(w) be the phase
+    of reducing the word w on every slot.  The vector of a word m of B_i is
+    e(a) e_A - e(phi_k + b) e_B, where A is m reduced on {i, j} with phase a
+    and B is m reduced on k (phase phi_k), then on {i, j} (phase b).  Slot
+    reductions add their phases (``algebra`` docstring), so psi(m) =
+    a + psi(A) = phi_k + b + psi(B): in the coordinates e(psi(w)) x_w, the
+    same on both sides, the vector is e(psi(m)) (e_A - e_B), and A != B as
+    only B is 0 on slot k.  The Q[Z/D]-span of such vectors is {x supported
+    on the graph of the pairs (A, B), with every component summing to 0}, so
+    a vector lies in the other side's span exactly when the other side's
+    pairs join A and B.  Float twists are decided as exactly as rational
+    ones, and only a failing vector is built.
+
+    The isomorphisms cohere for every twist: B_k -> B_j -> B_i and B_k ->
+    B_i, modulo all three slots, both compose slot reductions, whose phase is
+    additive over slots, since each leaves every p_j - q_j unchanged.
     """
     n = theta.n
+    check_cocycle_size(n, degree_bound)
     failures = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                if k in (i, j):
-                    continue
-                side_a = _kernel_image_vectors(theta, i, j, k, degree_bound)
-                side_b = _kernel_image_vectors(theta, j, i, k, degree_bound)
-                bad = first_outside_span(side_b, side_a)
-                if bad is not None:
-                    failures.append((i, j, k, sorted(side_a[bad])[0], side_a[bad]))
-                    continue
-                bad = first_outside_span(side_a, side_b)
-                if bad is not None:
-                    failures.append((j, i, k, sorted(side_b[bad])[0], side_b[bad]))
+    for i, j in combinations(range(n), 2):
+        for k in (k for k in range(n) if k not in (i, j)):
+            side_a = list(_kernel_image_pairs(n, i, j, k, degree_bound))
+            side_b = list(_kernel_image_pairs(n, j, i, k, degree_bound))
+            for a, b, pairs, edges in ((i, j, side_a, side_b), (j, i, side_b, side_a)):
+                bad = _first_unjoined(edges, pairs)
+                if bad is not None:     # the vector in the lemma's form
+                    m, wa, wb = bad
+                    psi = {w: _unitary_reduce(theta, range(n), *w)[0] for w in bad}
+                    vector = {wa: Coeff.from_exponent(psi[m] - psi[wa], theta),
+                              wb: Coeff.from_exponent(psi[m] - psi[wb], theta, -1)}
+                    failures.append((a, b, k, min(vector), vector))
+                    break
     return CocycleReport(passed=not failures,
                          checked_degree=degree_bound,
                          failures=tuple(failures))

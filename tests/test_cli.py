@@ -154,6 +154,16 @@ def test_oversized_windings_are_usage_errors(capsys, tmp_path, command, N, n):
     assert "exceeds the size cap" in err
 
 
+@pytest.mark.parametrize("N, degree", [(2, 12), (3, 7), (4, 5), (47, 0), (2, 10 ** 30),
+                                       (10 ** 30, 3)])
+def test_oversized_cocycles_are_usage_errors(capsys, tmp_path, N, degree):
+    # refused before the twist is read: the missing twist file is never opened
+    code, out, err = run(capsys, "cocycle", "--N", str(N), "--degree", str(degree),
+                         "--theta", str(tmp_path / "missing.json"))
+    assert (code, out) == (2, "")
+    assert "exceeds the size cap" in err
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "unknown-command")[0] == 2
     assert run(capsys, "verify", "--N", "1")[0] == 2          # missing --n

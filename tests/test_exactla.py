@@ -9,7 +9,7 @@ import pytest
 
 from conftest import rng_for
 from heegaard.coeff import Coeff, FloatCoeff
-from heegaard.exactla import FLOAT_SOLVE_TOL, first_outside_span, solve_exact
+from heegaard.exactla import FLOAT_SOLVE_TOL, solve_exact
 from heegaard.phases import RATIONAL
 
 
@@ -184,54 +184,6 @@ def test_solve_edge_cases():
     assert solve_exact([{"a": half}], {"a": half})[0].parts == one.parts
 
 
-def per_vector_first_failure(span, vectors):
-    return next((i for i, v in enumerate(vectors)
-                 if solve_exact(span, v) is None), None)
-
-
-@pytest.mark.parametrize("D", [1, 2, 3, 4, 8, 12])
-def test_span_helper_matches_per_vector_solves(D):
-    rng = rng_for(f"exactla-span-{D}")
-    seen = set()
-    for _ in range(15):
-        span, _ = random_system(rng, D, consistent=True)
-        vectors = []
-        for _ in range(rng.randint(1, 5)):
-            if rng.random() < 0.6:
-                vectors.append(combine([random_coeff(rng, D) for _ in span], span))
-            else:
-                vectors.append(random_system(rng, D, consistent=False)[1])
-        want = per_vector_first_failure(span, vectors)
-        assert first_outside_span(span, vectors) == want
-        seen.add(want)
-    # the first failure occurs at several positions, and sometimes never
-    assert None in seen and len(seen) >= 3
-
-
-def test_span_helper_float_matches_per_vector_solves():
-    rng = rng_for("exactla-span-float")
-
-    def vec(keys):
-        return {k: Coeff.from_complex(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
-                for k in keys}
-
-    keys = list(range(6))
-    seen = set()
-    for _ in range(30):
-        span = [vec(rng.sample(keys, 3)) for _ in range(rng.randint(0, 3))]
-        vectors = []
-        for _ in range(rng.randint(1, 4)):
-            if span and rng.random() < 0.6:
-                w = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in span]
-                vectors.append(combine([Coeff.from_complex(z) for z in w], span))
-            else:
-                vectors.append(vec(rng.sample(keys, 2)))
-        want = per_vector_first_failure(span, vectors)
-        assert first_outside_span(span, vectors) == want
-        seen.add(want)
-    assert None in seen and len(seen) >= 3
-
-
 def test_float_solve_matches_dense_least_squares():
     rng = rng_for("exactla-float")
     for _ in range(20):
@@ -253,7 +205,7 @@ def test_float_solve_matches_dense_least_squares():
 
 def test_float_scalars_pick_least_squares():
     # no mode argument: FloatCoeff inputs are read as complex and solved by
-    # dense least squares, for a single target and for a span check
+    # dense least squares, and a residual over the tolerance is no solution
     rng = rng_for("exactla-float-class")
 
     def z():
@@ -264,26 +216,22 @@ def test_float_scalars_pick_least_squares():
         keys = list(range(rng.randint(2, 6)))
         span = [{k: Coeff.from_complex(z()) for k in rng.sample(keys, rng.randint(1, 2))}
                 for _ in range(rng.randint(1, 3))]
-        vectors = [combine([Coeff.from_complex(z()) for _ in span], span)
-                   if rng.random() < 0.5 else
-                   {k: Coeff.from_complex(z()) for k in rng.sample(keys, 2)}
-                   for _ in range(rng.randint(1, 4))]
-        rows = sorted({k for v in span + vectors for k in v})
+        target = (combine([Coeff.from_complex(z()) for _ in span], span)
+                  if rng.random() < 0.5 else
+                  {k: Coeff.from_complex(z()) for k in rng.sample(keys, 2)})
+        rows = sorted({k for v in span + [target] for k in v})
         a = np.array([[v[k].to_complex() if k in v else 0 for v in span] for k in rows])
-        b = np.array([[v[k].to_complex() if k in v else 0 for v in vectors]
-                      for k in rows])
+        b = np.array([target[k].to_complex() if k in target else 0 for k in rows])
         x = np.linalg.lstsq(a, b, rcond=None)[0]
-        outside = np.linalg.norm(a @ x - b, axis=0) > FLOAT_SOLVE_TOL
-        want = int(np.flatnonzero(outside)[0]) if outside.any() else None
-        assert first_outside_span(span, vectors) == want
-        seen.add(want)
-        got = solve_exact(span, vectors[0])
-        if outside[0]:
+        outside = np.linalg.norm(a @ x - b) > FLOAT_SOLVE_TOL
+        got = solve_exact(span, target)
+        if outside:
             assert got is None
         else:
             assert all(type(c) is FloatCoeff for c in got)
-            assert np.allclose([c.to_complex() for c in got], x[:, 0], atol=1e-12)
-    assert None in seen and len(seen) >= 2
+            assert np.allclose([c.to_complex() for c in got], x, atol=1e-12)
+        seen.add(bool(outside))
+    assert seen == {True, False}
 
 
 def coset_system(rng: random.Random, Dc: int, DT: int, kind: str):
@@ -330,18 +278,20 @@ def test_target_cosets_match_the_target_conductor_expansion(Dc, DT):
 
 @pytest.mark.parametrize("Dc", [1, 2, 3])
 @pytest.mark.parametrize("DT", [4, 8, 12])
-def test_span_helper_finds_a_failure_in_a_nonzero_coset(Dc, DT):
+def test_solve_finds_an_inconsistency_in_a_nonzero_coset(Dc, DT):
+    # the stray vector of a "coset" target sits in one nonzero coset of the
+    # target phases, so an inconsistency is a pivot in a right-hand column
+    # after the first; a combination of the columns at DT stays solvable
     rng = rng_for(f"exactla-span-cosets-{Dc}-{DT}")
     hits = 0
     for _ in range(10):
         span, bad = coset_system(rng, Dc, DT, "coset")
-        vectors = [combine([random_coeff(rng, DT) for _ in span], span)
-                   for _ in range(rng.randint(0, 3))]
-        at = len(vectors)
-        vectors += [bad, combine([random_coeff(rng, DT) for _ in span], span)]
-        want = per_vector_first_failure(span, vectors)
-        assert first_outside_span(span, vectors) == want
+        good = combine([random_coeff(rng, DT) for _ in span], span)
+        assert solve_exact(span, good) is not None
+        got = solve_exact(span, bad)
         if dense_solve(span, bad) is None:
-            assert want == at
+            assert got is None
             hits += 1
+        else:
+            assert [repr(c) for c in got] == [repr(c) for c in dense_solve(span, bad)]
     assert hits >= 3

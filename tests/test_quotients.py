@@ -1,12 +1,12 @@
 import json
 import math
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
 from conftest import random_element, random_float_theta, rng_for
-from heegaard import cli, quotients, serialize
+from heegaard import cli, coeff, exactla, quotients, serialize
 from heegaard import (AlgebraElement, CocycleReport, Coeff, IncompatibleTuple,
                       MultipullbackTuple, SupportOverflow, cocycle_check,
                       generator, glue, is_compatible, pi_i_j, sigma_i,
@@ -162,6 +162,51 @@ def test_cocycle_three_slots():
         assert rep.passed, rep.failures
 
 
+def test_cocycle_size_cap(monkeypatch):
+    # n(n-1)(n-2) C(d + 2n, 2n) words at n = N + 1 against MAX_COCYCLE_WORDS
+    # = 100000: every size of the tests, the README and the decks is
+    # admitted, and so is N = 1 (no triple) at any degree
+    assert quotients.MAX_COCYCLE_WORDS == 100_000
+    for N, d in [(1, 10 ** 30), (2, 4), (3, 4), (2, 11), (3, 6), (4, 4), (5, 3),
+                 (8, 2), (14, 1), (46, 0), (3, -1), (3, -10)]:
+        quotients.check_cocycle_size(N + 1, d)
+    for N, d in [(2, 12), (3, 7), (4, 5), (5, 4), (9, 2), (15, 1), (47, 0),
+                 (2, 10 ** 30), (10 ** 30, 0), (10 ** 30, 10 ** 30)]:
+        with pytest.raises(SupportOverflow, match="exceeds the size cap"):
+            quotients.check_cocycle_size(N + 1, d)
+
+    def refuse(*args):
+        raise AssertionError("enumerated an oversized cocycle")
+
+    monkeypatch.setattr(quotients, "_basis_monomials", refuse)
+    with pytest.raises(SupportOverflow):
+        cocycle_check(ThetaMatrix.zero(4), 7)
+
+
+def test_passing_cocycle_check_does_no_scalar_arithmetic(monkeypatch):
+    # no exactla call, no Coeff formed, not even a reduction phase
+    rng = rng_for("cocycle-no-scalars")
+    thetas = [ThetaMatrix.zero(4), ThetaMatrix.random_rational(4, seed=3, den=12),
+              random_float_theta(4, rng)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scalar arithmetic in a passing cocycle_check")
+
+    own = [name for name, f in vars(exactla).items()
+           if callable(f) and getattr(f, "__module__", None) == exactla.__name__]
+    assert {"solve_exact", "_insert", "_conductor"} <= set(own)
+    for name in own:
+        monkeypatch.setattr(exactla, name, refuse)
+    monkeypatch.setattr(quotients, "solve_exact", refuse)
+    monkeypatch.setattr(quotients, "_unitary_reduce", refuse)
+    monkeypatch.setattr(coeff, "_new", refuse)
+    with pytest.raises(AssertionError):
+        Coeff.one(thetas[0].mode)
+    for th in thetas:
+        for d in (2, 3, 4):
+            assert cocycle_check(th, d).passed
+
+
 def test_partition_of_unity_in_quotients():
     # sum_k w_k w_k* prod_{j>k} (1 - w_j w_j*) telescopes to 1 minus the
     # defect; each sigma_i kills the defect, so each component sees 1.
@@ -229,28 +274,66 @@ def test_closed_form_coherence_matches_context_transport(twist):
                 assert closed[0] == closed[1]
 
 
+def _twists(n, rng):
+    return {"zero": ThetaMatrix.zero(n),
+            "rational": ThetaMatrix.random_rational(n, seed=n, den=12),
+            "float": random_float_theta(n, rng)}
+
+
+def _element_vector(th, i, j, k, m):
+    """m - e(phi_k) m_k built as elements of B_i, carried to B_ij."""
+    bi, bij = Context.quotient(th, i), Context.quotient(th, i, j)
+    phase, pp, qq = _unitary_reduce(th, (k,), *m)
+    hat = AlgebraElement.monomial(bi, pp, qq).times_coeff(Coeff.from_exponent(phase, th))
+    return (AlgebraElement.monomial(bi, *m) - hat).with_context(bij).terms
+
+
+def _witness_vector(th, m, a, b):
+    """e(psi(m)) (e(-psi(A)) e_A - e(-psi(B)) e_B) as a failing
+    ``cocycle_check`` builds it, one phase per word."""
+    psi = {w: _unitary_reduce(th, range(th.n), *w)[0] for w in (m, a, b)}
+    return {a: Coeff.from_exponent(psi[m] - psi[a], th),
+            b: Coeff.from_exponent(psi[m] - psi[b], th, -1)}
+
+
 @pytest.mark.parametrize("twist", ["zero", "rational", "float"])
 def test_kernel_image_vectors_match_the_element_arithmetic(twist):
-    # reference: m - e(phi_k) m_k built as elements of B_i, carried to B_ij;
-    # the same group-ring form, the same floats (up to the sign of a zero)
+    # the lemma in the cocycle_check docstring: the element-arithmetic vector
+    # of m is e(psi(m)) (e(-psi(A)) e_A - e(-psi(B)) e_B) for the pair of m,
+    # and so is a failure witness (the same repr at rational twists)
     rng = rng_for(f"kernel-image-{twist}")
-    exact = repr if twist != "float" else Coeff.to_complex
-    for n in (3, 4):
-        th = {"zero": ThetaMatrix.zero(n),
-              "rational": ThetaMatrix.random_rational(n, seed=n, den=12),
-              "float": random_float_theta(n, rng)}[twist]
+    exact = repr if twist != "float" else (lambda c: c)
+    for n in (3, 4, 5):
+        th = _twists(n, rng)[twist]
+
+        def e(w, weight=1):
+            return Coeff.from_exponent(_unitary_reduce(th, range(n), *w)[0], th, weight)
+
         for i, j, k in permutations(range(n), 3):
-            bi, bij = Context.quotient(th, i), Context.quotient(th, i, j)
-            want = []
-            for (p, q) in quotients._basis_monomials(n, 3, zero_slots=(i,),
-                                                     positive_slots=(k,)):
-                phase, pp, qq = _unitary_reduce(th, (k,), p, q)
-                hat = AlgebraElement.monomial(bi, pp, qq).times_coeff(
-                    Coeff.from_exponent(phase, th))
-                v = (AlgebraElement.monomial(bi, p, q) - hat).with_context(bij)
-                want.append([(m, exact(c)) for m, c in v.terms.items()])
-            got = quotients._kernel_image_vectors(th, i, j, k, 3)
-            assert [[(m, exact(c)) for m, c in v.items()] for v in got] == want
+            pairs = list(quotients._kernel_image_pairs(n, i, j, k, 3))
+            assert [m for m, _, _ in pairs] == quotients._basis_monomials(n, 3, (i,), (k,))
+            for m, a, b in pairs:
+                want = _element_vector(th, i, j, k, m)
+                gauged = {a: e(m) * e(a).conj(), b: e(m) * e(b, -1).conj()}
+                assert len(want) == 2 and want == gauged
+                got = _witness_vector(th, m, a, b)
+                assert {w: exact(c) for w, c in got.items()} == \
+                    {w: exact(c) for w, c in want.items()}
+
+
+def test_kernel_image_pairs_are_the_same_at_every_twist():
+    # the words of each element-arithmetic vector are its pair at zero,
+    # den-8, den-12 and float twists alike
+    rng = rng_for("kernel-image-pairs")
+    for n in (3, 4):
+        thetas = [ThetaMatrix.zero(n), ThetaMatrix.random_rational(n, seed=1, den=8),
+                  ThetaMatrix.random_rational(n, seed=2, den=12), random_float_theta(n, rng)]
+        for i, j, k in permutations(range(n), 3):
+            pairs = list(quotients._kernel_image_pairs(n, i, j, k, 3))
+            assert pairs
+            for th in thetas:
+                supports = [set(_element_vector(th, i, j, k, m)) for m, _, _ in pairs]
+                assert supports == [{a, b} for _, a, b in pairs]
 
 
 def _reference_basis_monomials(n, degree_bound, zero_slots=(), positive_slots=()):
@@ -285,28 +368,49 @@ def _vector_records(v):
 
 
 def _per_vector_failures(theta, degree):
-    """Span-equality witnesses from one exact solve per vector: the triple,
-    the first word and the whole vector, sorted by word."""
+    """Span-equality witnesses from one exact solve per vector, independent
+    of the union-find: the triple, the first word and the whole vector,
+    sorted by word.  Each vector is the witness form of an (m, A, B) of
+    ``quotients._kernel_image_pairs``, as patched."""
     failures = []
     n = theta.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                if k in (i, j):
-                    continue
-                side_a = quotients._kernel_image_vectors(theta, i, j, k, degree)
-                side_b = quotients._kernel_image_vectors(theta, j, i, k, degree)
-                for v in side_a:
-                    if solve_exact(side_b, v) is None:
-                        failures.append([i, j, k, v])
-                        break
-                else:
-                    for v in side_b:
-                        if solve_exact(side_a, v) is None:
-                            failures.append([j, i, k, v])
-                            break
-    return [[i, j, k, [list(m) for m in min(v)], _vector_records(v)]
-            for i, j, k, v in failures]
+    for i, j in combinations(range(n), 2):
+        for k in (k for k in range(n) if k not in (i, j)):
+            side_a, side_b = ([_witness_vector(theta, *t)
+                               for t in quotients._kernel_image_pairs(n, a, b, k, degree)]
+                              for a, b in ((i, j), (j, i)))
+            for a, b, vectors, span in ((i, j, side_a, side_b), (j, i, side_b, side_a)):
+                v = next((v for v in vectors if solve_exact(span, v) is None), None)
+                if v is not None:
+                    failures.append([a, b, k, [list(m) for m in min(v)], _vector_records(v)])
+                    break
+    return failures
+
+
+def _cocycle_failures(theta, degree):
+    """``cocycle_check`` failures in the CLI's JSON form."""
+    return [[i, j, k, [list(m[0]), list(m[1])], _vector_records(v)]
+            for i, j, k, m, v in cocycle_check(theta, degree).failures]
+
+
+def _word_item(m, i, j, k):
+    """(m, A, B) for a word m of B_i, as ``_kernel_image_pairs`` forms it."""
+    a = quotients._reduced(m, (i, j))
+    return m, a, quotients._reduced(a, (k,))
+
+
+def _inject(monkeypatch, extra):
+    """Patch ``_kernel_image_pairs`` so that the triple (i, j, k) in
+    ``extra`` yields its own items with (position, item) inserted."""
+    original = quotients._kernel_image_pairs
+
+    def patched(n, i, j, k, degree):
+        items = list(original(n, i, j, k, degree))
+        for at, item in extra.get((i, j, k), ()):
+            items.insert(len(items) if at is None else at, item)
+        return iter(items)
+
+    monkeypatch.setattr(quotients, "_kernel_image_pairs", patched)
 
 
 @pytest.mark.parametrize("twist", ["zero", "rational", "float"])
@@ -319,30 +423,22 @@ def test_cocycle_span_failure_names_the_first_vector_outside(twist, monkeypatch,
     else:
         th_arg = '{"n":3,"mode":"float","upper":[[0,1,0.31],[0,2,-0.17],[1,2,0.42]]}'
         th = serialize.theta_from_obj(serialize.from_json(th_arg))
-    original = quotients._kernel_image_vectors
-    one = Coeff.one(th.mode)
-
-    def outside(d):
-        # a monomial of degree above the bound lies in no span of the other side
-        return {((d, 0, 0), (0, 0, 0)): one}
-
-    def patched(theta, i, j, k, degree):
-        vectors = original(theta, i, j, k, degree)
-        if (i, j, k) == (0, 1, 2):
-            # side a gains, after its third vector, one inside the other
-            # side's span and then two outside it
-            inside = original(theta, j, i, k, degree)[0]
-            vectors[3:3] = [inside, outside(degree + 2), outside(degree + 1)]
-        if (i, j, k) == (2, 1, 0):
-            # side b of the pair (1, 2) gains one outside vector at the end
-            vectors.append(outside(degree + 3))
-        return vectors
-
-    monkeypatch.setattr(quotients, "_kernel_image_vectors", patched)
+    # side a of (0, 1, 2) gains, after its first item, one of the other
+    # side's items, then two words above the degree bound: their pairs are
+    # outside the other side's graph
+    inside = next(quotients._kernel_image_pairs(3, 1, 0, 2, 2))
+    above = [_word_item(((d, 0, 1), (0, 0, 1)), 0, 1, 2) for d in (3, 2)]
+    extra = {(0, 1, 2): [(1, inside), (2, above[0]), (3, above[1])],
+             # side b of the pair (1, 2) gains one such word at the end
+             (2, 1, 0): [(None, _word_item(((1, 0, 4), (1, 0, 0)), 2, 1, 0))]}
+    _inject(monkeypatch, extra)
     want = _per_vector_failures(th, 2)
-    one_records = serialize._coeff_records(one)
-    assert want == [[0, 1, 2, [[4, 0, 0], [0, 0, 0]], [[[4, 0, 0], [0, 0, 0], one_records]]],
-                    [2, 1, 0, [[5, 0, 0], [0, 0, 0]], [[[5, 0, 0], [0, 0, 0], one_records]]]]
+    assert [w[:4] for w in want] == [[0, 1, 2, [[3, 0, 0], [0, 0, 0]]],
+                                     [2, 1, 0, [[0, 0, 4], [0, 0, 0]]]]
+    assert [[w[:2] for w in f[4]] for f in want] == [
+        [[[3, 0, 0], [0, 0, 0]], [[3, 0, 1], [0, 0, 1]]],
+        [[[0, 0, 4], [0, 0, 0]], [[1, 0, 4], [1, 0, 0]]]]
+    assert _cocycle_failures(th, 2) == want
     code = cli.main(["cocycle", "--N", "2", "--degree", "2", "--theta", th_arg])
     out = json.loads(capsys.readouterr().out)
     assert code == 1 and not out["passed"]
@@ -352,26 +448,75 @@ def test_cocycle_span_failure_names_the_first_vector_outside(twist, monkeypatch,
 def test_cocycle_witness_carries_the_whole_vector(monkeypatch, capsys):
     th_arg = '{"n":3,"mode":"rational","upper":[[0,1,1,8],[0,2,3,8],[1,2,5,8]]}'
     th = serialize.theta_from_obj(serialize.from_json(th_arg))
-    original = quotients._kernel_image_vectors
-    # a word above the degree bound plus a vector of the other side's span:
-    # outside that span, with three words and non-trivial phases, and the
-    # word that sorts last stored first
-    inside = original(th, 1, 0, 2, 2)[-1]
-    bad = {((4, 0, 0), (0, 0, 0)): Coeff.from_exponent(3, th, -2), **inside}
-    assert len(bad) == 3 and next(iter(bad)) == max(bad)
-
-    def patched(theta, i, j, k, degree):
-        vectors = original(theta, i, j, k, degree)
-        return vectors + [bad] if (i, j, k) == (0, 1, 2) else vectors
-
-    monkeypatch.setattr(quotients, "_kernel_image_vectors", patched)
+    # a word above the degree bound, with slot 1 interior: its pair is
+    # outside the other side's graph, reducing on slot 1 moves past slot 2
+    # (phase 5/8), and the word that sorts last is stored first
+    m = ((2, 1, 2), (0, 1, 1))
+    item = _word_item(m, 0, 1, 2)
+    a, b = ((2, 0, 2), (0, 0, 1)), ((2, 0, 1), (0, 0, 0))
+    assert item == (m, a, b)
+    _inject(monkeypatch, {(0, 1, 2): [(None, item)]})
     (i, j, k, first, vector), = quotients.cocycle_check(th, 2).failures
-    assert (i, j, k, first) == (0, 1, 2, min(bad)) and vector is bad
+    e58 = Coeff.from_phase(Fraction(5, 8), th.mode)
+    assert (i, j, k, first) == (0, 1, 2, b)
+    assert list(vector) == [a, b] and vector[a] == e58 and vector[b] == -e58
     code = cli.main(["cocycle", "--N", "2", "--degree", "2", "--theta", th_arg])
     out = json.loads(capsys.readouterr().out)
     assert code == 1
-    assert out["failures"] == [[0, 1, 2, [list(m) for m in min(bad)], _vector_records(bad)]]
-    assert [w[:2] for w in out["failures"][0][4]] == sorted([list(p), list(q)] for p, q in bad)
+    assert out["failures"] == [[0, 1, 2, [list(b[0]), list(b[1])], _vector_records(vector)]]
+    assert [w[:2] for w in out["failures"][0][4]] == [[list(b[0]), list(b[1])],
+                                                      [list(a[0]), list(a[1])]]
+    assert out["failures"] == _per_vector_failures(th, 2)
+
+
+def _components(items):
+    """The words of each connected component of the items' pairs, as lists
+    sorted by word, in order of their least word."""
+    comp = {}
+    for _, a, b in items:
+        merged = comp.get(a, {a}) | comp.get(b, {b})
+        for w in merged:
+            comp[w] = merged
+    return sorted((sorted(c) for c in {id(c): c for c in comp.values()}.values()))
+
+
+@pytest.mark.parametrize("twist", ["zero", "rational", "float"])
+def test_cocycle_check_matches_per_vector_solves(twist, monkeypatch):
+    # the union-find against one exact solve per vector: on random twists,
+    # where both pass, and with injected pairs that join two components of
+    # one side (a failure unless the other side joins them too, directly or
+    # through a path) or that join two words of one component (no failure)
+    rng = rng_for(f"cocycle-cross-{twist}")
+    verdicts = {True: 0, False: 0}
+    for trial in range(12):
+        n, degree = rng.choice([(3, 3), (3, 4), (4, 3)])
+        th = _twists(n, rng)[twist] if twist != "rational" else \
+            ThetaMatrix.random_rational(n, seed=rng.randrange(100), den=rng.choice((8, 12)))
+        i, j, k = rng.sample(range(n), 3)
+        monkeypatch.undo()
+        items = list(quotients._kernel_image_pairs(n, j, i, k, degree))
+        comps = _components(items)
+        x, y = rng.sample(comps, 2)
+        kind = trial % 4
+        if kind == 0:       # join two components on one side only
+            extra = {(j, i, k): [(rng.randrange(len(items) + 1), (x[0], x[0], y[-1]))]}
+        elif kind == 1:     # the same join on both sides
+            join = (y[0], x[-1], y[0])
+            extra = {(j, i, k): [(None, join)], (i, j, k): [(0, join)]}
+        elif kind == 2:     # joins through a path: other words of both components
+            extra = {(j, i, k): [(None, (x[0], x[0], y[0]))],
+                     (i, j, k): [(None, (y[-1], y[-1], x[-1]))]}
+        else:               # two words of one component
+            c = next((c for c in comps if len(c) > 2), x)
+            extra = {(j, i, k): [(0, (c[0], c[-2], c[-1]))]}
+        want_clean = _per_vector_failures(th, degree)
+        assert want_clean == [] and _cocycle_failures(th, degree) == []
+        _inject(monkeypatch, extra)
+        want = _per_vector_failures(th, degree)
+        assert _cocycle_failures(th, degree) == want, (n, degree, (i, j, k), kind)
+        assert bool(want) == (kind == 0)
+        verdicts[not want] += 1
+    assert verdicts[True] >= 6 and verdicts[False] >= 3
 
 
 def _phase_column_glue(t):
