@@ -5,8 +5,9 @@ The ambient algebra surjects onto B_i (slot-i generator unitary), B_ij (two
 unitary slots) and the sphere quotient.  A multipullback tuple is one element
 of each B_i; it is compatible when all pairwise images in B_ij agree, and
 ``glue`` reconstructs a common preimage by an exact finite-support linear
-solve.  ``cocycle_check`` compares kernel images by a union-find over word
-pairs, with no scalar arithmetic (the gauge lemma is in its docstring).
+solve.  ``cocycle_check`` compares kernel images by a union-find over the
+words of their spanning vectors, with no linear solve (the gauge lemma is in
+its docstring).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
-from operator import sub
+from operator import ne
 from typing import Tuple
 
 from .algebra import (AlgebraElement, Context, ContextMismatch, _unitary_reduce)
@@ -174,24 +175,29 @@ def _basis_monomials(n: int, degree_bound: int, zero_slots=(), positive_slots=()
     return [(p, q) for p, q in words if not any(min(p[s], q[s]) for s in zero_slots)]
 
 
-def _reduced(w, slots):
-    """The word w = (p, q) reduced on ``slots``, without its phase."""
-    cut = [min(a, b) * (s in slots) for s, (a, b) in enumerate(zip(*w))]
-    return tuple(map(sub, w[0], cut)), tuple(map(sub, w[1], cut))
+def _kernel_image_vectors(theta: ThetaMatrix, i: int, j: int, k: int,
+                          degree_bound: int):
+    """Spanning vectors of pi^i_j(ker pi^i_k) inside B_ij, up to degree.
+
+    Each is the image of m - e(phi_k) m_k for a word m of B_i with slot k
+    interior and m_k its slot-k reduction: two words, A = m and then B = m_k
+    reduced on {i, j}, distinct as only B has min 0 in slot k."""
+    ij = tuple(sorted((i, j)))
+    vectors = []
+    for (p, q) in _basis_monomials(theta.n, degree_bound,
+                                   zero_slots=(i,), positive_slots=(k,)):
+        a, pa, qa = _unitary_reduce(theta, ij, p, q)
+        phi, pk, qk = _unitary_reduce(theta, (k,), p, q)
+        b, pb, qb = _unitary_reduce(theta, ij, pk, qk)
+        vectors.append({(pa, qa): Coeff.from_exponent(a, theta),
+                        (pb, qb): Coeff.from_exponent(phi, theta, -1)
+                        * Coeff.from_exponent(b, theta)})
+    return vectors
 
 
-def _kernel_image_pairs(n: int, i: int, j: int, k: int, degree_bound: int):
-    """(m, A, B) for each spanning vector of pi^i_j(ker pi^i_k) in B_ij up to
-    the degree bound: m is a word of B_i with slot k interior, A is m reduced
-    on {i, j}, and B is m reduced on k, then on {i, j}: A reduced on k."""
-    for m in _basis_monomials(n, degree_bound, zero_slots=(i,), positive_slots=(k,)):
-        a = _reduced(m, (i, j))
-        yield m, a, _reduced(a, (k,))
-
-
-def _first_unjoined(edges, pairs):
-    """The first (m, A, B) of ``pairs`` whose words A and B no path of
-    ``edges`` (each an (m, A, B) too) joins, or None: a union-find."""
+def _first_unjoined(span, vectors):
+    """The first of ``vectors`` whose two words no path of the two-word
+    vectors of ``span`` joins, or None: a union-find over words."""
     parent = {}
 
     def find(w):
@@ -199,18 +205,17 @@ def _first_unjoined(edges, pairs):
             parent[w] = w = parent.get(parent[w], parent[w])    # path halving
         return w
 
-    for _, a, b in edges:
-        ra, rb = find(a), find(b)
+    for v in span:
+        ra, rb = map(find, v)
         if ra != rb:
             parent[ra] = rb
-    return next((t for t in pairs if find(t[1]) != find(t[2])), None)
+    return next((v for v in vectors if ne(*map(find, v))), None)
 
 
 def check_cocycle_size(n: int, d: int) -> None:
     """Raise ``SupportOverflow`` if ``cocycle_check`` would enumerate more
-    than ``MAX_COCYCLE_WORDS`` words: C(d + 2n, 2n) for each of the
-    n(n-1)(n-2) ordered triples.  Too many triples are refused first, so the
-    binomial is formed only for small n."""
+    than ``MAX_COCYCLE_WORDS`` words, counted as C(d + 2n, 2n) for each of
+    the n(n-1)(n-2) ordered triples (the binomial only once n is small)."""
     triples = n * (n - 1) * (n - 2)
     if d >= 0 and (triples > MAX_COCYCLE_WORDS
                    or triples * comb(d + 2 * n, 2 * n) > MAX_COCYCLE_WORDS):
@@ -229,18 +234,16 @@ def cocycle_check(theta: ThetaMatrix, degree_bound: int) -> CocycleReport:
     pi^j_i(ker pi^j_k).  A size over ``MAX_COCYCLE_WORDS`` raises
     ``SupportOverflow`` before anything is enumerated.
 
-    Spans are compared without scalar arithmetic.  Let psi(w) be the phase
-    of reducing the word w on every slot.  The vector of a word m of B_i is
-    e(a) e_A - e(phi_k + b) e_B, where A is m reduced on {i, j} with phase a
-    and B is m reduced on k (phase phi_k), then on {i, j} (phase b).  Slot
-    reductions add their phases (``algebra`` docstring), so psi(m) =
-    a + psi(A) = phi_k + b + psi(B): in the coordinates e(psi(w)) x_w, the
-    same on both sides, the vector is e(psi(m)) (e_A - e_B), and A != B as
-    only B is 0 on slot k.  The Q[Z/D]-span of such vectors is {x supported
-    on the graph of the pairs (A, B), with every component summing to 0}, so
-    a vector lies in the other side's span exactly when the other side's
-    pairs join A and B.  Float twists are decided as exactly as rational
-    ones, and only a failing vector is built.
+    Spans are compared by their vectors' words alone.  Let psi(w) be the
+    phase of reducing the word w on every slot.  The vector of m is
+    e(a) e_A - e(phi_k + b) e_B, with a, phi_k and b the phases of reducing
+    m on {i, j}, m on k, and m_k on {i, j}.  Slot reductions add their
+    phases (``algebra`` docstring), so psi(m) = a + psi(A) = phi_k + b +
+    psi(B): in the coordinates e(psi(w)) x_w, the same on both sides, the
+    vector is e(psi(m)) (e_A - e_B).  The Q[Z/D]-span of such vectors is
+    {x supported on the graph of the pairs (A, B), every component summing
+    to 0}, so a vector lies in the other side's span exactly when the other
+    side's pairs join A and B: at float twists as exactly as at rational.
 
     The isomorphisms cohere for every twist: B_k -> B_j -> B_i and B_k ->
     B_i, modulo all three slots, both compose slot reductions, whose phase is
@@ -251,16 +254,12 @@ def cocycle_check(theta: ThetaMatrix, degree_bound: int) -> CocycleReport:
     failures = []
     for i, j in combinations(range(n), 2):
         for k in (k for k in range(n) if k not in (i, j)):
-            side_a = list(_kernel_image_pairs(n, i, j, k, degree_bound))
-            side_b = list(_kernel_image_pairs(n, j, i, k, degree_bound))
-            for a, b, pairs, edges in ((i, j, side_a, side_b), (j, i, side_b, side_a)):
-                bad = _first_unjoined(edges, pairs)
-                if bad is not None:     # the vector in the lemma's form
-                    m, wa, wb = bad
-                    psi = {w: _unitary_reduce(theta, range(n), *w)[0] for w in bad}
-                    vector = {wa: Coeff.from_exponent(psi[m] - psi[wa], theta),
-                              wb: Coeff.from_exponent(psi[m] - psi[wb], theta, -1)}
-                    failures.append((a, b, k, min(vector), vector))
+            side_a = _kernel_image_vectors(theta, i, j, k, degree_bound)
+            side_b = _kernel_image_vectors(theta, j, i, k, degree_bound)
+            for a, b, vectors, span in ((i, j, side_a, side_b), (j, i, side_b, side_a)):
+                bad = _first_unjoined(span, vectors)
+                if bad is not None:
+                    failures.append((a, b, k, min(bad), bad))
                     break
     return CocycleReport(passed=not failures,
                          checked_degree=degree_bound,

@@ -1,4 +1,5 @@
-"""The sparse exact solver against a dense Fraction Gauss-Jordan reference."""
+"""The sparse exact solver against a dense Fraction Gauss-Jordan reference,
+and the cocycle span helper against one exact solve per vector."""
 
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ from conftest import rng_for
 from heegaard.coeff import Coeff, FloatCoeff
 from heegaard.exactla import FLOAT_SOLVE_TOL, solve_exact
 from heegaard.phases import RATIONAL
+from heegaard.quotients import _first_unjoined
 
 
 def dense_solve(columns, target):
@@ -184,6 +186,63 @@ def test_solve_edge_cases():
     assert solve_exact([{"a": half}], {"a": half})[0].parts == one.parts
 
 
+def per_vector_first_failure(span, vectors):
+    return next((i for i, v in enumerate(vectors)
+                 if solve_exact(span, v) is None), None)
+
+
+def gauged_systems(rng: random.Random, unit, count: int):
+    """Spans and vectors in the form of the cocycle lemma: u (g_A e_A - g_B
+    e_B) for words A != B, with one fixed invertible g_w per word and an
+    invertible u per vector, drawn by ``unit``."""
+    for _ in range(count):
+        words = list(range(rng.randint(3, 8)))
+        g = {w: unit() for w in words}
+
+        def vec(a, b):
+            u = unit()
+            return {a: u * g[a], b: -(u * g[b])}
+
+        span = [vec(*rng.sample(words, 2)) for _ in range(rng.randint(0, 5))]
+        yield span, [vec(*rng.sample(words, 2)) for _ in range(rng.randint(1, 5))]
+
+
+@pytest.mark.parametrize("D", [1, 2, 3, 4, 8, 12])
+def test_span_helper_matches_per_vector_solves(D):
+    # quotients._first_unjoined decides span membership of the cocycle's
+    # two-word vectors by the words alone; exact per-vector solves agree
+    rng = rng_for(f"exactla-span-{D}")
+
+    def unit():
+        return Coeff.from_phase(Fraction(rng.randrange(D), D), RATIONAL,
+                                Fraction(rng.choice((-1, 1)) * rng.randint(1, 5),
+                                         rng.randint(1, 3)))
+
+    seen = set()
+    for span, vectors in gauged_systems(rng, unit, 30):
+        want = per_vector_first_failure(span, vectors)
+        assert _first_unjoined(span, vectors) is (None if want is None else vectors[want])
+        seen.add(want)
+    # the first failure occurs at several positions, and sometimes never
+    assert None in seen and len(seen) >= 3
+
+
+def test_span_helper_float_matches_per_vector_solves():
+    # the same at float scalars, where solve_exact is least squares with a
+    # residual tolerance and the union-find needs none
+    rng = rng_for("exactla-span-float")
+
+    def unit():
+        return Coeff.from_complex(complex(rng.uniform(0.2, 1), rng.uniform(-1, 1)))
+
+    seen = set()
+    for span, vectors in gauged_systems(rng, unit, 30):
+        want = per_vector_first_failure(span, vectors)
+        assert _first_unjoined(span, vectors) is (None if want is None else vectors[want])
+        seen.add(want)
+    assert None in seen and len(seen) >= 3
+
+
 def test_float_solve_matches_dense_least_squares():
     rng = rng_for("exactla-float")
     for _ in range(20):
@@ -278,10 +337,11 @@ def test_target_cosets_match_the_target_conductor_expansion(Dc, DT):
 
 @pytest.mark.parametrize("Dc", [1, 2, 3])
 @pytest.mark.parametrize("DT", [4, 8, 12])
-def test_solve_finds_an_inconsistency_in_a_nonzero_coset(Dc, DT):
-    # the stray vector of a "coset" target sits in one nonzero coset of the
-    # target phases, so an inconsistency is a pivot in a right-hand column
-    # after the first; a combination of the columns at DT stays solvable
+def test_span_helper_finds_a_failure_in_a_nonzero_coset(Dc, DT):
+    # span membership by solve_exact: the stray vector of a "coset" target
+    # sits in one nonzero coset of the target phases, so an inconsistency is
+    # a pivot in a right-hand column after the first; a combination of the
+    # columns at DT stays solvable
     rng = rng_for(f"exactla-span-cosets-{Dc}-{DT}")
     hits = 0
     for _ in range(10):

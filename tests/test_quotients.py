@@ -6,7 +6,7 @@ from itertools import combinations, permutations
 import pytest
 
 from conftest import random_element, random_float_theta, rng_for
-from heegaard import cli, coeff, exactla, quotients, serialize
+from heegaard import cli, exactla, quotients, serialize
 from heegaard import (AlgebraElement, CocycleReport, Coeff, IncompatibleTuple,
                       MultipullbackTuple, SupportOverflow, cocycle_check,
                       generator, glue, is_compatible, pi_i_j, sigma_i,
@@ -183,14 +183,14 @@ def test_cocycle_size_cap(monkeypatch):
         cocycle_check(ThetaMatrix.zero(4), 7)
 
 
-def test_passing_cocycle_check_does_no_scalar_arithmetic(monkeypatch):
-    # no exactla call, no Coeff formed, not even a reduction phase
-    rng = rng_for("cocycle-no-scalars")
+def test_passing_cocycle_check_calls_nothing_in_exactla(monkeypatch):
+    # the span check is the union-find: no linear solve, exact or float
+    rng = rng_for("cocycle-no-solve")
     thetas = [ThetaMatrix.zero(4), ThetaMatrix.random_rational(4, seed=3, den=12),
               random_float_theta(4, rng)]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("scalar arithmetic in a passing cocycle_check")
+        raise AssertionError("a linear solve in a passing cocycle_check")
 
     own = [name for name, f in vars(exactla).items()
            if callable(f) and getattr(f, "__module__", None) == exactla.__name__]
@@ -198,10 +198,6 @@ def test_passing_cocycle_check_does_no_scalar_arithmetic(monkeypatch):
     for name in own:
         monkeypatch.setattr(exactla, name, refuse)
     monkeypatch.setattr(quotients, "solve_exact", refuse)
-    monkeypatch.setattr(quotients, "_unitary_reduce", refuse)
-    monkeypatch.setattr(coeff, "_new", refuse)
-    with pytest.raises(AssertionError):
-        Coeff.one(thetas[0].mode)
     for th in thetas:
         for d in (2, 3, 4):
             assert cocycle_check(th, d).passed
@@ -288,9 +284,9 @@ def _element_vector(th, i, j, k, m):
     return (AlgebraElement.monomial(bi, *m) - hat).with_context(bij).terms
 
 
-def _witness_vector(th, m, a, b):
-    """e(psi(m)) (e(-psi(A)) e_A - e(-psi(B)) e_B) as a failing
-    ``cocycle_check`` builds it, one phase per word."""
+def _gauged_vector(th, m, a, b):
+    """e(psi(m)) (e(-psi(A)) e_A - e(-psi(B)) e_B): the lemma's form of a
+    kernel-image vector, for any words m, A and B."""
     psi = {w: _unitary_reduce(th, range(th.n), *w)[0] for w in (m, a, b)}
     return {a: Coeff.from_exponent(psi[m] - psi[a], th),
             b: Coeff.from_exponent(psi[m] - psi[b], th, -1)}
@@ -298,42 +294,40 @@ def _witness_vector(th, m, a, b):
 
 @pytest.mark.parametrize("twist", ["zero", "rational", "float"])
 def test_kernel_image_vectors_match_the_element_arithmetic(twist):
-    # the lemma in the cocycle_check docstring: the element-arithmetic vector
-    # of m is e(psi(m)) (e(-psi(A)) e_A - e(-psi(B)) e_B) for the pair of m,
-    # and so is a failure witness (the same repr at rational twists)
+    # reference: m - e(phi_k) m_k built as elements of B_i, carried to B_ij;
+    # the same group-ring form, the same floats (up to the sign of a zero).
+    # The lemma in the cocycle_check docstring: each is e(psi(m)) (e(-psi(A))
+    # e_A - e(-psi(B)) e_B), its words stored as A = m reduced on {i, j},
+    # then B = A reduced on k
     rng = rng_for(f"kernel-image-{twist}")
-    exact = repr if twist != "float" else (lambda c: c)
+    exact = repr if twist != "float" else Coeff.to_complex
     for n in (3, 4, 5):
         th = _twists(n, rng)[twist]
-
-        def e(w, weight=1):
-            return Coeff.from_exponent(_unitary_reduce(th, range(n), *w)[0], th, weight)
-
         for i, j, k in permutations(range(n), 3):
-            pairs = list(quotients._kernel_image_pairs(n, i, j, k, 3))
-            assert [m for m, _, _ in pairs] == quotients._basis_monomials(n, 3, (i,), (k,))
-            for m, a, b in pairs:
+            words = quotients._basis_monomials(n, 3, zero_slots=(i,), positive_slots=(k,))
+            got = quotients._kernel_image_vectors(th, i, j, k, 3)
+            assert len(got) == len(words)
+            for m, v in zip(words, got):
                 want = _element_vector(th, i, j, k, m)
-                gauged = {a: e(m) * e(a).conj(), b: e(m) * e(b, -1).conj()}
-                assert len(want) == 2 and want == gauged
-                got = _witness_vector(th, m, a, b)
-                assert {w: exact(c) for w, c in got.items()} == \
-                    {w: exact(c) for w, c in want.items()}
+                assert [(w, exact(c)) for w, c in v.items()] == \
+                    [(w, exact(c)) for w, c in want.items()]
+                a, b = v
+                assert a == _unitary_reduce(th, (i, j), *m)[1:]
+                assert b == _unitary_reduce(th, (k,), *a)[1:]
+                assert v == _gauged_vector(th, m, a, b)
 
 
-def test_kernel_image_pairs_are_the_same_at_every_twist():
-    # the words of each element-arithmetic vector are its pair at zero,
-    # den-8, den-12 and float twists alike
+def test_kernel_image_words_are_the_same_at_every_twist():
+    # the union-find reads only the words, and they do not depend on the
+    # twist: zero, den-8, den-12 and float alike
     rng = rng_for("kernel-image-pairs")
     for n in (3, 4):
         thetas = [ThetaMatrix.zero(n), ThetaMatrix.random_rational(n, seed=1, den=8),
                   ThetaMatrix.random_rational(n, seed=2, den=12), random_float_theta(n, rng)]
         for i, j, k in permutations(range(n), 3):
-            pairs = list(quotients._kernel_image_pairs(n, i, j, k, 3))
-            assert pairs
-            for th in thetas:
-                supports = [set(_element_vector(th, i, j, k, m)) for m, _, _ in pairs]
-                assert supports == [{a, b} for _, a, b in pairs]
+            words = [[list(v) for v in quotients._kernel_image_vectors(th, i, j, k, 3)]
+                     for th in thetas]
+            assert words[0] and all(w == words[0] for w in words)
 
 
 def _reference_basis_monomials(n, degree_bound, zero_slots=(), positive_slots=()):
@@ -370,15 +364,13 @@ def _vector_records(v):
 def _per_vector_failures(theta, degree):
     """Span-equality witnesses from one exact solve per vector, independent
     of the union-find: the triple, the first word and the whole vector,
-    sorted by word.  Each vector is the witness form of an (m, A, B) of
-    ``quotients._kernel_image_pairs``, as patched."""
+    sorted by word."""
     failures = []
     n = theta.n
     for i, j in combinations(range(n), 2):
         for k in (k for k in range(n) if k not in (i, j)):
-            side_a, side_b = ([_witness_vector(theta, *t)
-                               for t in quotients._kernel_image_pairs(n, a, b, k, degree)]
-                              for a, b in ((i, j), (j, i)))
+            side_a = quotients._kernel_image_vectors(theta, i, j, k, degree)
+            side_b = quotients._kernel_image_vectors(theta, j, i, k, degree)
             for a, b, vectors, span in ((i, j, side_a, side_b), (j, i, side_b, side_a)):
                 v = next((v for v in vectors if solve_exact(span, v) is None), None)
                 if v is not None:
@@ -393,24 +385,18 @@ def _cocycle_failures(theta, degree):
             for i, j, k, m, v in cocycle_check(theta, degree).failures]
 
 
-def _word_item(m, i, j, k):
-    """(m, A, B) for a word m of B_i, as ``_kernel_image_pairs`` forms it."""
-    a = quotients._reduced(m, (i, j))
-    return m, a, quotients._reduced(a, (k,))
-
-
 def _inject(monkeypatch, extra):
-    """Patch ``_kernel_image_pairs`` so that the triple (i, j, k) in
-    ``extra`` yields its own items with (position, item) inserted."""
-    original = quotients._kernel_image_pairs
+    """Patch ``_kernel_image_vectors`` so that the triple (i, j, k) in
+    ``extra`` returns its own vectors with (position, vector) inserted."""
+    original = quotients._kernel_image_vectors
 
-    def patched(n, i, j, k, degree):
-        items = list(original(n, i, j, k, degree))
-        for at, item in extra.get((i, j, k), ()):
-            items.insert(len(items) if at is None else at, item)
-        return iter(items)
+    def patched(theta, i, j, k, degree):
+        vectors = original(theta, i, j, k, degree)
+        for at, v in extra.get((i, j, k), ()):
+            vectors.insert(len(vectors) if at is None else at, v)
+        return vectors
 
-    monkeypatch.setattr(quotients, "_kernel_image_pairs", patched)
+    monkeypatch.setattr(quotients, "_kernel_image_vectors", patched)
 
 
 @pytest.mark.parametrize("twist", ["zero", "rational", "float"])
@@ -423,14 +409,14 @@ def test_cocycle_span_failure_names_the_first_vector_outside(twist, monkeypatch,
     else:
         th_arg = '{"n":3,"mode":"float","upper":[[0,1,0.31],[0,2,-0.17],[1,2,0.42]]}'
         th = serialize.theta_from_obj(serialize.from_json(th_arg))
-    # side a of (0, 1, 2) gains, after its first item, one of the other
-    # side's items, then two words above the degree bound: their pairs are
-    # outside the other side's graph
-    inside = next(quotients._kernel_image_pairs(3, 1, 0, 2, 2))
-    above = [_word_item(((d, 0, 1), (0, 0, 1)), 0, 1, 2) for d in (3, 2)]
+    # side a of (0, 1, 2) gains, after its first vector, one of the other
+    # side's vectors, then the vectors of two words above the degree bound:
+    # their words are outside the other side's graph
+    inside = quotients._kernel_image_vectors(th, 1, 0, 2, 2)[0]
+    above = [_element_vector(th, 0, 1, 2, ((d, 0, 1), (0, 0, 1))) for d in (3, 2)]
     extra = {(0, 1, 2): [(1, inside), (2, above[0]), (3, above[1])],
-             # side b of the pair (1, 2) gains one such word at the end
-             (2, 1, 0): [(None, _word_item(((1, 0, 4), (1, 0, 0)), 2, 1, 0))]}
+             # side b of the pair (1, 2) gains one such vector at the end
+             (2, 1, 0): [(None, _element_vector(th, 2, 1, 0, ((1, 0, 4), (1, 0, 0))))]}
     _inject(monkeypatch, extra)
     want = _per_vector_failures(th, 2)
     assert [w[:4] for w in want] == [[0, 1, 2, [[3, 0, 0], [0, 0, 0]]],
@@ -448,32 +434,32 @@ def test_cocycle_span_failure_names_the_first_vector_outside(twist, monkeypatch,
 def test_cocycle_witness_carries_the_whole_vector(monkeypatch, capsys):
     th_arg = '{"n":3,"mode":"rational","upper":[[0,1,1,8],[0,2,3,8],[1,2,5,8]]}'
     th = serialize.theta_from_obj(serialize.from_json(th_arg))
-    # a word above the degree bound, with slot 1 interior: its pair is
-    # outside the other side's graph, reducing on slot 1 moves past slot 2
-    # (phase 5/8), and the word that sorts last is stored first
+    # the vector of a word above the degree bound, with slot 1 interior: its
+    # words are outside the other side's graph, reducing on slot 1 moves past
+    # slot 2 (phase 5/8), and the word that sorts last is stored first
     m = ((2, 1, 2), (0, 1, 1))
-    item = _word_item(m, 0, 1, 2)
+    bad = _element_vector(th, 0, 1, 2, m)
     a, b = ((2, 0, 2), (0, 0, 1)), ((2, 0, 1), (0, 0, 0))
-    assert item == (m, a, b)
-    _inject(monkeypatch, {(0, 1, 2): [(None, item)]})
-    (i, j, k, first, vector), = quotients.cocycle_check(th, 2).failures
     e58 = Coeff.from_phase(Fraction(5, 8), th.mode)
-    assert (i, j, k, first) == (0, 1, 2, b)
-    assert list(vector) == [a, b] and vector[a] == e58 and vector[b] == -e58
+    assert list(bad) == [a, b] and bad[a] == e58 and bad[b] == -e58
+    assert bad == _gauged_vector(th, m, a, b)
+    _inject(monkeypatch, {(0, 1, 2): [(None, bad)]})
+    (i, j, k, first, vector), = quotients.cocycle_check(th, 2).failures
+    assert (i, j, k, first) == (0, 1, 2, b) and vector is bad
     code = cli.main(["cocycle", "--N", "2", "--degree", "2", "--theta", th_arg])
     out = json.loads(capsys.readouterr().out)
     assert code == 1
-    assert out["failures"] == [[0, 1, 2, [list(b[0]), list(b[1])], _vector_records(vector)]]
+    assert out["failures"] == [[0, 1, 2, [list(b[0]), list(b[1])], _vector_records(bad)]]
     assert [w[:2] for w in out["failures"][0][4]] == [[list(b[0]), list(b[1])],
                                                       [list(a[0]), list(a[1])]]
     assert out["failures"] == _per_vector_failures(th, 2)
 
 
-def _components(items):
-    """The words of each connected component of the items' pairs, as lists
-    sorted by word, in order of their least word."""
+def _components(vectors):
+    """The words of each connected component of the two-word vectors, as
+    lists sorted by word, in order of their least word."""
     comp = {}
-    for _, a, b in items:
+    for a, b in vectors:
         merged = comp.get(a, {a}) | comp.get(b, {b})
         for w in merged:
             comp[w] = merged
@@ -483,9 +469,10 @@ def _components(items):
 @pytest.mark.parametrize("twist", ["zero", "rational", "float"])
 def test_cocycle_check_matches_per_vector_solves(twist, monkeypatch):
     # the union-find against one exact solve per vector: on random twists,
-    # where both pass, and with injected pairs that join two components of
-    # one side (a failure unless the other side joins them too, directly or
-    # through a path) or that join two words of one component (no failure)
+    # where both pass, and with injected vectors in the lemma's form that
+    # join two components of one side (a failure unless the other side joins
+    # them too, directly or through a path) or two words of one component
+    # (no failure)
     rng = rng_for(f"cocycle-cross-{twist}")
     verdicts = {True: 0, False: 0}
     for trial in range(12):
@@ -494,21 +481,22 @@ def test_cocycle_check_matches_per_vector_solves(twist, monkeypatch):
             ThetaMatrix.random_rational(n, seed=rng.randrange(100), den=rng.choice((8, 12)))
         i, j, k = rng.sample(range(n), 3)
         monkeypatch.undo()
-        items = list(quotients._kernel_image_pairs(n, j, i, k, degree))
-        comps = _components(items)
+        vectors = quotients._kernel_image_vectors(th, j, i, k, degree)
+        comps = _components(vectors)
         x, y = rng.sample(comps, 2)
         kind = trial % 4
         if kind == 0:       # join two components on one side only
-            extra = {(j, i, k): [(rng.randrange(len(items) + 1), (x[0], x[0], y[-1]))]}
+            extra = {(j, i, k): [(rng.randrange(len(vectors) + 1),
+                                  _gauged_vector(th, x[0], x[0], y[-1]))]}
         elif kind == 1:     # the same join on both sides
-            join = (y[0], x[-1], y[0])
+            join = _gauged_vector(th, y[0], x[-1], y[0])
             extra = {(j, i, k): [(None, join)], (i, j, k): [(0, join)]}
         elif kind == 2:     # joins through a path: other words of both components
-            extra = {(j, i, k): [(None, (x[0], x[0], y[0]))],
-                     (i, j, k): [(None, (y[-1], y[-1], x[-1]))]}
+            extra = {(j, i, k): [(None, _gauged_vector(th, x[0], x[0], y[0]))],
+                     (i, j, k): [(None, _gauged_vector(th, y[-1], y[-1], x[-1]))]}
         else:               # two words of one component
             c = next((c for c in comps if len(c) > 2), x)
-            extra = {(j, i, k): [(0, (c[0], c[-2], c[-1]))]}
+            extra = {(j, i, k): [(0, _gauged_vector(th, c[0], c[-2], c[-1]))]}
         want_clean = _per_vector_failures(th, degree)
         assert want_clean == [] and _cocycle_failures(th, degree) == []
         _inject(monkeypatch, extra)
