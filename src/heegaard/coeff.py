@@ -133,8 +133,9 @@ class Coeff:
                                for t, w in self.terms.items()} if weight else {})
 
     def scale(self, w) -> "Coeff":
-        """Multiply by a rational (or real/complex in float mode) scalar."""
-        return self * self.rational(w)
+        """Multiply by a rational (or real/complex in float mode) scalar; it
+        is built at this conductor, so the product needs no lift."""
+        return self * _new(type(self), self.D, self.rational(w).terms)
 
     def inverse(self) -> "Coeff":
         """Exact inverse; only single-phase coefficients

@@ -40,6 +40,9 @@ from .phases import ThetaMatrix, frac_part
 
 DEFAULT_MAX_DIM = 100_000
 
+CHARGE_TOL = 1e-6
+"""How far ``class_invariant``'s closed-form charge may be from an integer."""
+
 
 class UnstableInvariant(RuntimeError):
     pass
@@ -291,8 +294,7 @@ def default_truncations(e: ProjectorMatrix) -> List[int]:
     return list(range(start, start + e.entries[0][0].ctx.n + 1))
 
 
-def class_invariant(e: ProjectorMatrix, m_list: List[int],
-                    tol: float = 1e-6) -> ClassInvariant:
+def class_invariant(e: ProjectorMatrix, m_list: List[int]) -> ClassInvariant:
     """Numerical K-class data (dimension class, compact charge) of a
     projector over the sphere quotient.
 
@@ -320,7 +322,7 @@ def class_invariant(e: ProjectorMatrix, m_list: List[int],
     charge = compact_charge(lifted_diag)
     chi = round(charge.real)
     off = max(abs(charge.imag), abs(charge.real - chi))
-    if off > tol:
+    if off > CHARGE_TOL:
         raise UnstableInvariant(f"closed-form charge {charge} is not an integer")
     return ClassInvariant(dimension_class=d,
                           compact_charge=chi,

@@ -35,6 +35,9 @@ class SupportOverflow(RuntimeError):
 MAX_COCYCLE_WORDS = 100_000
 """Cap on the words ``cocycle_check`` enumerates, as ``bundles.MAX_SIZE``."""
 
+MAX_GLUE_SUPPORT = 4000
+"""Cap on the candidate words of one ``glue`` system."""
+
 
 def sigma_i(x: AlgebraElement, i: int) -> AlgebraElement:
     """Quotient map making the slot-i generator unitary."""
@@ -93,12 +96,12 @@ def is_compatible(t: MultipullbackTuple) -> bool:
     return True
 
 
-def glue(t: MultipullbackTuple, max_support: int = 4000) -> AlgebraElement:
+def glue(t: MultipullbackTuple) -> AlgebraElement:
     """A full-algebra element a with sigma_i(a) == components[i] for all i.
 
-    Candidate monomials are the slot-i towers over the component supports;
-    the coefficients are found by an exact linear solve (least squares within
-    1e-10 in float mode).  The lift is not unique; any solution is returned.
+    Candidate monomials are the slot-i towers over the component supports,
+    at most ``MAX_GLUE_SUPPORT``; the coefficients are the particular solution
+    of one rational elimination (``exactla``) at every twist, exact or float.
 
     The twist enters only through phases, and a gauge removes them.  Let
     psi(m) be the phase of reducing the word m on every slot.  Slot
@@ -107,10 +110,10 @@ def glue(t: MultipullbackTuple, max_support: int = 4000) -> AlgebraElement:
     sum_{sigma_i m = w} e(phi_i(m)) c_m = b_i[w] holds exactly when
     c'_m = e(psi(m)) c_m solves sum_{sigma_i m = w} c'_m = e(psi(w)) b_i[w].
     So every column entry is the rational 1, and c_m = e(-psi(m)) c'_m.
-    In the phase-free system the expanded parts of an unknown are all
-    pivots or all free, so the gauge (a phase on each unknown and each row)
-    frees the same unknowns: the lift is the particular solution of the
-    system with e(phi_i(m)) in the columns.
+    Over Q the phase-free system is one copy of the 0/1 system per phase, so
+    an unknown's parts are all pivots or all free, and the gauge frees the
+    same unknowns: the lift is the particular solution of the system with
+    e(phi_i(m)) in the columns.  The lift is not unique.
     """
     if not is_compatible(t):
         raise IncompatibleTuple("pairwise images in B_ij do not agree")
@@ -118,7 +121,6 @@ def glue(t: MultipullbackTuple, max_support: int = 4000) -> AlgebraElement:
     n = theta.n
     D = theta.conductor
     ctx = Context.toeplitz(theta)
-    one = Coeff.one(theta.mode)
 
     def psi(p, q):
         return _unitary_reduce(theta, range(n), p, q)[0]
@@ -137,15 +139,15 @@ def glue(t: MultipullbackTuple, max_support: int = 4000) -> AlgebraElement:
                     pp[i] += k
                     qq[i] += k
                     cands.add((tuple(pp), tuple(qq)))
-        if len(cands) > max_support:
-            raise SupportOverflow(f"candidate support exceeds {max_support}")
+        if len(cands) > MAX_GLUE_SUPPORT:
+            raise SupportOverflow(f"candidate support exceeds {MAX_GLUE_SUPPORT}")
         cand_list = sorted(cands)
-        columns = [{(i, _unitary_reduce(theta, (i,), p, q)[1:]): one for i in range(n)}
+        columns = [{(i, _unitary_reduce(theta, (i,), p, q)[1:]) for i in range(n)}
                    for (p, q) in cand_list]
         sol = solve_exact(columns, target)
         if sol is not None:
-            terms = {m: c.times_exponent(-psi(*m), D)
-                     for m, c in zip(cand_list, sol) if not c.is_zero()}
+            terms = {cand_list[j]: c.times_exponent(-psi(*cand_list[j]), D)
+                     for j, c in sol.items()}
             return AlgebraElement(ctx, terms)
     raise SupportOverflow("no lift found within the candidate tower depth")
 
@@ -251,6 +253,8 @@ def cocycle_check(theta: ThetaMatrix, degree_bound: int) -> CocycleReport:
     """
     n = theta.n
     check_cocycle_size(n, degree_bound)
+    if degree_bound < 2:        # no word of degree < 2 is interior on slot k
+        return CocycleReport(passed=True, checked_degree=degree_bound)
     failures = []
     for i, j in combinations(range(n), 2):
         for k in (k for k in range(n) if k not in (i, j)):

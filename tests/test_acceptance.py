@@ -171,8 +171,7 @@ def test_criterion_08_class_separation():
     th = ThetaMatrix.zero(2)
     pairs = {}
     for m in range(-3, 4):
-        inv = class_invariant(chern_galois_projector(m, 1, th),
-                              [8, 16, 24], tol=1e-6)
+        inv = class_invariant(chern_galois_projector(m, 1, th), [8, 16, 24])
         assert inv.residual < 1e-6
         # oracle-frozen expected integers
         assert inv.as_pair() == (1, -m), m

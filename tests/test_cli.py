@@ -132,7 +132,7 @@ def test_glue_incompatible(tmp_path, capsys):
 
 def test_glue_support_overflow_is_a_usage_error(tmp_path, capsys, monkeypatch):
     # an unsupported size is exit 2 with stdout empty; exit 1 needs a witness
-    monkeypatch.setattr(quotients.glue, "__defaults__", (1,))
+    monkeypatch.setattr(quotients, "MAX_GLUE_SUPPORT", 1)
     ctx = Context.toeplitz(ThetaMatrix.random_rational(2, seed=7))
     x = generator(ctx, 0) * generator(ctx, 1).star() + unit(ctx)
     t = MultipullbackTuple.from_element(x)

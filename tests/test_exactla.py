@@ -1,5 +1,6 @@
-"""The sparse exact solver against a dense Fraction Gauss-Jordan reference,
-and the cocycle span helper against one exact solve per vector."""
+"""The phase-free solver and the phase-column reference solver against a
+dense Fraction Gauss-Jordan reference, and the cocycle span helper against
+one reference solve per vector."""
 
 import random
 from fractions import Fraction
@@ -10,9 +11,11 @@ import pytest
 
 from conftest import rng_for
 from heegaard.coeff import Coeff, FloatCoeff
-from heegaard.exactla import FLOAT_SOLVE_TOL, solve_exact
-from heegaard.phases import RATIONAL
+from heegaard.exactla import solve_exact
+from heegaard.phases import FLOAT_TOL, RATIONAL
 from heegaard.quotients import _first_unjoined
+from reference_solve import FLOAT_SOLVE_TOL
+from reference_solve import solve_exact as reference_solve
 
 
 def dense_solve(columns, target):
@@ -108,13 +111,115 @@ def random_system(rng: random.Random, D: int, consistent: bool):
     return columns, target
 
 
+def zero_one_system(rng: random.Random):
+    """0/1 columns over a few keys as key sets, some of them repeated or the
+    union of two disjoint others (rank-deficient), and more columns than
+    keys at times."""
+    keys = [(rng.randrange(3), rng.randrange(4)) for _ in range(rng.randint(2, 7))]
+    columns = [set(rng.sample(keys, rng.randint(1, len(keys))))
+               for _ in range(rng.randint(1, 6))]
+    for _ in range(rng.randint(0, 2)):
+        a, b = rng.choice(columns), rng.choice(columns)
+        extra = set(a) if a & b else a | b
+        columns.insert(rng.randrange(len(columns) + 1), extra)
+    return columns
+
+
+def as_vectors(columns, one):
+    return [{k: one for k in col} for col in columns]
+
+
+@pytest.mark.parametrize("D", [1, 2, 3, 4, 8, 12])
+def test_phase_free_solve_matches_dense_reference(D):
+    # the particular solution of the 0/1 system is the dense Gauss-Jordan
+    # one, exactly, at every target conductor, and None comes back exactly
+    # when the dense elimination finds the system inconsistent
+    rng = rng_for(f"exactla-phase-free-{D}")
+    one = Coeff.rational(1)
+    solved = unsolvable = 0
+    for trial in range(40):
+        columns = zero_one_system(rng)
+        vectors = as_vectors(columns, one)
+        if trial % 2:
+            keys = sorted(set().union(*columns)) + ["fresh"] * (trial % 3 == 0)
+            target = {k: random_coeff(rng, D) for k in rng.sample(keys, min(2, len(keys)))}
+        else:
+            target = combine([random_coeff(rng, D) for _ in columns], vectors)
+        got = solve_exact(columns, target)
+        want = dense_solve(vectors, target)
+        if want is None:
+            assert got is None
+            unsolvable += 1
+            continue
+        assert got is not None
+        assert {j: c.parts for j, c in got.items()} == \
+            {j: c.parts for j, c in enumerate(want) if not c.is_zero()}
+        assert list(got) == sorted(got)
+        residual = combine([Coeff.rational(-1)], [target])
+        assert combine([Coeff.rational(1)] + list(got.values()),
+                       [residual] + [vectors[j] for j in got]) == {}
+        solved += 1
+    assert solved >= 20 and unsolvable >= 5
+
+
+def test_phase_free_solve_at_float_targets():
+    # the same elimination with complex right-hand sides: the float values
+    # of a Gaussian-rational target are solved to within FLOAT_TOL, and the
+    # system is inconsistent exactly when the exact one is
+    rng = rng_for("exactla-phase-free-float")
+    one = Coeff.rational(1)
+
+    def gaussian():
+        return phase_sum({Fraction(0): Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+                          Fraction(1, 4): Fraction(rng.randint(-9, 9), rng.randint(1, 4))})
+
+    seen = set()
+    for trial in range(40):
+        columns = zero_one_system(rng)
+        if trial % 2:
+            keys = sorted(set().union(*columns)) + ["fresh"] * (trial % 3 == 0)
+            exact = {k: gaussian() for k in rng.sample(keys, min(2, len(keys)))}
+        else:
+            exact = combine([gaussian() for _ in columns], as_vectors(columns, one))
+        target = {k: Coeff.from_complex(c.to_complex()) for k, c in exact.items()}
+        got = solve_exact(columns, target)
+        want = dense_solve(as_vectors(columns, one), exact)
+        assert (got is None) == (want is None)
+        seen.add(got is None)
+        if got is None:
+            continue
+        assert all(type(c) is FloatCoeff for c in got.values())
+        for k in set(target).union(*columns):
+            z = sum((c.to_complex() for j, c in got.items() if k in columns[j]), 0j)
+            assert abs(z - (target[k].to_complex() if k in target else 0)) < FLOAT_TOL, k
+        for j, w in enumerate(want):
+            assert abs((got[j].to_complex() if j in got else 0) - w.to_complex()) < 1e-12
+    assert seen == {True, False}
+
+
+def test_phase_free_solve_edge_cases():
+    one = Coeff.rational(1)
+    assert solve_exact([], {}) == {}
+    assert solve_exact([{"a"}], {}) == {}
+    assert solve_exact([], {"a": one}) is None
+    assert solve_exact([{"a"}], {"b": one}) is None
+    assert solve_exact([{"a"}, set()], {"a": Coeff.zero(RATIONAL)}) == {}
+    assert solve_exact([{"a"}, {"a"}], {"a": one}) == {0: one}
+    # a pivot 2: x0 + x2 = x0 + x1 = x1 + x2 = 1 has x = (1/2, 1/2, 1/2)
+    half = Coeff.rational(Fraction(1, 2))
+    got = solve_exact([{"a", "b"}, {"b", "c"}, {"a", "c"}], {k: one for k in "abc"})
+    assert got == {0: half, 1: half, 2: half}
+    assert solve_exact([{"a", "b"}, {"b", "c"}, {"a", "c"}, {"a", "b", "c"}],
+                       {k: one for k in "abd"}) is None
+
+
 @pytest.mark.parametrize("D", [1, 2, 3, 4, 8, 12])
 def test_sparse_solve_matches_dense_reference(D):
     rng = rng_for(f"exactla-{D}")
     solved = unsolvable = 0
     for trial in range(20):
         columns, target = random_system(rng, D, consistent=trial % 2 == 0)
-        got = solve_exact(columns, target)
+        got = reference_solve(columns, target)
         want = dense_solve(columns, target)
         if want is None:
             assert got is None
@@ -141,7 +246,7 @@ def test_solution_weights_are_exact(D):
                        for col in columns]
             target = combine([Coeff.rational(rng.randint(-3, 3)) for _ in columns],
                              columns)
-        got = solve_exact(columns, target)
+        got = reference_solve(columns, target)
         assert got is not None
         assert all(type(w) in (int, Fraction) for c in got for w in c.parts.values())
         residual = combine([Coeff.rational(-1)], [target])
@@ -162,7 +267,7 @@ def test_integral_solution_weights_are_ints(D):
                        for col in columns]
             target = combine([Coeff.rational(rng.randint(-3, 3)) for _ in columns],
                              columns)
-        got = solve_exact(columns, target)
+        got = reference_solve(columns, target)
         assert got is not None
         for w in (w for c in got for w in c.terms.values()):
             if w.denominator == 1:
@@ -175,20 +280,20 @@ def test_integral_solution_weights_are_ints(D):
 
 def test_solve_edge_cases():
     one = Coeff.rational(1)
-    assert solve_exact([], {}) == []
-    assert solve_exact([], {"a": one}) is None
-    assert solve_exact([{"a": one}], {"b": one}) is None
-    zero_target = solve_exact([{"a": one}, {}], {"a": Coeff.zero(RATIONAL)})
+    assert reference_solve([], {}) == []
+    assert reference_solve([], {"a": one}) is None
+    assert reference_solve([{"a": one}], {"b": one}) is None
+    zero_target = reference_solve([{"a": one}, {}], {"a": Coeff.zero(RATIONAL)})
     assert [c.is_zero() for c in zero_target] == [True, True]
     # 1 + e(1/2) is a zero divisor of the group ring: it does not reach 1
     half = phase_sum({Fraction(0): Fraction(1), Fraction(1, 2): Fraction(1)})
-    assert solve_exact([{"a": half}], {"a": one}) is None
-    assert solve_exact([{"a": half}], {"a": half})[0].parts == one.parts
+    assert reference_solve([{"a": half}], {"a": one}) is None
+    assert reference_solve([{"a": half}], {"a": half})[0].parts == one.parts
 
 
 def per_vector_first_failure(span, vectors):
     return next((i for i, v in enumerate(vectors)
-                 if solve_exact(span, v) is None), None)
+                 if reference_solve(span, v) is None), None)
 
 
 def gauged_systems(rng: random.Random, unit, count: int):
@@ -252,14 +357,14 @@ def test_float_solve_matches_dense_least_squares():
                    for _ in range(rng.randint(1, 4))]
         w = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in columns]
         target = combine([Coeff.from_complex(z) for z in w], columns)
-        got = solve_exact(columns, target)
+        got = reference_solve(columns, target)
         rows = sorted({k for col in columns for k in col} | set(target), key=repr)
         a = np.array([[col[k].to_complex() if k in col else 0 for col in columns]
                       for k in rows])
         b = np.array([target[k].to_complex() if k in target else 0 for k in rows])
         x = np.linalg.lstsq(a, b, rcond=None)[0]
         assert np.allclose([c.to_complex() for c in got], x, atol=1e-12)
-    assert solve_exact([{0: Coeff.from_complex(1)}], {1: Coeff.from_complex(1)}) is None
+    assert reference_solve([{0: Coeff.from_complex(1)}], {1: Coeff.from_complex(1)}) is None
 
 
 def test_float_scalars_pick_least_squares():
@@ -283,7 +388,7 @@ def test_float_scalars_pick_least_squares():
         b = np.array([target[k].to_complex() if k in target else 0 for k in rows])
         x = np.linalg.lstsq(a, b, rcond=None)[0]
         outside = np.linalg.norm(a @ x - b) > FLOAT_SOLVE_TOL
-        got = solve_exact(span, target)
+        got = reference_solve(span, target)
         if outside:
             assert got is None
         else:
@@ -322,7 +427,7 @@ def test_target_cosets_match_the_target_conductor_expansion(Dc, DT):
     kinds = ["consistent", "coset"] if lcm(Dc, DT) > Dc else ["consistent"]
     for trial in range(16):
         columns, target = coset_system(rng, Dc, DT, kinds[trial % len(kinds)])
-        got = solve_exact(columns, target)
+        got = reference_solve(columns, target)
         want = dense_solve(columns, target)
         if want is None:
             assert got is None
@@ -347,8 +452,8 @@ def test_span_helper_finds_a_failure_in_a_nonzero_coset(Dc, DT):
     for _ in range(10):
         span, bad = coset_system(rng, Dc, DT, "coset")
         good = combine([random_coeff(rng, DT) for _ in span], span)
-        assert solve_exact(span, good) is not None
-        got = solve_exact(span, bad)
+        assert reference_solve(span, good) is not None
+        got = reference_solve(span, bad)
         if dense_solve(span, bad) is None:
             assert got is None
             hits += 1
