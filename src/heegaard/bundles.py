@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import List, Tuple
+from typing import Tuple
 
 from .algebra import (AlgebraElement, Context, ContextMismatch, generator,
                       range_complement, unit)
@@ -63,15 +63,18 @@ class TensorElement:
 
     def simplify(self) -> "TensorElement":
         """Merge summands whose left factors are exact scalar multiples."""
-        # insertion order is kept, so the summand layout is deterministic
-        merged: List[Tuple[AlgebraElement, AlgebraElement]] = []
+        # insertion order is kept; only left factors with equal words are proportional
+        merged, kept = [], {}       # kept: left words -> their indices in merged
         for a, r in self.summands:
-            for idx, (a0, r0) in enumerate(merged):
+            same = kept.setdefault(frozenset(a.terms), [])
+            for idx in same:
+                a0, r0 = merged[idx]
                 lam = _proportionality(a, a0)
                 if lam is not None:
                     merged[idx] = (a0, r0 + r.times_coeff(lam))
                     break
             else:
+                same.append(len(merged))
                 merged.append((a, r))
         return TensorElement(self.ctx, merged)
 
@@ -168,17 +171,11 @@ class ProjectorMatrix:
 
 
 def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = a[i][0] * b[0][j]
-            for k in range(1, inner):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+    """Matrix product; a product with a zero factor adds nothing, so it is skipped."""
+    zero = AlgebraElement.zero(a[0][0].ctx)
+    return tuple(tuple(sum((x * y for x, y in zip(row, col)
+                            if not (x.is_zero() or y.is_zero())), zero)
+                       for col in zip(*b)) for row in a)
 
 
 def mat_eq(a, b) -> bool:
@@ -262,7 +259,7 @@ def pullback_projector(e: ProjectorMatrix):
     beta_pp = beta_p + rho_p
     e_pp = ProjectorMatrix(
         e.winding,
-        tuple(tuple(beta_pp[k] * (gamma_p[l] if l < mp else AlgebraElement.zero(ctx))
+        tuple(tuple(beta_pp[k] * gamma_p[l] if l < mp else AlgebraElement.zero(ctx)
                     for l in range(m)) for k in range(m)))
 
     # gamma' beta'^T = sum of the surviving a_l r_l; the dropped summands

@@ -52,7 +52,7 @@ class Coeff:
 
     @classmethod
     def rational(cls, w) -> "Coeff":
-        w = Fraction(w)
+        w = w if type(w) is int else Fraction(w)
         w = w.numerator if w.denominator == 1 else w
         return _new(cls, 1, {0: w} if w else {})
 
@@ -167,6 +167,8 @@ class Coeff:
             return NotImplemented
         if type(self) is not type(other):
             return False
+        if self.D == other.D and self.mode == RATIONAL:   # no zero weight is stored
+            return self.terms == other.terms
         return (self - other).is_zero()
 
     def __hash__(self):

@@ -48,7 +48,7 @@ def _insert(rows: Dict[int, tuple], v: dict, t: Coeff) -> Optional[Coeff]:
                     v[col] = s
                 else:
                     del v[col]
-        t = t + rhs.scale(-f)
+        t = t - rhs if f == 1 else t + rhs if f == -1 else t + rhs.scale(-f)
     if not v:
         return t
     p = min(v)
@@ -88,7 +88,7 @@ def solve_exact(columns: Sequence[Collection[Hashable]],
         row, c = rows[p]
         for col, w in row.items():
             if col in x:
-                c = c + x[col].scale(-w)
+                c = c - x[col] if w == 1 else c + x[col] if w == -1 else c + x[col].scale(-w)
         if not c.is_zero():
             x[p] = c
     return dict(sorted(x.items()))

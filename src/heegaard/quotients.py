@@ -88,12 +88,19 @@ class MultipullbackTuple:
 
 
 def is_compatible(t: MultipullbackTuple) -> bool:
-    n = t.theta.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if pi_i_j(t.components[i], j) != pi_i_j(t.components[j], i):
-                return False
+    """Whether all pairwise images in B_ij agree: the same words, and equal
+    coefficients word by word (no difference element is formed)."""
+    comps = t.components
+    for i, j in combinations(range(len(comps)), 2):
+        a, b = pi_i_j(comps[i], j).terms, pi_i_j(comps[j], i).terms
+        if a.keys() != b.keys() or any(c != b[m] for m, c in a.items()):
+            return False
     return True
+
+
+def _shift(v: tuple, s: int, d: int) -> tuple:
+    """The multi-index v with d added in slot s."""
+    return v[:s] + (v[s] + d,) + v[s + 1:]
 
 
 def glue(t: MultipullbackTuple) -> AlgebraElement:
@@ -129,22 +136,18 @@ def glue(t: MultipullbackTuple) -> AlgebraElement:
               for i, b in enumerate(t.components) for m, c in b.terms.items()}
     maxdeg = max((sum(p) + sum(q)
                   for b in t.components for p, q in b.terms), default=0)
+    columns = {}            # candidate m: its keys (s, m reduced on slot s)
     for depth in range(maxdeg + 3):
-        cands = set()
         for i, b in enumerate(t.components):
-            for (p, q) in b.terms:
-                for k in range(depth + 1):
-                    pp = list(p)
-                    qq = list(q)
-                    pp[i] += k
-                    qq[i] += k
-                    cands.add((tuple(pp), tuple(qq)))
-        if len(cands) > MAX_GLUE_SUPPORT:
+            for p, q in b.terms:
+                p, q = _shift(p, i, depth), _shift(q, i, depth)
+                if (p, q) not in columns:
+                    columns[p, q] = {(s, (_shift(p, s, -k), _shift(q, s, -k)))
+                                     for s in range(n) for k in [min(p[s], q[s])]}
+        if len(columns) > MAX_GLUE_SUPPORT:
             raise SupportOverflow(f"candidate support exceeds {MAX_GLUE_SUPPORT}")
-        cand_list = sorted(cands)
-        columns = [{(i, _unitary_reduce(theta, (i,), p, q)[1:]) for i in range(n)}
-                   for (p, q) in cand_list]
-        sol = solve_exact(columns, target)
+        cand_list = sorted(columns)
+        sol = solve_exact([columns[m] for m in cand_list], target)
         if sol is not None:
             terms = {cand_list[j]: c.times_exponent(-psi(*cand_list[j]), D)
                      for j, c in sol.items()}

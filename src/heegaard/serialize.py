@@ -13,11 +13,12 @@ import cmath
 import json
 import sys
 from fractions import Fraction
+from math import lcm
 from typing import Any, Dict
 
 from .algebra import AlgebraElement, Context, _canonicalize
 from .bundles import ProjectorMatrix, TensorElement
-from .coeff import Coeff
+from .coeff import Coeff, _new
 from .phases import FLOAT, RATIONAL, ThetaMatrix
 
 
@@ -125,46 +126,60 @@ def _coeff_records(c: Coeff):
     return records
 
 
-def _coeff_from_record(rec: Any, theta: ThetaMatrix, path: str) -> Coeff:
-    """The scalar of one record; a rational one is built at the lcm of the
-    twist's conductor and its phase denominator, so sums and products with
-    the twist's phases need no lift."""
-    re, im = _fields(rec, path, "re", "im")
-    for key, v in (("re", re), ("im", im)):
-        _expect(_is_number(v), f"{path}.{key}", "expected a number")
-    if theta.mode == FLOAT:
-        return Coeff.from_complex(complex(re, im))
-    keys = ("phase_num", "phase_den", "amp_num", "amp_den")
-    num, den, a, b = values = _fields(rec, path, *keys)
-    for key, v in zip(keys, values):
-        _expect(_is_int(v), f"{path}.{key}", "expected an integer")
-    _expect(den != 0, f"{path}.phase_den", "denominator must be nonzero")
-    _expect(b != 0, f"{path}.amp_den", "denominator must be nonzero")
-    w = Fraction(a, b)
-    w = w.numerator if w.denominator == 1 else w
-    return Coeff.from_exponent(0, theta).times_exponent(num, den, w)
-
-
 def _terms_to_obj(x: AlgebraElement) -> list:
     return [{"p": list(p), "q": list(q), **rec}
             for (p, q), c in x.sorted_terms() for rec in _coeff_records(c)]
 
 
+def _checked(rec: dict, keys: tuple, ok, message: str, path: str, idx: int) -> list:
+    """The values of ``keys`` in the record ``path[idx]``: all present, then
+    each passing ``ok``; the path is formatted only for a bad field."""
+    try:
+        values = [rec[key] for key in keys]
+    except KeyError:
+        key = next(k for k in keys if k not in rec)
+        raise SchemaError(f"{path}[{idx}].{key}", "missing field") from None
+    for key, v in zip(keys, values):
+        if not ok(v):
+            raise SchemaError(f"{path}[{idx}].{key}", message)
+    return values
+
+
 def _terms_from_obj(ctx: Context, records: Any, path: str) -> AlgebraElement:
     """The element of ``ctx`` whose term records are ``records``: the records
     of one word add up to one term, and the sum is brought to normal form
-    once, so non-canonical words are still reduced."""
+    once, so non-canonical words are still reduced.  Each record is checked
+    in one pass.  Rational records are built at one conductor, the lcm of
+    the twist's and every phase denominator, so their sums and twist phases
+    need no lift."""
     _expect(isinstance(records, list), path, "expected a list")
-    n, terms = ctx.n, {}
+    n, rational, parsed = ctx.n, ctx.mode == RATIONAL, []
+    not_word = f"expected {n} non-negative integers"
+
+    def is_word(v):
+        return isinstance(v, list) and len(v) == n and all(_is_int(a) and a >= 0 for a in v)
+
     for idx, rec in enumerate(records):
-        at = f"{path}[{idx}]"
-        p, q = _fields(rec, at, "p", "q")
-        for key, v in (("p", p), ("q", q)):
-            _expect(isinstance(v, list) and len(v) == n
-                    and all(_is_int(a) and a >= 0 for a in v),
-                    f"{at}.{key}", f"expected {n} non-negative integers")
-        c = _coeff_from_record(rec, ctx.theta, at)
-        word = (tuple(p), tuple(q))
+        if not isinstance(rec, dict):
+            raise SchemaError(f"{path}[{idx}]", "expected an object")
+        p, q = _checked(rec, ("p", "q"), is_word, not_word, path, idx)
+        re, im = _checked(rec, ("re", "im"), _is_number, "expected a number", path, idx)
+        if rational:
+            v = _checked(rec, ("phase_num", "phase_den", "amp_num", "amp_den"), _is_int,
+                         "expected an integer", path, idx)
+            _checked(rec, ("phase_den", "amp_den"), bool,
+                     "denominator must be nonzero", path, idx)
+        parsed.append(((tuple(p), tuple(q)), v if rational else complex(re, im)))
+    D = lcm(ctx.theta.conductor, *(v[1] for _, v in parsed)) if rational else 1
+    terms = {}
+    for word, v in parsed:
+        if rational:
+            num, den, a, b = v
+            w = a if b == 1 else Fraction(a, b)
+            c = _new(Coeff, D, {num * (D // den) % D: w.numerator if w.denominator == 1 else w}
+                     if a else {})
+        else:
+            c = Coeff.from_complex(v)
         terms[word] = terms[word] + c if word in terms else c
     return _canonicalize(ctx, terms)
 

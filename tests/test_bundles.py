@@ -1,14 +1,17 @@
+import cmath
+from fractions import Fraction
 from math import comb
 
 import pytest
 
-from conftest import random_float_theta, rng_for
-from heegaard import (AlgebraElement, NonzeroTwist, TensorElement,
+from conftest import random_element, random_float_theta, rng_for
+from heegaard import (AlgebraElement, Coeff, NonzeroTwist, TensorElement,
                       chern_galois_projector, generator, h_tail, pullback_hom,
                       pullback_projector, sphere_defect, strong_connection,
                       unit, verify_connection)
 from heegaard.algebra import Context
-from heegaard.bundles import MAX_SIZE, SizeOverflow, check_size
+from heegaard import bundles
+from heegaard.bundles import MAX_SIZE, SizeOverflow, _proportionality, check_size, mat_mul
 from heegaard.phases import ThetaMatrix
 
 
@@ -273,3 +276,112 @@ def test_size_cap_bounds_summands_and_tail_words():
             check_size(n, N)
     with pytest.raises(SizeOverflow):
         strong_connection(-1, 16, ThetaMatrix.zero(17))
+
+
+def _counting_products(monkeypatch):
+    """A one-element list counting ``AlgebraElement.__mul__`` calls from now on."""
+    calls = [0]
+    mul = AlgebraElement.__mul__
+
+    def counting(self, other):
+        calls[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(AlgebraElement, "__mul__", counting)
+    return calls
+
+
+def reference_mat_mul(a, b):
+    # every entry product is formed, zero factors included
+    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
+    out = []
+    for i in range(rows):
+        row = []
+        for j in range(cols):
+            acc = a[i][0] * b[0][j]
+            for k in range(1, inner):
+                acc = acc + a[i][k] * b[k][j]
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _reprs(matrix):
+    return [[repr(x) for x in row] for row in matrix]
+
+
+@pytest.mark.parametrize("kind", TWISTS)
+@pytest.mark.parametrize("N, n", [(1, -3), (2, -2), (2, 2), (3, -1)])
+def test_mat_mul_forms_only_products_of_nonzero_factors(N, n, kind, monkeypatch):
+    e = chern_galois_projector(n, N, twist(kind, N + 1)).entries
+    want = reference_mat_mul(e, e)
+    calls = _counting_products(monkeypatch)
+    got = mat_mul(e, e)
+    assert calls[0] == sum(1 for row in e for col in zip(*e)
+                           for x, y in zip(row, col) if not (x.is_zero() or y.is_zero()))
+    assert _reprs(got) == _reprs(want)
+
+
+def test_pullback_projector_skips_products_with_a_zero_factor(monkeypatch):
+    # 2545 entry products before, 1830 of them with a zero factor
+    e = chern_galois_projector(-3, 2, ThetaMatrix.zero(3))
+    calls = _counting_products(monkeypatch)
+    e_prime, e_pp, witness = pullback_projector(e)
+    assert calls[0] <= 715
+    monkeypatch.undo()
+    monkeypatch.setattr(bundles, "mat_mul", reference_mat_mul)
+    want_prime, _, want = pullback_projector(e)
+    assert _reprs(e_prime.entries) == _reprs(want_prime.entries)
+    # E'' unskipped: the pushed rights times the pushed lefts, both permuted;
+    # a dropped left pushes to zero
+    rights = [pullback_hom(e.rights[l]) for l in witness.permutation]
+    lefts = [pullback_hom(e.lefts[l]) for l in witness.permutation]
+    assert _reprs(e_pp.entries) == _reprs([[r * a for a in lefts] for r in rights])
+    assert (_reprs(witness.g), _reprs(witness.g_inv), witness.permutation) == \
+        (_reprs(want.g), _reprs(want.g_inv), want.permutation)
+    assert witness.gamma_beta_is_one and want.gamma_beta_is_one
+    assert witness.conjugation_holds and want.conjugation_holds
+    padded = [[e_prime.entries[i][j] if i < e_prime.size and j < e_prime.size
+               else AlgebraElement.zero(e_pp.entries[0][0].ctx)
+               for j in range(e.size)] for i in range(e.size)]
+    assert _reprs(mat_mul(mat_mul(witness.g_inv, padded), witness.g)) == \
+        _reprs(reference_mat_mul(reference_mat_mul(witness.g_inv, padded), witness.g))
+    assert e_pp.is_idempotent() and e_prime.is_idempotent()
+
+
+def reference_simplify(t):
+    # the quadratic merge: each summand against every kept summand in order
+    merged = []
+    for a, r in t.summands:
+        for idx, (a0, r0) in enumerate(merged):
+            lam = _proportionality(a, a0)
+            if lam is not None:
+                merged[idx] = (a0, r0 + r.times_coeff(lam))
+                break
+        else:
+            merged.append((a, r))
+    return merged
+
+
+@pytest.mark.parametrize("kind", TWISTS)
+def test_simplify_matches_the_quadratic_merge(kind):
+    th = twist(kind, 3)
+    ctx = Context.sphere(th)
+    s0, s1, s2 = (generator(ctx, k) for k in range(3))
+    rng = rng_for(f"simplify-{kind}")
+    phase = (lambda t: Coeff.from_phase(t, th.mode, 3)) if th.mode == "rational" \
+        else (lambda t: Coeff.from_complex(3 * cmath.exp(2j * cmath.pi * t)))
+    x, y = s0 + s1, s0 - s1          # the same words, not proportional
+    lefts = [x, y, x.times_coeff(phase(Fraction(1, 8))), y.scale(2), x, s0 * s1.star(),
+             s2, y.times_coeff(phase(Fraction(3, 4))), s2.scale(-1), s0 * s1.star(),
+             x + s2]
+    rights = [random_element(ctx, rng, nterms=2, degree=2) for _ in lefts]
+    for order in range(4):
+        pairs = list(zip(lefts, rights))
+        if order:
+            rng.shuffle(pairs)
+        t = TensorElement(ctx, pairs)
+        want = reference_simplify(t)
+        got = t.simplify().summands
+        assert [(repr(a), repr(r)) for a, r in got] == [(repr(a), repr(r)) for a, r in want]
+        assert len(got) < len(pairs)

@@ -268,3 +268,26 @@ def test_zero_weight_gives_no_terms():
         assert c.terms == {}
         assert c.is_zero()
         assert c == Coeff.zero(RATIONAL)
+
+
+def test_rational_keeps_an_int_and_normalises_the_rest():
+    for w, want in ((3, 3), (-2, -2), (0, None), (Fraction(4, 2), 2), (Fraction(1, 3), Fraction(1, 3)),
+                    (0.5, Fraction(1, 2)), (True, 1)):
+        c = Coeff.rational(w)
+        assert c.D == 1 and c.terms == ({} if want is None else {0: want})
+        assert all(type(v) is (int if v.denominator == 1 else Fraction) for v in c.terms.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=pairs(), b=pairs(), k=st.integers(0, 23))
+def test_equality_at_one_conductor_agrees_with_the_difference(a, b, k):
+    # operands lifted to one conductor compare their terms; the weights may
+    # be ints or integral Fractions, and the sum x + y - y may re-form terms
+    (x, _), (y, _) = a, b
+    D = math.lcm(x.D, y.D, 120)
+    theta = ThetaMatrix.from_upper(2, {(0, 1): Fraction(1, D)})
+    x, y = x * Coeff.from_exponent(0, theta), y * Coeff.from_exponent(k * D // 24, theta)
+    assert x.D == y.D == D
+    for u, v in ((x, y), (x, x + y - y), (x + y, y + x), (x.scale(2), x + x)):
+        assert (u == v) == (u - v).is_zero()
+    assert x + y - y == x and (x == x + Coeff.one(RATIONAL).times_exponent(0, D)) is False

@@ -623,3 +623,89 @@ def test_glue_columns_are_phase_free(twist, monkeypatch):
         glue(t)
     assert seen
     assert all(sorted(i for i, _ in col) == [0, 1, 2] for col in seen)
+
+
+def _reference_is_compatible(t):
+    # the difference-element test: every pairwise difference in B_ij is zero
+    comps = t.components
+    return all((pi_i_j(comps[i], j) - pi_i_j(comps[j], i)).is_zero()
+               for i, j in combinations(range(len(comps)), 2))
+
+
+def _theta(twist, n, rng):
+    if twist == "zero":
+        return ThetaMatrix.zero(n)
+    if twist == "float":
+        return random_float_theta(n, rng)
+    return ThetaMatrix.random_rational(n, seed=rng.randrange(100), den=int(twist[4:]))
+
+
+def _changed(t, rng):
+    """``t`` with one component changed in one coefficient or in one word."""
+    i = rng.randrange(len(t.components))
+    b = t.components[i]
+    terms = dict(b.terms)
+    m = rng.choice(sorted(terms))
+    if rng.random() < 0.5:
+        terms[m] = terms[m] + terms[m].scale(Fraction(1, 2))
+    else:
+        p, q = m
+        s = rng.choice([s for s in range(len(p)) if s != i])
+        moved = (p[:s] + (p[s] + 1,) + p[s + 1:], q)
+        if moved in terms:
+            return None
+        terms[moved] = terms.pop(m)
+    comps = list(t.components)
+    comps[i] = AlgebraElement(b.ctx, terms)
+    return MultipullbackTuple(tuple(comps))
+
+
+@pytest.mark.parametrize("twist", ["zero", "den-8", "den-12", "float"])
+def test_is_compatible_matches_the_difference_element_test(twist):
+    rng = rng_for(f"compatible-{twist}")
+    compatible = changed = 0
+    for n in (2, 3, 4):
+        theta = _theta(twist, n, rng)
+        for _ in range(10):
+            t = MultipullbackTuple.from_element(
+                random_element(Context.toeplitz(theta), rng, nterms=4, degree=3))
+            assert is_compatible(t) and _reference_is_compatible(t)
+            compatible += 1
+            bad = _changed(t, rng) if any(b.terms for b in t.components) else None
+            if bad is not None:
+                assert is_compatible(bad) == _reference_is_compatible(bad) == False  # noqa: E712
+                changed += 1
+    assert compatible == 30 and changed >= 20
+
+
+def test_den12_glue_round_trip_lifts_no_conductor(monkeypatch):
+    # every record of a component is read at one conductor, here 24 for the
+    # twist's 12 and the element's eighths (the unit word's 1/8 reaches every
+    # component), so comparing images, the right-hand sides and the lift take
+    # no lcm, though records of phase 0 or in twelfths come in the same tuple
+    from heegaard import coeff
+    rng = rng_for("glue-one-conductor")
+    lifts = []
+    common = coeff._common
+    monkeypatch.setattr(coeff, "_common", lambda a, b: lifts.append((a.D, b.D)) or common(a, b))
+    for n in (2, 3, 4):
+        theta = ThetaMatrix.from_upper(n, {(j, k): Fraction(rng.choice((1, 5, 7, 11)), 12)
+                                           for j, k in combinations(range(n), 2)})
+        zero, ones = (0,) * n, (1,) * n
+        for _ in range(6):
+            # W_e W_e* with e = (1, ..., 1) needs a tower of depth > 0
+            words = {(zero, zero), (ones, ones)} | {
+                tuple(tuple(rng.randrange(3) for _ in range(n)) for _ in "pq")
+                for _ in range(6)}
+            x = AlgebraElement(Context.toeplitz(theta), {m: Coeff.from_phase(
+                Fraction(1 if m == (zero, zero) else rng.randrange(8), 8), "rational",
+                Fraction(rng.randint(1, 9), rng.randint(1, 4))) for m in words})
+            t = MultipullbackTuple.from_element(x)
+            text = json.dumps({"components": [serialize.element_to_obj(b) for b in t.components]})
+            lifts.clear()
+            comps = tuple(serialize.element_from_obj(c, f"components[{i}]")
+                          for i, c in enumerate(json.loads(text)["components"]))
+            out = serialize.to_json(serialize.element_to_obj(glue(MultipullbackTuple(comps))))
+            assert lifts == []
+            back = serialize.element_from_obj(json.loads(out))
+            assert all(sigma_i(back, i) == b for i, b in enumerate(comps))

@@ -287,3 +287,108 @@ def test_empty_projector_is_refused():
     with pytest.raises(SchemaError) as exc:
         projector_from_obj(empty)
     assert exc.value.path == "projector.size"
+
+
+def _bad_record_cases():
+    """(mutation of the second record, path, message) for every malformed
+    record the reader refuses, in the words the schema has always used."""
+    at = "element.terms[1]"
+    for key in ("p", "q", "re", "im", "phase_num", "phase_den", "amp_num", "amp_den"):
+        yield f"missing {key}", lambda r, k=key: r.pop(k), f"{at}.{key}", "missing field"
+    words = "expected 2 non-negative integers"
+    yield "true in p", lambda r: r.update(p=[True, 0]), f"{at}.p", words
+    yield "false in q", lambda r: r.update(q=[0, False]), f"{at}.q", words
+    for key in ("phase_num", "phase_den", "amp_num", "amp_den"):
+        yield f"true as {key}", lambda r, k=key: r.update({k: True}), f"{at}.{key}", \
+            "expected an integer"
+        yield f"float as {key}", lambda r, k=key: r.update({k: 1.0}), f"{at}.{key}", \
+            "expected an integer"
+    yield "true as re", lambda r: r.update(re=True), f"{at}.re", "expected a number"
+    for name, v in (("nan", float("nan")), ("inf", float("inf")), ("-inf", float("-inf")),
+                    ("huge int", 10 ** 400)):
+        yield f"{name} as re", lambda r, v=v: r.update(re=v), f"{at}.re", "expected a number"
+        yield f"{name} as im", lambda r, v=v: r.update(im=v), f"{at}.im", "expected a number"
+    yield "zero phase_den", lambda r: r.update(phase_den=0), f"{at}.phase_den", \
+        "denominator must be nonzero"
+    yield "zero amp_den", lambda r: r.update(amp_den=0), f"{at}.amp_den", \
+        "denominator must be nonzero"
+    yield "both denominators zero", lambda r: r.update(phase_den=0, amp_den=0), \
+        f"{at}.phase_den", "denominator must be nonzero"
+    yield "short p", lambda r: r.update(p=[1]), f"{at}.p", words
+    yield "long q", lambda r: r.update(q=[0, 0, 0]), f"{at}.q", words
+    yield "p not a list", lambda r: r.update(p=(1, 0)), f"{at}.p", words
+    yield "negative exponent", lambda r: r.update(q=[0, -1]), f"{at}.q", words
+    # the first failing check in schema order wins
+    yield "bad p before missing re", lambda r: (r.pop("re"), r.update(p=[-1, 0])), \
+        f"{at}.p", words
+    yield "missing q before bad p", lambda r: (r.pop("q"), r.update(p=[-1, 0])), \
+        f"{at}.q", "missing field"
+    yield "bad im before missing amp_num", lambda r: (r.pop("amp_num"), r.update(im="0")), \
+        f"{at}.im", "expected a number"
+    yield "missing amp_den before bad phase_num", \
+        lambda r: (r.pop("amp_den"), r.update(phase_num=0.5)), f"{at}.amp_den", "missing field"
+    yield "bad amp_num before zero phase_den", \
+        lambda r: r.update(amp_num=None, phase_den=0), f"{at}.amp_num", "expected an integer"
+
+
+@pytest.mark.parametrize("mutate,path,message",
+                         [case[1:] for case in _bad_record_cases()],
+                         ids=[case[0] for case in _bad_record_cases()])
+def test_malformed_records_raise_their_literal_path_and_message(mutate, path, message):
+    ctx = Context.toeplitz(ThetaMatrix.random_rational(2, seed=4))
+    records = [_record([1, 0], [0, 1], 1, 8, 2, 3), _record([0, 2], [1, 0], 3, 4, -1, 2)]
+    mutate(records[1])
+    with pytest.raises(SchemaError) as exc:
+        element_from_obj({"context": serialize.context_to_obj(ctx), "terms": records})
+    assert (exc.value.path, str(exc.value)) == (path, f"{path}: {message}")
+
+
+@pytest.mark.parametrize("record", [3, "p", None, [], [1, 0]])
+def test_a_record_that_is_not_an_object_is_refused(record):
+    ctx = Context.sphere(ThetaMatrix.zero(2))
+    with pytest.raises(SchemaError) as exc:
+        element_from_obj({"context": serialize.context_to_obj(ctx),
+                          "terms": [_record([1, 0], [0, 0], 0, 1), record]})
+    assert str(exc.value) == "element.terms[1]: expected an object"
+
+
+@pytest.mark.parametrize("terms", [{}, "terms", None, 7])
+def test_terms_that_are_not_a_list_are_refused(terms):
+    ctx = Context.sphere(ThetaMatrix.zero(2))
+    with pytest.raises(SchemaError) as exc:
+        element_from_obj({"context": serialize.context_to_obj(ctx), "terms": terms})
+    assert str(exc.value) == "element.terms: expected a list"
+
+
+def test_float_records_need_only_their_words_and_numbers():
+    th = ThetaMatrix.from_upper(2, {(0, 1): 0.3}, mode="float")
+    obj = {"context": serialize.context_to_obj(Context.toeplitz(th)),
+           "terms": [{"p": [1, 0], "q": [0, 0], "re": 0.5, "im": -1}]}
+    (c,) = element_from_obj(obj).terms.values()
+    assert c.to_complex() == complex(0.5, -1)
+    for key, value, message in (("im", None, "expected a number"),
+                                ("re", float("nan"), "expected a number"),
+                                ("p", [0, -2], "expected 2 non-negative integers")):
+        rec = dict(obj["terms"][0], **{key: value})
+        with pytest.raises(SchemaError) as exc:
+            element_from_obj({**obj, "terms": [rec]}, "components[1]")
+        assert str(exc.value) == f"components[1].terms[0].{key}: {message}"
+
+
+def test_records_of_an_element_share_one_conductor():
+    # the lcm of the twist's conductor and every phase denominator of the
+    # element, also for records of phase 0
+    th = ThetaMatrix.from_upper(2, {(0, 1): Fraction(3, 8)})
+    ctx = Context.toeplitz(th)
+    obj = {"context": serialize.context_to_obj(ctx),
+           "terms": [_record([1, 0], [0, 1], 0, 1), _record([0, 0], [0, 0], 1, 3),
+                     _record([1, 0], [0, 1], 1, -6, 5, 2), _record([2, 0], [0, 0], 1, 2)]}
+    x = element_from_obj(obj)
+    assert {c.D for c in x.terms.values()} == {24}
+    want = (AlgebraElement.monomial(ctx, (1, 0), (0, 1), Coeff.one(RATIONAL)
+                                    + Coeff.from_phase(Fraction(-1, 6), RATIONAL, Fraction(5, 2)))
+            + unit(ctx).times_coeff(Coeff.from_phase(Fraction(1, 3), RATIONAL))
+            + AlgebraElement.monomial(ctx, (2, 0), (0, 0), Coeff.from_phase(Fraction(1, 2),
+                                                                              RATIONAL)))
+    assert x == want
+    assert to_json(element_to_obj(x)) == to_json(element_to_obj(want))
