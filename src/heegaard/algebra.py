@@ -292,10 +292,10 @@ def _canonicalize(ctx: Context,
                   terms: Dict[Tuple[MultiIndex, MultiIndex], Coeff]) -> AlgebraElement:
     """Apply the context's extra relations term-wise and prune zeros.
 
-    Unitary contexts reduce every word on their unitary slots; in the sphere
-    quotient a fully-interior word (no zero exponent) is the inclusion-
-    exclusion sum over the nonempty slot sets of the module docstring; the
-    plain algebra keeps every word.
+    Unitary contexts reduce on their unitary slots every word interior on
+    one of them; in the sphere quotient a fully-interior word (no zero
+    exponent) is the inclusion-exclusion sum over the nonempty slot sets of
+    the module docstring; every other word is kept as it is.
     """
     sphere = ctx.kind == SPHERE
     if sphere:
@@ -304,10 +304,10 @@ def _canonicalize(ctx: Context,
         signed = ((ctx.unitary, 1),)
     else:
         return AlgebraElement(ctx, terms)
-    theta, D = ctx.theta, ctx.theta.conductor
+    theta, D, unitary = ctx.theta, ctx.theta.conductor, ctx.unitary
     out: Dict[Tuple[MultiIndex, MultiIndex], Coeff] = {}
     for (p, q), c in terms.items():
-        if sphere and (0 in p or 0 in q):
+        if (0 in p or 0 in q) if sphere else not any(p[s] and q[s] for s in unitary):
             key = (p, q)
             out[key] = out[key] + c if key in out else c
             continue

@@ -262,15 +262,11 @@ def pullback_projector(e: ProjectorMatrix):
         tuple(tuple(beta_pp[k] * gamma_p[l] if l < mp else AlgebraElement.zero(ctx)
                     for l in range(m)) for k in range(m)))
 
-    # gamma' beta'^T = sum of the surviving a_l r_l; the dropped summands
-    # contribute zero, so this is the image of the full contraction
-    gb = AlgebraElement.zero(ctx)
-    for a, r in zip(gamma_p, beta_p):
-        gb = gb + a * r
-    gamma_beta_is_one = gb == unit(ctx)
-
     zero = AlgebraElement.zero(ctx)
     one = unit(ctx)
+    # gamma' beta'^T = sum of the surviving a_l r_l; the dropped summands
+    # contribute zero, so this is the image of the full contraction
+    gamma_beta_is_one = TensorElement(ctx, zip(gamma_p, beta_p)).contract() == one
     g = [[one if i == j else zero for j in range(m)] for i in range(m)]
     g_inv = [[one if i == j else zero for j in range(m)] for i in range(m)]
     for i in range(m - mp):

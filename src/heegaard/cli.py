@@ -198,13 +198,15 @@ def _run_glue(args) -> int:
     except (serialize.SchemaError, ValueError) as exc:
         raise UsageError(str(exc)) from None
     try:
-        lifted = glue(t)
+        lifted = serialize.element_to_obj(glue(t))
     except IncompatibleTuple as exc:
         _emit({"error": "incompatible tuple", "detail": str(exc)}, args.output)
         return 1
     except SupportOverflow as exc:      # an unsupported size, not a witness
         raise UsageError(str(exc)) from None
-    _emit(serialize.element_to_obj(lifted), args.output)
+    except OverflowError as exc:        # an amplitude whose re/im has no float
+        raise UsageError(f"coefficient outside float range: {exc}") from None
+    _emit(lifted, args.output)
     return 0
 
 

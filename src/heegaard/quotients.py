@@ -4,17 +4,17 @@ cocycle-condition checker.
 The ambient algebra surjects onto B_i (slot-i generator unitary), B_ij (two
 unitary slots) and the sphere quotient.  A multipullback tuple is one element
 of each B_i; it is compatible when all pairwise images in B_ij agree, and
-``glue`` reconstructs a common preimage by an exact finite-support linear
-solve.  ``cocycle_check`` compares kernel images by a union-find over the
-words of their spanning vectors, with no linear solve (the gauge lemma is in
-its docstring).
+``glue`` reconstructs a common preimage by one exact linear solve over the
+words of its closed-form lift.  ``cocycle_check`` compares kernel images by
+a union-find over the words of their spanning vectors, with no linear solve
+(the gauge lemma is in its docstring).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
-from math import comb
+from itertools import combinations, product
+from math import comb, prod
 from operator import ne
 from typing import Tuple
 
@@ -36,7 +36,7 @@ MAX_COCYCLE_WORDS = 100_000
 """Cap on the words ``cocycle_check`` enumerates, as ``bundles.MAX_SIZE``."""
 
 MAX_GLUE_SUPPORT = 4000
-"""Cap on the candidate words of one ``glue`` system."""
+"""Cap on the words of one ``glue`` system, counted as ``_glue_support`` says."""
 
 
 def sigma_i(x: AlgebraElement, i: int) -> AlgebraElement:
@@ -103,12 +103,28 @@ def _shift(v: tuple, s: int, d: int) -> tuple:
     return v[:s] + (v[s] + d,) + v[s + 1:]
 
 
+def _glue_support(t: MultipullbackTuple) -> list:
+    """Glue's unknowns, sorted: each word w of b_i reduced on every subset of
+    its interior slots above i (s > i, min(p_s, q_s) > 0).  Their count with
+    repeats, sum_{i,w} 2^{#those slots}, is capped before any is formed."""
+    choices = [[((a, b), (a - k, b - k)) if s > i and k else ((a, b),)
+                for s, (a, b) in enumerate(zip(p, q)) for k in [min(a, b)]]
+               for i, comp in enumerate(t.components) for p, q in comp.terms]
+    if sum(prod(map(len, c)) for c in choices) > MAX_GLUE_SUPPORT:
+        raise SupportOverflow(f"candidate support exceeds {MAX_GLUE_SUPPORT}")
+    return sorted({tuple(zip(*pairs)) for c in choices for pairs in product(*c)})
+
+
 def glue(t: MultipullbackTuple) -> AlgebraElement:
     """A full-algebra element a with sigma_i(a) == components[i] for all i.
 
-    Candidate monomials are the slot-i towers over the component supports,
-    at most ``MAX_GLUE_SUPPORT``; the coefficients are the particular solution
-    of one rational elimination (``exactla``) at every twist, exact or float.
+    A compatible tuple has the closed-form lift a = sum_{S nonempty}
+    (-1)^{|S|+1} iota(b_{min S} reduced on S), iota reading a quotient's word
+    in the full algebra.  Pair S not containing j with S + {j}: compatibility
+    makes their sigma_j-images equal, and their signs are opposite, so only
+    S = {j} survives and sigma_j(a) = b_j.  So the system on the words of
+    ``_glue_support`` is consistent exactly for a compatible tuple, and one
+    rational elimination (``exactla``) gives the lift, not unique.
 
     The twist enters only through phases, and a gauge removes them.  Let
     psi(m) be the phase of reducing the word m on every slot.  Slot
@@ -120,39 +136,25 @@ def glue(t: MultipullbackTuple) -> AlgebraElement:
     Over Q the phase-free system is one copy of the 0/1 system per phase, so
     an unknown's parts are all pivots or all free, and the gauge frees the
     same unknowns: the lift is the particular solution of the system with
-    e(phi_i(m)) in the columns.  The lift is not unique.
+    e(phi_i(m)) in the columns.
     """
     if not is_compatible(t):
         raise IncompatibleTuple("pairwise images in B_ij do not agree")
-    theta = t.theta
-    n = theta.n
-    D = theta.conductor
-    ctx = Context.toeplitz(theta)
+    theta, n, D = t.theta, t.theta.n, t.theta.conductor
 
     def psi(p, q):
         return _unitary_reduce(theta, range(n), p, q)[0]
 
+    support = _glue_support(t)
     target = {(i, m): c.times_exponent(psi(*m), D)
               for i, b in enumerate(t.components) for m, c in b.terms.items()}
-    maxdeg = max((sum(p) + sum(q)
-                  for b in t.components for p, q in b.terms), default=0)
-    columns = {}            # candidate m: its keys (s, m reduced on slot s)
-    for depth in range(maxdeg + 3):
-        for i, b in enumerate(t.components):
-            for p, q in b.terms:
-                p, q = _shift(p, i, depth), _shift(q, i, depth)
-                if (p, q) not in columns:
-                    columns[p, q] = {(s, (_shift(p, s, -k), _shift(q, s, -k)))
-                                     for s in range(n) for k in [min(p[s], q[s])]}
-        if len(columns) > MAX_GLUE_SUPPORT:
-            raise SupportOverflow(f"candidate support exceeds {MAX_GLUE_SUPPORT}")
-        cand_list = sorted(columns)
-        sol = solve_exact([columns[m] for m in cand_list], target)
-        if sol is not None:
-            terms = {cand_list[j]: c.times_exponent(-psi(*cand_list[j]), D)
-                     for j, c in sol.items()}
-            return AlgebraElement(ctx, terms)
-    raise SupportOverflow("no lift found within the candidate tower depth")
+    columns = [{(s, (_shift(p, s, -k), _shift(q, s, -k))) for s in range(n)
+                for k in [min(p[s], q[s])]} for p, q in support]
+    sol = solve_exact(columns, target)
+    if sol is None:         # by the lemma, only float rounding gets here
+        raise IncompatibleTuple("the lift's system is inconsistent at float tolerance")
+    return AlgebraElement(Context.toeplitz(theta), {
+        support[j]: c.times_exponent(-psi(*support[j]), D) for j, c in sol.items()})
 
 
 @dataclass(frozen=True)

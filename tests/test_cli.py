@@ -143,6 +143,24 @@ def test_glue_support_overflow_is_a_usage_error(tmp_path, capsys, monkeypatch):
     assert "candidate support exceeds 1" in err
 
 
+@pytest.mark.parametrize("amp_num, amp_den", [(10 ** 400, 1), (-10 ** 400, 3)])
+def test_glue_amplitude_outside_float_range_is_a_usage_error(tmp_path, capsys, amp_num, amp_den):
+    # the lift is exact, but its records carry re/im floats: an amplitude
+    # beyond float range is exit 2 with stdout empty, not a crash
+    ctx = Context.toeplitz(ThetaMatrix.random_rational(2, seed=7))
+    t = MultipullbackTuple.from_element(generator(ctx, 0) + unit(ctx))
+    comps = [element_to_obj(c) for c in t.components]
+    for c in comps:
+        for rec in c["terms"]:
+            if rec["p"] == rec["q"] == [0, 0]:
+                rec["amp_num"], rec["amp_den"] = amp_num, amp_den
+    path = tmp_path / "tuple.json"
+    path.write_text(json.dumps({"components": comps}))
+    code, out, err = run(capsys, "glue", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert "coefficient outside float range" in err
+
+
 @pytest.mark.parametrize("command", ["connection", "verify", "projector", "invariant"])
 @pytest.mark.parametrize("N, n", [(16, -1), (4, -8), (2, -15), (1, 128), (8, 0),
                                   (1, -10 ** 30), (10 ** 30, 1)])

@@ -1,8 +1,11 @@
 import json
+import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_element, random_float_theta, rng_for
 from reference_solve import solve_exact as reference_solve
@@ -519,35 +522,43 @@ def test_cocycle_check_matches_per_vector_solves(twist, monkeypatch):
     assert verdicts[True] >= 6 and verdicts[False] >= 3
 
 
+def _reference_support(t):
+    """The closed-form support restated: each word of b_i reduced on every
+    subset of its interior slots above i."""
+    n, words = t.theta.n, set()
+    for i, b in enumerate(t.components):
+        for p, q in b.terms:
+            top = [s for s in range(i + 1, n) if min(p[s], q[s])]
+            for S in (S for r in range(len(top) + 1) for S in combinations(top, r)):
+                cut = [min(p[s], q[s]) * (s in S) for s in range(n)]
+                words.add((tuple(a - k for a, k in zip(p, cut)),
+                           tuple(a - k for a, k in zip(q, cut))))
+    return sorted(words)
+
+
 def _phase_column_glue(t):
     """Reference lift: glue with the slot phases in the columns,
-    e(phi_i(m)) at (i, sigma_i m), solved for the coefficients themselves.
-    Returns the lift's terms and the tower depth that reached it."""
+    e(phi_i(m)) at (i, sigma_i m), solved for the coefficients themselves
+    over the closed-form support by one solve."""
     theta, n = t.theta, t.theta.n
     target = {(i, m): c for i, b in enumerate(t.components) for m, c in b.terms.items()}
-    maxdeg = max((sum(p) + sum(q) for b in t.components for p, q in b.terms), default=0)
-    for depth in range(maxdeg + 3):
-        cands = sorted({(tuple(a + k * (s == i) for s, a in enumerate(p)),
-                         tuple(a + k * (s == i) for s, a in enumerate(q)))
-                        for i, b in enumerate(t.components) for p, q in b.terms
-                        for k in range(depth + 1)})
-        columns = []
-        for p, q in cands:
-            col = {}
-            for i in range(n):
-                phase, pp, qq = _unitary_reduce(theta, (i,), p, q)
-                col[(i, (pp, qq))] = Coeff.from_exponent(phase, theta)
-            columns.append(col)
-        sol = reference_solve(columns, target)
-        if sol is not None:
-            return {m: c for m, c in zip(cands, sol) if not c.is_zero()}, depth
-    raise AssertionError("the reference found no lift")
+    cands = _reference_support(t)
+    columns = []
+    for p, q in cands:
+        col = {}
+        for i in range(n):
+            phase, pp, qq = _unitary_reduce(theta, (i,), p, q)
+            col[(i, (pp, qq))] = Coeff.from_exponent(phase, theta)
+        columns.append(col)
+    sol = reference_solve(columns, target)
+    assert sol is not None, "the reference system over the support is inconsistent"
+    return {m: c for m, c in zip(cands, sol) if not c.is_zero()}
 
 
 def _glue_tuples(theta, rng, count):
     """Tuples of random elements, every other one plus a word W_e W_e* with
-    e = (1, ..., 1): no component keeps it, so the tuple needs a tower of
-    depth > 0."""
+    e = (1, ..., 1): its word in B_i is interior on every slot above i, so
+    the support holds its reductions on every set of those slots."""
     ctx = Context.toeplitz(theta)
     ones = (1,) * theta.n
     for trial in range(count):
@@ -561,19 +572,20 @@ def _glue_tuples(theta, rng, count):
 @pytest.mark.parametrize("den", [0, 2, 3, 4, 8, 12])
 def test_gauged_glue_matches_the_phase_column_lift(den):
     # same words and the same exact coefficients as solving with the phases
-    # in the columns, at every twist denominator, and towers of depth > 0
+    # in the columns, at every twist denominator, on supports that reach
+    # beyond the component words
     rng = rng_for(f"glue-gauge-{den}")
-    deep = 0
+    wide = 0
     for n in (2, 3, 4):
         theta = (ThetaMatrix.zero(n) if den == 0 else
                  ThetaMatrix.random_rational(n, seed=rng.randrange(100), den=den))
         for t in _glue_tuples(theta, rng, 8):
-            want, depth = _phase_column_glue(t)
+            want = _phase_column_glue(t)
             got = glue(t)
             assert list(got.terms) == list(want)
             assert [repr(c) for c in got.terms.values()] == [repr(c) for c in want.values()]
-            deep += depth > 0
-    assert deep >= 6
+            wide += len(_reference_support(t)) > len({m for b in t.components for m in b.terms})
+    assert wide >= 6
 
 
 def _as_float(t):
@@ -693,7 +705,8 @@ def test_den12_glue_round_trip_lifts_no_conductor(monkeypatch):
                                            for j, k in combinations(range(n), 2)})
         zero, ones = (0,) * n, (1,) * n
         for _ in range(6):
-            # W_e W_e* with e = (1, ..., 1) needs a tower of depth > 0
+            # W_e W_e* with e = (1, ..., 1) puts reductions of every
+            # component word in the support
             words = {(zero, zero), (ones, ones)} | {
                 tuple(tuple(rng.randrange(3) for _ in range(n)) for _ in "pq")
                 for _ in range(6)}
@@ -709,3 +722,92 @@ def test_den12_glue_round_trip_lifts_no_conductor(monkeypatch):
             assert lifts == []
             back = serialize.element_from_obj(json.loads(out))
             assert all(sigma_i(back, i) == b for i, b in enumerate(comps))
+
+
+def _closed_form_lift(t):
+    """The signed sum over the nonempty slot sets S of the reduction of
+    b_{min S} on S, read in the full algebra; no linear solve."""
+    theta, n = t.theta, t.theta.n
+    ctx = Context.toeplitz(theta)
+    a = AlgebraElement.zero(ctx)
+    for r in range(1, n + 1):
+        for S in combinations(range(n), r):
+            part = AlgebraElement(ctx, t.components[S[0]].with_context(
+                Context.quotient(theta, *S)).terms)
+            a = a + part if r % 2 else a - part
+    return a
+
+
+def _glue_cases(n, twist, rng):
+    """Random tuples, W_e W_e* with e = (1, ..., 1) alone and added to a
+    random element, and the zero tuple, at the twist kind ``twist``."""
+    theta = _theta(twist, n, rng)
+    ctx, ones = Context.toeplitz(theta), (1,) * n
+    we = AlgebraElement.monomial(ctx, ones, ones, Coeff.from_phase(
+        Fraction(rng.randrange(8), 8), theta.mode, rng.randint(1, 3)))
+    for x in (random_element(ctx, rng, nterms=4, degree=3), we,
+              random_element(ctx, rng, nterms=3, degree=4) + we, AlgebraElement.zero(ctx)):
+        yield MultipullbackTuple.from_element(x)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_closed_form_lift_lies_in_the_glue_support(data):
+    # the lemma in the glue docstring: the signed sum is a lift, and its
+    # words are among those glue solves over
+    n = data.draw(st.integers(1, 5))
+    twist = data.draw(st.sampled_from(["zero", "den-2", "den-8", "den-12", "float"]))
+    rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
+    for t in _glue_cases(n, twist, rng):
+        a = _closed_form_lift(t)
+        assert all(sigma_i(a, i) == b for i, b in enumerate(t.components))
+        assert set(a.terms) <= set(quotients._glue_support(t)) == set(_reference_support(t))
+
+
+@pytest.mark.parametrize("twist", ["zero", "den-2", "den-3", "den-12", "float"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_glue_solves_once_and_consistently(n, twist, monkeypatch):
+    rng = rng_for(f"glue-once-{n}-{twist}")
+    results = []
+
+    def recording(columns, target):
+        results.append(exactla.solve_exact(columns, target))
+        return results[-1]
+
+    monkeypatch.setattr(quotients, "solve_exact", recording)
+    for t in _glue_cases(n, twist, rng):
+        results.clear()
+        a = glue(t)
+        assert len(results) == 1 and results[0] is not None
+        assert all(sigma_i(a, i) == b for i, b in enumerate(t.components))
+
+
+def test_glue_cap_is_decided_before_any_solve(monkeypatch):
+    calls = []
+
+    def refuse(columns, target):
+        raise AssertionError("a solve before the cap was decided")
+
+    def counting(columns, target):
+        calls.append(len(columns))
+        return exactla.solve_exact(columns, target)
+
+    # W_e W_e* at n = 3: its words in B_0, B_1, B_2 have 2, 1, 0 interior
+    # slots above their own, so the count is 4 + 2 + 1 = 7
+    theta = ThetaMatrix.random_rational(3, seed=4, den=12)
+    ones = (1, 1, 1)
+    t = MultipullbackTuple.from_element(
+        AlgebraElement.monomial(Context.toeplitz(theta), ones, ones))
+    monkeypatch.setattr(quotients, "solve_exact", refuse)
+    monkeypatch.setattr(quotients, "MAX_GLUE_SUPPORT", 6)
+    with pytest.raises(SupportOverflow, match="exceeds 6"):
+        glue(t)
+    monkeypatch.setattr(quotients, "solve_exact", counting)
+    monkeypatch.setattr(quotients, "MAX_GLUE_SUPPORT", 7)
+    assert all(sigma_i(glue(t), i) == b for i, b in enumerate(t.components))
+    # 40 generators: each unit component has one word and no interior slot
+    monkeypatch.setattr(quotients, "MAX_GLUE_SUPPORT", 4000)
+    calls.clear()
+    t = MultipullbackTuple.from_element(unit(Context.toeplitz(ThetaMatrix.zero(40))))
+    assert glue(t) == unit(Context.toeplitz(ThetaMatrix.zero(40)))
+    assert calls == [1]

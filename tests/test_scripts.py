@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -34,5 +35,23 @@ def test_invariant_sweep_script():
 
 def test_stdout_diff_script_tree_against_itself():
     rows = run_script("stdout_diff.py", "--a", str(ROOT), "--b", str(ROOT),
-                      "--workloads", "fock", "--seeds", "0")
-    assert rows == [{"jobs": 35, "differ": 0}]
+                      "--workloads", "fock,solve", "--seeds", "0")
+    assert rows == [{"jobs": 64, "differ": 0}]
+
+
+def test_stdout_diff_script_reads_each_glue_input(tmp_path):
+    # a tree whose glue cap refuses every word differs from this one on the
+    # glue jobs alone (exit 0 against 2), so every glue job read its input
+    shutil.copytree(ROOT / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    module = tmp_path / "src" / "heegaard" / "quotients.py"
+    module.write_text(module.read_text().replace("MAX_GLUE_SUPPORT = 4000",
+                                                 "MAX_GLUE_SUPPORT = 0"))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "stdout_diff.py"),
+                           "--a", str(ROOT), "--b", str(tmp_path),
+                           "--workloads", "solve", "--seeds", "0"],
+                          capture_output=True, text=True, timeout=120)
+    *diffs, summary = proc.stdout.splitlines()
+    assert proc.returncode == 1 and len(diffs) == 24       # the deck's glue jobs
+    assert all(" (glue): exit 0 vs 2, stdout differs" in line for line in diffs)
+    assert json.loads(summary) == {"jobs": 29, "differ": 24}

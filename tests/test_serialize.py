@@ -229,6 +229,26 @@ def test_noncanonical_words_are_reduced():
         assert element_from_obj(obj) == want
 
 
+@pytest.mark.parametrize("twist", ["den-12", "float"])
+def test_canonical_words_are_read_without_a_reduction(twist, monkeypatch):
+    # the emitter writes only canonical words, so reading them back reduces
+    # none on a unitary slot and gives the same bytes
+    from heegaard import algebra
+    rng = rng_for(f"serialize-canonical-{twist}")
+    th = (ThetaMatrix.random_rational(3, seed=1, den=12) if twist == "den-12"
+          else random_float_theta(3, rng))
+    reduce, calls = algebra._unitary_reduce, []
+    for ctx in (Context.quotient(th, 1), Context.quotient(th, 0, 2)):
+        for _ in range(5):
+            text = to_json(element_to_obj(random_element(ctx, rng, nterms=6, degree=4)))
+            monkeypatch.setattr(algebra, "_unitary_reduce",
+                                lambda *args: calls.append(args) or reduce(*args))
+            y = element_from_obj(from_json(text))
+            monkeypatch.undo()
+            assert to_json(element_to_obj(y)) == text
+    assert calls == []
+
+
 def test_rational_records_are_parsed_at_the_conductor():
     th = ThetaMatrix.random_rational(3, seed=2, den=8)
     assert th.conductor == 8
