@@ -18,8 +18,8 @@ from .grading import (GradedComponent, degree_decompose, extend_hom,
                       phi_iso, phi_iso_inv, psi_map, slot_degree)
 from .phases import (DimensionMismatch, ThetaMatrix, cocycle_phase,
                      kappa_check_matrix, kappa_inv_matrix, kappa_matrix)
-from .quotients import (CocycleReport, IncompatibleTuple, MultipullbackTuple,
-                        SupportOverflow, cocycle_check, glue, is_compatible,
+from .quotients import (CocycleReport, IncompatibleTuple, LiftRounding,
+                        MultipullbackTuple, SupportOverflow, cocycle_check, glue, is_compatible,
                         pi_i_j, sigma_i, sphere_reduce)
 
 __version__ = "0.1.0"

@@ -18,8 +18,8 @@ from .bundles import (SizeOverflow, check_size, chern_galois_projector,
 from .fock import (UnstableInvariant, class_invariant, default_truncations,
                    relation_residual)
 from .phases import ThetaMatrix
-from .quotients import (IncompatibleTuple, MultipullbackTuple, SupportOverflow,
-                        check_cocycle_size, cocycle_check, glue)
+from .quotients import (IncompatibleTuple, LiftRounding, MultipullbackTuple,
+                        SupportOverflow, check_cocycle_size, cocycle_check, glue)
 
 RESIDUAL_TOL = 1e-10
 
@@ -198,15 +198,17 @@ def _run_glue(args) -> int:
     except (serialize.SchemaError, ValueError) as exc:
         raise UsageError(str(exc)) from None
     try:
-        lifted = serialize.element_to_obj(glue(t))
+        lifted = glue(t)
     except IncompatibleTuple as exc:
         _emit({"error": "incompatible tuple", "detail": str(exc)}, args.output)
         return 1
-    except SupportOverflow as exc:      # an unsupported size, not a witness
+    except (SupportOverflow, LiftRounding) as exc:     # no witness
         raise UsageError(str(exc)) from None
+    try:
+        obj = serialize.element_to_obj(lifted)
     except OverflowError as exc:        # an amplitude whose re/im has no float
         raise UsageError(f"coefficient outside float range: {exc}") from None
-    _emit(lifted, args.output)
+    _emit(obj, args.output)
     return 0
 
 

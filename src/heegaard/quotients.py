@@ -12,9 +12,10 @@ a union-find over the words of their spanning vectors, with no linear solve
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations, product
-from math import comb, prod
+from math import comb
 from operator import ne
 from typing import Tuple
 
@@ -29,6 +30,10 @@ class IncompatibleTuple(ValueError):
 
 
 class SupportOverflow(RuntimeError):
+    pass
+
+
+class LiftRounding(ArithmeticError):
     pass
 
 
@@ -103,28 +108,43 @@ def _shift(v: tuple, s: int, d: int) -> tuple:
     return v[:s] + (v[s] + d,) + v[s + 1:]
 
 
-def _glue_support(t: MultipullbackTuple) -> list:
-    """Glue's unknowns, sorted: each word w of b_i reduced on every subset of
-    its interior slots above i (s > i, min(p_s, q_s) > 0).  Their count with
-    repeats, sum_{i,w} 2^{#those slots}, is capped before any is formed."""
-    choices = [[((a, b), (a - k, b - k)) if s > i and k else ((a, b),)
-                for s, (a, b) in enumerate(zip(p, q)) for k in [min(a, b)]]
-               for i, comp in enumerate(t.components) for p, q in comp.terms]
-    if sum(prod(map(len, c)) for c in choices) > MAX_GLUE_SUPPORT:
+def _glue_support(t: MultipullbackTuple):
+    """Glue's unknowns, sorted, and the heights h(j, p, q) of its lift
+    (``glue`` docstring).  h_j reads the word reduced on the slots <= j: it
+    is the slot-j height most common among the words of b_k, k < j, with
+    that key (ties to the lower), else 0.  A word of b_k at height h_j in a
+    slot j > k adds nothing; each other adds 2^{N-k} words, counted against
+    ``MAX_GLUE_SUPPORT`` before any is formed."""
+    n = t.theta.n
+
+    def key(j, p, q):
+        return j, tuple(a - b for a, b in zip(p[:j + 1], q[:j + 1])), p[j + 1:], q[j + 1:]
+
+    def h(j, p, q):
+        return chosen.get(key(j, p, q), 0)
+
+    words = [(k, p, q) for k, b in enumerate(t.components) for p, q in b.terms]
+    votes = defaultdict(Counter)
+    for k, p, q in words:
+        for j in range(k + 1, n):
+            votes[key(j, p, q)][min(p[j], q[j])] += 1
+    chosen = {kj: max(sorted(c), key=c.get) for kj, c in votes.items()}
+    alive = [(k, p, q) for k, p, q in words
+             if all(h(j, p, q) != min(p[j], q[j]) for j in range(k + 1, n))]
+    if sum(2 ** (n - 1 - k) for k, _, _ in alive) > MAX_GLUE_SUPPORT:
         raise SupportOverflow(f"candidate support exceeds {MAX_GLUE_SUPPORT}")
-    return sorted({tuple(zip(*pairs)) for c in choices for pairs in product(*c)})
+    support = set()
+    for k, p, q in alive:
+        low = [min(a, b) for a, b in zip(p, q)]
+        for hs in product(*[(low[s],) if s < k else (h(s, p, q),) if s == k
+                            else (low[s], h(s, p, q)) for s in range(n)]):
+            support.add(tuple(zip(*((a - m + x, b - m + x)
+                                    for a, b, m, x in zip(p, q, low, hs)))))
+    return sorted(support), h
 
 
 def glue(t: MultipullbackTuple) -> AlgebraElement:
     """A full-algebra element a with sigma_i(a) == components[i] for all i.
-
-    A compatible tuple has the closed-form lift a = sum_{S nonempty}
-    (-1)^{|S|+1} iota(b_{min S} reduced on S), iota reading a quotient's word
-    in the full algebra.  Pair S not containing j with S + {j}: compatibility
-    makes their sigma_j-images equal, and their signs are opposite, so only
-    S = {j} survives and sigma_j(a) = b_j.  So the system on the words of
-    ``_glue_support`` is consistent exactly for a compatible tuple, and one
-    rational elimination (``exactla``) gives the lift, not unique.
 
     The twist enters only through phases, and a gauge removes them.  Let
     psi(m) be the phase of reducing the word m on every slot.  Slot
@@ -137,6 +157,20 @@ def glue(t: MultipullbackTuple) -> AlgebraElement:
     an unknown's parts are all pivots or all free, and the gauge frees the
     same unknowns: the lift is the particular solution of the system with
     e(phi_i(m)) in the columns.
+
+    In these coordinates a compatible tuple (T_0, ..., T_N) has a lift in
+    closed form.  Let l_k set slot k of a word of B_k to a height h_k that
+    reads only the word reduced on the slots <= k.  Then a = 0 and
+    a += l_k(T_k - sigma_k a) for k = 0, ..., N is a lift: sigma_k l_k = 1,
+    and for j < k, sigma_j l_k reads a word w only through pi_kj w, while
+    pi_kj(T_k - sigma_k a) = pi_jk(T_j - sigma_j a) = 0.  Expanded,
+    a = sum_k (1 - l_N sigma_N) ... (1 - l_{k+1} sigma_{k+1}) l_k T_k, where
+    1 - l_j sigma_j kills a word at height h_j in slot j and pairs any other
+    with its copy at h_j: the words of ``_glue_support``, so one rational
+    elimination (``exactla``) over them is consistent exactly for a
+    compatible tuple (and only float rounding makes it miss).  At h = 0 the
+    sum is the signed sum over slot sets S of b_{min S} reduced on S, with
+    2^{N+1} - 1 words for W_e W_e*; at the most common heights it has one.
     """
     if not is_compatible(t):
         raise IncompatibleTuple("pairwise images in B_ij do not agree")
@@ -145,14 +179,15 @@ def glue(t: MultipullbackTuple) -> AlgebraElement:
     def psi(p, q):
         return _unitary_reduce(theta, range(n), p, q)[0]
 
-    support = _glue_support(t)
+    support = _glue_support(t)[0]
     target = {(i, m): c.times_exponent(psi(*m), D)
               for i, b in enumerate(t.components) for m, c in b.terms.items()}
     columns = [{(s, (_shift(p, s, -k), _shift(q, s, -k))) for s in range(n)
                 for k in [min(p[s], q[s])]} for p, q in support]
     sol = solve_exact(columns, target)
-    if sol is None:         # by the lemma, only float rounding gets here
-        raise IncompatibleTuple("the lift's system is inconsistent at float tolerance")
+    if sol is None:
+        raise LiftRounding("the components agree within FLOAT_TOL on every overlap, "
+                           "but the lift's system misses by more: float rounding")
     return AlgebraElement(Context.toeplitz(theta), {
         support[j]: c.times_exponent(-psi(*support[j]), D) for j, c in sol.items()})
 

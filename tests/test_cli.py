@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from heegaard import generator, quotients, unit
+from heegaard import cli, generator, quotients, unit
 from heegaard.algebra import Context
 from heegaard.cli import FLAGS, main
 from heegaard.phases import ThetaMatrix
@@ -159,6 +159,21 @@ def test_glue_amplitude_outside_float_range_is_a_usage_error(tmp_path, capsys, a
     code, out, err = run(capsys, "glue", "--input", str(path))
     assert (code, out) == (2, "")
     assert "coefficient outside float range" in err
+
+
+def test_an_overflow_inside_glue_is_not_a_usage_error(tmp_path, capsys, monkeypatch):
+    # only writing the lift's re/im is a usage error; a fault in glue itself
+    # must not read as "coefficient outside float range"
+    def broken(t):
+        raise OverflowError("a fault inside glue")
+
+    monkeypatch.setattr(cli, "glue", broken)
+    ctx = Context.toeplitz(ThetaMatrix.random_rational(2, seed=7))
+    t = MultipullbackTuple.from_element(generator(ctx, 0) + unit(ctx))
+    path = tmp_path / "tuple.json"
+    path.write_text(json.dumps({"components": [element_to_obj(c) for c in t.components]}))
+    with pytest.raises(OverflowError, match="a fault inside glue"):
+        main(["glue", "--input", str(path)])
 
 
 @pytest.mark.parametrize("command", ["connection", "verify", "projector", "invariant"])

@@ -522,27 +522,13 @@ def test_cocycle_check_matches_per_vector_solves(twist, monkeypatch):
     assert verdicts[True] >= 6 and verdicts[False] >= 3
 
 
-def _reference_support(t):
-    """The closed-form support restated: each word of b_i reduced on every
-    subset of its interior slots above i."""
-    n, words = t.theta.n, set()
-    for i, b in enumerate(t.components):
-        for p, q in b.terms:
-            top = [s for s in range(i + 1, n) if min(p[s], q[s])]
-            for S in (S for r in range(len(top) + 1) for S in combinations(top, r)):
-                cut = [min(p[s], q[s]) * (s in S) for s in range(n)]
-                words.add((tuple(a - k for a, k in zip(p, cut)),
-                           tuple(a - k for a, k in zip(q, cut))))
-    return sorted(words)
-
-
 def _phase_column_glue(t):
     """Reference lift: glue with the slot phases in the columns,
     e(phi_i(m)) at (i, sigma_i m), solved for the coefficients themselves
-    over the closed-form support by one solve."""
+    over glue's own support by one solve."""
     theta, n = t.theta, t.theta.n
     target = {(i, m): c for i, b in enumerate(t.components) for m, c in b.terms.items()}
-    cands = _reference_support(t)
+    cands = quotients._glue_support(t)[0]
     columns = []
     for p, q in cands:
         col = {}
@@ -557,8 +543,8 @@ def _phase_column_glue(t):
 
 def _glue_tuples(theta, rng, count):
     """Tuples of random elements, every other one plus a word W_e W_e* with
-    e = (1, ..., 1): its word in B_i is interior on every slot above i, so
-    the support holds its reductions on every set of those slots."""
+    e = (1, ..., 1): no component keeps it, so the support holds words that
+    are in no component."""
     ctx = Context.toeplitz(theta)
     ones = (1,) * theta.n
     for trial in range(count):
@@ -575,7 +561,7 @@ def test_gauged_glue_matches_the_phase_column_lift(den):
     # in the columns, at every twist denominator, on supports that reach
     # beyond the component words
     rng = rng_for(f"glue-gauge-{den}")
-    wide = 0
+    raised = 0
     for n in (2, 3, 4):
         theta = (ThetaMatrix.zero(n) if den == 0 else
                  ThetaMatrix.random_rational(n, seed=rng.randrange(100), den=den))
@@ -584,8 +570,9 @@ def test_gauged_glue_matches_the_phase_column_lift(den):
             got = glue(t)
             assert list(got.terms) == list(want)
             assert [repr(c) for c in got.terms.values()] == [repr(c) for c in want.values()]
-            wide += len(_reference_support(t)) > len({m for b in t.components for m in b.terms})
-    assert wide >= 6
+            raised += not set(quotients._glue_support(t)[0]) <= {
+                m for b in t.components for m in b.terms}
+    assert raised >= 6
 
 
 def _as_float(t):
@@ -705,8 +692,8 @@ def test_den12_glue_round_trip_lifts_no_conductor(monkeypatch):
                                            for j, k in combinations(range(n), 2)})
         zero, ones = (0,) * n, (1,) * n
         for _ in range(6):
-            # W_e W_e* with e = (1, ..., 1) puts reductions of every
-            # component word in the support
+            # W_e W_e* with e = (1, ..., 1) is in no component, and the
+            # support holds it
             words = {(zero, zero), (ones, ones)} | {
                 tuple(tuple(rng.randrange(3) for _ in range(n)) for _ in "pq")
                 for _ in range(6)}
@@ -738,6 +725,35 @@ def _closed_form_lift(t):
     return a
 
 
+def _raised_lift(t, height):
+    """The closed form in the ``glue`` docstring, with no linear solve:
+    a = 0, then a += l_k(b_k - sigma_k a) for k = 0, ..., N, where l_k sets
+    slot k of each word to height(k, p, q), times e(-phi_k) so that
+    sigma_k l_k = 1."""
+    theta = t.theta
+    ctx = Context.toeplitz(theta)
+    a = AlgebraElement.zero(ctx)
+    for k, b in enumerate(t.components):
+        terms = {}
+        for (p, q), c in (b - sigma_i(a, k)).terms.items():
+            h = height(k, p, q)
+            m = (p[:k] + (p[k] + h,) + p[k + 1:], q[:k] + (q[k] + h,) + q[k + 1:])
+            terms[m] = c.times_exponent(-_unitary_reduce(theta, (k,), *m)[0], theta.conductor)
+        a = a + AlgebraElement(ctx, terms)
+    return a
+
+
+def _random_heights(theta, rng):
+    """Heights h(k, p, q) in 0..2 that read only the word reduced on the
+    slots <= k."""
+    table = {}
+
+    def height(k, p, q):
+        key = (k,) + _unitary_reduce(theta, range(k + 1), p, q)[1:]
+        return table.setdefault(key, rng.randrange(3))
+    return height
+
+
 def _glue_cases(n, twist, rng):
     """Random tuples, W_e W_e* with e = (1, ..., 1) alone and added to a
     random element, and the zero tuple, at the twist kind ``twist``."""
@@ -753,15 +769,22 @@ def _glue_cases(n, twist, rng):
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_closed_form_lift_lies_in_the_glue_support(data):
-    # the lemma in the glue docstring: the signed sum is a lift, and its
-    # words are among those glue solves over
+    # the lemma in the glue docstring: at any heights that read only the word
+    # reduced on the slots <= k the sum is a lift; at height 0 it is the
+    # signed sum over slot sets, and at glue's heights its words are among
+    # those glue solves over
     n = data.draw(st.integers(1, 5))
     twist = data.draw(st.sampled_from(["zero", "den-2", "den-8", "den-12", "float"]))
     rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
     for t in _glue_cases(n, twist, rng):
-        a = _closed_form_lift(t)
+        a = _raised_lift(t, _random_heights(t.theta, rng))
         assert all(sigma_i(a, i) == b for i, b in enumerate(t.components))
-        assert set(a.terms) <= set(quotients._glue_support(t)) == set(_reference_support(t))
+        a = _closed_form_lift(t)
+        assert _raised_lift(t, lambda k, p, q: 0) == a
+        assert all(sigma_i(a, i) == b for i, b in enumerate(t.components))
+        a = _raised_lift(t, quotients._glue_support(t)[1])
+        assert all(sigma_i(a, i) == b for i, b in enumerate(t.components))
+        assert set(a.terms) <= set(quotients._glue_support(t)[0])
 
 
 @pytest.mark.parametrize("twist", ["zero", "den-2", "den-3", "den-12", "float"])
@@ -792,22 +815,99 @@ def test_glue_cap_is_decided_before_any_solve(monkeypatch):
         calls.append(len(columns))
         return exactla.solve_exact(columns, target)
 
-    # W_e W_e* at n = 3: its words in B_0, B_1, B_2 have 2, 1, 0 interior
-    # slots above their own, so the count is 4 + 2 + 1 = 7
+    # W_e W_e* + W_2e W_2e* at n = 3, e = (1, 1, 1).  Slot 2's height is 1
+    # (heights 1 and 2 tie, to the lower), which drops the words of b_0 and
+    # b_1 at slot-2 height 1; slot 1's heights, keyed by slot 2's, drop both
+    # words of b_0.  Left: b_1's word at slot-2 height 2, counted 2, and
+    # b_2's two words, counted 1 each: 4, for the 3 words (2,2,2), (2,2,1)
+    # and (1,1,1)
     theta = ThetaMatrix.random_rational(3, seed=4, den=12)
-    ones = (1, 1, 1)
-    t = MultipullbackTuple.from_element(
-        AlgebraElement.monomial(Context.toeplitz(theta), ones, ones))
+    ctx, ones, twos = Context.toeplitz(theta), (1, 1, 1), (2, 2, 2)
+    t = MultipullbackTuple.from_element(AlgebraElement.monomial(ctx, ones, ones)
+                                        + AlgebraElement.monomial(ctx, twos, twos))
     monkeypatch.setattr(quotients, "solve_exact", refuse)
-    monkeypatch.setattr(quotients, "MAX_GLUE_SUPPORT", 6)
-    with pytest.raises(SupportOverflow, match="exceeds 6"):
+    monkeypatch.setattr(quotients, "MAX_GLUE_SUPPORT", 3)
+    with pytest.raises(SupportOverflow, match="exceeds 3"):
         glue(t)
     monkeypatch.setattr(quotients, "solve_exact", counting)
-    monkeypatch.setattr(quotients, "MAX_GLUE_SUPPORT", 7)
-    assert all(sigma_i(glue(t), i) == b for i, b in enumerate(t.components))
-    # 40 generators: each unit component has one word and no interior slot
+    monkeypatch.setattr(quotients, "MAX_GLUE_SUPPORT", 4)
+    a = glue(t)
+    assert calls == [3] and len(a.terms) <= 3
+    assert all(sigma_i(a, i) == b for i, b in enumerate(t.components))
+    # 40 generators: each unit component has one word, at height 0 in every slot
     monkeypatch.setattr(quotients, "MAX_GLUE_SUPPORT", 4000)
     calls.clear()
     t = MultipullbackTuple.from_element(unit(Context.toeplitz(ThetaMatrix.zero(40))))
     assert glue(t) == unit(Context.toeplitz(ThetaMatrix.zero(40)))
     assert calls == [1]
+
+
+@pytest.mark.parametrize("n", [3, 8, 12, 24])
+def test_glue_lifts_w_e_w_e_star_by_one_word(n, monkeypatch):
+    # W_e W_e* with e = (1, ..., 1): every slot's height is 1, which drops
+    # every word but b_N's, raised to W_e W_e* itself; with every height 0
+    # the lift would have 2^n - 1 words, over the cap from n = 12
+    calls = []
+
+    def counting(columns, target):
+        calls.append(len(columns))
+        return exactla.solve_exact(columns, target)
+
+    monkeypatch.setattr(quotients, "solve_exact", counting)
+    ctx, ones = Context.toeplitz(ThetaMatrix.random_rational(n, seed=n, den=12)), (1,) * n
+    we = AlgebraElement.monomial(ctx, ones, ones)
+    assert glue(MultipullbackTuple.from_element(we)) == we
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("n", [6, 9, 12])
+def test_glue_lifts_words_interior_on_many_slots(n, monkeypatch):
+    # random elements of degree 2n, most of whose words are interior on
+    # most slots: one consistent solve under the default cap
+    rng = rng_for(f"glue-interior-{n}")
+    results = []
+
+    def recording(columns, target):
+        results.append(exactla.solve_exact(columns, target))
+        return results[-1]
+
+    monkeypatch.setattr(quotients, "solve_exact", recording)
+    for twist in ("zero", "den-8", "float"):
+        ctx = Context.toeplitz(_theta(twist, n, rng))
+        for x in (random_element(ctx, rng, nterms=12, degree=2 * n),
+                  random_element(ctx, rng, nterms=6, degree=3 * n)):
+            results.clear()
+            t = MultipullbackTuple.from_element(x)
+            a = glue(t)
+            assert len(results) == 1 and results[0] is not None
+            assert all(sigma_i(a, i) == b for i, b in enumerate(t.components))
+
+
+def _rounding_tuple():
+    """A float tuple whose pairwise images agree within FLOAT_TOL (off by
+    6e-13) while the lift's system misses by about 1.2e-12."""
+    theta = ThetaMatrix.from_upper(3, {}, mode=FLOAT)
+
+    def comp(i, terms):
+        return AlgebraElement(Context.quotient(theta, i), {
+            (h, h): Coeff.from_complex(z) for h, z in terms.items()})
+
+    return MultipullbackTuple((
+        comp(0, {(0, 0, 2): 2 - 6e-13}),
+        comp(1, {(0, 0, 2): 1.0, (1, 0, 2): 1.0}),
+        comp(2, {(0, 0, 0): 1 - 6e-13, (1, 0, 0): 1 + 6e-13})))
+
+
+def test_float_rounding_in_the_lift_is_no_witness(tmp_path, capsys):
+    # the components agree on every overlap, so exit 1 and its witness JSON
+    # would be wrong: a rounding failure is exit 2, with stdout empty
+    t = _rounding_tuple()
+    assert is_compatible(t)
+    with pytest.raises(quotients.LiftRounding, match="float rounding"):
+        glue(t)
+    path = tmp_path / "tuple.json"
+    path.write_text(json.dumps({"components": [serialize.element_to_obj(b)
+                                               for b in t.components]}))
+    assert cli.main(["glue", "--input", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "float rounding" in out.err
