@@ -19,7 +19,7 @@ from .grading import (GradedComponent, degree_decompose, extend_hom,
 from .phases import (DimensionMismatch, ThetaMatrix, cocycle_phase,
                      kappa_check_matrix, kappa_inv_matrix, kappa_matrix)
 from .quotients import (CocycleReport, IncompatibleTuple, LiftRounding,
-                        MultipullbackTuple, SupportOverflow, cocycle_check, glue, is_compatible,
-                        pi_i_j, sigma_i, sphere_reduce)
+                        MultipullbackTuple, SupportOverflow, cocycle_check,
+                        glue, is_compatible, pi_i_j, sigma_i, sphere_reduce)
 
 __version__ = "0.1.0"
