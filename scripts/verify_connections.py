@@ -1,14 +1,24 @@
 #!/usr/bin/env python3
 """Verify strong connections and projector idempotency over a sweep of
-sizes, windings, and twist presets, reporting timings."""
+sizes, windings, and twist presets (zero, and one seeded rational and one
+seeded float twist per seed), reporting timings."""
 
 import argparse
 import json
+import random
 import time
 
 from heegaard import (chern_galois_projector, strong_connection,
                       verify_connection)
 from heegaard.phases import ThetaMatrix
+
+
+def random_float(n, seed):
+    """Reproducible float twist with entries drawn from (-1, 1)."""
+    rng = random.Random(seed)
+    return ThetaMatrix.from_upper(
+        n, {(j, k): rng.uniform(-1, 1) for j in range(n) for k in range(j + 1, n)},
+        mode="float")
 
 
 def main():
@@ -23,6 +33,7 @@ def main():
         thetas = [("zero", ThetaMatrix.zero(n_gen + 1))]
         thetas += [(f"seed{s}", ThetaMatrix.random_rational(n_gen + 1, seed=s))
                    for s in seeds]
+        thetas += [(f"float-seed{s}", random_float(n_gen + 1, seed=s)) for s in seeds]
         for label, theta in thetas:
             t0 = time.time()
             ok = all(verify_connection(strong_connection(n, n_gen, theta), n)

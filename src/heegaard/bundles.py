@@ -4,10 +4,9 @@ A strong connection value is a finite sum sum_l a_l (x) r_l of elementary
 tensors over the sphere quotient with sum_l a_l r_l = 1 and bidegree
 (-n, n).  The associated projector has entries E_kl = r_k a_l; idempotency
 follows from the multiplicativity condition alone, so any presentation of
-the connection value works.  In the summand order of ``strong_connection``
-it is lower-triangular (lemma in ``chern_galois_projector``).  Merging
-summands (``simplify``) shrinks the matrix, but finds nothing in
-``strong_connection``: one per multi-index.
+the connection value works.  ``strong_connection`` builds each right factor
+in closed form, r_k = H_{k_1} a_k*, one summand per multi-index, in an order
+that makes the projector lower-triangular (lemmas in both docstrings).
 """
 
 from __future__ import annotations
@@ -110,12 +109,15 @@ def strong_connection(n: int, N: int, theta: ThetaMatrix) -> TensorElement:
     """Connection value for winding n over the sphere quotient.
 
     Non-negative windings have the closed form s_0*^n (x) s_0^n.  Winding -m
-    is the m-th power of sum_k s_k (x) s_k* H_k, H_k = ``h_tail(k)``.  Since
-    (s_l* H_l)(s_k* H_k) = 0 for k < l (H_k holds 1 - s_l s_l*, which
-    commutes with s_k* and with H_l, and s_l* (1 - s_l s_l*) = 0), the
-    summands are s_{k_m}...s_{k_1} (x) s_{k_1}* H_{k_1}...s_{k_m}* H_{k_m} for
-    k_1 <= ... <= k_m, one per multi-index of length m, with distinct left
-    words; they are ordered by k_m, then as the sequences without k_m are.
+    is the m-th power of sum_k s_k (x) s_k* H_k, H_k = ``h_tail(k)``.  Each
+    factor 1 - s_j s_j* of an H is idempotent, is killed by s_j* on its left,
+    and commutes exactly with every letter of another slot (the phases
+    cancel).  So (s_l* H_l)(s_k* H_k) = 0 for k < l, and the summands are
+    a_k (x) r_k, a_k = s_{k_m}...s_{k_1}, one per k_1 <= ... <= k_m, ordered
+    by k_m, then by the prefix.  In r_k = s_{k_1}* H_{k_1}...s_{k_m}* H_{k_m}
+    the slot-j factor of H_{k_i} (j > k_i) stands before every s_j*, so it
+    passes only letters of slots <= k_i to the front; there they all merge
+    into H_{k_1}, and r_k = H_{k_1} a_k*.
     A size over ``MAX_SIZE`` raises ``SizeOverflow`` before anything is built.
     """
     if theta.n != N + 1:
@@ -126,12 +128,12 @@ def strong_connection(n: int, N: int, theta: ThetaMatrix) -> TensorElement:
         s0 = generator(ctx, 0)
         return TensorElement(ctx, [(s0.star() ** n, s0 ** n)]).simplify()
     gens = [generator(ctx, k) for k in range(N + 1)]
-    tails = [g.star() * h_tail(k, ctx) for k, g in enumerate(gens)]
-    layer = [(0, unit(ctx), unit(ctx))]
-    for _ in range(-n):
-        layer = [(k, gens[k] * a, r * tails[k])
-                 for k in range(N + 1) for last, a, r in layer if last <= k]
-    return TensorElement(ctx, [(a, r) for _, a, r in layer]).simplify()
+    heads = [h_tail(k, ctx) for k in range(N + 1)]
+    layer = [(k, k, g) for k, g in enumerate(gens)]     # (last slot, first slot, a)
+    for _ in range(-n - 1):
+        layer = [(k, first, gens[k] * a)
+                 for k in range(N + 1) for last, first, a in layer if last <= k]
+    return TensorElement(ctx, [(a, heads[f] * a.star()) for _, f, a in layer]).simplify()
 
 
 def verify_connection(conn: TensorElement, n: int) -> bool:
@@ -188,14 +190,11 @@ def chern_galois_projector(n: int, N: int, theta: ThetaMatrix) -> ProjectorMatri
     """E_kl = r_k a_l from the winding-n connection sum_l a_l (x) r_l.
 
     E is lower-triangular in the summand order of ``strong_connection``, so
-    only the entries with l <= k are multiplied.  Proof: write
-    r_k a_l = s_{k_1}* H_{k_1} ... s_{k_m}* H_{k_m} s_{l_m} ... s_{l_1}.  The
-    summands are ordered by k_m, then by the prefix, so if l comes after k
-    there is a last position i with k_i != l_i, and l_i > k_i.  At each
-    position j > i, k_j = l_j and s_{k_j}* H_{k_j} s_{k_j} = H_{k_j}; H_{k_j}
-    holds only slots above k_j, so it commutes exactly with every remaining
-    s_{l_p} (l_p <= k_j) and moves out to the right.  At position i, H_{k_i}
-    holds 1 - s_{l_i} s_{l_i}*, and (1 - s s*) s = 0, so E_kl = 0.
+    only the entries with l <= k are multiplied.  Proof: E_kl = H_{k_1} a_k* a_l
+    by the lemma there.  If l comes after k, then at the last position i with
+    k_i != l_i, l_i > k_i.  The isometries s* s = 1 cancel the positions after
+    i, and s_{l_i} moves to the front past letters of slots <= k_i < l_i.
+    There H_{k_1} holds 1 - s_{l_i} s_{l_i}*, and (1 - s s*) s = 0.
     """
     conn = strong_connection(n, N, theta)
     lefts = tuple(a for a, _ in conn.summands)

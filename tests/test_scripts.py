@@ -22,7 +22,7 @@ def run_script(name, *args):
 def test_verify_connections_script():
     rows = run_script("verify_connections.py",
                       "--max-N", "1", "--max-winding", "1", "--seeds", "1")
-    assert len(rows) == 2
+    assert [r["theta"] for r in rows] == ["zero", "seed1", "float-seed1"]
     assert all(r["connections_ok"] and r["projectors_idempotent"] for r in rows)
 
 
