@@ -3,13 +3,16 @@
 
 This is the oracle run that fixes the expected compact charges: for the
 untwisted N=1 sphere the winding-n projector should report dimension class 1
-and compact charge -n, pairwise distinct across windings.
+and compact charge -n, pairwise distinct across windings.  Each row reads
+only the projector's m diagonal entries E_kk = r_k a_k, one product each
+(``bundles.projector_diagonal``); ``size`` is m, the number of connection
+summands.
 """
 
 import argparse
 import json
 
-from heegaard import chern_galois_projector, class_invariant
+from heegaard import class_invariant, projector_diagonal
 from heegaard.fock import default_truncations
 from heegaard.phases import ThetaMatrix
 
@@ -28,10 +31,10 @@ def main():
     ms = args.truncations and [int(v) for v in args.truncations.split(",")]
     rows = []
     for n in (int(v) for v in args.windings.split(",")):
-        e = chern_galois_projector(n, args.N, theta)
-        inv = class_invariant(e, ms or default_truncations(e))
+        diag = projector_diagonal(n, args.N, theta)
+        inv = class_invariant(diag, ms or default_truncations(diag))
         rows.append({"winding": n,
-                     "size": e.size,
+                     "size": len(diag),
                      "dimension_class": inv.dimension_class,
                      "compact_charge": inv.compact_charge,
                      "residual": inv.residual})

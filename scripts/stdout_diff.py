@@ -10,7 +10,12 @@ Each tree is a checkout with ``src/heegaard``.  The jobs of the named
 in-process, one ``heegaard.cli.main`` call per job, in a subprocess of its
 own.  ``--readme`` adds the ``heegaard ...`` command lines of tree a's
 README.  The script prints one line per job whose exit status or stdout
-differs, then a JSON summary, and exits 1 if any job differs.
+differs, then a JSON summary, and exits 1 if any job differs.  A stdout
+that differs is parsed as JSON on both sides; when its keys, strings, ints
+and bools are equal and every float is within ``FLOAT_TOL`` of the other
+side's, the line says "differs in floats only" with the largest gap, and the
+summary counts the jobs with the same exit status that differ only so as
+``float_only``.
 """
 
 from __future__ import annotations
@@ -26,6 +31,40 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+FLOAT_TOL = 1e-12
+
+
+def _float_gap(x, y):
+    """The largest |x - y| over the floats of two JSON values, or None if
+    they differ elsewhere or some float gap exceeds ``FLOAT_TOL``."""
+    if type(x) is not type(y):
+        return None
+    if isinstance(x, float):
+        gap = 0.0 if x == y else abs(x - y)
+        return gap if gap <= FLOAT_TOL else None
+    if isinstance(x, dict):
+        if x.keys() != y.keys():
+            return None
+        x, y = list(x.values()), [y[k] for k in x]
+    if not isinstance(x, list):
+        return 0.0 if x == y else None
+    if len(x) != len(y):
+        return None
+    gaps = [_float_gap(u, v) for u, v in zip(x, y)]
+    return None if None in gaps else max(gaps, default=0.0)
+
+
+def _describe(out_a: str, out_b: str):
+    """How two stdouts compare, and the float gap when floats alone differ."""
+    if out_a == out_b:
+        return "same", None
+    try:
+        gap = _float_gap(json.loads(out_a), json.loads(out_b))
+    except ValueError:
+        gap = None
+    if gap is None:
+        return "differs", None
+    return f"differs in floats only (max |Δ| = {gap:.3g})", gap
 
 
 def _worker(src: str, jobs_path: str, out_path: str) -> None:
@@ -101,13 +140,14 @@ def main(argv=None) -> int:
         argvs = [argv for _, argv in jobs]
         a = _run_tree(args.a.resolve(), argvs, workdir, "a")
         b = _run_tree(args.b.resolve(), argvs, workdir, "b")
-    differ = 0
+    differ = float_only = 0
     for (label, argv), (code_a, out_a), (code_b, out_b) in zip(jobs, a, b):
         if code_a != code_b or out_a != out_b:
             differ += 1
-            print(f"DIFF {label} ({argv[0]}): exit {code_a} vs {code_b}, stdout "
-                  f"{'same' if out_a == out_b else 'differs'}")
-    print(json.dumps({"jobs": len(jobs), "differ": differ}))
+            stdout, gap = _describe(out_a, out_b)
+            float_only += code_a == code_b and gap is not None
+            print(f"DIFF {label} ({argv[0]}): exit {code_a} vs {code_b}, stdout {stdout}")
+    print(json.dumps({"jobs": len(jobs), "differ": differ, "float_only": float_only}))
     return 1 if differ else 0
 
 

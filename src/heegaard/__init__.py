@@ -6,8 +6,8 @@ from .algebra import (AlgebraElement, Context, ContextMismatch,
                       compact_matrix_unit, generator, sphere_defect, unit)
 from .bundles import (ConjugationWitness, NonzeroTwist, ProjectorMatrix,
                       TensorElement, chern_galois_projector, h_tail,
-                      pullback_hom, pullback_projector, strong_connection,
-                      verify_connection)
+                      projector_diagonal, pullback_hom, pullback_projector,
+                      strong_connection, verify_connection)
 from .coeff import Coeff, FloatCoeff
 from .fock import (ClassInvariant, SparseOperator, UnstableInvariant,
                    class_invariant, fock_generator, relation_residual,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Tuple
+from typing import List, Tuple
 
 from .algebra import (AlgebraElement, Context, ContextMismatch, generator,
                       range_complement, unit)
@@ -203,6 +203,14 @@ def chern_galois_projector(n: int, N: int, theta: ThetaMatrix) -> ProjectorMatri
     entries = tuple(tuple(rk * al if l <= k else zero for l, al in enumerate(lefts))
                     for k, rk in enumerate(rights))
     return ProjectorMatrix(n, entries, lefts, rights)
+
+
+def projector_diagonal(n: int, N: int, theta: ThetaMatrix) -> List[AlgebraElement]:
+    """The diagonal E_kk = r_k a_k of ``chern_galois_projector``, one product
+    each.  Lemma: E_kk = H_{k_1} a_k* a_k = H_{k_1} (``strong_connection``), as
+    a_k is a product of isometries; for n >= 0 the one entry is W_{ne_0} W_{ne_0}*.
+    So every entry sums words W_{e_T} W_{e_T}* with coefficients +-1."""
+    return [r * a for a, r in strong_connection(n, N, theta).summands]
 
 
 def pullback_hom(x: AlgebraElement) -> AlgebraElement:

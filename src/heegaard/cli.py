@@ -14,7 +14,7 @@ from types import SimpleNamespace
 from . import serialize
 from .algebra import unit
 from .bundles import (SizeOverflow, check_size, chern_galois_projector,
-                      strong_connection)
+                      projector_diagonal, strong_connection)
 from .fock import (UnstableInvariant, class_invariant, default_truncations,
                    relation_residual)
 from .phases import ThetaMatrix
@@ -150,11 +150,11 @@ def _run(args) -> int:
         return 0
 
     if args.command == "invariant":
-        e = chern_galois_projector(args.n, args.N, theta)
-        ms = (default_truncations(e) if args.truncations is None
+        diag = projector_diagonal(args.n, args.N, theta)
+        ms = (default_truncations(diag) if args.truncations is None
               else _truncations(args.truncations))
         try:
-            inv = class_invariant(e, ms)
+            inv = class_invariant(diag, ms)
         except UnstableInvariant as exc:
             _emit({"error": "unstable invariant", "detail": str(exc),
                    "truncations": ms}, args.output)

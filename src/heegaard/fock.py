@@ -18,8 +18,8 @@ operator here is kept as bands on the grid of multi-indices:
   max |v|.
 
 Each generator, word and relation defect is a single band.  The invariant
-of a projector combines the rank of its circle-averaged symbol with a
-regularized trace: the truncated trace of a lift grows like
+of a projector combines the trace of its circle-averaged symbol (its rank)
+with a regularized trace: the truncated trace of a lift grows like
 rank * (M+1)^{N+1}, and the coefficient of (M+1)^N in the remainder is an
 integer charge that distinguishes the line-bundle classes.
 """
@@ -30,18 +30,18 @@ import os
 from dataclasses import dataclass
 from functools import reduce
 from itertools import permutations
+from math import prod
 from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
 from .algebra import AlgebraElement
-from .bundles import ProjectorMatrix
 from .phases import ThetaMatrix, frac_part
 
 DEFAULT_MAX_DIM = 100_000
 
 CHARGE_TOL = 1e-6
-"""How far ``class_invariant``'s closed-form charge may be from an integer."""
+"""How far ``class_invariant``'s trace and charge may be from an integer."""
 
 
 class UnstableInvariant(RuntimeError):
@@ -241,15 +241,8 @@ def truncated_trace(x: AlgebraElement, M: int) -> complex:
     Only diagonal words contribute: Tr rep(W_p W_p*) counts the multi-indices
     componentwise >= p, which is prod_i max(M+1-p_i, 0).
     """
-    total = 0j
-    for (p, q), c in x.terms.items():
-        if p != q:
-            continue
-        count = 1
-        for v in p:
-            count *= max(M + 1 - v, 0)
-        total += c.to_complex() * count
-    return total
+    return sum((c.to_complex() * prod(max(M + 1 - v, 0) for v in p)
+                for (p, q), c in x.terms.items() if p == q), 0j)
 
 
 @dataclass(frozen=True)
@@ -266,11 +259,7 @@ class ClassInvariant:
 def scalar_part(x: AlgebraElement) -> complex:
     """Circle-averaged symbol: W_p W_q* contributes its coefficient when
     p == q (the symbol is then identically 1 on the torus) and 0 otherwise."""
-    total = 0j
-    for (p, q), c in x.terms.items():
-        if p == q:
-            total += c.to_complex()
-    return total
+    return sum((c.to_complex() for (p, q), c in x.terms.items() if p == q), 0j)
 
 
 def compact_charge(diag: List[AlgebraElement]) -> complex:
@@ -281,49 +270,50 @@ def compact_charge(diag: List[AlgebraElement]) -> complex:
                  for (p, q), c in x.terms.items() if p == q), 0j)
 
 
-def _lifted_diagonal(e: ProjectorMatrix):
+def _lifted_diagonal(diag: List[AlgebraElement]):
     """The lifted diagonal entries and the longest exponent of their diagonal words."""
-    lifted = [row[k].with_context(row[k].ctx.ambient()) for k, row in enumerate(e.entries)]
+    lifted = [x.with_context(x.ctx.ambient()) for x in diag]
     return lifted, max((max(p) for x in lifted for (p, q) in x.terms if p == q), default=0)
 
 
-def default_truncations(e: ProjectorMatrix) -> List[int]:
+def default_truncations(diag: List[AlgebraElement]) -> List[int]:
     """The smallest truncations ``class_invariant`` admits: N+2 consecutive
     cutoffs from max(1, longest diagonal exponent - 1)."""
-    start = max(1, _lifted_diagonal(e)[1] - 1)
-    return list(range(start, start + e.entries[0][0].ctx.n + 1))
+    start = max(1, _lifted_diagonal(diag)[1] - 1)
+    return list(range(start, start + diag[0].ctx.n + 1))
 
 
-def class_invariant(e: ProjectorMatrix, m_list: List[int]) -> ClassInvariant:
-    """Numerical K-class data (dimension class, compact charge) of a
-    projector over the sphere quotient.
+def class_invariant(diag: List[AlgebraElement], m_list: List[int]) -> ClassInvariant:
+    """K-class data (dimension class, compact charge) of a projector over the
+    sphere quotient, from its diagonal entries (``bundles.projector_diagonal``).
 
-    The compact charge is the coefficient of (M+1)^N in
+    The dimension class is the trace sum_k scalar_part(E_kk), the torus
+    average of the symbol's pointwise trace, which is its rank for any
+    projector.  The compact charge is the coefficient of (M+1)^N in
     Tr rep_M(lift(E)) - d*(M+1)^{N+1}, read from its closed form
     (``compact_charge``).  The trace is that polynomial in M+1 once M+1 is at
     least every exponent of the diagonal words, so the truncations (at least
-    N+2, ascending) must all lie in that range.
+    N+2, ascending) must all lie in that range.  Both numbers sum coefficients
+    +-1 (the diagonal lemma), so they are exact at zero and rational twists;
+    ``residual``, their distance from integers, is bounded by ``CHARGE_TOL``.
     """
-    ctx = e.entries[0][0].ctx
-    n = ctx.n                       # N + 1
+    n = diag[0].ctx.n               # N + 1
     if len(m_list) < n + 1:
         raise ValueError(f"need at least {n + 1} truncations")
     if sorted(m_list) != list(m_list):
         raise ValueError("truncations must be ascending")
-    s = np.array([[scalar_part(x) for x in row] for row in e.entries])
-    d = int(np.linalg.matrix_rank(s, tol=1e-9))
-
-    lifted_diag, longest = _lifted_diagonal(e)
+    trace = sum(map(scalar_part, diag), 0j)
+    lifted_diag, longest = _lifted_diagonal(diag)
     if m_list[0] + 1 < longest:
         raise UnstableInvariant(
             f"truncation {m_list[0]} is below the longest diagonal word "
             f"(exponent {longest}), where the truncated trace is not yet "
             f"polynomial; truncations {m_list}")
     charge = compact_charge(lifted_diag)
-    chi = round(charge.real)
-    off = max(abs(charge.imag), abs(charge.real - chi))
+    d, chi = round(trace.real), round(charge.real)
+    off = max(abs(trace.imag), abs(trace.real - d), abs(charge.imag), abs(charge.real - chi))
     if off > CHARGE_TOL:
-        raise UnstableInvariant(f"closed-form charge {charge} is not an integer")
+        raise UnstableInvariant(f"trace {trace} or charge {charge} is not an integer")
     return ClassInvariant(dimension_class=d,
                           compact_charge=chi,
                           truncations_used=tuple(m_list),

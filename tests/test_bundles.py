@@ -6,9 +6,9 @@ import pytest
 
 from conftest import random_element, random_float_theta, rng_for
 from heegaard import (AlgebraElement, Coeff, NonzeroTwist, TensorElement,
-                      chern_galois_projector, generator, h_tail, pullback_hom,
-                      pullback_projector, sphere_defect, strong_connection,
-                      unit, verify_connection)
+                      chern_galois_projector, generator, h_tail, projector_diagonal,
+                      pullback_hom, pullback_projector, sphere_defect,
+                      strong_connection, unit, verify_connection)
 from heegaard.algebra import Context
 from heegaard import bundles
 from heegaard.bundles import MAX_SIZE, SizeOverflow, _proportionality, check_size, mat_mul
@@ -243,6 +243,36 @@ def test_right_factor_closed_form(N, kind):
             head, ak_star = h_tail(first_slot(ak), ctx), ak.star()
             for l, al in enumerate(e.lefts[:k + 1]):
                 assert e.entries[k][l] == head * (ak_star * al), (where, k, l)
+
+
+@pytest.mark.parametrize("kind", TWISTS)
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_diagonal_lemma(N, kind):
+    # E_kk = r_k a_k = H_{k_1} a_k* a_k = H_{k_1}: term by term at zero and
+    # rational twists, where every coefficient is +-1 at exponent 0, and
+    # within FLOAT_TOL at a float twist; W_{ne_0} W_{ne_0}* for n >= 0
+    th = twist(kind, N + 1)
+    ctx = Context.sphere(th)
+    for n in [n for n in range(-1, -7, -1) if comb(-n + N, N) <= MAX_SIZE]:
+        where = (N, n, kind)
+        conn = strong_connection(n, N, th)
+        diag = projector_diagonal(n, N, th)
+        assert len(diag) == len(conn.summands) == comb(-n + N, N), where
+        for (a, _), e in zip(conn.summands, diag):
+            head = h_tail(first_slot(a), ctx)
+            if kind == "float":
+                assert e == head, where
+            else:
+                assert e.terms == head.terms, where
+                assert all(c.terms in ({0: 1}, {0: -1}) for c in e.terms.values()), where
+        if n >= -3:
+            e = chern_galois_projector(n, N, th).entries
+            assert [repr(x) for x in diag] == [repr(e[k][k]) for k in range(len(e))], where
+    s0 = generator(ctx, 0)
+    for n in range(4):
+        (e,) = projector_diagonal(n, N, th)
+        want = s0 ** n * s0.star() ** n
+        assert e == want and (kind == "float" or e.terms == want.terms), (N, n, kind)
 
 
 @pytest.mark.parametrize("kind", TWISTS)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from heegaard import cli, generator, quotients, unit
+from heegaard import bundles, cli, generator, quotients, unit
 from heegaard.algebra import Context
 from heegaard.cli import FLAGS, main
 from heegaard.phases import ThetaMatrix
@@ -68,6 +68,21 @@ def test_invariant_default_truncations(capsys, N, n, truncations):
                        "--theta", "random-rational", "--seed", "4",
                        "--truncations", ",".join(map(str, truncations)))
     assert code == 0 and json.loads(out) == obj
+
+
+def test_invariant_builds_no_projector(capsys, monkeypatch):
+    # the m diagonal entries E_kk = r_k a_k are all `invariant` multiplies
+    def refuse(*args):
+        raise AssertionError("chern_galois_projector called")
+
+    monkeypatch.setattr(cli, "chern_galois_projector", refuse)
+    monkeypatch.setattr(bundles, "chern_galois_projector", refuse)
+    for theta in ("zero", "random-rational"):
+        code, out, _ = run(capsys, "invariant", "--N", "2", "--n", "-3",
+                           "--theta", theta, "--seed", "2")
+        assert code == 0
+        assert json.loads(out) == {"dimension_class": 1, "compact_charge": 3,
+                                   "truncations": [1, 2, 3, 4], "residual": 0.0}
 
 
 def test_cocycle(capsys):

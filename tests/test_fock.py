@@ -1,9 +1,11 @@
+import ast
 import cmath
 import os
 import subprocess
 import sys
 from fractions import Fraction
 from functools import reduce
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +14,11 @@ import pytest
 from conftest import random_element, random_float_theta, rng_for
 from heegaard import (AlgebraElement, ClassInvariant, SparseOperator, UnstableInvariant,
                       chern_galois_projector, class_invariant, fock_generator,
-                      generator, relation_residual, represent, sphere_defect,
-                      truncated_trace, unit)
+                      generator, projector_diagonal, relation_residual, represent,
+                      sphere_defect, truncated_trace, unit)
+from heegaard import fock
 from heegaard.algebra import Context
+from heegaard.bundles import MAX_SIZE
 from heegaard.fock import _identity, compact_charge, relation_defects, scalar_part
 from heegaard.phases import ThetaMatrix, frac_part
 
@@ -277,10 +281,10 @@ def test_scalar_part():
 
 def test_invariant_examples():
     th = ThetaMatrix.zero(2)
-    e0 = chern_galois_projector(0, 1, th)
+    e0 = projector_diagonal(0, 1, th)
     inv0 = class_invariant(e0, [8, 16, 24])
     assert inv0.as_pair() == (1, 0)
-    em1 = chern_galois_projector(-1, 1, th)
+    em1 = projector_diagonal(-1, 1, th)
     inv1 = class_invariant(em1, [8, 16, 24])
     assert inv1.as_pair() == (1, 1)
     assert inv1.residual <= 1e-6
@@ -291,15 +295,14 @@ def test_invariant_winding_sweep_distinct():
     th = ThetaMatrix.zero(2)
     pairs = {}
     for n in range(-3, 4):
-        inv = class_invariant(chern_galois_projector(n, 1, th), [8, 16, 24])
+        inv = class_invariant(projector_diagonal(n, 1, th), [8, 16, 24])
         pairs[n] = inv.as_pair()
         assert pairs[n] == (1, -n)
     assert len(set(pairs.values())) == 7
 
 
-def _lifted_diagonal(e):
-    amb = e.entries[0][0].ctx.ambient()
-    return [e.entries[k][k].with_context(amb) for k in range(e.size)]
+def _lifted_diagonal(diag):
+    return [x.with_context(x.ctx.ambient()) for x in diag]
 
 
 def _fitted_charge(diag, d, N, ms):
@@ -315,7 +318,7 @@ def _fitted_charge(diag, d, N, ms):
 def test_compact_charge_closed_form_matches_polyfit(N):
     for th in [ThetaMatrix.zero(N + 1), ThetaMatrix.random_rational(N + 1, seed=23)]:
         for n in range(-3, 4):
-            e = chern_galois_projector(n, N, th)
+            e = projector_diagonal(n, N, th)
             diag = _lifted_diagonal(e)
             longest = max(max(p) for x in diag for (p, q) in x.terms if p == q)
             # the largest truncations and the smallest that class_invariant
@@ -331,7 +334,7 @@ def test_compact_charge_closed_form_matches_polyfit(N):
 def test_invariant_truncation_below_the_longest_word_is_unstable():
     # winding 3 at N=1 lifts to diagonal words up to S_0^3 S_0^3*; below
     # M+1 = 3 the truncated trace is not yet polynomial and the fit is off
-    e = chern_galois_projector(3, 1, ThetaMatrix.zero(2))
+    e = projector_diagonal(3, 1, ThetaMatrix.zero(2))
     assert abs(_fitted_charge(_lifted_diagonal(e), 1, 1, [1, 2, 3]) + 3) > 1e-3
     with pytest.raises(UnstableInvariant):
         class_invariant(e, [1, 2, 3])
@@ -339,11 +342,78 @@ def test_invariant_truncation_below_the_longest_word_is_unstable():
 
 
 def test_invariant_input_validation():
-    e = chern_galois_projector(1, 1, ThetaMatrix.zero(2))
+    e = projector_diagonal(1, 1, ThetaMatrix.zero(2))
     with pytest.raises(ValueError):
         class_invariant(e, [8, 16])          # too few truncations
     with pytest.raises(ValueError):
         class_invariant(e, [16, 8, 24])      # not ascending
+
+
+def lifted_trace_closed_form(n, N, M):
+    """Tr rep_M of the lifted diagonal of winding n, in X = M+1:
+    sum_f C(m-1+N-f, N-f) X^{f+1} for n = -m, and (X - n) X^N for n >= 0."""
+    X = M + 1
+    if n >= 0:
+        return (X - n) * X ** N
+    return sum(comb(-n - 1 + N - f, N - f) * X ** (f + 1) for f in range(N + 1))
+
+
+def twist(kind, n):
+    """Zero, random rational with denominator 8 or 12, or random float."""
+    if kind == "zero":
+        return ThetaMatrix.zero(n)
+    if kind == "float":
+        return random_float_theta(n, rng_for(f"diagonal-float-{n}"))
+    return ThetaMatrix.random_rational(n, seed=n, den=int(kind[len("den-"):]))
+
+
+@pytest.mark.parametrize("kind", ["zero", "den-8", "den-12", "float"])
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_lifted_diagonal_trace_closed_form(N, kind):
+    # N+2 cutoffs from the first with M+1 >= max(n, 1); exact off float twists
+    th = twist(kind, N + 1)
+    for n in [n for n in range(-6, 5) if comb(abs(n) + N, N) <= MAX_SIZE]:
+        diag = _lifted_diagonal(projector_diagonal(n, N, th))
+        for M in range(max(n, 1) - 1, max(n, 1) + N + 1):
+            got = sum(truncated_trace(x, M) for x in diag)
+            want = lifted_trace_closed_form(n, N, M)
+            if kind == "float":
+                assert abs(got - want) <= 1e-12 * want, (N, n, M)
+            else:
+                assert got == want, (N, n, M)
+
+
+def test_lifted_diagonal_trace_matches_the_representation():
+    # independently of truncated_trace's closed form, at one small size
+    th = ThetaMatrix.random_rational(3, seed=5)
+    for n in (-2, 2):
+        diag = _lifted_diagonal(projector_diagonal(n, 2, th))
+        for M in (2, 3):
+            got = sum(represent(x, M).trace() for x in diag)
+            assert abs(got - lifted_trace_closed_form(n, 2, M)) < 1e-9, (n, M)
+
+
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} used")
+
+
+@pytest.mark.parametrize("kind", ["zero", "den-8", "float"])
+def test_class_invariant_uses_no_numpy(kind, monkeypatch):
+    monkeypatch.setattr(fock, "np", _NoNumpy())
+    for N in (1, 2, 3):
+        th = twist(kind, N + 1)
+        for n in range(-3, 4):
+            diag = projector_diagonal(n, N, th)
+            inv = class_invariant(diag, fock.default_truncations(diag))
+            assert inv.as_pair() == (1, -n), (N, n, kind)
+            assert kind == "float" or inv.residual == 0.0, (N, n, kind)
+
+
+def test_fock_imports_nothing_from_bundles():
+    tree = ast.parse(Path(fock.__file__).read_text())
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and node.module and node.module.split(".")[-1] == "bundles"]
 
 
 def test_projector_residual_is_bounded_not_exact():

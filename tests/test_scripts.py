@@ -36,7 +36,7 @@ def test_invariant_sweep_script():
 def test_stdout_diff_script_tree_against_itself():
     rows = run_script("stdout_diff.py", "--a", str(ROOT), "--b", str(ROOT),
                       "--workloads", "fock,solve", "--seeds", "0")
-    assert rows == [{"jobs": 64, "differ": 0}]
+    assert rows == [{"jobs": 64, "differ": 0, "float_only": 0}]
 
 
 def test_stdout_diff_script_reads_each_glue_input(tmp_path):
@@ -54,4 +54,36 @@ def test_stdout_diff_script_reads_each_glue_input(tmp_path):
     *diffs, summary = proc.stdout.splitlines()
     assert proc.returncode == 1 and len(diffs) == 24       # the deck's glue jobs
     assert all(" (glue): exit 0 vs 2, stdout differs" in line for line in diffs)
-    assert json.loads(summary) == {"jobs": 29, "differ": 24}
+    assert json.loads(summary) == {"jobs": 29, "differ": 24, "float_only": 0}
+
+
+def _residual_moved_by(tmp_path, shift):
+    """stdout_diff of this tree against a copy whose relation residuals are
+    all moved by ``shift``: (exit status, DIFF lines, summary)."""
+    shutil.copytree(ROOT / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    module = tmp_path / "src" / "heegaard" / "fock.py"
+    old = "return max(d.norm() for d in relation_defects(N, theta, M))"
+    assert old in module.read_text()
+    module.write_text(module.read_text().replace(old, f"{old} + {shift!r}"))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "stdout_diff.py"),
+                           "--a", str(ROOT), "--b", str(tmp_path),
+                           "--workloads", "fock", "--seeds", "0"],
+                          capture_output=True, text=True, timeout=120)
+    *diffs, summary = proc.stdout.splitlines()
+    return proc.returncode, diffs, json.loads(summary)
+
+
+def test_stdout_diff_script_tells_float_only_differences(tmp_path):
+    # every fock deck job prints its residual; moved by 1e-13 the exit
+    # status holds, and each job differs in that float alone
+    code, diffs, summary = _residual_moved_by(tmp_path, 1e-13)
+    assert code == 1 and summary == {"jobs": 35, "differ": 35, "float_only": 35}
+    assert all(line.endswith("exit 0 vs 0, stdout differs in floats only (max |Δ| = 1e-13)")
+               for line in diffs), diffs[:3]
+
+
+def test_stdout_diff_script_float_gap_over_the_tolerance(tmp_path):
+    code, diffs, summary = _residual_moved_by(tmp_path, 1e-11)
+    assert code == 1 and summary == {"jobs": 35, "differ": 35, "float_only": 0}
+    assert all(line.endswith("exit 0 vs 0, stdout differs") for line in diffs), diffs[:3]
