@@ -40,8 +40,7 @@ def main():
                      for n in range(-args.max_winding, args.max_winding + 1))
             idem = all(chern_galois_projector(n, n_gen, theta).is_idempotent()
                        for n in range(-min(3, args.max_winding),
-                                      min(3, args.max_winding) + 1)) \
-                if n_gen <= 2 else None
+                                      min(3, args.max_winding) + 1))
             print(json.dumps({"N": n_gen, "theta": label,
                               "connections_ok": ok,
                               "projectors_idempotent": idem,

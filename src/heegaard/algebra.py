@@ -283,9 +283,12 @@ class AlgebraElement:
 
 @lru_cache(maxsize=None)
 def _signed_slot_sets(n: int):
-    """The nonempty slot sets V of range(n) with their signs (-1)^{|V|+1}."""
-    return tuple((v, (-1) ** (k + 1)) for k in range(1, n + 1)
-                 for v in combinations(range(n), k))
+    """The nonempty slot sets V of range(n), each listed after V minus its
+    last slot s, as (index of that prefix or -1 for the empty set, s, the
+    sign (-1)^{|V|+1})."""
+    sets = [v for k in range(1, n + 1) for v in combinations(range(n), k)]
+    index = {v: i for i, v in enumerate(sets)}
+    return tuple((index.get(v[:-1], -1), v[-1], (-1) ** (len(v) + 1)) for v in sets)
 
 
 def _canonicalize(ctx: Context,
@@ -293,28 +296,39 @@ def _canonicalize(ctx: Context,
     """Apply the context's extra relations term-wise and prune zeros.
 
     Unitary contexts reduce on their unitary slots every word interior on
-    one of them; in the sphere quotient a fully-interior word (no zero
-    exponent) is the inclusion-exclusion sum over the nonempty slot sets of
-    the module docstring; every other word is kept as it is.
+    one of them.  In the sphere quotient a fully-interior word (no zero
+    exponent) is the inclusion-exclusion sum over the slot sets V of the
+    module docstring, and terms with none are wrapped as they are.  The
+    reduction on V extends the one on V minus its last slot s by the phase
+    terms k_s (p_j - q_j) theta_sj, j > s, formed once per word and added in
+    ``_unitary_reduce``'s order, so float phases repeat bit for bit.
     """
-    sphere = ctx.kind == SPHERE
-    if sphere:
-        signed = _signed_slot_sets(ctx.n)
-    elif ctx.unitary:
-        signed = ((ctx.unitary, 1),)
-    else:
+    sphere, unitary = ctx.kind == SPHERE, ctx.unitary
+    if not unitary and not (sphere and any(0 not in p + q for p, q in terms)):
         return AlgebraElement(ctx, terms)
-    theta, D, unitary = ctx.theta, ctx.theta.conductor, ctx.unitary
-    out: Dict[Tuple[MultiIndex, MultiIndex], Coeff] = {}
+    theta, table, D, n = ctx.theta, ctx.theta.table, ctx.theta.conductor, ctx.n
+    tree, out = _signed_slot_sets(n) if sphere else (), {}
     for (p, q), c in terms.items():
         if (0 in p or 0 in q) if sphere else not any(p[s] and q[s] for s in unitary):
-            key = (p, q)
-            out[key] = out[key] + c if key in out else c
-            continue
-        for slots, sign in signed:
-            phase, pp, qq = _unitary_reduce(theta, slots, p, q)
-            key, cc = (pp, qq), c.times_exponent(phase, D, sign)
+            out[p, q] = out[p, q] + c if (p, q) in out else c
+        elif not sphere:
+            phase, pp, qq = _unitary_reduce(theta, unitary, p, q)
+            key, cc = (pp, qq), c.times_exponent(phase, D)
             out[key] = out[key] + cc if key in out else cc
+        else:
+            d, ks = tuple(map(sub, p, q)), tuple(map(min, p, q))
+            steps = [[k * d[j] * table[s][j] for j in range(s + 1, n) if d[j]]
+                     for s, k in enumerate(ks)]
+            reduced = []
+            for prefix, s, sign in tree:
+                phase, pp, qq = reduced[prefix] if prefix >= 0 else (0, p, q)
+                for x in steps[s]:
+                    phase += x
+                pp = pp[:s] + (pp[s] - ks[s],) + pp[s + 1:]
+                qq = qq[:s] + (qq[s] - ks[s],) + qq[s + 1:]
+                reduced.append((phase, pp, qq))
+                key, cc = (pp, qq), c.times_exponent(phase, D, sign)
+                out[key] = out[key] + cc if key in out else cc
     return AlgebraElement(ctx, out)
 
 

@@ -5,8 +5,9 @@ tensors over the sphere quotient with sum_l a_l r_l = 1 and bidegree
 (-n, n).  The associated projector has entries E_kl = r_k a_l; idempotency
 follows from the multiplicativity condition alone, so any presentation of
 the connection value works.  ``strong_connection`` builds each right factor
-in closed form, r_k = H_{k_1} a_k*, one summand per multi-index, in an order
-that makes the projector lower-triangular (lemmas in both docstrings).
+in closed form, r_k = H_{k_1} a_k*, one summand per multi-index, and a zero
+lemma on the letters of a_k and a_l picks the entries that can be nonzero,
+all on or below the diagonal in that order (lemmas in both docstrings).
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 from math import comb
 from typing import List, Tuple
 
-from .algebra import (AlgebraElement, Context, ContextMismatch, generator,
-                      range_complement, unit)
+from .algebra import (AlgebraElement, Context, ContextMismatch, _canonicalize,
+                      generator, range_complement, unit)
 from .grading import extend_hom
 from .phases import ThetaMatrix
 
@@ -78,11 +79,15 @@ class TensorElement:
         return TensorElement(self.ctx, merged)
 
     def contract(self) -> AlgebraElement:
-        """Multiplication map: sum_l a_l * r_l."""
-        out = AlgebraElement.zero(self.ctx)
+        """Multiplication map: sum_l a_l * r_l.  A sphere product is the
+        ambient product followed by the linear normal form, so the products
+        are summed in the ambient algebra and normalized once."""
+        amb, terms = self.ctx.ambient(), {}
         for a, r in self.summands:
-            out = out + a * r
-        return out
+            ar = AlgebraElement(amb, a.terms) * AlgebraElement(amb, r.terms)
+            for m, c in ar.terms.items():
+                terms[m] = terms[m] + c if m in terms else c
+        return _canonicalize(self.ctx, terms)
 
 
 def _proportionality(a: AlgebraElement, b: AlgebraElement):
@@ -136,15 +141,18 @@ def strong_connection(n: int, N: int, theta: ThetaMatrix) -> TensorElement:
     return TensorElement(ctx, [(a, heads[f] * a.star()) for _, f, a in layer]).simplify()
 
 
+def check_connection(conn: TensorElement, n: int):
+    """(sum_l a_l r_l, whether it is 1, whether every summand has bidegree
+    (-n, n))."""
+    contracted = conn.contract()
+    bidegree = all(not (a.degrees() - {-n} or r.degrees() - {n})
+                   for a, r in conn.summands)
+    return contracted, contracted == unit(conn.ctx), bidegree
+
+
 def verify_connection(conn: TensorElement, n: int) -> bool:
-    """Multiplicativity (contracts to 1) and bidegree (-n, n) on every
-    summand."""
-    if conn.contract() != unit(conn.ctx):
-        return False
-    for a, r in conn.summands:
-        if a.degrees() - {-n} or r.degrees() - {n}:
-            return False
-    return True
+    """Multiplicativity (contracts to 1) and bidegree (-n, n) on every summand."""
+    return all(check_connection(conn, n)[1:])
 
 
 @dataclass(frozen=True)
@@ -189,19 +197,25 @@ def mat_eq(a, b) -> bool:
 def chern_galois_projector(n: int, N: int, theta: ThetaMatrix) -> ProjectorMatrix:
     """E_kl = r_k a_l from the winding-n connection sum_l a_l (x) r_l.
 
-    E is lower-triangular in the summand order of ``strong_connection``, so
-    only the entries with l <= k are multiplied.  Proof: E_kl = H_{k_1} a_k* a_l
-    by the lemma there.  If l comes after k, then at the last position i with
-    k_i != l_i, l_i > k_i.  The isometries s* s = 1 cancel the positions after
-    i, and s_{l_i} moves to the front past letters of slots <= k_i < l_i.
-    There H_{k_1} holds 1 - s_{l_i} s_{l_i}*, and (1 - s s*) s = 0.
+    Zero lemma: with alpha, beta the slot multiplicities of a_k, a_l (0 for
+    n >= 0), E_kl = 0 unless beta_j <= alpha_j on every slot j > k_1, so only
+    those entries are multiplied.  Proof: E_kl = H_{k_1} a_k* a_l (lemma in
+    ``strong_connection``) and a_k* a_l ~ W_{(beta-alpha)+} W_{(alpha-beta)+}*
+    has s_j among its creations if beta_j > alpha_j; the factor 1 - s_j s_j*
+    of H_{k_1} commutes exactly with the letters of other slots, and
+    (1 - s_j s_j*) s_j = 0.  It kills every l after k in the summand order:
+    at the last position i with k_i != l_i, l_i > k_i >= k_1, and l has more
+    letters s_{l_i} than k.
     """
     conn = strong_connection(n, N, theta)
     lefts = tuple(a for a, _ in conn.summands)
     rights = tuple(r for _, r in conn.summands)
     zero = AlgebraElement.zero(conn.ctx)
-    entries = tuple(tuple(rk * al if l <= k else zero for l, al in enumerate(lefts))
-                    for k, rk in enumerate(rights))
+    alphas = [next(iter(a.terms))[0] for a in lefts]
+    tops = [next((j + 1 for j, e in enumerate(al) if e), len(al)) for al in alphas]
+    entries = tuple(tuple(rk * al if all(b <= a for a, b in zip(alphas[k][t:], alphas[l][t:]))
+                          else zero for l, al in enumerate(lefts))
+                    for k, (rk, t) in enumerate(zip(rights, tops)))
     return ProjectorMatrix(n, entries, lefts, rights)
 
 

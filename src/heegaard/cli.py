@@ -12,9 +12,8 @@ import sys
 from types import SimpleNamespace
 
 from . import serialize
-from .algebra import unit
-from .bundles import (SizeOverflow, check_size, chern_galois_projector,
-                      projector_diagonal, strong_connection)
+from .bundles import (SizeOverflow, check_connection, check_size,
+                      chern_galois_projector, projector_diagonal, strong_connection)
 from .fock import (UnstableInvariant, class_invariant, default_truncations,
                    relation_residual)
 from .phases import ThetaMatrix
@@ -135,11 +134,8 @@ def _run(args) -> int:
         return 0
 
     if args.command == "verify":
-        conn = strong_connection(args.n, args.N, theta)
-        contracted = conn.contract()
-        is_one = contracted == unit(conn.ctx)
-        bidegree = all(not (a.degrees() - {-args.n}) and not (r.degrees() - {args.n})
-                       for a, r in conn.summands)
+        contracted, is_one, bidegree = check_connection(
+            strong_connection(args.n, args.N, theta), args.n)
         _emit({"m_circ_l": "1" if is_one else serialize.element_to_obj(contracted),
                "bidegree": bidegree}, args.output)
         return 0 if (is_one and bidegree) else 1

@@ -123,14 +123,14 @@ class Coeff:
         return self * Coeff.from_phase(t, self.mode)
 
     def times_exponent(self, k, D, weight=1) -> "Coeff":
-        """Multiply by weight * e(k/D) for an exponent k over a conductor D;
-        free when k = 0 mod D and weight is 1, and no terms when weight is 0."""
+        """Multiply by weight * e(k/D) for an exponent k over a conductor D; at
+        weight 1 free when k = 0 mod D, else shifted unmultiplied; no terms at 0."""
         L = lcm(self.D, D)
         a, b = L // self.D, k * (L // D) % L
-        if not b and weight == 1:
-            return self
-        return _new(Coeff, L, {(t * a + b) % L: w * weight
-                               for t, w in self.terms.items()} if weight else {})
+        ts = self.terms.items()
+        if weight == 1:
+            return _new(Coeff, L, {(t * a + b) % L: w for t, w in ts}) if b else self
+        return _new(Coeff, L, {(t * a + b) % L: w * weight for t, w in ts} if weight else {})
 
     def scale(self, w) -> "Coeff":
         """Multiply by a rational (or real/complex in float mode) scalar; it

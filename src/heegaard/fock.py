@@ -270,16 +270,16 @@ def compact_charge(diag: List[AlgebraElement]) -> complex:
                  for (p, q), c in x.terms.items() if p == q), 0j)
 
 
-def _lifted_diagonal(diag: List[AlgebraElement]):
-    """The lifted diagonal entries and the longest exponent of their diagonal words."""
-    lifted = [x.with_context(x.ctx.ambient()) for x in diag]
-    return lifted, max((max(p) for x in lifted for (p, q) in x.terms if p == q), default=0)
+def _longest_diagonal(diag: List[AlgebraElement]) -> int:
+    """The longest exponent of the entries' diagonal words; a lift keeps
+    every word, so the entries are read as they are."""
+    return max((max(p) for x in diag for (p, q) in x.terms if p == q), default=0)
 
 
 def default_truncations(diag: List[AlgebraElement]) -> List[int]:
     """The smallest truncations ``class_invariant`` admits: N+2 consecutive
     cutoffs from max(1, longest diagonal exponent - 1)."""
-    start = max(1, _lifted_diagonal(diag)[1] - 1)
+    start = max(1, _longest_diagonal(diag) - 1)
     return list(range(start, start + diag[0].ctx.n + 1))
 
 
@@ -303,13 +303,13 @@ def class_invariant(diag: List[AlgebraElement], m_list: List[int]) -> ClassInvar
     if sorted(m_list) != list(m_list):
         raise ValueError("truncations must be ascending")
     trace = sum(map(scalar_part, diag), 0j)
-    lifted_diag, longest = _lifted_diagonal(diag)
+    longest = _longest_diagonal(diag)
     if m_list[0] + 1 < longest:
         raise UnstableInvariant(
             f"truncation {m_list[0]} is below the longest diagonal word "
             f"(exponent {longest}), where the truncated trace is not yet "
             f"polynomial; truncations {m_list}")
-    charge = compact_charge(lifted_diag)
+    charge = compact_charge([x.with_context(x.ctx.ambient()) for x in diag])
     d, chi = round(trace.real), round(charge.real)
     off = max(abs(trace.imag), abs(trace.real - d), abs(charge.imag), abs(charge.real - chi))
     if off > CHARGE_TOL:

@@ -306,9 +306,43 @@ def test_projector_is_lower_triangular_in_summand_order(N, lowest, kind):
             [[repr(x) for x in row] for row in full], (N, n, kind)
 
 
+def live(ak, al):
+    """The zero lemma's test for E_kl: beta_j <= alpha_j on every slot
+    j > k_1, with alpha and beta the slot multiplicities of a_k and a_l."""
+    (alpha, _), = ak.terms
+    (beta, _), = al.terms
+    top = first_slot(ak) + 1 if any(alpha) else len(alpha)
+    return all(b <= a for a, b in zip(alpha[top:], beta[top:]))
+
+
+@pytest.mark.parametrize("kind", TWISTS)
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_projector_zero_lemma(N, kind):
+    # every entry the lemma skips is a zero product r_k a_l, every entry
+    # above the diagonal is skipped, and the entries are the full products
+    th = twist(kind, N + 1)
+    skipped = 0
+    for n in [n for n in range(-6, 4) if comb(abs(n) + N, N) <= MAX_SIZE]:
+        conn = strong_connection(n, N, th)
+        lefts = [a for a, _ in conn.summands]
+        full = full_projector(conn)
+        for k, ak in enumerate(lefts):
+            for l, al in enumerate(lefts):
+                if not live(ak, al):
+                    assert full[k][l].is_zero(), (N, n, kind, k, l)
+                    skipped += l < k
+                assert l <= k or not live(ak, al), (N, n, kind, k, l)
+        got = chern_galois_projector(n, N, th).entries
+        assert [[repr(x) for x in row] for row in got] == \
+            [[repr(x) for x in row] for row in full], (N, n, kind)
+    # above N = 1 the lemma kills entries below the diagonal too
+    assert (skipped > 0) == (N > 1), (N, kind)
+
+
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_projector_multiplies_only_the_lower_triangle(N, monkeypatch):
-    # m summands give m(m+1)/2 entry products on top of the connection's own
+    # one entry product per pair (k, l) the zero lemma keeps, all of them
+    # on or below the diagonal, on top of the connection's own products
     calls = [0]
     mul = AlgebraElement.__mul__
 
@@ -320,12 +354,16 @@ def test_projector_multiplies_only_the_lower_triangle(N, monkeypatch):
     th = twist("den-8", N + 1)
     for m in range(1, 5):
         calls[0] = 0
-        strong_connection(-m, N, th)
+        lefts = [a for a, _ in strong_connection(-m, N, th).summands]
         connection = calls[0]
         calls[0] = 0
         chern_galois_projector(-m, N, th)
-        size = comb(m + N, N)
-        assert calls[0] - connection == size * (size + 1) // 2, (N, m)
+        pairs = [(k, l) for k, ak in enumerate(lefts) for l, al in enumerate(lefts)
+                 if live(ak, al)]
+        assert all(l <= k for k, l in pairs), (N, m)
+        assert calls[0] - connection == len(pairs), (N, m)
+        if N > 1 and m > 1:
+            assert len(pairs) < len(lefts) * (len(lefts) + 1) // 2, (N, m)
 
 
 def test_size_cap_bounds_summands_and_tail_words():
@@ -448,3 +486,34 @@ def test_simplify_matches_the_quadratic_merge(kind):
         got = t.simplify().summands
         assert [(repr(a), repr(r)) for a, r in got] == [(repr(a), repr(r)) for a, r in want]
         assert len(got) < len(pairs)
+
+
+def eager_contract(t):
+    """sum_l a_l * r_l by sphere products, added one at a time."""
+    out = AlgebraElement.zero(t.ctx)
+    for a, r in t.summands:
+        out = out + a * r
+    return out
+
+
+@pytest.mark.parametrize("kind", TWISTS)
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_contract_matches_the_eager_sum(N, kind):
+    # the products summed in the ambient algebra and normalized once are the
+    # sum of the sphere products: by repr at rational twists, within
+    # FLOAT_TOL (AlgebraElement ==) at a float twist
+    th = twist(kind, N + 1)
+    ctx = Context.sphere(th)
+    rng = rng_for(f"contract-{N}-{kind}")
+    conns = [strong_connection(n, N, th) for n in (-3, -1, 2)]
+    dropped = TensorElement(ctx, conns[0].summands[1:])
+    randoms = [TensorElement(ctx, [(random_element(ctx, rng, 4, 2 * N + 2),
+                                    random_element(ctx, rng, 4, 2 * N + 2))
+                                   for _ in range(3)]) for _ in range(4)]
+    for t in conns + [dropped] + randoms:
+        got, want = t.contract(), eager_contract(t)
+        assert got == want if kind == "float" else repr(got) == repr(want), (N, kind, t)
+    assert dropped.contract() != unit(ctx) and all(c.contract() == unit(ctx) for c in conns)
+    amb = ctx.ambient()
+    assert any(0 not in p + q for t in randoms for a, r in t.summands
+               for p, q in (a.with_context(amb) * r.with_context(amb)).terms)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from heegaard import bundles, cli, generator, quotients, unit
+from heegaard import AlgebraElement, bundles, cli, generator, quotients, unit
 from heegaard.algebra import Context
 from heegaard.cli import FLAGS, main
 from heegaard.phases import ThetaMatrix
@@ -24,6 +24,47 @@ def test_verify_success(capsys):
     code, out, _ = run(capsys, "verify", "--N", "1", "--n", "-2")
     assert code == 0
     assert json.loads(out) == {"bidegree": True, "m_circ_l": "1"}
+
+
+def _patched_connection(monkeypatch, edit):
+    """Make ``cli.strong_connection`` hand ``edit(ctx, summands)`` to verify;
+    the connections it returns are collected in the list returned."""
+    made = []
+
+    def patched(n, N, theta):
+        conn = bundles.strong_connection(n, N, theta)
+        made.append(bundles.TensorElement(conn.ctx, edit(conn.ctx, conn.summands)))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "strong_connection", patched)
+    return made
+
+
+@pytest.mark.parametrize("theta", ["zero", "random-rational"])
+def test_verify_reports_a_contraction_other_than_one(capsys, monkeypatch, theta):
+    # one summand dropped: the witness is the sum of the other a_l r_l,
+    # as the sphere products give it one at a time
+    made = _patched_connection(monkeypatch, lambda ctx, summands: summands[1:])
+    code, out, _ = run(capsys, "verify", "--N", "2", "--n", "-2",
+                       "--theta", theta, "--seed", "3")
+    eager = AlgebraElement.zero(made[0].ctx)
+    for a, r in made[0].summands:
+        eager = eager + a * r
+    assert code == 1 and not eager.is_zero()
+    assert json.loads(out) == {"bidegree": True,
+                               "m_circ_l": json.loads(json.dumps(element_to_obj(eager)))}
+
+
+def test_verify_reports_a_summand_of_the_wrong_degree(capsys, monkeypatch):
+    # (1 - s_1 s_1*) (x) s_1 has degrees (0, 1) and contracts to 0, so the
+    # sum is still 1 and the bidegree alone fails
+    def extra(ctx, summands):
+        s1 = generator(ctx, 1)
+        return summands + [(unit(ctx) - s1 * s1.star(), s1)]
+
+    _patched_connection(monkeypatch, extra)
+    code, out, _ = run(capsys, "verify", "--N", "1", "--n", "-1")
+    assert (code, json.loads(out)) == (1, {"bidegree": False, "m_circ_l": "1"})
 
 
 def test_connection_and_projector_json(capsys):
@@ -83,6 +124,22 @@ def test_invariant_builds_no_projector(capsys, monkeypatch):
         assert code == 0
         assert json.loads(out) == {"dimension_class": 1, "compact_charge": 3,
                                    "truncations": [1, 2, 3, 4], "residual": 0.0}
+
+
+def test_invariant_lifts_each_diagonal_entry_once(capsys, monkeypatch):
+    # default truncations read the entries as they are; class_invariant
+    # lifts each of the C(3+2, 2) = 10 diagonal entries once
+    calls = []
+    with_context = AlgebraElement.with_context
+
+    def counting(self, ctx):
+        calls.append(1)
+        return with_context(self, ctx)
+
+    monkeypatch.setattr(AlgebraElement, "with_context", counting)
+    code, out, _ = run(capsys, "invariant", "--N", "2", "--n", "-3")
+    assert code == 0 and json.loads(out)["truncations"] == [1, 2, 3, 4]
+    assert len(calls) == 10
 
 
 def test_cocycle(capsys):

@@ -270,6 +270,22 @@ def test_zero_weight_gives_no_terms():
         assert c == Coeff.zero(RATIONAL)
 
 
+def test_unit_weight_shifts_the_terms_unmultiplied():
+    # weight 1 keeps each weight object as it is: the same terms, with the
+    # same weight types, class and conductor as multiplying them by 1
+    th = ThetaMatrix.from_upper(2, {(0, 1): Fraction(1, 12)})
+    for ws in ((3, -1), (Fraction(1, 3), Fraction(-5, 2)), (2, Fraction(7, 4))):
+        c = Coeff.from_exponent(1, th, ws[0]) + Coeff.from_exponent(4, th, ws[1])
+        for k, D in ((0, 1), (5, 12), (1, 8), (3, 4)):
+            got = c.times_exponent(k, D)
+            L = math.lcm(c.D, D)
+            want = {(t * (L // c.D) + k * (L // D)) % L: w * 1 for t, w in c.terms.items()}
+            assert type(got) is Coeff and got.D == L and got.terms == want, (ws, k, D)
+            assert [type(w) for w in got.terms.values()] == [type(w) for w in want.values()]
+            assert [w is v for w, v in zip(got.terms.values(), c.terms.values())] \
+                == [True, True], (ws, k, D)
+
+
 def test_rational_keeps_an_int_and_normalises_the_rest():
     for w, want in ((3, 3), (-2, -2), (0, None), (Fraction(4, 2), 2), (Fraction(1, 3), Fraction(1, 3)),
                     (0.5, Fraction(1, 2)), (True, 1)):

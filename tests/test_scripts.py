@@ -26,6 +26,14 @@ def test_verify_connections_script():
     assert all(r["connections_ok"] and r["projectors_idempotent"] for r in rows)
 
 
+def test_verify_connections_script_checks_idempotency_at_N_3():
+    rows = run_script("verify_connections.py",
+                      "--max-N", "3", "--max-winding", "2", "--seeds", "1")
+    assert [(r["N"], r["theta"]) for r in rows][-3:] == \
+        [(3, "zero"), (3, "seed1"), (3, "float-seed1")]
+    assert all(r["connections_ok"] and r["projectors_idempotent"] is True for r in rows)
+
+
 def test_invariant_sweep_script():
     # "=" keeps argparse from reading "-1,0,1" as a flag
     rows = run_script("invariant_sweep.py", "--windings=-1,0,1")
