@@ -18,7 +18,6 @@ from typing import List, Tuple
 
 from .algebra import (AlgebraElement, Context, ContextMismatch, _canonicalize,
                       generator, range_complement, unit)
-from .grading import extend_hom
 from .phases import ThetaMatrix
 
 
@@ -113,7 +112,8 @@ def h_tail(i: int, ctx: Context) -> AlgebraElement:
 def strong_connection(n: int, N: int, theta: ThetaMatrix) -> TensorElement:
     """Connection value for winding n over the sphere quotient.
 
-    Non-negative windings have the closed form s_0*^n (x) s_0^n.  Winding -m
+    Non-negative windings have the closed form s_0*^n (x) s_0^n, the two
+    monomials W_0 W_{ne_0}* and W_{ne_0} W_0* (no phase).  Winding -m
     is the m-th power of sum_k s_k (x) s_k* H_k, H_k = ``h_tail(k)``.  Each
     factor 1 - s_j s_j* of an H is idempotent, is killed by s_j* on its left,
     and commutes exactly with every letter of another slot (the phases
@@ -130,8 +130,9 @@ def strong_connection(n: int, N: int, theta: ThetaMatrix) -> TensorElement:
     check_size(n, N)
     ctx = Context.sphere(theta)
     if n >= 0:
-        s0 = generator(ctx, 0)
-        return TensorElement(ctx, [(s0.star() ** n, s0 ** n)]).simplify()
+        empty, ne0 = (0,) * ctx.n, (n,) + (0,) * N
+        return TensorElement(ctx, [(AlgebraElement.monomial(ctx, empty, ne0),
+                                    AlgebraElement.monomial(ctx, ne0, empty))]).simplify()
     gens = [generator(ctx, k) for k in range(N + 1)]
     heads = [h_tail(k, ctx) for k in range(N + 1)]
     layer = [(k, k, g) for k, g in enumerate(gens)]     # (last slot, first slot, a)
@@ -229,14 +230,19 @@ def projector_diagonal(n: int, N: int, theta: ThetaMatrix) -> List[AlgebraElemen
 
 def pullback_hom(x: AlgebraElement) -> AlgebraElement:
     """Untwisted sphere morphism collapsing all generators above 0 to the
-    single generator 1 of the three-sphere quotient."""
+    single generator 1 of the three-sphere quotient.  Lemma: at zero twist the
+    collapse keeps every word ascending and adds no phase, so W_p W_q* maps to
+    W_{(p_0, |p| - p_0)} W_{(q_0, |q| - q_0)}*; equal images are summed and
+    brought to the three-sphere normal form once."""
     if x.ctx.kind != "sphere":
         raise ContextMismatch("expected a sphere-quotient element")
     if not x.ctx.theta.is_zero():
         raise NonzeroTwist("generator collapse respects relations only at zero twist")
-    target = Context.sphere(ThetaMatrix.zero(2, x.ctx.mode))
-    images = [generator(target, 0)] + [generator(target, 1)] * (x.ctx.n - 1)
-    return extend_hom(x, target, images)
+    terms = {}
+    for (p, q), c in x.terms.items():
+        key = ((p[0], sum(p) - p[0]), (q[0], sum(q) - q[0]))
+        terms[key] = terms[key] + c if key in terms else c
+    return _canonicalize(Context.sphere(ThetaMatrix.zero(2, x.ctx.mode)), terms)
 
 
 @dataclass(frozen=True)
@@ -264,40 +270,33 @@ def pullback_projector(e: ProjectorMatrix):
         raise ValueError("projector carries no recorded connection data")
     pushed = [(pullback_hom(a), pullback_hom(r))
               for a, r in zip(e.lefts, e.rights)]
-    keep = [l for l, (a, _) in enumerate(pushed) if not a.is_zero()]
-    drop = [l for l, (a, _) in enumerate(pushed) if a.is_zero()]
-    perm = keep + drop
-    gamma_p = [pushed[l][0] for l in keep]
-    beta_p = [pushed[l][1] for l in keep]
-    rho_p = [pushed[l][1] for l in drop]
-    ctx = gamma_p[0].ctx
-    m, mp = len(pushed), len(keep)
+    perm = sorted(range(len(pushed)), key=lambda l: pushed[l][0].is_zero())
+    gamma = [pushed[l][0] for l in perm]
+    beta = [pushed[l][1] for l in perm]
+    ctx = gamma[0].ctx
+    m, mp = len(pushed), sum(not a.is_zero() for a in gamma)
+    gamma_p, beta_p = gamma[:mp], beta[:mp]
+    zero, one = AlgebraElement.zero(ctx), unit(ctx)
 
     e_prime = ProjectorMatrix(
         e.winding,
         tuple(tuple(rk * al for al in gamma_p) for rk in beta_p),
         tuple(gamma_p), tuple(beta_p))
-    beta_pp = beta_p + rho_p
     e_pp = ProjectorMatrix(
         e.winding,
-        tuple(tuple(beta_pp[k] * gamma_p[l] if l < mp else AlgebraElement.zero(ctx)
-                    for l in range(m)) for k in range(m)))
+        tuple(tuple(beta[k] * gamma[l] if l < mp else zero for l in range(m))
+              for k in range(m)))
 
-    zero = AlgebraElement.zero(ctx)
-    one = unit(ctx)
     # gamma' beta'^T = sum of the surviving a_l r_l; the dropped summands
     # contribute zero, so this is the image of the full contraction
     gamma_beta_is_one = TensorElement(ctx, zip(gamma_p, beta_p)).contract() == one
-    g = [[one if i == j else zero for j in range(m)] for i in range(m)]
-    g_inv = [[one if i == j else zero for j in range(m)] for i in range(m)]
-    for i in range(m - mp):
-        for j in range(mp):
-            block = rho_p[i] * gamma_p[j]
-            g[mp + i][j] = -block
-            g_inv[mp + i][j] = block
-    g = tuple(tuple(row) for row in g)
-    g_inv = tuple(tuple(row) for row in g_inv)
 
+    def unipotent(block):
+        """The identity with block(B_kl) at k >= mp > l, B_kl = rho_k gamma_l = E''_kl."""
+        return tuple(tuple(block(e_pp.entries[k][l]) if l < mp <= k else one if k == l
+                           else zero for l in range(m)) for k in range(m))
+
+    g, g_inv = unipotent(AlgebraElement.__neg__), unipotent(lambda b: b)    # 1 - B, 1 + B
     padded = tuple(tuple(e_prime.entries[i][j] if i < mp and j < mp else zero
                          for j in range(m)) for i in range(m))
     conj = mat_mul(mat_mul(g_inv, padded), g)

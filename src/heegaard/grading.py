@@ -6,7 +6,8 @@ homogeneous of degree |p| - |q|.  The gauge maps regrade a one-unitary-slot
 quotient B_i so that the whole degree sits in slot i; the fixed-point algebra
 of the regraded quotient is then a twisted multi-isometry algebra on one
 fewer generator, with twist matrix obtained by deleting row and column i
-from the gauged matrix.
+from the gauged matrix.  The fixed-point maps read one relabeling of slots
+between the two algebras, ``phases.skip_slot`` and its inverse ``drop_slot``.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from .algebra import (AlgebraElement, Context, ContextMismatch, generator, unit)
-from .phases import (ThetaMatrix, kappa_check_matrix, kappa_inv_matrix,
-                     kappa_matrix)
+from .phases import (ThetaMatrix, drop_slot, kappa_check_matrix, kappa_inv_matrix,
+                     kappa_matrix, skip_slot)
 
 
 @dataclass(frozen=True)
@@ -103,81 +104,54 @@ def fixed_point_context(theta: ThetaMatrix, i: int) -> Context:
 
 
 def fixed_quotient_context(theta: ThetaMatrix, a: int, b: int) -> Context:
-    """Context of the two-chart overlap algebra on the fixed-point side.
-
-    For a < b the slot made unitary is b (1-based), i.e. b-1 here; for
-    a > b it is b+1 (1-based), i.e. b.
-    """
+    """Context of the two-chart overlap algebra on the fixed-point side: the
+    chart-a algebra with full slot b, which is slot ``drop_slot(a, b)``, unitary."""
     if a == b:
         raise ValueError("charts must be distinct")
-    slot = b - 1 if a < b else b
-    return Context.quotient(kappa_check_matrix(theta, a), slot)
+    return Context.quotient(kappa_check_matrix(theta, a), drop_slot(a, b))
 
 
 def phi_iso(i: int, x: AlgebraElement, theta: ThetaMatrix) -> AlgebraElement:
     """Embed the N-generator fixed-point algebra into the regraded B_i by
-    the order-preserving slot relabeling that skips slot i.
+    the order-preserving slot relabeling ``skip_slot(i, .)``, slot i set to 0.
 
     The relabeling is phase-free: ascending words map to ascending words and
     the deleted-row twist matrix matches the gauged one on surviving slots.
     """
     if x.ctx.theta != kappa_check_matrix(theta, i):
         raise ContextMismatch("element does not live over the slot-i fixed-point twist")
-    keep = [j for j in range(theta.n) if j != i]
-    target_slots = (i,) + tuple(keep[a] for a in x.ctx.unitary)
-    target = Context.quotient(kappa_matrix(theta, i), *target_slots)
-    terms = {}
-    for (p, q), c in x.terms.items():
-        pp = [0] * theta.n
-        qq = [0] * theta.n
-        for a in range(theta.n - 1):
-            pp[keep[a]] = p[a]
-            qq[keep[a]] = q[a]
-        terms[(tuple(pp), tuple(qq))] = c
-    return AlgebraElement(target, terms)
+    target = Context.quotient(kappa_matrix(theta, i), i,
+                              *(skip_slot(i, a) for a in x.ctx.unitary))
+    return AlgebraElement(target, {(p[:i] + (0,) + p[i:], q[:i] + (0,) + q[i:]): c
+                                   for (p, q), c in x.terms.items()})
 
 
 def phi_iso_inv(i: int, x: AlgebraElement, theta: ThetaMatrix) -> AlgebraElement:
-    """Inverse relabeling, defined on elements with no slot-i letters."""
+    """Inverse relabeling ``drop_slot(i, .)``, defined on elements with no
+    slot-i letters: slot i of each word is deleted."""
     if x.ctx.theta != kappa_matrix(theta, i):
         raise ContextMismatch("element does not live over the gauged twist")
     if i not in x.ctx.unitary:
         raise ContextMismatch("expected a slot-i quotient element")
-    keep = [j for j in range(theta.n) if j != i]
-    pos = {j: a for a, j in enumerate(keep)}
-    source_slots = tuple(pos[s] for s in x.ctx.unitary if s != i)
-    source = Context.quotient(kappa_check_matrix(theta, i), *source_slots)
-    terms = {}
-    for (p, q), c in x.terms.items():
-        if p[i] or q[i]:
-            raise ValueError("element is not invariant: slot-i letters present")
-        pp = tuple(p[j] for j in keep)
-        qq = tuple(q[j] for j in keep)
-        terms[(pp, qq)] = c
-    return AlgebraElement(source, terms)
+    if any(p[i] or q[i] for p, q in x.terms):
+        raise ValueError("element is not invariant: slot-i letters present")
+    source = Context.quotient(kappa_check_matrix(theta, i),
+                              *(drop_slot(i, s) for s in x.ctx.unitary if s != i))
+    return AlgebraElement(source, {(p[:i] + p[i + 1:], q[:i] + q[i + 1:]): c
+                                   for (p, q), c in x.terms.items()})
 
 
 def psi_map(i: int, j: int, x: AlgebraElement, theta: ThetaMatrix) -> AlgebraElement:
-    """Overlap isomorphism between the two fixed-point charts (i < j).
-
-    The domain is the chart-j algebra with its (i+1)-st generator unitary;
-    the image of that unitary generator is the adjoint of the chart-i
-    unitary generator, and every other generator picks up that adjoint as a
-    right factor, with the middle range of indices shifted down by one.
-    """
+    """Overlap isomorphism (i < j) from the chart-j algebra with full slot i
+    unitary to the chart-i algebra with full slot j unitary, u_j = v_{drop_slot(i, j)}.
+    Generator a of the domain is full slot s = skip_slot(j, a); it maps to
+    u_j* if s = i, and else to v_{drop_slot(i, s)} u_j*."""
     if not 0 <= i < j < theta.n:
         raise ValueError("need 0 <= i < j <= N")
     if x.ctx != fixed_quotient_context(theta, j, i):
         raise ContextMismatch("element is not in the chart-j overlap algebra")
     target = fixed_quotient_context(theta, i, j)
-    uj = generator(target, j - 1)          # the unitary generator v_j^{i;j}
-    images = []
-    for a in range(theta.n - 1):
-        k = a + 1                          # 1-based generator label
-        if k == i + 1:
-            images.append(uj.star())
-        elif k > j or k < i + 1:
-            images.append(generator(target, k - 1) * uj.star())
-        else:                              # i+1 < k <= j
-            images.append(generator(target, k - 2) * uj.star())
+    uj_star = generator(target, drop_slot(i, j)).star()
+    images = [uj_star if s == i else generator(target, drop_slot(i, s)) * uj_star
+              for s in (skip_slot(j, a) for a in range(theta.n - 1))]
     return extend_hom(x, target, images)

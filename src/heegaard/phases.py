@@ -167,15 +167,18 @@ def kappa_inv_matrix(theta: ThetaMatrix, i: int) -> ThetaMatrix:
     return _gauge(theta, i, -1)
 
 
-def kappa_check_matrix(theta: ThetaMatrix, i: int) -> ThetaMatrix:
-    """kappa_i(theta) with row and column i deleted (size N matrix).
+def skip_slot(i: int, a: int) -> int:
+    """Slot a of the algebra with slot i deleted, as a slot of the full one."""
+    return a + (a >= i)
 
-    The surviving indices are re-packed to 0..N-1 preserving order.
-    """
-    km = kappa_matrix(theta, i)
-    keep = [j for j in range(theta.n) if j != i]
-    entries = {}
-    for a, ja in enumerate(keep):
-        for b in range(a + 1, len(keep)):
-            entries[(a, b)] = km.entry(ja, keep[b])
+
+def drop_slot(i: int, s: int) -> int:
+    """Inverse of :func:`skip_slot`, for a slot s != i of the full algebra."""
+    return s - (s > i)
+
+
+def kappa_check_matrix(theta: ThetaMatrix, i: int) -> ThetaMatrix:
+    """kappa_i(theta) with row and column i deleted, slots relabeled by ``drop_slot``."""
+    entries = {(drop_slot(i, j), drop_slot(i, k)): v
+               for (j, k), v in kappa_matrix(theta, i).upper if i not in (j, k)}
     return ThetaMatrix.from_upper(theta.n - 1, entries, theta.mode)

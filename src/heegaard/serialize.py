@@ -16,8 +16,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Any, Dict
 
-from .algebra import AlgebraElement, Context, _canonicalize
-from .bundles import ProjectorMatrix, TensorElement
+from .algebra import SPHERE, AlgebraElement, Context, _canonicalize
+from .bundles import MAX_SIZE, ProjectorMatrix, TensorElement
 from .coeff import Coeff, _new
 from .phases import FLOAT, RATIONAL, ThetaMatrix
 
@@ -151,7 +151,8 @@ def _terms_from_obj(ctx: Context, records: Any, path: str) -> AlgebraElement:
     once, so non-canonical words are still reduced.  Each record is checked
     in one pass.  Rational records are built at one conductor, the lcm of
     the twist's and every phase denominator, so their sums and twist phases
-    need no lift."""
+    need no lift.  A fully interior sphere word, 2^n - 1 words in normal
+    form, is refused when 2^(n-1) exceeds the winding commands' ``MAX_SIZE``."""
     _expect(isinstance(records, list), path, "expected a list")
     n, rational, parsed = ctx.n, ctx.mode == RATIONAL, []
     not_word = f"expected {n} non-negative integers"
@@ -170,6 +171,9 @@ def _terms_from_obj(ctx: Context, records: Any, path: str) -> AlgebraElement:
             _checked(rec, ("phase_den", "amp_den"), bool,
                      "denominator must be nonzero", path, idx)
         parsed.append(((tuple(p), tuple(q)), v if rational else complex(re, im)))
+        if ctx.kind == SPHERE and 0 not in p + q and 2 ** (n - 1) > MAX_SIZE:
+            raise SchemaError(f"{path}[{idx}]", f"a fully interior sphere word at n={n} "
+                              f"exceeds the size cap: 2^(n-1) must be at most {MAX_SIZE}")
     D = lcm(ctx.theta.conductor, *(v[1] for _, v in parsed)) if rational else 1
     terms = {}
     for word, v in parsed:

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import random_element, random_float_theta, rng_for
 from heegaard import (AlgebraElement, Coeff, NonzeroTwist, TensorElement,
-                      chern_galois_projector, generator, h_tail, projector_diagonal,
+                      chern_galois_projector, extend_hom, generator, h_tail, projector_diagonal,
                       pullback_hom, pullback_projector, sphere_defect,
                       strong_connection, unit, verify_connection)
 from heegaard.algebra import Context
@@ -37,6 +37,15 @@ def test_connection_nonnegative_closed_form():
         conn = strong_connection(2, n_gen, th)
         assert conn.summands == [(s0.star() * s0.star(), s0 * s0)]
         assert strong_connection(0, n_gen, th).summands == [(unit(ctx), unit(ctx))]
+    # the two monomials equal the power chain s_0*^n (x) s_0^n by repr
+    for N in range(1, 5):
+        for kind in ("zero", "den-8", "float"):
+            th = twist(kind, N + 1)
+            s0 = generator(Context.sphere(th), 0)
+            for n in range(5):
+                ((a, r),) = strong_connection(n, N, th).summands
+                assert (repr(a), repr(r)) == (repr(s0.star() ** n), repr(s0 ** n)), \
+                    (N, kind, n)
 
 
 def test_connection_winding_minus_one_untwisted():
@@ -121,6 +130,32 @@ def test_pullback_hom_examples():
     assert pullback_hom(s[0]) == t[0]
     # the target sphere relation pulls back from the source one
     assert pullback_hom(sphere_defect(Context.toeplitz(th)).with_context(ctx)).is_zero()
+
+
+def collapse_reference(x):
+    """pullback_hom as the multiplicative extension of the generator collapse
+    s_0 -> t_0, s_k -> t_1 (k >= 1)."""
+    target = Context.sphere(ThetaMatrix.zero(2, x.ctx.mode))
+    images = [generator(target, 0)] + [generator(target, 1)] * (x.ctx.n - 1)
+    return extend_hom(x, target, images)
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_pullback_hom_matches_the_generator_collapse(N, mode):
+    ctx = Context.sphere(ThetaMatrix.zero(N + 1, mode))
+    rng = rng_for(f"pullback-{N}-{mode}")
+    for _ in range(20):
+        x = random_element(ctx, rng, nterms=6, degree=6)
+        got, want = pullback_hom(x), collapse_reference(x)
+        assert got == want, (N, mode, x)
+        if mode == "rational":
+            assert repr(got) == repr(want), (N, x)
+    for n in (-2, -1, 1):
+        conn = strong_connection(n, N, ctx.theta)
+        for a, r in conn.summands:
+            assert pullback_hom(a) == collapse_reference(a)
+            assert pullback_hom(r) == collapse_reference(r)
 
 
 def test_pullback_hom_rejects_twist():

@@ -1,17 +1,21 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from heegaard import AlgebraElement, bundles, cli, generator, quotients, unit
+from heegaard import AlgebraElement, bundles, cli, generator, quotients, serialize, unit
 from heegaard.algebra import Context
 from heegaard.cli import FLAGS, main
 from heegaard.phases import ThetaMatrix
 from heegaard.quotients import MultipullbackTuple, sigma_i
 from heegaard.serialize import element_from_obj, element_to_obj, theta_to_obj
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -248,6 +252,26 @@ def test_an_overflow_inside_glue_is_not_a_usage_error(tmp_path, capsys, monkeypa
         main(["glue", "--input", str(path)])
 
 
+@pytest.mark.parametrize("n", [9, 12, 30])
+def test_a_fully_interior_sphere_word_over_the_cap_is_refused_unread(tmp_path, capsys,
+                                                                     monkeypatch, n):
+    # its normal form would have 2^n - 1 words; refused before any normal form
+    normal_forms = []
+    canonicalize = serialize._canonicalize
+    monkeypatch.setattr(serialize, "_canonicalize",
+                        lambda ctx, terms: normal_forms.append(ctx) or canonicalize(ctx, terms))
+    ctx = Context.sphere(ThetaMatrix.zero(n))
+    word = AlgebraElement.monomial(Context.toeplitz(ctx.theta), [1] * n, [1] * n)
+    path = tmp_path / "tuple.json"
+    path.write_text(json.dumps({"components": [{**element_to_obj(word),
+                                                "context": serialize.context_to_obj(ctx)}]}))
+    code, out, err = run(capsys, "glue", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert "components[0].terms[0]" in err
+    assert f"exceeds the size cap: 2^(n-1) must be at most {bundles.MAX_SIZE}" in err
+    assert normal_forms == []
+
+
 @pytest.mark.parametrize("command", ["connection", "verify", "projector", "invariant"])
 @pytest.mark.parametrize("N, n", [(16, -1), (4, -8), (2, -15), (1, 128), (8, 0),
                                   (1, -10 ** 30), (10 ** 30, 1)])
@@ -422,3 +446,21 @@ def test_cli_imports_numpy_and_no_other_third_party_package():
     assert lines[0] == "heegaard numpy False"
     assert json.loads(lines[1])["residual"] <= 1e-10
     assert lines[2] == "0 heegaard numpy False"
+
+
+README_COMMANDS = [shlex.split(line, comments=True)[1:]
+                   for line in README.read_text(encoding="utf-8").splitlines()
+                   if line.startswith("heegaard ")]
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
+def test_readme_commands_print_one_json_document(argv, tmp_path, capsys, monkeypatch):
+    # glue reads tuple.json from the working directory
+    monkeypatch.chdir(tmp_path)
+    ctx = Context.toeplitz(ThetaMatrix.random_rational(2, seed=7))
+    t = MultipullbackTuple.from_element(generator(ctx, 0) * generator(ctx, 1).star() + unit(ctx))
+    (tmp_path / "tuple.json").write_text(
+        json.dumps({"components": [element_to_obj(c) for c in t.components]}))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    json.loads(out)     # one document: a second one would be "Extra data"

@@ -116,6 +116,22 @@ def test_phi_iso_inv_rejects_slot_letters():
         phi_iso_inv(0, generator(ctx, 0), th)
 
 
+def case_split_psi_images(i, j, theta):
+    """The psi_map generator images by the 1-based three-way case split."""
+    target = fixed_quotient_context(theta, i, j)
+    uj = generator(target, j - 1)
+    images = []
+    for a in range(theta.n - 1):
+        k = a + 1
+        if k == i + 1:
+            images.append(uj.star())
+        elif k > j or k < i + 1:
+            images.append(generator(target, k - 1) * uj.star())
+        else:
+            images.append(generator(target, k - 2) * uj.star())
+    return images
+
+
 def test_psi_generator_images():
     th = ThetaMatrix.random_rational(3, seed=17)
     dom = fixed_quotient_context(th, 1, 0)
@@ -127,6 +143,15 @@ def test_psi_generator_images():
     # the other generator picks up that adjoint on the right
     v2 = generator(dom, 1)
     assert psi_map(0, 1, v2, th) == generator(tgt, 1) * generator(tgt, 0).star()
+    # every pair of charts at N = 1..4 against the 1-based case split
+    for n in range(2, 6):
+        th = ThetaMatrix.random_rational(n, seed=n)
+        for j in range(n):
+            for i in range(j):
+                dom = fixed_quotient_context(th, j, i)
+                got = [psi_map(i, j, generator(dom, a), th) for a in range(n - 1)]
+                want = case_split_psi_images(i, j, th)
+                assert [repr(x) for x in got] == [repr(x) for x in want], (n, i, j)
 
 
 def test_psi_preserves_relations():

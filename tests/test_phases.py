@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_float_theta, rng_for
 from heegaard.phases import (DimensionMismatch, ThetaMatrix,
                              cocycle_phase, kappa_check_matrix,
                              kappa_inv_matrix, kappa_matrix)
@@ -113,6 +114,17 @@ def test_kappa_roundtrip(seed, i):
     assert kappa_matrix(kappa_inv_matrix(th, i), i) == th
 
 
+def keep_loop_check_matrix(theta, i):
+    """kappa_check_matrix as the loop over the kept slots built it."""
+    km = kappa_matrix(theta, i)
+    keep = [j for j in range(theta.n) if j != i]
+    entries = {}
+    for a, ja in enumerate(keep):
+        for b in range(a + 1, len(keep)):
+            entries[(a, b)] = km.entry(ja, keep[b])
+    return ThetaMatrix.from_upper(theta.n - 1, entries, theta.mode)
+
+
 def test_kappa_check_reindexing():
     th = random_theta(4, seed=3)
     km = kappa_matrix(th, 1)
@@ -121,6 +133,13 @@ def test_kappa_check_reindexing():
     for a in range(3):
         for b in range(3):
             assert checked.entry(a, b) == km.entry(keep[a], keep[b])
+    # every deleted slot, at rational and float twists, against the keep loop
+    rng = rng_for("kappa-check")
+    for n in range(2, 6):
+        for th in (random_theta(n, seed=n), ThetaMatrix.zero(n),
+                   random_float_theta(n, rng)):
+            for i in range(n):
+                assert kappa_check_matrix(th, i) == keep_loop_check_matrix(th, i), (n, i)
 
 
 def test_index_range_errors():

@@ -227,6 +227,15 @@ def test_noncanonical_words_are_reduced():
         want = AlgebraElement.monomial(ctx, (2, 1), (1, 1), c) \
             + AlgebraElement.monomial(ctx, (0, 1), (0, 0), Coeff.from_phase(Fraction(1, 2), RATIONAL))
         assert element_from_obj(obj) == want
+    # a fully interior sphere word is read up to n = 8, where 2^(n-1) meets
+    # the size cap, and reduces to its 2^n - 1 word normal form
+    for n in range(1, 9):
+        ctx = Context.sphere(ThetaMatrix.random_rational(n, seed=n))
+        p, q = [2] + [1] * (n - 1), [1] * n
+        obj = {"context": serialize.context_to_obj(ctx), "terms": [_record(p, q, 1, 4)]}
+        want = AlgebraElement.monomial(ctx, p, q, Coeff.from_phase(Fraction(1, 4), RATIONAL))
+        got = element_from_obj(obj)
+        assert len(got.terms) == 2 ** n - 1 and repr(got) == repr(want), n
 
 
 @pytest.mark.parametrize("twist", ["den-12", "float"])
