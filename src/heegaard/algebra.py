@@ -65,6 +65,10 @@ class ContextMismatch(ValueError):
     pass
 
 
+class SizeOverflow(ValueError):
+    """A size over one of the module caps, refused before it is built."""
+
+
 @dataclass(frozen=True)
 class Context:
     """Algebra tag: which relations hold beyond the ambient twisted ones.

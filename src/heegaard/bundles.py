@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from math import comb
 from typing import List, Tuple
 
-from .algebra import (AlgebraElement, Context, ContextMismatch, _canonicalize,
-                      generator, range_complement, unit)
+from .algebra import (AlgebraElement, Context, ContextMismatch, SizeOverflow,
+                      _canonicalize, generator, range_complement, unit)
 from .phases import ThetaMatrix
 
 
@@ -27,10 +27,6 @@ has its square for entries), and 2^N, the word count of ``h_tail(0)``."""
 
 
 class NonzeroTwist(ValueError):
-    pass
-
-
-class SizeOverflow(ValueError):
     pass
 
 
@@ -143,17 +139,18 @@ def strong_connection(n: int, N: int, theta: ThetaMatrix) -> TensorElement:
 
 
 def check_connection(conn: TensorElement, n: int):
-    """(sum_l a_l r_l, whether it is 1, whether every summand has bidegree
-    (-n, n))."""
+    """(sum_l a_l r_l, whether it is 1, the index of the first summand whose
+    bidegree is not (-n, n), or None)."""
     contracted = conn.contract()
-    bidegree = all(not (a.degrees() - {-n} or r.degrees() - {n})
-                   for a, r in conn.summands)
-    return contracted, contracted == unit(conn.ctx), bidegree
+    bad = next((k for k, (a, r) in enumerate(conn.summands)
+                if a.degrees() - {-n} or r.degrees() - {n}), None)
+    return contracted, contracted == unit(conn.ctx), bad
 
 
 def verify_connection(conn: TensorElement, n: int) -> bool:
     """Multiplicativity (contracts to 1) and bidegree (-n, n) on every summand."""
-    return all(check_connection(conn, n)[1:])
+    _, is_one, bad = check_connection(conn, n)
+    return is_one and bad is None
 
 
 @dataclass(frozen=True)

@@ -9,30 +9,44 @@ flag wins, and a flag with no entry in ``DEFAULTS`` is required.
 """
 
 import sys
+from contextlib import nullcontext
 from types import SimpleNamespace
 
 from . import serialize
-from .bundles import (SizeOverflow, check_connection, check_size,
-                      chern_galois_projector, projector_diagonal, strong_connection)
-from .fock import (UnstableInvariant, class_invariant, default_truncations,
+from .algebra import SizeOverflow
+from .bundles import (check_connection, check_size, chern_galois_projector,
+                      projector_diagonal, strong_connection)
+from .fock import (UnstableInvariant, check_dim, class_invariant, default_truncations,
                    relation_residual)
 from .phases import ThetaMatrix
 from .quotients import (IncompatibleTuple, LiftRounding, MultipullbackTuple,
-                        SupportOverflow, check_cocycle_size, cocycle_check, glue)
+                        check_cocycle_size, cocycle_check, glue)
 
 RESIDUAL_TOL = 1e-10
+
+MAX_INPUT_BYTES = 1 << 24
+"""Cap on a twist file or glue input, 16 MiB, from the largest inputs the other
+caps admit: a twist of 47 slots (``quotients.MAX_COCYCLE_WORDS``) is 9.4 MB with
+every integer at the 4300 digits ``int`` parses, and a glue tuple at
+``quotients.MAX_GLUE_SUPPORT`` words a component, about 150 bytes each at
+N = 3, is 2.3 MB."""
 
 
 class UsageError(Exception):
     pass
 
 
-def _read(path: str, what: str) -> str:
+def _read(path, what: str) -> str:
+    """The UTF-8 text at ``path``, or on standard input for None."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb") if path is not None else nullcontext(sys.stdin.buffer) as fh:
+            data = fh.read(MAX_INPUT_BYTES + 1)
+        if len(data) <= MAX_INPUT_BYTES:
+            return data.decode("utf-8")
     except (OSError, ValueError) as exc:   # ValueError: undecodable, or NUL in path
         raise UsageError(f"cannot read {what}: {exc}") from None
+    raise SizeOverflow(f"{what} exceeds the size cap: at most {MAX_INPUT_BYTES} bytes "
+                       f"(cli.MAX_INPUT_BYTES)")
 
 
 def _parse_theta(arg: str, n: int, seed: int, den: int) -> ThetaMatrix:
@@ -64,13 +78,15 @@ def _emit(obj, output):
         print(text)
 
 
-def _truncations(text: str):
+def _truncations(text: str, N: int):
     try:
         ms = [int(v) for v in text.split(",") if v]
     except ValueError:
         raise UsageError(f"bad truncation list {text!r}") from None
     if not ms or ms != sorted(ms) or ms[0] < 0:
         raise UsageError("need a non-empty ascending list of truncations >= 0")
+    if len(ms) < N + 2:
+        raise UsageError(f"need at least {N + 2} truncations")
     return ms
 
 
@@ -115,17 +131,21 @@ def parse_args(argv):
 def _run(args) -> int:
     if args.command == "glue":
         return _run_glue(args)
+    # every flag and size is checked before a twist of size N+1 is built
     if args.N < 1:
         raise UsageError("need N >= 1")
     if args.command == "cocycle" and args.degree < 0:
         raise UsageError("--degree must be non-negative")
-    try:                                # before a twist of size N+1 is built
-        if "n" in FLAGS[args.command]:
-            check_size(args.n, args.N)
-        if args.command == "cocycle":
-            check_cocycle_size(args.N + 1, args.degree)
-    except (SizeOverflow, SupportOverflow) as exc:
-        raise UsageError(str(exc)) from None
+    if args.command == "residual" and args.M < 3:
+        raise UsageError("truncation too small to leave an interior")
+    if "n" in FLAGS[args.command]:
+        check_size(args.n, args.N)
+    if args.command == "cocycle":
+        check_cocycle_size(args.N + 1, args.degree)
+    if args.command == "residual":
+        check_dim(args.N + 1, args.M)
+    given = getattr(args, "truncations", None)
+    ms = None if given is None else _truncations(given, args.N)
     theta = _parse_theta(args.theta, args.N + 1, args.seed, args.den)
 
     if args.command == "connection":
@@ -134,11 +154,15 @@ def _run(args) -> int:
         return 0
 
     if args.command == "verify":
-        contracted, is_one, bidegree = check_connection(
-            strong_connection(args.n, args.N, theta), args.n)
-        _emit({"m_circ_l": "1" if is_one else serialize.element_to_obj(contracted),
-               "bidegree": bidegree}, args.output)
-        return 0 if (is_one and bidegree) else 1
+        conn = strong_connection(args.n, args.N, theta)
+        contracted, is_one, bad = check_connection(conn, args.n)
+        report = {"m_circ_l": "1" if is_one else serialize.element_to_obj(contracted),
+                  "bidegree": bad is None}
+        if bad is not None:
+            report["summand"] = {"index": bad, "degrees": [
+                sorted(x.degrees()) for x in conn.summands[bad]]}
+        _emit(report, args.output)
+        return 0 if (is_one and bad is None) else 1
 
     if args.command == "projector":
         e = chern_galois_projector(args.n, args.N, theta)
@@ -147,16 +171,13 @@ def _run(args) -> int:
 
     if args.command == "invariant":
         diag = projector_diagonal(args.n, args.N, theta)
-        ms = (default_truncations(diag) if args.truncations is None
-              else _truncations(args.truncations))
+        ms = default_truncations(diag) if ms is None else ms
         try:
             inv = class_invariant(diag, ms)
         except UnstableInvariant as exc:
             _emit({"error": "unstable invariant", "detail": str(exc),
                    "truncations": ms}, args.output)
             return 1
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
         _emit({"dimension_class": inv.dimension_class,
                "compact_charge": inv.compact_charge,
                "truncations": list(inv.truncations_used),
@@ -173,17 +194,14 @@ def _run(args) -> int:
         return 0 if report.passed else 1
 
     if args.command == "residual":
-        try:
-            value = relation_residual(args.N, theta, args.M)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        value = relation_residual(args.N, theta, args.M)
         _emit({"residual": value, "M": args.M, "tolerance": RESIDUAL_TOL},
               args.output)
         return 0 if value <= RESIDUAL_TOL else 1
 
 
 def _run_glue(args) -> int:
-    text = sys.stdin.read() if args.input == "-" else _read(args.input, "input")
+    text = _read(None if args.input == "-" else args.input, "input")
     try:
         obj = serialize.from_json(text)
         if not isinstance(obj, dict) or not isinstance(obj.get("components"), list):
@@ -198,7 +216,7 @@ def _run_glue(args) -> int:
     except IncompatibleTuple as exc:
         _emit({"error": "incompatible tuple", "detail": str(exc)}, args.output)
         return 1
-    except (SupportOverflow, LiftRounding) as exc:     # no witness
+    except LiftRounding as exc:         # no witness
         raise UsageError(str(exc)) from None
     try:
         obj = serialize.element_to_obj(lifted)
@@ -220,7 +238,7 @@ def main(argv=None) -> int:
                                         for f, w in zip(flags, words)))
             return 0
         return _run(args)
-    except UsageError as exc:
+    except (UsageError, SizeOverflow) as exc:
         print(f"{USAGE}\nerror: {exc}", file=sys.stderr)
         return 2
 

@@ -26,7 +26,6 @@ integer charge that distinguishes the line-bundle classes.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import reduce
 from itertools import permutations
@@ -35,10 +34,11 @@ from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
-from .algebra import AlgebraElement
+from .algebra import AlgebraElement, SizeOverflow
 from .phases import ThetaMatrix, frac_part
 
-DEFAULT_MAX_DIM = 100_000
+MAX_DIM = 100_000
+"""Cap on the truncated dimension (M+1)^n, the length of every band."""
 
 CHARGE_TOL = 1e-6
 """How far ``class_invariant``'s trace and charge may be from an integer."""
@@ -48,18 +48,15 @@ class UnstableInvariant(RuntimeError):
     pass
 
 
-def max_dim() -> int:
-    raw = os.environ.get("NCG_MAX_DIM", str(DEFAULT_MAX_DIM))
-    if not raw.strip().isdecimal() or int(raw) < 1:
-        raise ValueError(f"NCG_MAX_DIM must be a positive integer, got {raw!r}")
-    return int(raw)
-
-
-def _check_dim(n: int, M: int) -> int:
-    dim = (M + 1) ** n
-    if dim > max_dim():
-        raise ValueError(f"truncated dimension {dim} exceeds cap {max_dim()}")
-    return dim
+def check_dim(n: int, M: int) -> None:
+    """Raise ``SizeOverflow`` if (M+1)^n exceeds ``MAX_DIM``.  The power is
+    formed one factor at a time, so a huge n or M never forms a huge one."""
+    dim = 1
+    for _ in range(n if M >= 1 else 0):         # below M = 1 nothing grows
+        dim *= M + 1
+        if dim > MAX_DIM:
+            raise SizeOverflow(f"truncation M={M} at N={n - 1} exceeds the size cap: "
+                               f"(M+1)^(N+1) must be at most {MAX_DIM} (fock.MAX_DIM)")
 
 
 def _take(v: np.ndarray, d: Tuple[int, ...]) -> np.ndarray:
@@ -156,7 +153,6 @@ def _band(n: int, M: int, d, factors) -> SparseOperator:
 
 
 def _identity(n: int, M: int) -> SparseOperator:
-    _check_dim(n, M)
     return _band(n, M, (0,) * n, [np.ones(M + 1)] * n)
 
 
@@ -172,7 +168,7 @@ def fock_generator(i: int, M: int, theta: ThetaMatrix) -> SparseOperator:
         raise IndexError(f"generator index {i} out of range")
     if M < 1:
         raise ValueError("truncation must be at least 1")
-    _check_dim(n, M)
+    check_dim(n, M)
     ks = np.arange(M + 1)
     factors = [np.ones(M + 1)] * i + [(ks < M).astype(float)]
     factors += [np.exp(2j * np.pi * float(frac_part(theta.entry(i, j))) * ks)
@@ -203,7 +199,6 @@ def represent(x: AlgebraElement, M: int) -> SparseOperator:
 
 
 def _interior_projection(n: int, M: int) -> SparseOperator:
-    _check_dim(n, M)
     mask = (np.arange(M + 1) <= M - 2).astype(float)
     return _band(n, M, (0,) * n, [mask] * n)
 

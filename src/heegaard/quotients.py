@@ -19,17 +19,14 @@ from math import comb
 from operator import ne
 from typing import Tuple
 
-from .algebra import (AlgebraElement, Context, ContextMismatch, _unitary_reduce)
+from .algebra import (AlgebraElement, Context, ContextMismatch, SizeOverflow,
+                      _unitary_reduce)
 from .coeff import Coeff
 from .exactla import solve_exact
 from .phases import ThetaMatrix
 
 
 class IncompatibleTuple(ValueError):
-    pass
-
-
-class SupportOverflow(RuntimeError):
     pass
 
 
@@ -132,7 +129,7 @@ def _glue_support(t: MultipullbackTuple):
     alive = [(k, p, q) for k, p, q in words
              if all(h(j, p, q) != min(p[j], q[j]) for j in range(k + 1, n))]
     if sum(2 ** (n - 1 - k) for k, _, _ in alive) > MAX_GLUE_SUPPORT:
-        raise SupportOverflow(f"candidate support exceeds {MAX_GLUE_SUPPORT}")
+        raise SizeOverflow(f"candidate support exceeds {MAX_GLUE_SUPPORT}")
     support = set()
     for k, p, q in alive:
         low = [min(a, b) for a, b in zip(p, q)]
@@ -255,15 +252,15 @@ def _first_unjoined(span, vectors):
 
 
 def check_cocycle_size(n: int, d: int) -> None:
-    """Raise ``SupportOverflow`` if ``cocycle_check`` would enumerate more
+    """Raise ``SizeOverflow`` if ``cocycle_check`` would enumerate more
     than ``MAX_COCYCLE_WORDS`` words, counted as C(d + 2n, 2n) for each of
     the n(n-1)(n-2) ordered triples (the binomial only once n is small)."""
     triples = n * (n - 1) * (n - 2)
     if d >= 0 and (triples > MAX_COCYCLE_WORDS
                    or triples * comb(d + 2 * n, 2 * n) > MAX_COCYCLE_WORDS):
-        raise SupportOverflow(f"degree {d} at N={n - 1} exceeds the size cap: "
-                              f"n(n-1)(n-2) C(d+2n, 2n) with n = N+1 must be at "
-                              f"most {MAX_COCYCLE_WORDS}")
+        raise SizeOverflow(f"degree {d} at N={n - 1} exceeds the size cap: "
+                           f"n(n-1)(n-2) C(d+2n, 2n) with n = N+1 must be at "
+                           f"most {MAX_COCYCLE_WORDS}")
 
 
 def cocycle_check(theta: ThetaMatrix, degree_bound: int) -> CocycleReport:
@@ -274,7 +271,7 @@ def cocycle_check(theta: ThetaMatrix, degree_bound: int) -> CocycleReport:
     (i, j, k, first word, vector) for the first vector outside the span
     (side a before side b): the vector is in pi^i_j(ker pi^i_k) but not in
     pi^j_i(ker pi^j_k).  A size over ``MAX_COCYCLE_WORDS`` raises
-    ``SupportOverflow`` before anything is enumerated.
+    ``SizeOverflow`` before anything is enumerated.
 
     Spans are compared by their vectors' words alone.  Let psi(w) be the
     phase of reducing the word w on every slot.  The vector of m is

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import shlex
@@ -68,7 +69,8 @@ def test_verify_reports_a_summand_of_the_wrong_degree(capsys, monkeypatch):
 
     _patched_connection(monkeypatch, extra)
     code, out, _ = run(capsys, "verify", "--N", "1", "--n", "-1")
-    assert (code, json.loads(out)) == (1, {"bidegree": False, "m_circ_l": "1"})
+    assert (code, json.loads(out)) == (1, {"bidegree": False, "m_circ_l": "1",
+                                           "summand": {"index": 2, "degrees": [[0], [1]]}})
 
 
 def test_connection_and_projector_json(capsys):
@@ -161,12 +163,96 @@ def test_residual(capsys):
     assert obj["residual"] <= obj["tolerance"]
 
 
-@pytest.mark.parametrize("cap", ["abc", "0"])
-def test_bad_dimension_cap_names_the_variable(capsys, monkeypatch, cap):
-    monkeypatch.setenv("NCG_MAX_DIM", cap)
-    code, out, err = run(capsys, "residual", "--N", "1", "--M", "4")
+def _refuse_the_twist(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("read the twist before checking the flags")
+
+    monkeypatch.setattr(cli, "_parse_theta", refuse)
+
+
+@pytest.mark.parametrize("argv, cap", [
+    (("connection", "--N", "1000000000", "--n", "-1"), "at most 128"),
+    (("verify", "--N", "1", "--n", "-1000000"), "at most 128"),
+    (("projector", "--N", "16", "--n", "-1"), "at most 128"),
+    (("invariant", "--N", "4", "--n", "-8", "--truncations", "8,9,10,11,12,13"),
+     "at most 128"),
+    (("cocycle", "--N", "1000000000"), "at most 100000"),
+    (("residual", "--N", "800", "--M", "3", "--theta", "random-rational"),
+     "at most 100000 (fock.MAX_DIM)"),
+    (("residual", "--N", "10000", "--M", "3"), "at most 100000 (fock.MAX_DIM)"),
+    (("residual", "--N", "1000000000", "--M", "1000000"), "at most 100000 (fock.MAX_DIM)"),
+    (("residual", "--N", "1", "--M", "316"), "at most 100000 (fock.MAX_DIM)"),
+])
+def test_over_cap_sizes_are_refused_before_the_twist(capsys, monkeypatch, argv, cap):
+    # nothing is built first: the twist is never read, and a huge N never
+    # forms a huge power (4^10001 would trip the 4300-digit int limit)
+    _refuse_the_twist(monkeypatch)
+    code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
-    assert f"error: NCG_MAX_DIM must be a positive integer, got '{cap}'" in err
+    assert "exceeds the size cap" in err and cap in err
+    assert "4300" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("connection", "--N", "0", "--n", "1"), "need N >= 1"),
+    (("cocycle", "--N", "2", "--degree", "-1"), "--degree must be non-negative"),
+    (("residual", "--N", "1", "--M", "2"), "truncation too small to leave an interior"),
+    (("invariant", "--N", "2", "--n", "-1", "--truncations", "1,2,3"),
+     "need at least 4 truncations"),
+    (("invariant", "--N", "1", "--n", "-1", "--truncations", "24,8"),
+     "need a non-empty ascending list of truncations >= 0"),
+])
+def test_bad_flags_are_refused_before_the_twist(capsys, monkeypatch, argv, message):
+    _refuse_the_twist(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"error: {message}\n" in err
+
+
+def _tuple_text():
+    ctx = Context.toeplitz(ThetaMatrix.random_rational(2, seed=7))
+    x = generator(ctx, 0) * generator(ctx, 1).star() + unit(ctx)
+    t = MultipullbackTuple.from_element(x)
+    return json.dumps({"components": [element_to_obj(c) for c in t.components]})
+
+
+@pytest.mark.parametrize("command", ["verify", "glue"])
+def test_an_input_over_the_read_cap_is_refused(tmp_path, capsys, monkeypatch, command):
+    # the cap admits a file of its length and refuses one a byte longer
+    path = tmp_path / "input.json"
+    if command == "verify":
+        path.write_text(json.dumps(theta_to_obj(ThetaMatrix.random_rational(2, seed=1))))
+        argv = ("verify", "--N", "1", "--n", "1", "--theta", str(path))
+    else:
+        path.write_text(_tuple_text())
+        argv = ("glue", "--input", str(path))
+    size = path.stat().st_size
+    monkeypatch.setattr(cli, "MAX_INPUT_BYTES", size)
+    assert run(capsys, *argv)[0] == 0
+    monkeypatch.setattr(cli, "MAX_INPUT_BYTES", size - 1)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"exceeds the size cap: at most {size - 1} bytes" in err
+
+
+def test_standard_input_is_read_up_to_the_cap(capsys, monkeypatch):
+    data = _tuple_text().encode()
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+    assert run(capsys, "glue", "--input", "-")[0] == 0
+    monkeypatch.setattr(cli, "MAX_INPUT_BYTES", len(data) - 1)
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+    code, out, err = run(capsys, "glue", "--input", "-")
+    assert (code, out) == (2, "")
+    assert f"exceeds the size cap: at most {len(data) - 1} bytes" in err
+
+
+@pytest.mark.parametrize("argv", [("verify", "--N", "1", "--n", "1", "--theta", "/dev/zero"),
+                                  ("glue", "--input", "/dev/zero")])
+def test_an_endless_input_is_refused_at_the_read_cap(capsys, argv):
+    # at most MAX_INPUT_BYTES + 1 bytes are read, so memory stays bounded
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"exceeds the size cap: at most {cli.MAX_INPUT_BYTES} bytes" in err
 
 
 def test_theta_file_and_output(tmp_path, capsys):

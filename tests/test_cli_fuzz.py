@@ -1,7 +1,8 @@
 """Fuzz of the CLI contract: ``cli.main`` on argv built from ``cli.FLAGS``
-plus junk tokens, at small sizes (N <= 2, |n| <= 3, M <= 6, degree <= 2),
-one winding over the size cap (n = -200) and one cocycle degree over it
-(200, refused at N = 2, admitted at N = 1, which has no triple).
+plus junk tokens, at small sizes (N <= 2, |n| <= 3, M <= 6, degree <= 2)
+and one size over a cap for each: N = 10^9 and M = 10^6 (refused by every
+command's check before the twist is built), n = -200, and degree 200
+(refused at N = 2, admitted at N = 1, which has no triple).
 
 Whatever the argv, the exit status is 0, 1 or 2 and no exception escapes;
 exit 2 leaves stdout empty and writes ``error:`` to stderr; exits 0 and 1
@@ -24,8 +25,10 @@ from heegaard.phases import ThetaMatrix
 from heegaard.quotients import MultipullbackTuple
 from heegaard.serialize import element_to_obj, theta_to_obj
 
-SIZES = {"N": st.integers(1, 2), "n": st.sampled_from([*range(-3, 4), -200]),
-         "M": st.integers(3, 6), "degree": st.sampled_from([*range(3), 200]),
+SIZES = {"N": st.sampled_from([1, 2, 10 ** 9]),
+         "n": st.sampled_from([*range(-3, 4), -200]),
+         "M": st.sampled_from([*range(3, 7), 10 ** 6]),
+         "degree": st.sampled_from([*range(3), 200]),
          "seed": st.integers(-2 ** 70, 2 ** 70),
          "den": st.sampled_from([8, 1, 2, 3, 12, 10 ** 30])}
 JUNK = st.sampled_from(["0", "-1", "2", "", "x", "1.5", "0x10", "1e3", "--N", "-",

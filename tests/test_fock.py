@@ -17,7 +17,7 @@ from heegaard import (AlgebraElement, ClassInvariant, SparseOperator, UnstableIn
                       generator, projector_diagonal, relation_residual, represent,
                       sphere_defect, truncated_trace, unit)
 from heegaard import fock
-from heegaard.algebra import Context
+from heegaard.algebra import Context, SizeOverflow
 from heegaard.bundles import MAX_SIZE
 from heegaard.fock import _identity, compact_charge, relation_defects, scalar_part
 from heegaard.phases import ThetaMatrix, frac_part
@@ -192,9 +192,8 @@ def test_residual_memory_at_the_dimension_cap():
             "with open('/proc/self/status') as fh:\n"
             "    hwm = next(line for line in fh if line.startswith('VmHWM:'))\n"
             "print(r, hwm.split()[1])\n")
-    env = {k: v for k, v in os.environ.items() if k != "NCG_MAX_DIM"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
-                                                      os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=300, env=env, check=True)
     residual, max_rss_kb = proc.stdout.split()
@@ -431,10 +430,19 @@ def test_projector_residual_is_bounded_not_exact():
 
 
 def test_dimension_cap(monkeypatch):
-    monkeypatch.setenv("NCG_MAX_DIM", "10")
-    with pytest.raises(ValueError):
+    assert fock.MAX_DIM == 100_000
+    monkeypatch.setattr(fock, "MAX_DIM", 10)
+    with pytest.raises(SizeOverflow, match="must be at most 10 "):
         fock_generator(0, 5, ThetaMatrix.zero(2))
-    for bad in ("abc", "0", "-3", "1.5"):
-        monkeypatch.setenv("NCG_MAX_DIM", bad)
-        with pytest.raises(ValueError, match="NCG_MAX_DIM must be a positive integer"):
-            fock_generator(0, 1, ThetaMatrix.zero(2))
+    fock_generator(0, 2, ThetaMatrix.zero(2))               # dim 9
+
+
+def test_dimension_check_forms_no_huge_power():
+    # (M+1)^n is formed one factor at a time and abandoned past the cap, so
+    # a size whose power would have 10^12 digits is refused at once
+    for n, M in [(1, 99_999), (16, 1), (8, 3), (2, 315), (10 ** 9, 0), (1, 0)]:
+        fock.check_dim(n, M)
+    for n, M in [(1, 100_000), (17, 1), (9, 3), (2, 316), (10 ** 9, 3),
+                 (1, 10 ** 1000), (10 ** 9, 10 ** 1000)]:
+        with pytest.raises(SizeOverflow, match=r"\(fock\.MAX_DIM\)"):
+            fock.check_dim(n, M)

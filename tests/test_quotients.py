@@ -11,7 +11,7 @@ from conftest import random_element, random_float_theta, rng_for
 from reference_solve import solve_exact as reference_solve
 from heegaard import cli, exactla, quotients, serialize
 from heegaard import (AlgebraElement, CocycleReport, Coeff, IncompatibleTuple,
-                      MultipullbackTuple, SupportOverflow, cocycle_check,
+                      MultipullbackTuple, SizeOverflow, cocycle_check,
                       generator, glue, is_compatible, pi_i_j, sigma_i,
                       sphere_defect, sphere_reduce, unit)
 from heegaard.algebra import Context, ContextMismatch, _unitary_reduce
@@ -146,7 +146,7 @@ def test_glue_support_cap(monkeypatch):
     rng = rng_for("glue-cap")
     x = random_element(ctx, rng, nterms=5, degree=4)
     monkeypatch.setattr(quotients, "MAX_GLUE_SUPPORT", 3)
-    with pytest.raises(SupportOverflow, match="exceeds 3"):
+    with pytest.raises(SizeOverflow, match="exceeds 3"):
         glue(MultipullbackTuple.from_element(x))
 
 
@@ -187,14 +187,14 @@ def test_cocycle_size_cap(monkeypatch):
         quotients.check_cocycle_size(N + 1, d)
     for N, d in [(2, 12), (3, 7), (4, 5), (5, 4), (9, 2), (15, 1), (47, 0),
                  (2, 10 ** 30), (10 ** 30, 0), (10 ** 30, 10 ** 30)]:
-        with pytest.raises(SupportOverflow, match="exceeds the size cap"):
+        with pytest.raises(SizeOverflow, match="exceeds the size cap"):
             quotients.check_cocycle_size(N + 1, d)
 
     def refuse(*args):
         raise AssertionError("enumerated an oversized cocycle")
 
     monkeypatch.setattr(quotients, "_basis_monomials", refuse)
-    with pytest.raises(SupportOverflow):
+    with pytest.raises(SizeOverflow):
         cocycle_check(ThetaMatrix.zero(4), 7)
 
 
@@ -827,7 +827,7 @@ def test_glue_cap_is_decided_before_any_solve(monkeypatch):
                                         + AlgebraElement.monomial(ctx, twos, twos))
     monkeypatch.setattr(quotients, "solve_exact", refuse)
     monkeypatch.setattr(quotients, "MAX_GLUE_SUPPORT", 3)
-    with pytest.raises(SupportOverflow, match="exceeds 3"):
+    with pytest.raises(SizeOverflow, match="exceeds 3"):
         glue(t)
     monkeypatch.setattr(quotients, "solve_exact", counting)
     monkeypatch.setattr(quotients, "MAX_GLUE_SUPPORT", 4)
