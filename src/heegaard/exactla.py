@@ -6,10 +6,11 @@ matrix is brought to row-echelon form over Q with pivots in ascending
 column order, and each row's right-hand side is one Coeff under the same
 row operations.  Coeff arithmetic is componentwise in the group ring
 Q[Z/D], and a ``FloatCoeff`` target takes the same path.  A row left with
-no column entry is inconsistent exactly when its Coeff is not zero.  The
-particular solution (free unknowns zero) is the right-hand side of the
-reduced row-echelon form, unique for the column order, so it is the one a
-dense Gauss-Jordan elimination gives.
+no column entry is inconsistent exactly when its Coeff is not zero (at a
+float target, within a bound that ``_Bounded`` tracks).  The particular
+solution (free unknowns zero) is the right-hand side of the reduced
+row-echelon form, unique for the column order, so it is the one a dense
+Gauss-Jordan elimination gives.
 """
 
 from __future__ import annotations
@@ -19,6 +20,36 @@ from heapq import heapify, heappop, heappush
 from typing import Collection, Dict, Hashable, Optional, Sequence
 
 from .coeff import Coeff
+from .phases import FLOAT, FLOAT_TOL
+
+
+class _Bounded:
+    """A float right-hand side c and k, at least the l1 weight of the target
+    entries c combines.  ``quotients.is_compatible`` lets coefficients differ
+    by up to ``FLOAT_TOL`` one at a time, and a row's residual adds such
+    offsets with the row's weights, so a row left with no column is
+    consistent when |c| < ``FLOAT_TOL`` * max(k, 1).  c takes the Coeff
+    operations an untracked right-hand side takes, so it has the same value.
+    """
+
+    __slots__ = ("c", "k")
+
+    def __init__(self, c: Coeff, k: float):
+        self.c, self.k = c, k
+
+    def __add__(self, other: "_Bounded") -> "_Bounded":
+        return _Bounded(self.c + other.c, self.k + other.k)
+
+    def __neg__(self) -> "_Bounded":
+        return _Bounded(-self.c, self.k)
+
+    __sub__ = Coeff.__sub__                     # self + (-other), as for c
+
+    def scale(self, w) -> "_Bounded":
+        return _Bounded(self.c.scale(w), self.k * abs(w))
+
+    def is_zero(self) -> bool:
+        return abs(self.c.to_complex()) < FLOAT_TOL * max(self.k, 1)
 
 
 def _insert(rows: Dict[int, tuple], v: dict, t: Coeff) -> Optional[Coeff]:
@@ -74,6 +105,10 @@ def solve_exact(columns: Sequence[Collection[Hashable]],
     if not target:
         return {}
     zero = next(iter(target.values())).scale(0)    # at the target's conductor
+    bounded = zero.mode == FLOAT                    # rational rows track nothing
+    if bounded:
+        zero = _Bounded(zero, 0)
+        target = {key: _Bounded(c, 1) for key, c in target.items()}
     by_key: Dict[Hashable, dict] = {key: {} for key in target}
     for j, col in enumerate(columns):
         for key in col:
@@ -83,6 +118,8 @@ def solve_exact(columns: Sequence[Collection[Hashable]],
         rest = _insert(rows, v, target.get(key, zero))
         if rest is not None and not rest.is_zero():
             return None
+    if bounded:
+        rows = {p: (row, t.c) for p, (row, t) in rows.items()}
     x: Dict[int, Coeff] = {}
     for p in sorted(rows, reverse=True):
         row, c = rows[p]

@@ -17,11 +17,12 @@ operator here is kept as bands on the grid of multi-indices:
 * a single band is a weighted partial permutation, so its operator norm is
   max |v|.
 
-Each generator, word and relation defect is a single band.  The invariant
-of a projector combines the trace of its circle-averaged symbol (its rank)
-with a regularized trace: the truncated trace of a lift grows like
-rank * (M+1)^{N+1}, and the coefficient of (M+1)^N in the remainder is an
-integer charge that distinguishes the line-bundle classes.
+Each generator, word and relation defect is a single band; generators and
+defects are formed in closed form.  The invariant of a projector combines
+the trace of its circle-averaged symbol (its rank) with a regularized trace:
+the truncated trace of a lift grows like rank * (M+1)^{N+1}, and the
+coefficient of (M+1)^N in the remainder is an integer charge that
+distinguishes the line-bundle classes.
 """
 
 from __future__ import annotations
@@ -145,35 +146,26 @@ class SparseOperator:
         return out
 
 
-def _band(n: int, M: int, d, factors) -> SparseOperator:
-    """The band at shift d with values prod_i factors[i][mu_i]."""
-    v = reduce(np.multiply, [f.reshape((M + 1,) + (1,) * (n - 1 - i))
-                             for i, f in enumerate(factors)])
-    return SparseOperator(n, M, {tuple(d): v.astype(complex, copy=False)})
-
-
 def _identity(n: int, M: int) -> SparseOperator:
-    return _band(n, M, (0,) * n, [np.ones(M + 1)] * n)
+    return SparseOperator(n, M, {(0,) * n: np.ones((M + 1,) * n, complex)})
 
 
 def fock_generator(i: int, M: int, theta: ThetaMatrix) -> SparseOperator:
-    """Twisted shift: e_mu -> prod_{j>i} Theta_ij^{mu_j} e_{mu+delta_i}.
-
-    One band at shift delta_i, whose values are the outer product over the
-    slots of ones (j < i), the cutoff mask mu_i < M (j == i) and
-    e(theta_ij * mu_j) (j > i).
-    """
+    """Twisted shift: e_mu -> prod_{j>i} Theta_ij^{mu_j} e_{mu+delta_i}, one band:
+    complex ones times e(theta_ij * mu_j) for each j > i in ascending order,
+    with the cutoff slice mu_i = M zeroed."""
     n = theta.n
     if not 0 <= i < n:
         raise IndexError(f"generator index {i} out of range")
     if M < 1:
         raise ValueError("truncation must be at least 1")
     check_dim(n, M)
-    ks = np.arange(M + 1)
-    factors = [np.ones(M + 1)] * i + [(ks < M).astype(float)]
-    factors += [np.exp(2j * np.pi * float(frac_part(theta.entry(i, j))) * ks)
-                for j in range(i + 1, n)]
-    return _band(n, M, [int(j == i) for j in range(n)], factors)
+    v = np.ones((M + 1,) * n, complex)
+    for j in range(i + 1, n):
+        ks = np.arange(M + 1).reshape((M + 1,) + (1,) * (n - 1 - j))
+        v *= np.exp(2j * np.pi * float(frac_part(theta.entry(i, j))) * ks)
+    v[(slice(None),) * i + (M,)] = 0
+    return SparseOperator(n, M, {tuple(int(j == i) for j in range(n)): v})
 
 
 def represent(x: AlgebraElement, M: int) -> SparseOperator:
@@ -198,35 +190,42 @@ def represent(x: AlgebraElement, M: int) -> SparseOperator:
     return out
 
 
-def _interior_projection(n: int, M: int) -> SparseOperator:
-    mask = (np.arange(M + 1) <= M - 2).astype(float)
-    return _band(n, M, (0,) * n, [mask] * n)
-
-
 def relation_defects(N: int, theta: ThetaMatrix, M: int) -> Iterator[SparseOperator]:
     """The defects S_i*S_i - 1, S_iS_j - e(theta_ij)S_jS_i and
-    S_iS_j* - e(-theta_ij)S_j*S_i, each restricted to vectors supported away
-    from the cutoff boundary.  Each is a single band, so a weighted partial
-    permutation."""
+    S_iS_j* - e(-theta_ij)S_j*S_i on the interior mu_s <= M-2, where no shift
+    leaves the grid: one band each, zero off the interior.  With v_i the band
+    of S_i and ph = e(theta_ij), the band algebra's products at mu, formed in
+    its operand order (so bit for bit), are v_i[mu] conj(v_i[mu]) - 1,
+    v_j[mu] v_i[mu+e_j] - (v_i[mu] v_j[mu+e_i]) ph and conj(v_j[mu-e_j])
+    v_i[mu-e_j] - (v_i[mu] conj(v_j[mu+e_i-e_j])) / ph, 0 where S_j* kills mu."""
     if M < 3:
         raise ValueError("truncation too small to leave an interior")
     if theta.n != N + 1:
         raise ValueError("twist size must be N+1")
-    gens = [fock_generator(i, M, theta) for i in range(N + 1)]
-    adjs = [g.adjoint() for g in gens]
-    ident = _identity(N + 1, M)
-    proj = _interior_projection(N + 1, M)
-    for i in range(N + 1):
-        yield ((adjs[i] @ gens[i]) - ident) @ proj
-    for i, j in permutations(range(N + 1), 2):
+    n = N + 1
+    v = [next(iter(fock_generator(i, M, theta).bands.values())) for i in range(n)]
+    w = [np.conj(x) for x in v]
+
+    def at(d, low=None):        # x[mu + d], d = {slot: step}, interior mu, mu_low >= 1
+        return tuple(slice((s == low) + d.get(s, 0), M - 1 + d.get(s, 0)) for s in range(n))
+
+    def defect(d, low, values) -> SparseOperator:
+        out = np.zeros((M + 1,) * n, complex)
+        out[at({}, low)] = values
+        return SparseOperator(n, M, {tuple(d.get(s, 0) for s in range(n)): out})
+
+    for i in range(n):
+        yield defect({}, None, v[i][at({})] * w[i][at({})] - 1)
+    for i, j in permutations(range(n), 2):
         ph = np.exp(2j * np.pi * float(frac_part(theta.entry(i, j))))
-        yield ((gens[i] @ gens[j]) - (gens[j] @ gens[i]).scale(ph)) @ proj
-        yield ((gens[i] @ adjs[j]) - (adjs[j] @ gens[i]).scale(1 / ph)) @ proj
+        yield defect({i: 1, j: 1}, None, v[j][at({})] * v[i][at({j: 1})]
+                     - (v[i][at({})] * v[j][at({i: 1})]) * ph)
+        yield defect({i: 1, j: -1}, j, w[j][at({j: -1}, j)] * v[i][at({j: -1}, j)]
+                     - (v[i][at({}, j)] * w[j][at({i: 1, j: -1}, j)]) * (1 / ph))
 
 
 def relation_residual(N: int, theta: ThetaMatrix, M: int) -> float:
-    """Largest operator-norm defect of the defining relations on vectors
-    supported away from the cutoff boundary."""
+    """Largest operator norm of the ``relation_defects``."""
     return max(d.norm() for d in relation_defects(N, theta, M))
 
 

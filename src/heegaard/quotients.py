@@ -183,8 +183,9 @@ def glue(t: MultipullbackTuple) -> AlgebraElement:
                 for k in [min(p[s], q[s])]} for p, q in support]
     sol = solve_exact(columns, target)
     if sol is None:
-        raise LiftRounding("the components agree within FLOAT_TOL on every overlap, "
-                           "but the lift's system misses by more: float rounding")
+        raise LiftRounding("the components agree within FLOAT_TOL on every overlap, but "
+                           "the lift's system misses by more than FLOAT_TOL times the "
+                           "target entries a row combines: float rounding")
     return AlgebraElement(Context.toeplitz(theta), {
         support[j]: c.times_exponent(-psi(*support[j]), D) for j, c in sol.items()})
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from functools import reduce
+from itertools import permutations
 from math import comb
 from pathlib import Path
 
@@ -171,6 +172,64 @@ def test_norm_matches_dense_norm_on_every_relation_defect(N, M, kind):
         assert abs(d.norm() - np.linalg.norm(d.toarray(), 2)) <= 1e-12
 
 
+def _reference_generator(i, M, th):
+    """S_i as the outer product over the slots of ones (j < i), the cutoff
+    mask mu_i < M (j == i) and e(theta_ij mu_j) (j > i), cast to complex."""
+    n, ks = th.n, np.arange(M + 1)
+    factors = [np.ones(M + 1)] * i + [(ks < M).astype(float)]
+    factors += [np.exp(2j * np.pi * float(frac_part(th.entry(i, j))) * ks)
+                for j in range(i + 1, n)]
+    v = reduce(np.multiply, [f.reshape((M + 1,) + (1,) * (n - 1 - k))
+                             for k, f in enumerate(factors)])
+    return SparseOperator(n, M, {tuple(int(j == i) for j in range(n)): v.astype(complex)})
+
+
+def _reference_defects(N, th, M):
+    """The relation defects multiplied out in the band algebra, each
+    projected onto the interior mu_s <= M-2."""
+    n = N + 1
+    gens = [_reference_generator(i, M, th) for i in range(n)]
+    adjs = [g.adjoint() for g in gens]
+    ident = _identity(n, M)
+    mask = (np.arange(M + 1) <= M - 2).astype(float)
+    proj = SparseOperator(n, M, {(0,) * n: reduce(
+        np.multiply, [mask.reshape((M + 1,) + (1,) * (n - 1 - k))
+                      for k in range(n)]).astype(complex)})
+    out = [((adjs[i] @ gens[i]) - ident) @ proj for i in range(n)]
+    for i, j in permutations(range(n), 2):
+        ph = np.exp(2j * np.pi * float(frac_part(th.entry(i, j))))
+        out.append(((gens[i] @ gens[j]) - (gens[j] @ gens[i]).scale(ph)) @ proj)
+        out.append(((gens[i] @ adjs[j]) - (adjs[j] @ gens[i]).scale(1 / ph)) @ proj)
+    return out
+
+
+def _same_bands(a, b):
+    return a.bands.keys() == b.bands.keys() and all(
+        np.array_equal(a.bands[d], b.bands[d]) for d in a.bands)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["zero", "rational", "float", "shifted"])
+def test_closed_forms_match_the_band_algebra_bit_for_bit(N, kind):
+    # the closed-form generators and defects are the band algebra's own
+    # products, so their values are equal, not only close
+    n = N + 1
+    rng = rng_for(f"closed-form-{N}-{kind}")
+    for M in range(3, 9):
+        th = {"zero": ThetaMatrix.zero(n),
+              "rational": ThetaMatrix.random_rational(n, seed=M, den=12),
+              "float": random_float_theta(n, rng),
+              "shifted": ThetaMatrix.from_upper(
+                  n, {(j, k): rng.uniform(-1, 1) + rng.randrange(-10 ** 6, 10 ** 6)
+                      for j in range(n) for k in range(j + 1, n)}, mode="float")}[kind]
+        for i in range(n):
+            assert _same_bands(fock_generator(i, M, th), _reference_generator(i, M, th))
+        got, want = list(relation_defects(N, th, M)), _reference_defects(N, th, M)
+        assert len(got) == len(want) == n + 2 * N * n
+        assert all(map(_same_bands, got, want)), (N, M, kind)
+        assert relation_residual(N, th, M) == max(d.norm() for d in want)
+
+
 def test_norm_refuses_more_than_one_entry_per_row():
     th = ThetaMatrix.random_rational(2, seed=19)
     two_bands = fock_generator(0, 4, th) + fock_generator(1, 4, th)
@@ -181,24 +240,27 @@ def test_norm_refuses_more_than_one_entry_per_row():
 
 
 def test_residual_memory_at_the_dimension_cap():
-    # dim (315+1)^2 = 99856 sits under the default cap; the residual must
-    # run in O(dim) memory, not the ~160 GB of a dense matrix that size.
-    # The child reads its own peak, VmHWM: its ru_maxrss after exec starts
-    # from the parent's high-water mark, so it would measure pytest's.
+    # at the largest (M+1)^(N+1) under the default cap for each N (N = 4 sits
+    # on it) the residual must run in O(dim) memory, not the ~160 GB of a
+    # dense matrix of dim 10^5.  Each child reads its own peak, VmHWM: its
+    # ru_maxrss after exec starts from the parent's high-water mark, so it
+    # would measure pytest's.
     root = Path(__file__).resolve().parent.parent
-    code = ("from heegaard.fock import relation_residual\n"
-            "from heegaard.phases import ThetaMatrix\n"
-            "r = relation_residual(1, ThetaMatrix.random_rational(2, seed=1), 315)\n"
-            "with open('/proc/self/status') as fh:\n"
-            "    hwm = next(line for line in fh if line.startswith('VmHWM:'))\n"
-            "print(r, hwm.split()[1])\n")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=300, env=env, check=True)
-    residual, max_rss_kb = proc.stdout.split()
-    assert float(residual) <= 1e-10
-    assert int(max_rss_kb) / 1024 < 250
+    for N, M in [(1, 315), (2, 45), (3, 16), (4, 9)]:
+        assert fock.MAX_DIM * 4 // 5 < (M + 1) ** (N + 1) <= fock.MAX_DIM
+        code = ("from heegaard.fock import relation_residual\n"
+                "from heegaard.phases import ThetaMatrix\n"
+                f"r = relation_residual({N}, ThetaMatrix.random_rational({N + 1}, seed=1), {M})\n"
+                "with open('/proc/self/status') as fh:\n"
+                "    hwm = next(line for line in fh if line.startswith('VmHWM:'))\n"
+                "print(r, hwm.split()[1])\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=300, env=env, check=True)
+        residual, max_rss_kb = proc.stdout.split()
+        assert float(residual) <= 1e-10, N
+        assert int(max_rss_kb) / 1024 < 250, N
 
 
 def test_defect_represents_vacuum_projection():

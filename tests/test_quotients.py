@@ -15,7 +15,7 @@ from heegaard import (AlgebraElement, CocycleReport, Coeff, IncompatibleTuple,
                       generator, glue, is_compatible, pi_i_j, sigma_i,
                       sphere_defect, sphere_reduce, unit)
 from heegaard.algebra import Context, ContextMismatch, _unitary_reduce
-from heegaard.phases import FLOAT, ThetaMatrix
+from heegaard.phases import FLOAT, FLOAT_TOL, ThetaMatrix
 
 
 def ambient(n, seed=None):
@@ -883,19 +883,76 @@ def test_glue_lifts_words_interior_on_many_slots(n, monkeypatch):
             assert all(sigma_i(a, i) == b for i, b in enumerate(t.components))
 
 
-def _rounding_tuple():
-    """A float tuple whose pairwise images agree within FLOAT_TOL (off by
-    6e-13) while the lift's system misses by about 1.2e-12."""
+def _zero_twist_diagonal_tuple(*components):
+    """The tuple at the zero float twist on three slots whose component i
+    holds W_h W_h* with coefficient z for each h: z of ``components[i]``."""
     theta = ThetaMatrix.from_upper(3, {}, mode=FLOAT)
-
-    def comp(i, terms):
-        return AlgebraElement(Context.quotient(theta, i), {
+    return MultipullbackTuple(tuple(
+        AlgebraElement(Context.quotient(theta, i), {
             (h, h): Coeff.from_complex(z) for h, z in terms.items()})
+        for i, terms in enumerate(components)))
 
-    return MultipullbackTuple((
-        comp(0, {(0, 0, 2): 2 - 6e-13}),
-        comp(1, {(0, 0, 2): 1.0, (1, 0, 2): 1.0}),
-        comp(2, {(0, 0, 0): 1 - 6e-13, (1, 0, 0): 1 + 6e-13})))
+
+def _rounding_tuple():
+    """(sigma_i(a))_i for a = 100000 W_p W_p* + 0.1 W_q W_q* (p = (0, 0, 2),
+    q = (1, 0, 2)) at the zero float twist: the pairwise images agree, while
+    the lift's system misses by 5.8e-12, more than FLOAT_TOL times the three
+    target entries its row combines.  That is the rounding of 100000 + 0.1,
+    which the absolute FLOAT_TOL does not scale with."""
+    return _zero_twist_diagonal_tuple({(0, 0, 2): 100000.0 + 0.1},
+                                      {(0, 0, 2): 100000.0, (1, 0, 2): 0.1},
+                                      {(0, 0, 0): 100000.0, (1, 0, 0): 0.1})
+
+
+def _moved_diagonal_tuple(rng):
+    """(sigma_i(a))_i of a float element a of 1-30 diagonal words W_p W_p*
+    (slot heights <= 2, n 2-4, twist entries in (-0.5, 0.5)), each
+    component coefficient then moved by a real +-(0.2-0.6) FLOAT_TOL."""
+    n = rng.randint(2, 4)
+    theta = ThetaMatrix.from_upper(n, {(j, k): rng.uniform(-0.5, 0.5) for j in range(n)
+                                       for k in range(j + 1, n)}, mode=FLOAT)
+    terms = {}
+    for _ in range(rng.randint(1, 30)):
+        p = tuple(rng.randint(0, 2) for _ in range(n))
+        terms[p, p] = Coeff.from_complex(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+    a = AlgebraElement(Context.toeplitz(theta), terms)
+    return MultipullbackTuple(tuple(
+        AlgebraElement(b.ctx, {m: c + Coeff.from_complex(
+            rng.choice((-1, 1)) * rng.uniform(0.2, 0.6) * FLOAT_TOL) for m, c in b.terms.items()})
+        for b in MultipullbackTuple.from_element(a).components))
+
+
+def _lifts_within(a, t, tol):
+    """Whether sigma_i(a) is within tol of component i, word by word (a word
+    missing on one side counting as 0), for every i."""
+    def gap(x, y):
+        return max(abs((x[m].to_complex() if m in x else 0)
+                       - (y[m].to_complex() if m in y else 0)) for m in x.keys() | y.keys())
+    return all(gap(sigma_i(a, i).terms, b.terms) < tol for i, b in enumerate(t.components))
+
+
+def test_float_glue_lifts_every_tuple_compatible_within_float_tol():
+    # is_compatible compares single coefficients within FLOAT_TOL, and the
+    # lift's rows combine several target entries, so their residual is held
+    # to FLOAT_TOL times that weight: 45 of these tuples raised LiftRounding
+    # under a bare FLOAT_TOL
+    accepted = 0
+    for seed in range(3000):
+        t = _moved_diagonal_tuple(random.Random(seed))
+        if is_compatible(t):
+            accepted += 1
+            assert _lifts_within(glue(t), t, 1e-10), seed
+    assert accepted > 800
+
+
+def test_float_glue_lifts_a_tuple_off_by_a_few_float_tol():
+    # pairwise images off by 6e-13 each; the lift's row misses by 1.2e-12
+    # after combining three target entries, within its bound of 3 FLOAT_TOL
+    t = _zero_twist_diagonal_tuple({(0, 0, 2): 2 - 6e-13},
+                                   {(0, 0, 2): 1.0, (1, 0, 2): 1.0},
+                                   {(0, 0, 0): 1 - 6e-13, (1, 0, 0): 1 + 6e-13})
+    assert is_compatible(t)
+    assert _lifts_within(glue(t), t, 2e-12)
 
 
 def test_float_rounding_in_the_lift_is_no_witness(tmp_path, capsys):
