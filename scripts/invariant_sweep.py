@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Sweep the numerical K-class invariant over windings and truncations.
+"""Sweep the numerical K-class invariant over windings.
 
 This is the oracle run that fixes the expected compact charges: for the
 untwisted N=1 sphere the winding-n projector should report dimension class 1
@@ -13,7 +13,6 @@ import argparse
 import json
 
 from heegaard import class_invariant, projector_diagonal
-from heegaard.fock import default_truncations
 from heegaard.phases import ThetaMatrix
 
 
@@ -21,18 +20,16 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--N", type=int, default=1)
     ap.add_argument("--windings", default="-3,-2,-1,0,1,2,3")
-    ap.add_argument("--truncations", help="default: the smallest admissible list")
     ap.add_argument("--seed", type=int, default=None,
                     help="random rational twist; untwisted when omitted")
     args = ap.parse_args()
 
     theta = (ThetaMatrix.zero(args.N + 1) if args.seed is None
              else ThetaMatrix.random_rational(args.N + 1, seed=args.seed))
-    ms = args.truncations and [int(v) for v in args.truncations.split(",")]
     rows = []
     for n in (int(v) for v in args.windings.split(",")):
         diag = projector_diagonal(n, args.N, theta)
-        inv = class_invariant(diag, ms or default_truncations(diag))
+        inv = class_invariant(diag)
         rows.append({"winding": n,
                      "size": len(diag),
                      "dimension_class": inv.dimension_class,

@@ -10,8 +10,7 @@ from .bundles import (ConjugationWitness, NonzeroTwist, ProjectorMatrix,
                       strong_connection, verify_connection)
 from .coeff import Coeff, FloatCoeff
 from .fock import (ClassInvariant, SparseOperator, UnstableInvariant,
-                   class_invariant, fock_generator, relation_residual,
-                   represent, truncated_trace)
+                   class_invariant, fock_generator, relation_residual)
 from .grading import (GradedComponent, degree_decompose, extend_hom,
                       fixed_point_context, fixed_quotient_context,
                       invariant_expectation, kappa_gen_inv, kappa_gen_map,

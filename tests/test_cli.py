@@ -99,22 +99,23 @@ def test_invariant(capsys):
     assert obj["residual"] <= 1e-6
 
 
-@pytest.mark.parametrize("N, n, truncations", [(2, -1, [1, 2, 3, 4]),
-                                                (2, 4, [3, 4, 5, 6]),
-                                                (3, 3, [2, 3, 4, 5, 6])])
+@pytest.mark.parametrize("N, n, truncations", [
+    (2, -1, [1, 2, 3, 4]), (2, 4, [3, 4, 5, 6]), (3, 3, [2, 3, 4, 5, 6]),
+    (2, 3, [1, 2, 3, 4]),
+    (2, -3, [1, 2, 3, 4]), (2, -3, [5, 9, 13, 100]), (2, -3, [40, 41, 42, 43, 44])])
 def test_invariant_default_truncations(capsys, N, n, truncations):
-    # without the flag: N+2 consecutive cutoffs from the longest diagonal
-    # exponent (n for n > 0, 1 for n < 0) minus one, at least 1
-    code, out, _ = run(capsys, "invariant", "--N", str(N), "--n", str(n),
-                       "--theta", "random-rational", "--seed", "4")
-    assert code == 0
-    obj = json.loads(out)
-    assert obj["truncations"] == truncations
-    assert (obj["dimension_class"], obj["compact_charge"]) == (1, -n)
-    code, out, _ = run(capsys, "invariant", "--N", str(N), "--n", str(n),
-                       "--theta", "random-rational", "--seed", "4",
-                       "--truncations", ",".join(map(str, truncations)))
-    assert code == 0 and json.loads(out) == obj
+    # the invariant takes no cutoff: without the flag the document echoes
+    # null, and any list, even one below the longest diagonal word
+    # (W_{3e_0} W_{3e_0}* at n = 3), is only echoed beside the same numbers
+    for twist in (("--theta", "zero"), ("--theta", "random-rational", "--seed", "2")):
+        argv = ("invariant", "--N", str(N), "--n", str(n), *twist)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["truncations"] is None
+        assert (obj["dimension_class"], obj["compact_charge"]) == (1, -n)
+        code, out, _ = run(capsys, *argv, "--truncations", ",".join(map(str, truncations)))
+        assert (code, json.loads(out)) == (0, {**obj, "truncations": truncations})
 
 
 def test_invariant_builds_no_projector(capsys, monkeypatch):
@@ -129,12 +130,11 @@ def test_invariant_builds_no_projector(capsys, monkeypatch):
                            "--theta", theta, "--seed", "2")
         assert code == 0
         assert json.loads(out) == {"dimension_class": 1, "compact_charge": 3,
-                                   "truncations": [1, 2, 3, 4], "residual": 0.0}
+                                   "truncations": None, "residual": 0.0}
 
 
 def test_invariant_lifts_each_diagonal_entry_once(capsys, monkeypatch):
-    # default truncations read the entries as they are; class_invariant
-    # lifts each of the C(3+2, 2) = 10 diagonal entries once
+    # class_invariant lifts each of the C(3+2, 2) = 10 diagonal entries once
     calls = []
     with_context = AlgebraElement.with_context
 
@@ -144,7 +144,7 @@ def test_invariant_lifts_each_diagonal_entry_once(capsys, monkeypatch):
 
     monkeypatch.setattr(AlgebraElement, "with_context", counting)
     code, out, _ = run(capsys, "invariant", "--N", "2", "--n", "-3")
-    assert code == 0 and json.loads(out)["truncations"] == [1, 2, 3, 4]
+    assert code == 0 and json.loads(out)["truncations"] is None
     assert len(calls) == 10
 
 
@@ -197,10 +197,8 @@ def test_over_cap_sizes_are_refused_before_the_twist(capsys, monkeypatch, argv, 
     (("connection", "--N", "0", "--n", "1"), "need N >= 1"),
     (("cocycle", "--N", "2", "--degree", "-1"), "--degree must be non-negative"),
     (("residual", "--N", "1", "--M", "2"), "truncation too small to leave an interior"),
-    (("invariant", "--N", "2", "--n", "-1", "--truncations", "1,2,3"),
-     "need at least 4 truncations"),
-    (("invariant", "--N", "1", "--n", "-1", "--truncations", "24,8"),
-     "need a non-empty ascending list of truncations >= 0"),
+    (("invariant", "--N", "2", "--n", "-1", "--truncations", "1,x"),
+     "--truncations expects an integer, got '1,x'"),
 ])
 def test_bad_flags_are_refused_before_the_twist(capsys, monkeypatch, argv, message):
     _refuse_the_twist(monkeypatch)
@@ -386,9 +384,6 @@ def test_usage_errors(capsys):
     code, _, err = run(capsys, "verify", "--N", "1", "--n", "1",
                        "--theta", "{bad json")
     assert code == 2 and "error:" in err
-    code, _, err = run(capsys, "invariant", "--N", "1", "--n", "1",
-                       "--truncations", "24,8")
-    assert code == 2
     code, _, err = run(capsys, "residual", "--N", "1", "--M", "2")
     assert code == 2
     # twist size mismatch
@@ -454,14 +449,19 @@ def test_undecodable_and_deeply_nested_files_are_usage_errors(tmp_path, capsys):
     assert (code, out) == (2, "") and "error: malformed twist JSON" in err
 
 
-@pytest.mark.parametrize("form", ["joined", "separate"])
-def test_negative_truncations_are_a_usage_error(capsys, form):
-    argv = ["invariant", "--N", "1", "--n", "-1"]
-    argv += (["--truncations=-3,-2,-1"] if form == "joined"
-             else ["--truncations", "-3,-2,-1"])
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert "error: need a non-empty ascending list of truncations >= 0" in err
+@pytest.mark.parametrize("N, flag, ms", [
+    (2, ("--truncations", "1,2,3"), [1, 2, 3]), (1, ("--truncations", "24,8"), [24, 8]),
+    (1, ("--truncations=-3,-2,-1",), [-3, -2, -1]),
+    (1, ("--truncations", "-3,-2,-1"), [-3, -2, -1])],
+    ids=["too-few", "descending", "negative-joined", "negative-separate"])
+def test_truncation_lists_are_not_refused(capsys, N, flag, ms):
+    # the length, order and sign rules went with the cutoffs: nothing reads
+    # the list but the echo
+    argv = ("invariant", "--N", str(N), "--n", "-1")
+    code, out, err = run(capsys, *argv, *flag)
+    assert (code, err) == (0, "")
+    expected = json.loads(run(capsys, *argv)[1])
+    assert json.loads(out) == {**expected, "truncations": ms}
 
 
 def test_flag_forms_negative_values_and_last_value_wins(capsys):

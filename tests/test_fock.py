@@ -3,6 +3,7 @@ import cmath
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from functools import reduce
 from itertools import permutations
@@ -13,20 +14,20 @@ import numpy as np
 import pytest
 
 from conftest import random_element, random_float_theta, rng_for
-from heegaard import (AlgebraElement, ClassInvariant, SparseOperator, UnstableInvariant,
-                      chern_galois_projector, class_invariant, fock_generator,
-                      generator, projector_diagonal, relation_residual, represent,
-                      sphere_defect, truncated_trace, unit)
+from reference_fock import BandOperator, band, identity, represent, truncated_trace
+from heegaard import (AlgebraElement, UnstableInvariant, chern_galois_projector,
+                      class_invariant, fock_generator, generator, projector_diagonal,
+                      relation_residual, sphere_defect, unit)
 from heegaard import fock
 from heegaard.algebra import Context, SizeOverflow
 from heegaard.bundles import MAX_SIZE
-from heegaard.fock import _identity, compact_charge, relation_defects, scalar_part
+from heegaard.fock import compact_charge, relation_defects, scalar_part
 from heegaard.phases import ThetaMatrix, frac_part
 
 
 def test_single_generator_is_shift():
     th = ThetaMatrix.zero(1)
-    s = fock_generator(0, 4, th)
+    s = band(fock_generator(0, 4, th))
     dense = s.toarray()
     expected = np.zeros((5, 5))
     for k in range(4):
@@ -41,7 +42,7 @@ def test_twisted_phase_on_basis():
                ThetaMatrix.random_rational(3, seed=4)):
         shape = (M + 1,) * th.n
         for i in range(th.n):
-            dense = fock_generator(i, M, th).toarray()
+            dense = band(fock_generator(i, M, th)).toarray()
             want = np.zeros_like(dense)
             for col in range(dense.shape[1]):
                 mu = np.unravel_index(col, shape)
@@ -77,7 +78,7 @@ def test_band_algebra_matches_dense(N, M, kind):
     th = {"zero": ThetaMatrix.zero(n),
           "rational": ThetaMatrix.random_rational(n, seed=N + M, den=12),
           "float": random_float_theta(n, rng)}[kind]
-    gens = [fock_generator(i, M, th) for i in range(n)]
+    gens = [band(fock_generator(i, M, th)) for i in range(n)]
     letters = gens + [g.adjoint() for g in gens]
     dense = [_dense_generator(i, M, th) for i in range(n)]
     dense += [d.conj().T for d in dense]
@@ -87,7 +88,7 @@ def test_band_algebra_matches_dense(N, M, kind):
     def word():
         idx = [rng.randrange(2 * n) for _ in range(rng.randint(1, 4))]
         shift = tuple(map(sum, zip(*(steps[k] for k in idx))))
-        return (reduce(SparseOperator.__matmul__, [letters[k] for k in idx]),
+        return (reduce(BandOperator.__matmul__, [letters[k] for k in idx]),
                 reduce(np.matmul, [dense[k] for k in idx]), shift)
 
     for _ in range(4):
@@ -113,7 +114,7 @@ def test_isometry_minus_top_layer():
     th = ThetaMatrix.random_rational(2, seed=5)
     M = 4
     for i in range(2):
-        s = fock_generator(i, M, th)
+        s = band(fock_generator(i, M, th))
         d = (s.adjoint() @ s).toarray()
         shape = (M + 1, M + 1)
         expected = np.eye((M + 1) ** 2, dtype=complex)
@@ -123,7 +124,7 @@ def test_isometry_minus_top_layer():
                 expected[idx, idx] = 0
         assert np.allclose(d, expected)
         # so the isometry defect is exactly rank (M+1) on the full space
-        assert abs((s.adjoint() @ s - _identity(2, M)).norm() - 1) < 1e-12
+        assert abs((s.adjoint() @ s - identity(2, M)).norm() - 1) < 1e-12
 
 
 def test_relation_residuals():
@@ -169,7 +170,7 @@ def test_norm_matches_dense_norm_on_every_relation_defect(N, M, kind):
     defects = list(relation_defects(N, th, M))
     assert len(defects) == (N + 1) + 2 * N * (N + 1)
     for d in defects:
-        assert abs(d.norm() - np.linalg.norm(d.toarray(), 2)) <= 1e-12
+        assert abs(d.norm() - np.linalg.norm(band(d).toarray(), 2)) <= 1e-12
 
 
 def _reference_generator(i, M, th):
@@ -181,7 +182,7 @@ def _reference_generator(i, M, th):
                 for j in range(i + 1, n)]
     v = reduce(np.multiply, [f.reshape((M + 1,) + (1,) * (n - 1 - k))
                              for k, f in enumerate(factors)])
-    return SparseOperator(n, M, {tuple(int(j == i) for j in range(n)): v.astype(complex)})
+    return BandOperator(n, M, {tuple(int(j == i) for j in range(n)): v.astype(complex)})
 
 
 def _reference_defects(N, th, M):
@@ -190,9 +191,9 @@ def _reference_defects(N, th, M):
     n = N + 1
     gens = [_reference_generator(i, M, th) for i in range(n)]
     adjs = [g.adjoint() for g in gens]
-    ident = _identity(n, M)
+    ident = identity(n, M)
     mask = (np.arange(M + 1) <= M - 2).astype(float)
-    proj = SparseOperator(n, M, {(0,) * n: reduce(
+    proj = BandOperator(n, M, {(0,) * n: reduce(
         np.multiply, [mask.reshape((M + 1,) + (1,) * (n - 1 - k))
                       for k in range(n)]).astype(complex)})
     out = [((adjs[i] @ gens[i]) - ident) @ proj for i in range(n)]
@@ -232,7 +233,7 @@ def test_closed_forms_match_the_band_algebra_bit_for_bit(N, kind):
 
 def test_norm_refuses_more_than_one_entry_per_row():
     th = ThetaMatrix.random_rational(2, seed=19)
-    two_bands = fock_generator(0, 4, th) + fock_generator(1, 4, th)
+    two_bands = band(fock_generator(0, 4, th)) + fock_generator(1, 4, th)
     with pytest.raises(ValueError):
         two_bands.norm()
     with pytest.raises(ValueError):
@@ -342,21 +343,17 @@ def test_scalar_part():
 
 def test_invariant_examples():
     th = ThetaMatrix.zero(2)
-    e0 = projector_diagonal(0, 1, th)
-    inv0 = class_invariant(e0, [8, 16, 24])
-    assert inv0.as_pair() == (1, 0)
-    em1 = projector_diagonal(-1, 1, th)
-    inv1 = class_invariant(em1, [8, 16, 24])
+    assert class_invariant(projector_diagonal(0, 1, th)).as_pair() == (1, 0)
+    inv1 = class_invariant(projector_diagonal(-1, 1, th))
     assert inv1.as_pair() == (1, 1)
     assert inv1.residual <= 1e-6
-    assert inv1.truncations_used == (8, 16, 24)
 
 
 def test_invariant_winding_sweep_distinct():
     th = ThetaMatrix.zero(2)
     pairs = {}
     for n in range(-3, 4):
-        inv = class_invariant(projector_diagonal(n, 1, th), [8, 16, 24])
+        inv = class_invariant(projector_diagonal(n, 1, th))
         pairs[n] = inv.as_pair()
         assert pairs[n] == (1, -n)
     assert len(set(pairs.values())) == 7
@@ -382,32 +379,35 @@ def test_compact_charge_closed_form_matches_polyfit(N):
             e = projector_diagonal(n, N, th)
             diag = _lifted_diagonal(e)
             longest = max(max(p) for x in diag for (p, q) in x.terms if p == q)
-            # the largest truncations and the smallest that class_invariant
-            # accepts (M+1 = longest exponent) both fit to the closed form
+            inv = class_invariant(e)
+            assert inv.compact_charge == -n
+            # large truncations and the smallest where the trace is a
+            # polynomial (M+1 = longest exponent) both fit to the closed form
             for ms in ([8 * k for k in range(1, N + 3)],
                        [longest - 1 + k for k in range(N + 2)]):
-                inv = class_invariant(e, ms)
-                assert inv.compact_charge == -n
                 fitted = _fitted_charge(diag, inv.dimension_class, N, ms)
                 assert abs(compact_charge(diag) - fitted) < 1e-6, (N, n, ms)
 
 
 def test_invariant_truncation_below_the_longest_word_is_unstable():
     # winding 3 at N=1 lifts to diagonal words up to S_0^3 S_0^3*; below
-    # M+1 = 3 the truncated trace is not yet polynomial and the fit is off
-    e = projector_diagonal(3, 1, ThetaMatrix.zero(2))
-    assert abs(_fitted_charge(_lifted_diagonal(e), 1, 1, [1, 2, 3]) + 3) > 1e-3
-    with pytest.raises(UnstableInvariant):
-        class_invariant(e, [1, 2, 3])
-    assert class_invariant(e, [2, 3, 4]).as_pair() == (1, -3)
+    # M+1 = 3 the truncated trace is not yet polynomial and the fit is off.
+    # The invariant reads the closed form, which takes no cutoff.
+    diag = _lifted_diagonal(projector_diagonal(3, 1, ThetaMatrix.zero(2)))
+    assert abs(_fitted_charge(diag, 1, 1, [1, 2, 3]) + 3) > 1e-3
+    assert abs(_fitted_charge(diag, 1, 1, [2, 3, 4]) + 3) < 1e-6
+    assert class_invariant(projector_diagonal(3, 1, ThetaMatrix.zero(2))).as_pair() == (1, -3)
 
 
 def test_invariant_input_validation():
+    # no list of cutoffs is taken, so none is refused; what is checked is
+    # that both numbers are integers
     e = projector_diagonal(1, 1, ThetaMatrix.zero(2))
-    with pytest.raises(ValueError):
-        class_invariant(e, [8, 16])          # too few truncations
-    with pytest.raises(ValueError):
-        class_invariant(e, [16, 8, 24])      # not ascending
+    assert class_invariant(e).as_pair() == (1, -1)
+    with pytest.raises(TypeError):
+        class_invariant(e, [8, 16])
+    with pytest.raises(UnstableInvariant, match="not an integer"):
+        class_invariant([x.scale(Fraction(1, 2)) for x in e])
 
 
 def lifted_trace_closed_form(n, N, M):
@@ -466,9 +466,19 @@ def test_class_invariant_uses_no_numpy(kind, monkeypatch):
         th = twist(kind, N + 1)
         for n in range(-3, 4):
             diag = projector_diagonal(n, N, th)
-            inv = class_invariant(diag, fock.default_truncations(diag))
+            inv = class_invariant(diag)
             assert inv.as_pair() == (1, -n), (N, n, kind)
             assert kind == "float" or inv.residual == 0.0, (N, n, kind)
+
+
+def test_fock_holds_only_the_residual_and_invariant_path():
+    # the band algebra and the representation only tests reach live in
+    # tests/reference_fock.py
+    for name in ("represent", "truncated_trace", "_identity", "_take",
+                 "default_truncations", "_longest_diagonal"):
+        assert not hasattr(fock, name), name
+    assert [f.name for f in fields(fock.SparseOperator)] == ["n", "M", "bands"]
+    assert {a for a in vars(fock.SparseOperator) if not a.startswith("_")} == {"dim", "norm"}
 
 
 def test_fock_imports_nothing_from_bundles():
