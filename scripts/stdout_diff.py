@@ -3,8 +3,12 @@
 
     python3 scripts/stdout_diff.py --a ../parent --b . \\
         --workloads connections,solve,fock,float --seeds 1,2,3 --readme
+    python3 scripts/stdout_diff.py --rev HEAD~1 --b . --readme
 
-Each tree is a checkout with ``src/heegaard``.  The jobs of the named
+Each tree is a checkout with ``src/heegaard``.  ``--rev REV`` in place of
+``--a`` makes tree a from ``git archive REV`` of this checkout's repository,
+in a temporary directory that is removed afterwards, so no stale
+``__pycache__`` of an older working copy is read.  The jobs of the named
 ``perfbench`` decks are generated once, from this checkout's
 ``perfbench/workloads.py`` (read only), and every tree runs all of them
 in-process, one ``heegaard.cli.main`` call per job, in a subprocess of its
@@ -27,6 +31,7 @@ import json
 import shlex
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -112,6 +117,18 @@ def _jobs(workloads: list, seeds: list, workdir: Path, readme_tree) -> list:
     return jobs
 
 
+def _archive(rev: str, dest: Path) -> Path:
+    """Tree a: the files of ``rev`` in this checkout's repository, under dest."""
+    proc = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+                          capture_output=True)
+    if proc.returncode:
+        raise SystemExit(f"git archive {rev}: {proc.stderr.decode().strip()}")
+    safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+    with tarfile.open(fileobj=io.BytesIO(proc.stdout)) as archive:
+        archive.extractall(dest, **safe)
+    return dest
+
+
 def _run_tree(tree: Path, argvs: list, workdir: Path, tag: str) -> list:
     jobs_path, out_path = workdir / "argv.json", workdir / f"out-{tag}.json"
     jobs_path.write_text(json.dumps(argvs))
@@ -125,7 +142,9 @@ def main(argv=None) -> int:
         _worker(*sys.argv[2:5])
         return 0
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--a", type=Path, required=True, help="first source tree")
+    first = ap.add_mutually_exclusive_group(required=True)
+    first.add_argument("--a", type=Path, help="first source tree")
+    first.add_argument("--rev", help="first tree: git archive of this revision")
     ap.add_argument("--b", type=Path, required=True, help="second source tree")
     ap.add_argument("--workloads", default="connections,solve,fock,float")
     ap.add_argument("--seeds", default="1")
@@ -136,9 +155,10 @@ def main(argv=None) -> int:
     seeds = [int(s) for s in args.seeds.split(",") if s]
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
-        jobs = _jobs(workloads, seeds, workdir, args.a if args.readme else None)
+        tree_a = args.a or _archive(args.rev, workdir / "rev")
+        jobs = _jobs(workloads, seeds, workdir, tree_a if args.readme else None)
         argvs = [argv for _, argv in jobs]
-        a = _run_tree(args.a.resolve(), argvs, workdir, "a")
+        a = _run_tree(tree_a.resolve(), argvs, workdir, "a")
         b = _run_tree(args.b.resolve(), argvs, workdir, "b")
     differ = float_only = 0
     for (label, argv), (code_a, out_a), (code_b, out_b) in zip(jobs, a, b):

@@ -254,9 +254,7 @@ class AlgebraElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        if self.ctx != other.ctx:
-            return False
-        return (self - other).is_zero()
+        return self.ctx == other.ctx and self.terms == other.terms   # both pruned
 
     def __hash__(self):
         raise TypeError("AlgebraElement is not hashable")
@@ -313,12 +311,14 @@ def _canonicalize(ctx: Context,
     theta, table, D, n = ctx.theta, ctx.theta.table, ctx.theta.conductor, ctx.n
     tree, out = _signed_slot_sets(n) if sphere else (), {}
     for (p, q), c in terms.items():
-        if (0 in p or 0 in q) if sphere else not any(p[s] and q[s] for s in unitary):
+        if not sphere:
+            for s in unitary:
+                if p[s] and q[s]:
+                    phase, p, q = _unitary_reduce(theta, unitary, p, q)
+                    c = c.times_exponent(phase, D)
+                    break
+        if not sphere or 0 in p or 0 in q:
             out[p, q] = out[p, q] + c if (p, q) in out else c
-        elif not sphere:
-            phase, pp, qq = _unitary_reduce(theta, unitary, p, q)
-            key, cc = (pp, qq), c.times_exponent(phase, D)
-            out[key] = out[key] + cc if key in out else cc
         else:
             d, ks = tuple(map(sub, p, q)), tuple(map(min, p, q))
             steps = [[k * d[j] * table[s][j] for j in range(s + 1, n) if d[j]]

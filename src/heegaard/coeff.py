@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from math import lcm
+from operator import add, sub
 
 from .phases import FLOAT, FLOAT_TOL, RATIONAL
 
@@ -75,25 +76,29 @@ class Coeff:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other: "Coeff") -> "Coeff":
+    def _combine(self, other: "Coeff", op) -> "Coeff":
+        """self op other, op being + or -, part by part at a common conductor."""
         D = self.D
         if D == other.D:
             terms, others = dict(self.terms), other.terms
         else:
             D, terms, others = _common(self, other)
         for k, w in others.items():
-            s = terms.get(k, 0) + w
+            s = op(terms.get(k, 0), w)
             if s:
                 terms[k] = s
             else:
                 terms.pop(k, None)
         return _new(type(self), D, terms)
 
+    def __add__(self, other: "Coeff") -> "Coeff":
+        return self._combine(other, add)
+
     def __neg__(self) -> "Coeff":
         return _new(type(self), self.D, {k: -w for k, w in self.terms.items()})
 
     def __sub__(self, other: "Coeff") -> "Coeff":
-        return self + (-other)
+        return self._combine(other, sub)
 
     def __mul__(self, other: "Coeff") -> "Coeff":
         D = self.D

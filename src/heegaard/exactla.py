@@ -43,7 +43,8 @@ class _Bounded:
     def __neg__(self) -> "_Bounded":
         return _Bounded(-self.c, self.k)
 
-    __sub__ = Coeff.__sub__                     # self + (-other), as for c
+    def __sub__(self, other: "_Bounded") -> "_Bounded":
+        return _Bounded(self.c - other.c, self.k + other.k)
 
     def scale(self, w) -> "_Bounded":
         return _Bounded(self.c.scale(w), self.k * abs(w))

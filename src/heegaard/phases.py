@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 from typing import Iterable
 
@@ -105,10 +106,16 @@ class ThetaMatrix:
     @cached_property
     def table(self) -> tuple:
         """Dense antisymmetric table ``table[j][k] == entry(j, k) * conductor``
-        (in float mode the fractional part of the entry)."""
-        scaled = frac_part if self.mode == FLOAT else (lambda v: int(v * self.conductor))
-        return tuple(tuple(scaled(self.entry(j, k)) for k in range(self.n))
-                     for j in range(self.n))
+        (in float mode the fractional part of the entry), from one read of
+        each pair j < k; a zero pair keeps the mode's zero, never -0.0."""
+        n, D, exact = self.n, self.conductor, self.mode == RATIONAL
+        scaled = (lambda v: v.numerator * (D // v.denominator)) if exact else frac_part
+        rows = [[0 if exact else 0.0] * n for _ in range(n)]
+        for j, k in combinations(range(n), 2):
+            v = self.entry(j, k)
+            if v:
+                rows[j][k], rows[k][j] = scaled(v), scaled(-v)
+        return tuple(map(tuple, rows))
 
     def is_zero(self) -> bool:
         return not self.upper

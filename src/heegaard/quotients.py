@@ -93,11 +93,8 @@ def is_compatible(t: MultipullbackTuple) -> bool:
     """Whether all pairwise images in B_ij agree: the same words, and equal
     coefficients word by word (no difference element is formed)."""
     comps = t.components
-    for i, j in combinations(range(len(comps)), 2):
-        a, b = pi_i_j(comps[i], j).terms, pi_i_j(comps[j], i).terms
-        if a.keys() != b.keys() or any(c != b[m] for m, c in a.items()):
-            return False
-    return True
+    return all(pi_i_j(comps[i], j).terms == pi_i_j(comps[j], i).terms
+               for i, j in combinations(range(len(comps)), 2))
 
 
 def _shift(v: tuple, s: int, d: int) -> tuple:

@@ -14,6 +14,7 @@ import json
 import sys
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter
 from typing import Any, Dict
 
 from .algebra import SPHERE, AlgebraElement, Context, _canonicalize
@@ -131,45 +132,55 @@ def _terms_to_obj(x: AlgebraElement) -> list:
             for (p, q), c in x.sorted_terms() for rec in _coeff_records(c)]
 
 
+_RATIONAL_FIELDS = ("phase_num", "phase_den", "amp_num", "amp_den")
+_REAL, _MAX = (float, int), sys.float_info.max
+
+
 def _checked(rec: dict, keys: tuple, ok, message: str, path: str, idx: int) -> list:
-    """The values of ``keys`` in the record ``path[idx]``: all present, then
-    each passing ``ok``; the path is formatted only for a bad field."""
-    try:
-        values = [rec[key] for key in keys]
-    except KeyError:
-        key = next(k for k in keys if k not in rec)
-        raise SchemaError(f"{path}[{idx}].{key}", "missing field") from None
-    for key, v in zip(keys, values):
-        if not ok(v):
-            raise SchemaError(f"{path}[{idx}].{key}", message)
-    return values
+    """The values of ``keys`` in the record ``path[idx]``, all present and passing ``ok``."""
+    for key in keys:
+        _expect(key in rec, f"{path}[{idx}].{key}", "missing field")
+    for key in keys:
+        _expect(ok(rec[key]), f"{path}[{idx}].{key}", message)
+    return [rec[key] for key in keys]
 
 
 def _terms_from_obj(ctx: Context, records: Any, path: str) -> AlgebraElement:
     """The element of ``ctx`` whose term records are ``records``: the records
     of one word add up to one term, and the sum is brought to normal form
-    once, so non-canonical words are still reduced.  Each record is checked
-    in one pass.  Rational records are built at one conductor, the lcm of
-    the twist's and every phase denominator, so their sums and twist phases
+    once, so non-canonical words are still reduced.  A record is read after
+    one type test over all its fields; one that fails it takes the per-field
+    checks, in schema order, which name its first bad field or pass it (an
+    ``int`` subclass, say).  Rational records are built at one conductor, the
+    lcm of the twist's and every phase denominator, so sums and twist phases
     need no lift.  A fully interior sphere word, 2^n - 1 words in normal
-    form, is refused when 2^(n-1) exceeds the winding commands' ``MAX_SIZE``."""
+    form, is refused when 2^(n-1) exceeds ``MAX_SIZE``."""
     _expect(isinstance(records, list), path, "expected a list")
     n, rational, parsed = ctx.n, ctx.mode == RATIONAL, []
+    fields = itemgetter("p", "q", "re", "im", *(_RATIONAL_FIELDS if rational else ()))
     not_word = f"expected {n} non-negative integers"
 
     def is_word(v):
         return isinstance(v, list) and len(v) == n and all(_is_int(a) and a >= 0 for a in v)
 
     for idx, rec in enumerate(records):
-        if not isinstance(rec, dict):
-            raise SchemaError(f"{path}[{idx}]", "expected an object")
-        p, q = _checked(rec, ("p", "q"), is_word, not_word, path, idx)
-        re, im = _checked(rec, ("re", "im"), _is_number, "expected a number", path, idx)
-        if rational:
-            v = _checked(rec, ("phase_num", "phase_den", "amp_num", "amp_den"), _is_int,
-                         "expected an integer", path, idx)
-            _checked(rec, ("phase_den", "amp_den"), bool,
-                     "denominator must be nonzero", path, idx)
+        try:
+            p, q, re, im, *v = fields(rec)
+        except (KeyError, TypeError):           # missing field, or not an object
+            plain = False
+        else:
+            plain = (type(rec) is dict and type(p) is type(q) is list and len(p) == n == len(q)
+                     and set(map(type, p + q + v)) == {int} and min(p + q) >= 0
+                     and type(re) in _REAL and type(im) in _REAL
+                     and abs(re) <= _MAX and abs(im) <= _MAX and (not v or v[1] and v[3]))
+        if not plain:
+            _expect(isinstance(rec, dict), f"{path}[{idx}]", "expected an object")
+            p, q = _checked(rec, ("p", "q"), is_word, not_word, path, idx)
+            re, im = _checked(rec, ("re", "im"), _is_number, "expected a number", path, idx)
+            if rational:
+                v = _checked(rec, _RATIONAL_FIELDS, _is_int, "expected an integer", path, idx)
+                _checked(rec, ("phase_den", "amp_den"), bool,
+                         "denominator must be nonzero", path, idx)
         parsed.append(((tuple(p), tuple(q)), v if rational else complex(re, im)))
         if ctx.kind == SPHERE and 0 not in p + q and 2 ** (n - 1) > MAX_SIZE:
             raise SchemaError(f"{path}[{idx}]", f"a fully interior sphere word at n={n} "

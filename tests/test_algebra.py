@@ -10,7 +10,7 @@ from heegaard import (AlgebraElement, Coeff, compact_matrix_unit, generator,
                       h_tail, sphere_defect, unit)
 from heegaard.algebra import (Context, ContextMismatch, _unitary_reduce,
                               range_complement)
-from heegaard.phases import ThetaMatrix
+from heegaard.phases import FLOAT_TOL, RATIONAL, ThetaMatrix
 
 
 def toeplitz(n, seed=None):
@@ -279,6 +279,48 @@ def test_zero_pruning():
     x = generator(ctx, 0)
     assert (x - x).terms == {}
     assert (x - x).is_zero()
+
+
+def test_equality_compares_the_terms_without_a_difference(monkeypatch):
+    # terms are pruned at construction, so two elements are equal exactly
+    # when their term dicts are, word by word under Coeff.__eq__
+    def unreachable(*args):
+        raise AssertionError("equality formed a difference")
+    for name in ("__add__", "__sub__", "__neg__"):
+        monkeypatch.setattr(AlgebraElement, name, unreachable)
+    ctx = Context.toeplitz(ThetaMatrix.from_upper(2, {(0, 1): 0.3}, mode="float"))
+    u, v = ((1, 0), (0, 1)), ((0, 1), (0, 0))
+    x = AlgebraElement(ctx, {u: Coeff.from_complex(0.5 + 0.25j)})
+    assert x == AlgebraElement(ctx, {u: Coeff.from_complex(0.5 + 0.25j + 0.5 * FLOAT_TOL)})
+    assert x != AlgebraElement(ctx, {u: Coeff.from_complex(0.5 + 0.25j + 2 * FLOAT_TOL)})
+    # a word on one side only: pruned below FLOAT_TOL, so equal; kept above
+    below = AlgebraElement(ctx, {**x.terms, v: Coeff.from_complex(0.5 * FLOAT_TOL)})
+    above = AlgebraElement(ctx, {**x.terms, v: Coeff.from_complex(2 * FLOAT_TOL)})
+    assert below == x and x == below and below.terms.keys() == x.terms.keys()
+    assert above != x and x != above
+    assert AlgebraElement.zero(ctx) != x
+    # exact: one value at two conductors, and a word on one side only
+    ctx = toeplitz(2, seed=3)
+    half = Coeff.rational(Fraction(1, 2))
+    lifted = (Coeff.from_phase(Fraction(1, 4), RATIONAL, Fraction(1, 2))
+              * Coeff.from_phase(Fraction(-1, 4), RATIONAL))
+    assert (lifted.D, lifted.terms) == (4, {0: Fraction(1, 2)}) and half.D == 1
+    assert AlgebraElement(ctx, {u: half}) == AlgebraElement(ctx, {u: lifted})
+    assert AlgebraElement(ctx, {u: half}) != AlgebraElement(ctx, {u: half, v: half})
+    assert AlgebraElement(ctx, {u: half}) != AlgebraElement(toeplitz(2), {u: half})
+
+
+@pytest.mark.parametrize("twist", ["den-8", "float"])
+def test_equality_agrees_with_a_zero_difference(twist):
+    rng = rng_for(f"eq-{twist}")
+    for _ in range(40):
+        th = (ThetaMatrix.random_rational(3, seed=rng.randrange(9)) if twist == "den-8"
+              else random_float_theta(3, rng))
+        ctx = Context.toeplitz(th)
+        x = random_element(ctx, rng, nterms=4)
+        for y in (x, x.scale(1), random_element(ctx, rng, nterms=4), x + random_element(
+                ctx, rng, nterms=1).scale(rng.choice([0, 1e-13, 1e-11, 1]))):
+            assert (x == y) == (y == x) == (x - y).is_zero()
 
 
 def _rewrite_loop_normal_form(theta, terms):

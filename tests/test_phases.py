@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_float_theta, rng_for
-from heegaard.phases import (DimensionMismatch, ThetaMatrix,
-                             cocycle_phase, kappa_check_matrix,
+from heegaard.phases import (FLOAT, DimensionMismatch, ThetaMatrix,
+                             cocycle_phase, frac_part, kappa_check_matrix,
                              kappa_inv_matrix, kappa_matrix)
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=12)
@@ -88,6 +88,38 @@ def test_cocycle_identity(lam, mu, nu, seed):
     lhs = cocycle_phase(th, mu, nu) + cocycle_phase(th, lam, mu_nu)
     rhs = cocycle_phase(th, lam, mu) + cocycle_phase(th, lam_mu, nu)
     assert (lhs - rhs).denominator == 1
+
+
+def _table_twists(n):
+    """Zero, rational (entries beyond +-1 and mixed denominators among them)
+    and float twists (integral entries and entries beyond +-1 among them)."""
+    rng = rng_for(f"table-{n}")
+    pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
+    yield ThetaMatrix.zero(n)
+    yield ThetaMatrix.zero(n, FLOAT)
+    yield ThetaMatrix.random_rational(n, seed=n, den=12)
+    dens = [1, 3, 4, 6]
+    yield ThetaMatrix.from_upper(n, {jk: Fraction(rng.randrange(-40, 41), rng.choice(dens))
+                                     for jk in pairs})
+    yield random_float_theta(n, rng)
+    yield ThetaMatrix.from_upper(n, {jk: rng.choice([1.0, -2.0, 0.5, rng.uniform(-5, 5)])
+                                     for jk in pairs}, mode=FLOAT)
+    # some pairs absent: their entries are the mode's zero on both sides
+    yield ThetaMatrix.from_upper(n, {jk: rng.uniform(-3, 3) for jk in pairs[::2]}, mode=FLOAT)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_table_matches_the_entrywise_definition(n):
+    # table[j][k] == entry(j, k) * conductor, as int in rational mode and as
+    # frac_part in float mode, to the bit: integral float entries give 0.0 on
+    # both sides of the diagonal, never -0.0
+    for th in _table_twists(n):
+        D = th.conductor
+        scaled = frac_part if th.mode == FLOAT else (lambda v: int(v * D))
+        expected = tuple(tuple(scaled(th.entry(j, k)) for k in range(n)) for j in range(n))
+        assert th.table == expected and repr(th.table) == repr(expected), th
+        kind = float if th.mode == FLOAT else int
+        assert all(type(v) is kind for row in th.table for v in row)
 
 
 def test_kappa_zero_fixed():

@@ -1,11 +1,14 @@
 """Smoke runs of the scripts in ``scripts/`` at their smallest sizes."""
 
+import importlib.util
 import json
 import os
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -45,6 +48,23 @@ def test_stdout_diff_script_tree_against_itself():
     rows = run_script("stdout_diff.py", "--a", str(ROOT), "--b", str(ROOT),
                       "--workloads", "fock,solve", "--seeds", "0")
     assert rows == [{"jobs": 64, "differ": 0, "float_only": 0}]
+
+
+@pytest.mark.skipif(not (ROOT / ".git").exists(), reason="not a git checkout")
+def test_stdout_diff_script_builds_tree_a_from_a_revision(tmp_path, monkeypatch):
+    # --rev HEAD against the script's own git archive of HEAD: the same
+    # files, so no job differs, and the tree a it made is gone afterwards
+    spec = importlib.util.spec_from_file_location(
+        "stdout_diff", ROOT / "scripts" / "stdout_diff.py")
+    stdout_diff = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(stdout_diff)
+    stdout_diff._archive("HEAD", tmp_path / "head")
+    (tmp_path / "tmp").mkdir()
+    monkeypatch.setenv("TMPDIR", str(tmp_path / "tmp"))
+    rows = run_script("stdout_diff.py", "--rev", "HEAD", "--b", str(tmp_path / "head"),
+                      "--workloads", "solve", "--seeds", "0")
+    assert rows == [{"jobs": 29, "differ": 0, "float_only": 0}]
+    assert list((tmp_path / "tmp").iterdir()) == []
 
 
 def test_stdout_diff_script_reads_each_glue_input(tmp_path):

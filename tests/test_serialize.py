@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -370,6 +371,97 @@ def test_malformed_records_raise_their_literal_path_and_message(mutate, path, me
     with pytest.raises(SchemaError) as exc:
         element_from_obj({"context": serialize.context_to_obj(ctx), "terms": records})
     assert (exc.value.path, str(exc.value)) == (path, f"{path}: {message}")
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _Record(dict):
+    pass
+
+
+def _accepted_variants():
+    """(name, twist mode, change to the second record) for records that fail
+    the one type test over a record's fields, yet pass every per-field check,
+    so they read as their plain forms."""
+    yield "int subclass in p", RATIONAL, lambda r: r.update(p=[_Int(a) for a in r["p"]])
+    yield "int subclass as amp_num", RATIONAL, lambda r: r.update(amp_num=_Int(r["amp_num"]))
+    yield "int subclass as phase_den", RATIONAL, \
+        lambda r: r.update(phase_den=_Int(r["phase_den"]))
+    for mode in (RATIONAL, "float"):
+        yield f"float subclass as re ({mode})", mode, lambda r: r.update(re=_Float(r["re"]))
+        yield f"extra keys ({mode})", mode, lambda r: r.update(note="x", phase=None)
+        yield f"int as im ({mode})", mode, lambda r: r.update(im=int(r["im"]))
+        yield f"dict subclass ({mode})", mode, lambda r: _Record(r)
+
+
+def _records(mode):
+    if mode == RATIONAL:
+        ctx = Context.toeplitz(ThetaMatrix.random_rational(2, seed=4))
+        return ctx, [_record([1, 0], [0, 1], 1, 8, 2, 3), _record([0, 2], [1, 0], 3, 4, -1, 2)]
+    ctx = Context.toeplitz(ThetaMatrix.from_upper(2, {(0, 1): 0.3}, mode="float"))
+    return ctx, [{"p": [1, 0], "q": [0, 1], "re": 0.5, "im": -1.0},
+                 {"p": [0, 2], "q": [1, 0], "re": -0.25, "im": 2.0}]
+
+
+def _read(ctx, records):
+    """The canonical JSON of the element ``records`` read to, or the error."""
+    try:
+        x = element_from_obj({"context": serialize.context_to_obj(ctx), "terms": records})
+    except SchemaError as exc:
+        return str(exc)
+    return to_json(element_to_obj(x))
+
+
+@pytest.mark.parametrize("mode,change", [case[1:] for case in _accepted_variants()],
+                         ids=[case[0] for case in _accepted_variants()])
+def test_records_outside_the_type_test_read_as_their_plain_forms(mode, change):
+    ctx, records = _records(mode)
+    plain = _read(ctx, records)
+    records[1] = change(records[1]) or records[1]
+    assert _read(ctx, records) == plain and not plain.startswith("element")
+
+
+def test_the_type_test_and_the_per_field_checks_agree(monkeypatch):
+    # every record, well formed or not, reads to the same element or the same
+    # error whether the type test runs or every record takes the checks
+    refused = [(RATIONAL, mutate) for _, mutate, _, _ in _bad_record_cases()]
+    refused += [("float", lambda r: r.update(re=float("inf"))),
+                ("float", lambda r: r.update(q=[0, True]))]
+    refused += [(mode, MappingProxyType) for mode in (RATIONAL, "float")]   # not a dict
+    accepted = [(mode, change) for _, mode, change in _accepted_variants()]
+    accepted += [(RATIONAL, lambda r: None), ("float", lambda r: None)]
+    outcomes = []
+    for everything_checked in (False, True):
+        if everything_checked:
+            monkeypatch.setattr(serialize, "_REAL", ())     # no record passes the test
+        outcomes.append([])
+        for mode, change in refused + accepted:
+            ctx, records = _records(mode)
+            records[1] = change(records[1]) or records[1]
+            outcomes[-1].append(_read(ctx, records))
+    assert outcomes[0] == outcomes[1]
+    assert [o.startswith("element.terms[1]") for o in outcomes[0]] == \
+        [True] * len(refused) + [False] * len(accepted)
+
+
+@pytest.mark.parametrize("twist", ["den-12", "float"])
+def test_well_formed_records_skip_the_per_field_checks(twist, monkeypatch):
+    rng = rng_for(f"type-test-{twist}")
+    th = (ThetaMatrix.random_rational(3, seed=1, den=12) if twist == "den-12"
+          else random_float_theta(3, rng))
+    ctx = Context.toeplitz(th)
+    x = random_element(ctx, rng, nterms=6, degree=4)
+
+    def unreachable(*args):
+        raise AssertionError("a well-formed record took the per-field checks")
+    monkeypatch.setattr(serialize, "_checked", unreachable)
+    assert element_from_obj(element_to_obj(x)) == x
 
 
 @pytest.mark.parametrize("record", [3, "p", None, [], [1, 0]])
