@@ -23,9 +23,9 @@ range-complement product prod_j (1 - w_j w_j*).
 
 ``AlgebraElement.__mul__`` evaluates this formula once per pair of terms:
 q - p of each left word and t - r of each right word are taken once, and
-one pass over the slots builds the word and sums phi in a fixed order (a
-ascending, then c ascending, zero integer factors skipped), so float phases
-repeat bit for bit.
+one pass over the slots builds the word and sums phi.  A float twist's
+entries are exact dyadic rationals, so phi is an exact integer in both
+modes and the order of its sum does not matter.
 
 Reducing W_p W_q* on a slot set V cancels the min(p_s, q_s) pairs w_s w_s*
 of each s in V for the phase sum_{s in V} min(p_s, q_s) sum_{j>s}
@@ -49,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from operator import sub
+from operator import mul, sub
 from typing import Dict, Tuple
 
 from .coeff import Coeff
@@ -301,9 +301,8 @@ def _canonicalize(ctx: Context,
     one of them.  In the sphere quotient a fully-interior word (no zero
     exponent) is the inclusion-exclusion sum over the slot sets V of the
     module docstring, and terms with none are wrapped as they are.  The
-    reduction on V extends the one on V minus its last slot s by the phase
-    terms k_s (p_j - q_j) theta_sj, j > s, formed once per word and added in
-    ``_unitary_reduce``'s order, so float phases repeat bit for bit.
+    reduction on V extends the one on V minus its last slot s by the integer
+    phase k_s sum_{j>s} (p_j - q_j) table[s][j], formed once per word.
     """
     sphere, unitary = ctx.kind == SPHERE, ctx.unitary
     if not unitary and not (sphere and any(0 not in p + q for p, q in terms)):
@@ -321,13 +320,11 @@ def _canonicalize(ctx: Context,
             out[p, q] = out[p, q] + c if (p, q) in out else c
         else:
             d, ks = tuple(map(sub, p, q)), tuple(map(min, p, q))
-            steps = [[k * d[j] * table[s][j] for j in range(s + 1, n) if d[j]]
-                     for s, k in enumerate(ks)]
+            steps = [k * sum(map(mul, d[s + 1:], table[s][s + 1:])) for s, k in enumerate(ks)]
             reduced = []
             for prefix, s, sign in tree:
                 phase, pp, qq = reduced[prefix] if prefix >= 0 else (0, p, q)
-                for x in steps[s]:
-                    phase += x
+                phase += steps[s]
                 pp = pp[:s] + (pp[s] - ks[s],) + pp[s + 1:]
                 qq = qq[:s] + (qq[s] - ks[s],) + qq[s + 1:]
                 reduced.append((phase, pp, qq))

@@ -9,7 +9,8 @@ Gaussian-rational amplitudes need no real/imaginary bookkeeping.
 In float mode (``FloatCoeff``) a complex z is the one-term sum {0: z}: C is
 the group ring at conductor 1.  So the float class inherits the arithmetic
 and overrides only how a phase is applied (folded into the weight), the
-zero test (``FLOAT_TOL``) and the readers.
+zero test (``FLOAT_TOL``) and the readers.  A phase e(k/D) arrives in both
+modes as an exact integer k over the twist's conductor D.
 """
 
 from __future__ import annotations

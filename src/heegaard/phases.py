@@ -1,8 +1,10 @@
 """Exact phase arithmetic and twist-matrix transformations.
 
-Phases are kept as exponents t of e^{2*pi*i*t}.  In rational mode t is a
-``Fraction``, or the integer t*D mod the twist's conductor D, and exact; in
-float mode t is a double, and scalars built from it compare with tolerance
+Phases are kept as exponents t of e^{2*pi*i*t}: a ``Fraction``, or the
+integer t*D over the twist's conductor D, exact in both modes.  A float
+twist entry is its exact double, a dyadic m/2^e (0.1 is
+3602879701896397/2^55), so the mode chooses only the scalar class:
+float-mode scalars are complex amplitudes that compare with tolerance
 ``FLOAT_TOL``.
 """
 
@@ -31,8 +33,8 @@ class ThetaMatrix:
     """Antisymmetric (N+1)x(N+1) twist matrix.
 
     Only the strict upper triangle is stored, which makes antisymmetry a
-    structural invariant rather than a runtime check.  ``mode`` is uniform
-    over all entries.
+    structural invariant rather than a runtime check.  Every entry is a
+    ``Fraction``; ``mode`` picks the scalar class of the algebra over it.
     """
 
     n: int                      # number of generators, N+1
@@ -47,8 +49,8 @@ class ThetaMatrix:
         for (j, k), v in self.upper:
             if not (0 <= j < k < self.n):
                 raise ValueError(f"bad index pair ({j},{k})")
-            if self.mode == RATIONAL and not isinstance(v, Fraction):
-                raise TypeError("rational mode requires Fraction entries")
+            if not isinstance(v, Fraction):
+                raise TypeError("twist entries must be Fractions")
 
     # -- constructors ------------------------------------------------------
 
@@ -59,8 +61,8 @@ class ThetaMatrix:
     @classmethod
     def from_upper(cls, n: int, entries: dict, mode: str = RATIONAL) -> "ThetaMatrix":
         """Build from a {(j, k): value} dict; (k, j) stands for (j, k) with the
-        value negated, and a pair may be given only one way."""
-        conv = Fraction if mode == RATIONAL else float
+        value negated, and a pair may be given only one way.  A float value
+        is kept as its exact double."""
         items = {}
         for (j, k), v in entries.items():
             if j == k:
@@ -71,7 +73,7 @@ class ThetaMatrix:
                 j, k, v = k, j, -v
             if (j, k) in items:
                 raise ValueError(f"pair {(j, k)} given as both {(j, k)} and {(k, j)}")
-            items[(j, k)] = conv(v)
+            items[(j, k)] = Fraction(v)
         return cls(n, mode, tuple(sorted((jk, v) for jk, v in items.items() if v)))
 
     @classmethod
@@ -89,32 +91,32 @@ class ThetaMatrix:
     def entry(self, j: int, k: int):
         if not (0 <= j < self.n and 0 <= k < self.n):
             raise IndexError(f"index out of range: ({j},{k})")
-        zero = Fraction(0) if self.mode == RATIONAL else 0.0
-        if j == k:
-            return zero
-        key = (j, k) if j < k else (k, j)
-        for kk, v in self.upper:
-            if kk == key:
-                return v if j < k else -v
-        return zero
+        if j != k:
+            key = (j, k) if j < k else (k, j)
+            for kk, v in self.upper:
+                if kk == key:
+                    return v if j < k else -v
+        return Fraction(0)
 
     @cached_property
     def conductor(self) -> int:
-        """D with every entry in (1/D)Z (1 in float mode)."""
-        return 1 if self.mode == FLOAT else lcm(1, *(v.denominator for _, v in self.upper))
+        """D with every entry in (1/D)Z: the lcm of the entries' denominators,
+        a power of 2 for a float twist."""
+        return lcm(1, *(v.denominator for _, v in self.upper))
 
     @cached_property
     def table(self) -> tuple:
-        """Dense antisymmetric table ``table[j][k] == entry(j, k) * conductor``
-        (in float mode the fractional part of the entry), from one read of
-        each pair j < k; a zero pair keeps the mode's zero, never -0.0."""
-        n, D, exact = self.n, self.conductor, self.mode == RATIONAL
-        scaled = (lambda v: v.numerator * (D // v.denominator)) if exact else frac_part
-        rows = [[0 if exact else 0.0] * n for _ in range(n)]
+        """Dense antisymmetric table of ints ``table[j][k] ==
+        frac_part(entry(j, k)) * conductor``, from one read of each pair
+        j < k.  A phase reads an entry only mod 1, and an integer part left
+        in would reach a float phase's argument: at an entry of 1e300 e(k/D)
+        would be evaluated at k/D near 1e300 and lose every digit."""
+        n, D = self.n, self.conductor
+        rows = [[0] * n for _ in range(n)]
         for j, k in combinations(range(n), 2):
-            v = self.entry(j, k)
-            if v:
-                rows[j][k], rows[k][j] = scaled(v), scaled(-v)
+            v = frac_part(self.entry(j, k))
+            rows[j][k] = v.numerator * (D // v.denominator)
+            rows[k][j] = -rows[j][k]
         return tuple(map(tuple, rows))
 
     def is_zero(self) -> bool:
@@ -141,11 +143,10 @@ def check_dims(theta: ThetaMatrix, *indices: Iterable[int]) -> None:
 def cocycle_phase(theta: ThetaMatrix, mu, nu):
     """Exponent t = (1/2) mu^T theta nu, so the scalar is e^{pi*i*mu^T.theta.nu}."""
     check_dims(theta, mu, nu)
-    half = Fraction(1, 2) if theta.mode == RATIONAL else 0.5
-    acc = Fraction(0) if theta.mode == RATIONAL else 0.0
+    acc = Fraction(0)
     for (j, k), v in theta.upper:
         acc += v * (mu[j] * nu[k] - mu[k] * nu[j])
-    return half * acc
+    return acc / 2
 
 
 def _gauge(theta: ThetaMatrix, i: int, sign: int) -> ThetaMatrix:

@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import random_element, rng_for
+from conftest import random_element, random_float_theta, rng_for
 from heegaard import (AlgebraElement, degree_decompose, extend_hom,
                       fixed_point_context, fixed_quotient_context, generator,
                       invariant_expectation, kappa_gen_inv, kappa_gen_map,
@@ -44,6 +45,17 @@ def test_kappa_gen_roundtrip():
         for _ in range(8):
             x = random_element(ctx, rng)
             assert kappa_gen_inv(i, kappa_gen_map(i, x)) == x
+
+
+def test_float_kappa_gen_roundtrip():
+    # the gauged twist of a float twist is exact, so the inverse regrading
+    # lands back in B_i of the same twist, not of a rounded one
+    for seed in range(50):
+        rng = random.Random(seed)
+        th = random_float_theta(3, rng)
+        for i in range(3):
+            x = random_element(Context.quotient(th, i), rng)
+            assert kappa_gen_inv(i, kappa_gen_map(i, x)) == x, (seed, i)
 
 
 def test_kappa_gen_regrades_into_slot():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -110,16 +111,15 @@ def _table_twists(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_table_matches_the_entrywise_definition(n):
-    # table[j][k] == entry(j, k) * conductor, as int in rational mode and as
-    # frac_part in float mode, to the bit: integral float entries give 0.0 on
-    # both sides of the diagonal, never -0.0
+    # table[j][k] == frac_part(entry(j, k)) * conductor exactly, as an int in
+    # both modes: a float entry is its exact double, over a power of 2
     for th in _table_twists(n):
         D = th.conductor
-        scaled = frac_part if th.mode == FLOAT else (lambda v: int(v * D))
-        expected = tuple(tuple(scaled(th.entry(j, k)) for k in range(n)) for j in range(n))
-        assert th.table == expected and repr(th.table) == repr(expected), th
-        kind = float if th.mode == FLOAT else int
-        assert all(type(v) is kind for row in th.table for v in row)
+        expected = tuple(tuple(int(frac_part(th.entry(j, k)) * D) for k in range(n))
+                         for j in range(n))
+        assert th.table == expected, th
+        assert all(type(v) is int for row in th.table for v in row)
+        assert all((th.entry(j, k) * D).denominator == 1 for j in range(n) for k in range(n))
 
 
 def test_kappa_zero_fixed():
@@ -144,6 +144,18 @@ def test_kappa_roundtrip(seed, i):
     th = random_theta(4, seed)
     assert kappa_inv_matrix(kappa_matrix(th, i), i) == th
     assert kappa_matrix(kappa_inv_matrix(th, i), i) == th
+
+
+def test_float_kappa_roundtrip_is_exact():
+    # a float entry is its exact double, so the gauge sums are exact and
+    # kappa_i^{-1} kappa_i is the identity on float twists too
+    for seed in range(200):
+        rng = random.Random(seed)
+        th = ThetaMatrix.from_upper(4, {(j, k): rng.uniform(-1, 1)
+                                        for j in range(4) for k in range(j + 1, 4)},
+                                    mode=FLOAT)
+        for i in range(4):
+            assert kappa_inv_matrix(kappa_matrix(th, i), i) == th, (seed, i)
 
 
 def keep_loop_check_matrix(theta, i):
