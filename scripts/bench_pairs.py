@@ -1,0 +1,106 @@
+#!/usr/bin/env python3
+"""Paired benchmark runs of a parent revision and a working tree.
+
+    python3 scripts/bench_pairs.py --rev HEAD~1 --b . --workload connections \\
+        --seed 1 --pairs 10 --seconds 20
+
+Tree a is ``git archive REV`` of this checkout's repository; tree b is a copy
+of the ``src/`` and ``perfbench/`` directories of ``--b`` without any
+``__pycache__``.  Both are made in a temporary directory that is removed
+afterwards, so neither reads bytecode caches that a test run left behind:
+``peak_rss_mb`` counts the pages of the modules the harness compiles at
+import, and a cache lowers it by about a megabyte.  Each pair runs
+``perfbench/run.py --trace 0`` once in each tree, with
+``PYTHONDONTWRITEBYTECODE=1``, tree a first in even pairs and tree b first
+in odd ones.  The script prints one JSON line per run, then a JSON summary:
+per end-to-end metric, each side's median and quartiles, the change of the
+medians, and in how many pairs tree b did better (the direction is read
+from ``BENCHMARK.json``).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from stdout_diff import ROOT, _archive  # noqa: E402
+
+
+def _copy(tree: Path, dest: Path) -> Path:
+    """Tree b: the ``src/`` and ``perfbench/`` of ``tree``, without caches."""
+    for name in ("src", "perfbench"):
+        shutil.copytree(tree / name, dest / name,
+                        ignore=shutil.ignore_patterns("__pycache__", ".perfbench_out"))
+    return dest
+
+
+def _run(tree: Path, args) -> dict:
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", args.workload,
+                           "--seed", str(args.seed), "--seconds", str(args.seconds),
+                           "--trace", "0"],
+                          cwd=tree, env=env, capture_output=True, text=True, check=True)
+    result = json.loads(proc.stdout.splitlines()[-1])
+    return {"failed": result["failed"],
+            "metrics": {k: m["value"] for k, m in result["metrics"].items()}}
+
+
+def _spread(values: list) -> dict:
+    q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                      if len(values) > 1 else values * 3)
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarize(runs: list, better: dict) -> dict:
+    """Per metric: each side's median and quartiles, the relative change of
+    the medians, and the pairs in which side b did better."""
+    out = {}
+    for name in runs[0]["a"]["metrics"]:
+        a = [r["a"]["metrics"][name] for r in runs]
+        b = [r["b"]["metrics"][name] for r in runs]
+        sign = -1 if better.get(name) == "lower" else 1
+        sa, sb = _spread(a), _spread(b)
+        out[name] = {"a": sa, "b": sb,
+                     "change": (sb["median"] / sa["median"] - 1) if sa["median"] else None,
+                     "wins": sum(sign * (y - x) > 0 for x, y in zip(a, b))}
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--rev", required=True, help="tree a: git archive of this revision")
+    ap.add_argument("--b", type=Path, default=Path("."), help="tree b: a source tree")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=20.0)
+    args = ap.parse_args(argv)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = {"a": _archive(args.rev, Path(tmp) / "a"),
+                 "b": _copy(args.b.resolve(), Path(tmp) / "b")}
+        for pair in range(args.pairs):
+            order = ("a", "b") if pair % 2 == 0 else ("b", "a")
+            run = {}
+            for side in order:
+                run[side] = _run(trees[side], args)
+                print(json.dumps({"pair": pair, "tree": side, **run[side]}), flush=True)
+            runs.append(run)
+    print(json.dumps({"workload": args.workload, "seed": args.seed, "pairs": args.pairs,
+                      "failed": {s: sum(r[s]["failed"] for r in runs) for s in "ab"},
+                      "metrics": summarize(runs, better)}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

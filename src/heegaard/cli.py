@@ -39,7 +39,10 @@ def _read(path, what: str) -> str:
     """The UTF-8 text at ``path``, or on standard input for None."""
     try:
         with open(path, "rb") if path is not None else nullcontext(sys.stdin.buffer) as fh:
-            data = fh.read(MAX_INPUT_BYTES + 1)
+            data = bytearray()      # in chunks: read(n) allocates n bytes up front
+            while len(data) <= MAX_INPUT_BYTES and (
+                    chunk := fh.read(min(1 << 16, MAX_INPUT_BYTES + 1 - len(data)))):
+                data += chunk
         if len(data) <= MAX_INPUT_BYTES:
             return data.decode("utf-8")
     except (OSError, ValueError) as exc:   # ValueError: undecodable, or NUL in path
@@ -141,7 +144,7 @@ def _run(args) -> int:
 
     if args.command == "connection":
         conn = strong_connection(args.n, args.N, theta)
-        _emit(serialize.tensor_to_obj(conn), args.output)
+        _emit(conn, args.output)
         return 0
 
     if args.command == "verify":
@@ -157,7 +160,7 @@ def _run(args) -> int:
 
     if args.command == "projector":
         e = chern_galois_projector(args.n, args.N, theta)
-        _emit(serialize.projector_to_obj(e), args.output)
+        _emit(e, args.output)
         return 0
 
     if args.command == "invariant":
@@ -194,9 +197,11 @@ def _run_glue(args) -> int:
         obj = serialize.from_json(text)
         if not isinstance(obj, dict) or not isinstance(obj.get("components"), list):
             raise serialize.SchemaError("$", "expected an object with a components list")
-        comps = tuple(serialize.element_from_obj(c, f"components[{i}]")
-                      for i, c in enumerate(obj["components"]))
-        t = MultipullbackTuple(comps)
+        comps, first = [], None     # a twist equal to component 0's is parsed once
+        for i, c in enumerate(obj["components"]):
+            comps.append(serialize.element_from_obj(c, f"components[{i}]", first))
+            first = first or (repr(c["context"]["theta"]), comps[0].ctx.theta)
+        t = MultipullbackTuple(tuple(comps))
     except (serialize.SchemaError, ValueError) as exc:
         raise UsageError(str(exc)) from None
     try:
@@ -207,10 +212,9 @@ def _run_glue(args) -> int:
     except LiftRounding as exc:         # no witness
         raise UsageError(str(exc)) from None
     try:
-        obj = serialize.element_to_obj(lifted)
+        _emit(lifted, args.output)
     except OverflowError as exc:        # an amplitude whose re/im has no float
         raise UsageError(f"coefficient outside float range: {exc}") from None
-    _emit(obj, args.output)
     return 0
 
 

@@ -12,7 +12,7 @@ a union-find over the words of their spanning vectors, with no linear solve
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations, product
 from math import comb
@@ -118,7 +118,7 @@ def _glue_support(t: MultipullbackTuple):
         return chosen.get(key(j, p, q), 0)
 
     words = [(k, p, q) for k, b in enumerate(t.components) for p, q in b.terms]
-    votes = defaultdict(Counter)
+    votes = defaultdict(lambda: defaultdict(int))
     for k, p, q in words:
         for j in range(k + 1, n):
             votes[key(j, p, q)][min(p[j], q[j])] += 1

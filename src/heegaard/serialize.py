@@ -4,7 +4,8 @@ Rational-mode output is canonical: terms are sorted by multi-index and each
 scalar is split into one record per phase with an exact rational amplitude
 (amp_num/amp_den) alongside the informational re/im floats.  Serialization
 is therefore byte-deterministic and round-trips exactly.  Float-mode records
-carry re/im only.
+carry re/im only.  ``to_json`` writes documents record by record, rendering
+each distinct scalar once: 3.11's json encoder keeps ~20 strings a record alive.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import cmath
 import json
 import sys
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter
 from typing import Any, Dict
 
@@ -100,9 +101,10 @@ def context_to_obj(ctx: Context) -> Dict[str, Any]:
             "theta": theta_to_obj(ctx.theta)}
 
 
-def context_from_obj(obj: Any, path: str = "context") -> Context:
+def context_from_obj(obj: Any, path: str = "context", known=None) -> Context:
     kind, unitary, theta = _fields(obj, path, "kind", "unitary", "theta")
-    theta = theta_from_obj(theta, f"{path}.theta")
+    theta = (known[1] if known and repr(theta) == known[0]  # (repr of a twist's JSON, it)
+             else theta_from_obj(theta, f"{path}.theta"))
     _expect(isinstance(unitary, list) and all(_is_int(v) for v in unitary),
             f"{path}.unitary", "expected a list of integers")
     try:
@@ -113,23 +115,21 @@ def context_from_obj(obj: Any, path: str = "context") -> Context:
 
 # -- scalars and terms ------------------------------------------------------
 
-def _coeff_records(c: Coeff):
-    """One record per phase (rational) or a single re/im record (float)."""
-    if c.mode == FLOAT:
-        z = c.to_complex()
-        return [{"re": z.real, "im": z.imag}]
-    records = []
-    for k, w in sorted(c.terms.items()):
-        z, t = complex(w) * cmath.exp(2j * cmath.pi * (k / c.D)), Fraction(k, c.D)
-        records.append({"re": z.real, "im": z.imag,
-                        "phase_num": t.numerator, "phase_den": t.denominator,
-                        "amp_num": w.numerator, "amp_den": w.denominator})
-    return records
-
-
-def _terms_to_obj(x: AlgebraElement) -> list:
-    return [{"p": list(p), "q": list(q), **rec}
-            for (p, q), c in x.sorted_terms() for rec in _coeff_records(c)]
+def _pieces(c: Coeff, cache: dict):
+    """Each record of ``c`` (per phase; one re/im in float mode) as its text before "p",
+    between "p" and "q" and after "q", rendered once per (k, w, D) key into ``cache``."""
+    rational, D = c.mode == RATIONAL, c.D
+    for k, w in sorted(c.terms.items()) if rational else [(0, c.to_complex())]:
+        key = k, w, D if rational or w.real and w.imag else repr(w)   # -0.0 == 0.0
+        if key not in cache:
+            z, head, mid = w, "", ""
+            if rational:
+                z, g = complex(w) * cmath.exp(2j * cmath.pi * (k / D)), gcd(k, D)
+                head = f'"amp_den":{w.denominator!r},"amp_num":{w.numerator!r},'
+                mid = f',"phase_den":{D // g!r},"phase_num":{k // g!r}'
+            re, im = map(repr if cmath.isfinite(z) else json.dumps, (z.real, z.imag))  # NaN
+            cache[key] = f'{{{head}"im":{im}', mid, f',"re":{re}}}'
+        yield cache[key]
 
 
 _RATIONAL_FIELDS = ("phase_num", "phase_den", "amp_num", "amp_den")
@@ -202,24 +202,23 @@ def _terms_from_obj(ctx: Context, records: Any, path: str) -> AlgebraElement:
 # -- elements, tensors and projectors ---------------------------------------
 
 def element_to_obj(x: AlgebraElement) -> Dict[str, Any]:
-    return {"context": context_to_obj(x.ctx), "terms": _terms_to_obj(x)}
+    return json.loads(to_json(x))
 
 
 def vector_to_obj(v) -> list:
     """A {(p, q): Coeff} vector as [[p, q, <Coeff records>], ...], sorted by word."""
-    return [[list(p), list(q), _coeff_records(v[(p, q)])] for p, q in sorted(v)]
+    return [[list(p), list(q), [json.loads("".join(r)) for r in _pieces(v[p, q], {})]]
+            for p, q in sorted(v)]
 
 
-def element_from_obj(obj: Any, path: str = "element") -> AlgebraElement:
+def element_from_obj(obj: Any, path: str = "element", known=None) -> AlgebraElement:
     ctx, terms = _fields(obj, path, "context", "terms")
-    ctx = context_from_obj(ctx, f"{path}.context")
+    ctx = context_from_obj(ctx, f"{path}.context", known)
     return _terms_from_obj(ctx, terms, f"{path}.terms")
 
 
 def tensor_to_obj(t: TensorElement) -> Dict[str, Any]:
-    return {"context": context_to_obj(t.ctx),
-            "summands": [{"left": _terms_to_obj(a), "right": _terms_to_obj(r)}
-                         for a, r in t.summands]}
+    return json.loads(to_json(t))
 
 
 def tensor_from_obj(obj: Any, path: str = "tensor") -> TensorElement:
@@ -236,9 +235,7 @@ def tensor_from_obj(obj: Any, path: str = "tensor") -> TensorElement:
 
 
 def projector_to_obj(e: ProjectorMatrix) -> Dict[str, Any]:
-    return {"n": e.winding, "size": e.size,
-            "context": context_to_obj(e.entries[0][0].ctx),
-            "entries": [[_terms_to_obj(x) for x in row] for row in e.entries]}
+    return json.loads(to_json(e))
 
 
 def projector_from_obj(obj: Any, path: str = "projector") -> ProjectorMatrix:
@@ -258,9 +255,29 @@ def projector_from_obj(obj: Any, path: str = "projector") -> ProjectorMatrix:
     return ProjectorMatrix(n, tuple(rows))
 
 
-def to_json(obj: Dict[str, Any]) -> str:
-    """Canonical rendering: sorted keys, no whitespace variation."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+def to_json(obj) -> str:
+    """Canonical rendering: sorted keys, no whitespace variation (module docstring)."""
+    if not isinstance(obj, (AlgebraElement, TensorElement, ProjectorMatrix)):
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    cache = {}
+
+    def terms(x: AlgebraElement) -> str:
+        records = []
+        for (p, q), c in x.sorted_terms():
+            p, q = ",".join(map(repr, p)), ",".join(map(repr, q))
+            records += [f'{a},"p":[{p}]{b},"q":[{q}]{e}' for a, b, e in _pieces(c, cache)]
+        return f'[{",".join(records)}]'
+
+    if isinstance(obj, AlgebraElement):
+        body = f'"terms":{terms(obj)}'
+    elif isinstance(obj, TensorElement):
+        pairs = ",".join(f'{{"left":{terms(a)},"right":{terms(r)}}}' for a, r in obj.summands)
+        body = f'"summands":[{pairs}]'
+    else:
+        rows = ",".join(f'[{",".join(map(terms, row))}]' for row in obj.entries)
+        body = f'"entries":[{rows}],"n":{obj.winding!r},"size":{obj.size!r}'
+    ctx = obj.entries[0][0].ctx if isinstance(obj, ProjectorMatrix) else obj.ctx
+    return f'{{"context":{to_json(context_to_obj(ctx))},{body}}}'
 
 
 def from_json(text: str) -> Any:

@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -276,6 +277,59 @@ def test_glue_roundtrip(tmp_path, capsys):
     lifted = element_from_obj(json.loads(out))
     for i in range(2):
         assert sigma_i(lifted, i) == t.components[i]
+
+
+def _four_slot_components():
+    ctx = Context.toeplitz(ThetaMatrix.random_rational(4, seed=3))
+    x = generator(ctx, 0) * generator(ctx, 3).star() + generator(ctx, 2) + unit(ctx)
+    return [element_to_obj(c) for c in MultipullbackTuple.from_element(x).components]
+
+
+def test_glue_components_share_one_parsed_twist(tmp_path, capsys, monkeypatch):
+    tuples, parses, parse = [], [], serialize.theta_from_obj
+    monkeypatch.setattr(cli, "glue", lambda t: tuples.append(t) or quotients.glue(t))
+    monkeypatch.setattr(serialize, "theta_from_obj",
+                        lambda *args: parses.append(args) or parse(*args))
+    path = tmp_path / "tuple.json"
+    path.write_text(json.dumps({"components": _four_slot_components()}))
+    assert run(capsys, "glue", "--input", str(path))[0] == 0
+    (t,) = tuples
+    assert len(t.components) == 4 and len(parses) == 1
+    assert all(c.ctx.theta is t.components[0].ctx.theta for c in t.components)
+
+
+@pytest.mark.parametrize("other", [ThetaMatrix.random_rational(4, seed=4), "den 8.0"])
+def test_glue_parses_a_component_with_another_twist_on_its_own(tmp_path, capsys, other):
+    # another twist is refused with the message of a separate parse; one that
+    # differs in a JSON type alone (8.0 for 8) is refused by its schema check
+    comps = _four_slot_components()
+    theta = comps[2]["context"]["theta"]
+    if other == "den 8.0":
+        theta["upper"][0][3] = float(theta["upper"][0][3])
+        message = "components[2].context.theta.upper[0]: expected integers"
+    else:
+        comps[2]["context"]["theta"] = theta_to_obj(other)
+        with pytest.raises(ValueError) as exc:
+            MultipullbackTuple(tuple(element_from_obj(c) for c in comps))
+        message = str(exc.value)
+    path = tmp_path / "tuple.json"
+    path.write_text(json.dumps({"components": comps}))
+    code, out, err = run(capsys, "glue", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: {message}\n")
+
+
+def test_read_takes_small_inputs_in_small_chunks(tmp_path):
+    # not one MAX_INPUT_BYTES buffer up front
+    path = tmp_path / "input.json"
+    path.write_text("0" * 4096)
+    tracemalloc.start()
+    try:
+        text = cli._read(str(path), "input")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) == 4096 and peak < 1 << 20
 
 
 def test_glue_incompatible(tmp_path, capsys):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_element, random_float_theta, rng_for
+from reference_serialize import vector_records
 from reference_solve import solve_exact as reference_solve
 from heegaard import cli, exactla, quotients, serialize
 from heegaard import (AlgebraElement, CocycleReport, Coeff, IncompatibleTuple,
@@ -372,10 +373,6 @@ def test_basis_monomials_match_generate_and_filter(n):
                     (d, zero, positive)
 
 
-def _vector_records(v):
-    return [[list(p), list(q), serialize._coeff_records(v[(p, q)])] for p, q in sorted(v)]
-
-
 def _per_vector_failures(theta, degree):
     """Span-equality witnesses from one exact solve per vector, independent
     of the union-find: the triple, the first word and the whole vector,
@@ -389,14 +386,14 @@ def _per_vector_failures(theta, degree):
             for a, b, vectors, span in ((i, j, side_a, side_b), (j, i, side_b, side_a)):
                 v = next((v for v in vectors if reference_solve(span, v) is None), None)
                 if v is not None:
-                    failures.append([a, b, k, [list(m) for m in min(v)], _vector_records(v)])
+                    failures.append([a, b, k, [list(m) for m in min(v)], vector_records(v)])
                     break
     return failures
 
 
 def _cocycle_failures(theta, degree):
     """``cocycle_check`` failures in the CLI's JSON form."""
-    return [[i, j, k, [list(m[0]), list(m[1])], _vector_records(v)]
+    return [[i, j, k, [list(m[0]), list(m[1])], vector_records(v)]
             for i, j, k, m, v in cocycle_check(theta, degree).failures]
 
 
@@ -464,7 +461,7 @@ def test_cocycle_witness_carries_the_whole_vector(monkeypatch, capsys):
     code = cli.main(["cocycle", "--N", "2", "--degree", "2", "--theta", th_arg])
     out = json.loads(capsys.readouterr().out)
     assert code == 1
-    assert out["failures"] == [[0, 1, 2, [list(b[0]), list(b[1])], _vector_records(bad)]]
+    assert out["failures"] == [[0, 1, 2, [list(b[0]), list(b[1])], vector_records(bad)]]
     assert [w[:2] for w in out["failures"][0][4]] == [[list(b[0]), list(b[1])],
                                                       [list(a[0]), list(a[1])]]
     assert out["failures"] == _per_vector_failures(th, 2)

@@ -67,6 +67,21 @@ def test_stdout_diff_script_builds_tree_a_from_a_revision(tmp_path, monkeypatch)
     assert list((tmp_path / "tmp").iterdir()) == []
 
 
+@pytest.mark.skipif(not (ROOT / ".git").exists(), reason="not a git checkout")
+def test_bench_pairs_script_reports_every_metric():
+    rows = run_script("bench_pairs.py", "--rev", "HEAD", "--b", str(ROOT),
+                      "--workload", "fock", "--seed", "0", "--pairs", "1", "--seconds", "1")
+    metrics = {"jobs_per_s", "job_p50_s", "job_tail_s", "peak_rss_mb", "setup_s"}
+    assert [(r["pair"], r["tree"]) for r in rows[:-1]] == [(0, "a"), (0, "b")]
+    assert all(set(r["metrics"]) == metrics and r["failed"] == 0 for r in rows[:-1])
+    summary = rows[-1]
+    assert set(summary["metrics"]) == metrics
+    assert summary["failed"] == {"a": 0, "b": 0}
+    for m in summary["metrics"].values():
+        assert m["a"]["q1"] <= m["a"]["median"] <= m["a"]["q3"]
+        assert m["wins"] in (0, 1)
+
+
 def test_stdout_diff_script_reads_each_glue_input(tmp_path):
     # a tree whose glue cap refuses every word differs from this one on the
     # glue jobs alone (exit 0 against 2), so every glue job read its input

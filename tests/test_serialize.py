@@ -1,3 +1,5 @@
+import json
+import tracemalloc
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -6,16 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_element, random_float_theta, rng_for
+from reference_serialize import reference_dict, vector_records
 from heegaard import (AlgebraElement, Coeff, chern_galois_projector, generator,
                       serialize, strong_connection, unit)
 from heegaard.algebra import Context
-from heegaard.bundles import ProjectorMatrix
-from heegaard.phases import RATIONAL, ThetaMatrix
+from heegaard.bundles import ProjectorMatrix, TensorElement
+from heegaard.coeff import _new
+from heegaard.phases import FLOAT, RATIONAL, ThetaMatrix
 from heegaard.serialize import (SchemaError, element_from_obj, element_to_obj,
                                 from_json, projector_from_obj,
                                 projector_to_obj, tensor_from_obj,
                                 tensor_to_obj, theta_from_obj, theta_to_obj,
-                                to_json)
+                                to_json, vector_to_obj)
 
 
 def test_theta_roundtrip():
@@ -513,3 +517,90 @@ def test_records_of_an_element_share_one_conductor():
                                                                               RATIONAL)))
     assert x == want
     assert to_json(element_to_obj(x)) == to_json(element_to_obj(want))
+
+
+# -- the record writer against the dict layout --------------------------------
+
+_PARTS = [0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, float("inf"), float("-inf"), float("nan")]
+
+
+def _canonical(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+@st.composite
+def _documents(draw):
+    """An element, tensor or projector of random words whose scalars are drawn
+    from a small pool, so amplitudes repeat across words: rational ones at
+    conductors up to 2^56 with large-denominator amplitudes, float ones with
+    -0.0, infinite and NaN parts."""
+    n, mode = draw(st.integers(1, 3)), draw(st.sampled_from([RATIONAL, FLOAT]))
+    if mode == RATIONAL:
+        D = draw(st.sampled_from([1, 4, 24]) | st.integers(1, 2 ** 56))
+        amps = st.integers(-5, 5) | st.fractions(-10 ** 6, 10 ** 6, max_denominator=10 ** 30)
+        scalar = st.dictionaries(st.integers(0, D - 1), amps.filter(bool), max_size=3).map(
+            lambda terms: _new(Coeff, D, {k: w.numerator if w.denominator == 1 else w
+                                          for k, w in terms.items()}))
+    else:
+        parts = st.sampled_from(_PARTS) | st.floats(allow_nan=True, allow_infinity=True)
+        scalar = st.builds(complex, parts, parts).map(Coeff.from_complex)
+    pool = draw(st.lists(scalar, min_size=1, max_size=4))
+    if mode == FLOAT:       # equal scalars whose zero parts differ in sign
+        pool += [Coeff.from_complex(c.to_complex().conjugate()) for c in pool]
+    word = st.tuples(*[st.integers(0, 3)] * n)
+    ctx = Context.sphere(ThetaMatrix.zero(n, mode))
+    elements = st.dictionaries(st.tuples(word, word), st.sampled_from(pool), max_size=5).map(
+        lambda terms: AlgebraElement(ctx, terms))
+    kind = draw(st.sampled_from(["element", "tensor", "projector"]))
+    if kind == "element":
+        return draw(elements)
+    if kind == "tensor":
+        return TensorElement(ctx, draw(st.lists(st.tuples(elements, elements), max_size=3)))
+    size = draw(st.integers(1, 3))
+    cells = draw(st.lists(elements, min_size=size * size, max_size=size * size))
+    return ProjectorMatrix(draw(st.integers(-9, 9)), tuple(
+        tuple(cells[i * size:(i + 1) * size]) for i in range(size)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_documents())
+def test_to_json_writes_the_dict_layout(x):
+    assert to_json(x) == _canonical(reference_dict(x))
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=_documents().filter(lambda x: isinstance(x, AlgebraElement)))
+def test_cocycle_failure_vectors_match_the_dict_layout(x):
+    assert _canonical(vector_to_obj(x.terms)) == _canonical(vector_records(x.terms))
+
+
+def test_signed_zero_parts_are_rendered_apart():
+    ctx = Context.toeplitz(ThetaMatrix.zero(1, FLOAT))
+    zs = [complex(1, 0.0), complex(1, -0.0), complex(0.0, 1), complex(-0.0, 1)]
+    x = AlgebraElement(ctx, {((k,), (0,)): Coeff.from_complex(z) for k, z in enumerate(zs)})
+    assert to_json(x) == _canonical(reference_dict(x))
+    assert [(repr(r["re"]), repr(r["im"])) for r in element_to_obj(x)["terms"]] == [
+        ("1.0", "0.0"), ("1.0", "-0.0"), ("0.0", "1.0"), ("-0.0", "1.0")]
+
+
+def test_an_integer_over_the_digit_limit_still_raises():
+    ctx = Context.toeplitz(ThetaMatrix.zero(1))
+    x = AlgebraElement(ctx, {((0,), (0,)): _new(Coeff, 1, {0: Fraction(1, 10 ** 5000)})})
+    with pytest.raises(ValueError, match="integer string conversion"):
+        to_json(x)
+
+
+def test_writing_a_projector_allocates_a_quarter_of_the_reference_path():
+    e = chern_galois_projector(-3, 3, ThetaMatrix.random_rational(4, seed=0, den=8))
+
+    def peak(emit):
+        emit()
+        tracemalloc.start()
+        try:
+            emit()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert len(to_json(e)) > 50_000
+    assert 4 * peak(lambda: to_json(e)) < peak(lambda: _canonical(reference_dict(e)))
