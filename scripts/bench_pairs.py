@@ -14,8 +14,14 @@ import, and a cache lowers it by about a megabyte.  Each pair runs
 ``PYTHONDONTWRITEBYTECODE=1``, tree a first in even pairs and tree b first
 in odd ones.  The script prints one JSON line per run, then a JSON summary:
 per end-to-end metric, each side's median and quartiles, the change of the
-medians, and in how many pairs tree b did better (the direction is read
-from ``BENCHMARK.json``).
+medians, in how many pairs tree b did better, and a verdict.  The direction
+and the bound of each metric are read from ``BENCHMARK.json``:
+
+- ``worse``: tree b's median is worse than tree a's by more than the bound;
+- ``unresolved``: tree a's quartile spread exceeds the bound times its
+  median, and tree b did not do better in every pair, so the runs cannot
+  tell a change within the bound from noise;
+- ``ok``: any other case.
 """
 
 from __future__ import annotations
@@ -59,18 +65,32 @@ def _spread(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(runs: list, better: dict) -> dict:
+def _verdict(sa: dict, sb: dict, sign: int, bound: float, won_every_pair: bool) -> str:
+    """The verdict of the module docstring, from each side's spread; ``sign``
+    is 1 where higher is better and -1 where lower is."""
+    scale = bound * abs(sa["median"])
+    if sign * (sb["median"] - sa["median"]) < -scale:
+        return "worse"
+    if sa["q3"] - sa["q1"] > scale and not won_every_pair:
+        return "unresolved"
+    return "ok"
+
+
+def summarize(runs: list, spec: dict) -> dict:
     """Per metric: each side's median and quartiles, the relative change of
-    the medians, and the pairs in which side b did better."""
+    the medians, the pairs in which side b did better, and the verdict;
+    ``spec`` maps each metric's name to its ``BENCHMARK.json`` entry."""
     out = {}
     for name in runs[0]["a"]["metrics"]:
         a = [r["a"]["metrics"][name] for r in runs]
         b = [r["b"]["metrics"][name] for r in runs]
-        sign = -1 if better.get(name) == "lower" else 1
+        sign = -1 if spec[name]["better"] == "lower" else 1
         sa, sb = _spread(a), _spread(b)
+        wins = sum(sign * (y - x) > 0 for x, y in zip(a, b))
         out[name] = {"a": sa, "b": sb,
                      "change": (sb["median"] / sa["median"] - 1) if sa["median"] else None,
-                     "wins": sum(sign * (y - x) > 0 for x, y in zip(a, b))}
+                     "wins": wins,
+                     "verdict": _verdict(sa, sb, sign, spec[name]["bound"], wins == len(runs))}
     return out
 
 
@@ -84,7 +104,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, default=20.0)
     args = ap.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
     runs = []
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"a": _archive(args.rev, Path(tmp) / "a"),
@@ -98,7 +118,7 @@ def main(argv=None) -> int:
             runs.append(run)
     print(json.dumps({"workload": args.workload, "seed": args.seed, "pairs": args.pairs,
                       "failed": {s: sum(r[s]["failed"] for r in runs) for s in "ab"},
-                      "metrics": summarize(runs, better)}))
+                      "metrics": summarize(runs, metrics)}))
     return 0
 
 

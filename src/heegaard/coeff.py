@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from math import lcm
+from math import hypot, lcm
 from operator import add, sub
 
 from .phases import FLOAT, FLOAT_TOL, RATIONAL
@@ -207,7 +207,7 @@ class FloatCoeff(Coeff):
         return None
 
     def is_zero(self) -> bool:
-        return not self.terms or abs(self.terms[0]) < FLOAT_TOL
+        return not self.terms or hypot(self.terms[0].real, self.terms[0].imag) < FLOAT_TOL
 
     def to_complex(self) -> complex:
         return self.terms.get(0, 0j)

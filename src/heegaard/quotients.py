@@ -5,9 +5,9 @@ The ambient algebra surjects onto B_i (slot-i generator unitary), B_ij (two
 unitary slots) and the sphere quotient.  A multipullback tuple is one element
 of each B_i; it is compatible when all pairwise images in B_ij agree, and
 ``glue`` reconstructs a common preimage by one exact linear solve over the
-words of its closed-form lift.  ``cocycle_check`` compares kernel images by
-a union-find over the words of their spanning vectors, with no linear solve
-(the gauge lemma is in its docstring).
+words of its closed-form lift.  ``cocycle_check`` compares kernel images as
+sets of words, and builds a scalar only for a failure (the gauge lemma is in
+its docstring).
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations, product
 from math import comb
-from operator import ne
 from typing import Tuple
 
 from .algebra import (AlgebraElement, Context, ContextMismatch, SizeOverflow,
@@ -212,41 +211,23 @@ def _basis_monomials(n: int, degree_bound: int, zero_slots=(), positive_slots=()
     return [(p, q) for p, q in words if not any(min(p[s], q[s]) for s in zero_slots)]
 
 
-def _kernel_image_vectors(theta: ThetaMatrix, i: int, j: int, k: int,
-                          degree_bound: int):
-    """Spanning vectors of pi^i_j(ker pi^i_k) inside B_ij, up to degree.
+def _kernel_image_words(n: int, i: int, j: int, k: int, degree_bound: int):
+    """Pairs (A, m) up to degree: each word m of B_i with slot k interior,
+    and A, m reduced on slot j (the ``cocycle_check`` lemma); no twist."""
+    return [((_shift(p, j, -c), _shift(q, j, -c)), (p, q))
+            for p, q in _basis_monomials(n, degree_bound, zero_slots=(i,), positive_slots=(k,))
+            for c in [min(p[j], q[j])]]
 
-    Each is the image of m - e(phi_k) m_k for a word m of B_i with slot k
-    interior and m_k its slot-k reduction: two words, A = m and then B = m_k
-    reduced on {i, j}, distinct as only B has min 0 in slot k."""
+
+def _kernel_image_vector(theta: ThetaMatrix, i: int, j: int, k: int, m) -> dict:
+    """The image in B_ij of m - e(phi_k) m_k, m_k the slot-k reduction of the
+    word m of B_i: two words, A = m and then B = m_k reduced on {i, j}."""
     ij = tuple(sorted((i, j)))
-    vectors = []
-    for (p, q) in _basis_monomials(theta.n, degree_bound,
-                                   zero_slots=(i,), positive_slots=(k,)):
-        a, pa, qa = _unitary_reduce(theta, ij, p, q)
-        phi, pk, qk = _unitary_reduce(theta, (k,), p, q)
-        b, pb, qb = _unitary_reduce(theta, ij, pk, qk)
-        vectors.append({(pa, qa): Coeff.from_exponent(a, theta),
-                        (pb, qb): Coeff.from_exponent(phi, theta, -1)
-                        * Coeff.from_exponent(b, theta)})
-    return vectors
-
-
-def _first_unjoined(span, vectors):
-    """The first of ``vectors`` whose two words no path of the two-word
-    vectors of ``span`` joins, or None: a union-find over words."""
-    parent = {}
-
-    def find(w):
-        while w in parent:
-            parent[w] = w = parent.get(parent[w], parent[w])    # path halving
-        return w
-
-    for v in span:
-        ra, rb = map(find, v)
-        if ra != rb:
-            parent[ra] = rb
-    return next((v for v in vectors if ne(*map(find, v))), None)
+    a, pa, qa = _unitary_reduce(theta, ij, *m)
+    phi, pk, qk = _unitary_reduce(theta, (k,), *m)
+    b, pb, qb = _unitary_reduce(theta, ij, pk, qk)
+    return {(pa, qa): Coeff.from_exponent(a, theta),
+            (pb, qb): Coeff.from_exponent(phi, theta, -1) * Coeff.from_exponent(b, theta)}
 
 
 def check_cocycle_size(n: int, d: int) -> None:
@@ -271,16 +252,22 @@ def cocycle_check(theta: ThetaMatrix, degree_bound: int) -> CocycleReport:
     pi^j_i(ker pi^j_k).  A size over ``MAX_COCYCLE_WORDS`` raises
     ``SizeOverflow`` before anything is enumerated.
 
-    Spans are compared by their vectors' words alone.  Let psi(w) be the
-    phase of reducing the word w on every slot.  The vector of m is
-    e(a) e_A - e(phi_k + b) e_B, with a, phi_k and b the phases of reducing
-    m on {i, j}, m on k, and m_k on {i, j}.  Slot reductions add their
-    phases (``algebra`` docstring), so psi(m) = a + psi(A) = phi_k + b +
-    psi(B): in the coordinates e(psi(w)) x_w, the same on both sides, the
-    vector is e(psi(m)) (e_A - e_B).  The Q[Z/D]-span of such vectors is
-    {x supported on the graph of the pairs (A, B), every component summing
-    to 0}, so a vector lies in the other side's span exactly when the other
-    side's pairs join A and B: at float twists as exactly as at rational.
+    Spans are compared as sets of words.  Take a side (i, j, k) and m, a
+    word of B_i (min 0 in slot i) interior on slot k.  Slot reductions add
+    their phases (``algebra`` docstring), so if psi(w) is the phase of
+    reducing w on every slot, m's vector is e(psi(m)) (e_A - e_B) in the
+    coordinates e(psi(w)) x_w, the same on both sides.  A is m reduced on
+    slot j, and B is A reduced on slot k, since word-level reductions on
+    different slots commute.  So every edge of a side joins a k-interior word
+    to its k-reduction: each side's graph is a union of stars, one around
+    each k-reduced word, and its span is the x on it with every star summing
+    to 0.  A vector (A, B) of one side thus lies in the other side's span
+    exactly when A is one of the other side's k-interior words, at float
+    twists as exactly as at rational.  Both sides' sets of A are the words
+    with min 0 on i and j, interior on k, and of degree <= d (take m = A on
+    either side), so the check passes at every twist and degree: it guards
+    the enumeration (``_basis_monomials``) and the word reduction, not the
+    twist or the product kernel.
 
     The isomorphisms cohere for every twist: B_k -> B_j -> B_i and B_k ->
     B_i, modulo all three slots, both compose slot reductions, whose phase is
@@ -293,12 +280,14 @@ def cocycle_check(theta: ThetaMatrix, degree_bound: int) -> CocycleReport:
     failures = []
     for i, j in combinations(range(n), 2):
         for k in (k for k in range(n) if k not in (i, j)):
-            side_a = _kernel_image_vectors(theta, i, j, k, degree_bound)
-            side_b = _kernel_image_vectors(theta, j, i, k, degree_bound)
-            for a, b, vectors, span in ((i, j, side_a, side_b), (j, i, side_b, side_a)):
-                bad = _first_unjoined(span, vectors)
-                if bad is not None:
-                    failures.append((a, b, k, min(bad), bad))
+            side_a = _kernel_image_words(n, i, j, k, degree_bound)
+            side_b = _kernel_image_words(n, j, i, k, degree_bound)
+            for a, b, words, other in ((i, j, side_a, side_b), (j, i, side_b, side_a)):
+                leaves = {A for A, _ in other}
+                m = next((m for A, m in words if A not in leaves), None)
+                if m is not None:
+                    v = _kernel_image_vector(theta, a, b, k, m)
+                    failures.append((a, b, k, min(v), v))
                     break
     return CocycleReport(passed=not failures,
                          checked_degree=degree_bound,

@@ -121,15 +121,15 @@ def _pieces(c: Coeff, cache: dict):
     rational, D = c.mode == RATIONAL, c.D
     for k, w in sorted(c.terms.items()) if rational else [(0, c.to_complex())]:
         key = k, w, D if rational or w.real and w.imag else repr(w)   # -0.0 == 0.0
-        if key not in cache:
+        if (piece := cache.get(key)) is None:
             z, head, mid = w, "", ""
             if rational:
                 z, g = complex(w) * cmath.exp(2j * cmath.pi * (k / D)), gcd(k, D)
                 head = f'"amp_den":{w.denominator!r},"amp_num":{w.numerator!r},'
                 mid = f',"phase_den":{D // g!r},"phase_num":{k // g!r}'
             re, im = map(repr if cmath.isfinite(z) else json.dumps, (z.real, z.imag))  # NaN
-            cache[key] = f'{{{head}"im":{im}', mid, f',"re":{re}}}'
-        yield cache[key]
+            piece = cache[key] = f'{{{head}"im":{im}', mid, f',"re":{re}}}'
+        yield piece
 
 
 _RATIONAL_FIELDS = ("phase_num", "phase_den", "amp_num", "amp_den")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from reference_serialize import coeff_records
 from heegaard.algebra import AlgebraElement, Context
 from heegaard.coeff import Coeff, FloatCoeff
-from heegaard.phases import FLOAT, RATIONAL, ThetaMatrix
+from heegaard.phases import FLOAT, FLOAT_TOL, RATIONAL, ThetaMatrix
 
 phases = st.fractions(min_value=0, max_value=1, max_denominator=12)
 weights = st.fractions(min_value=-3, max_value=3, max_denominator=6)
@@ -259,6 +259,15 @@ def test_unit_coefficients_are_built_at_the_twist_conductor():
     for x in (AlgebraElement.unit(ctx), AlgebraElement.monomial(ctx, (1, 0, 0), (0, 0, 1))):
         assert [c.D for c in x.terms.values()] == [theta.conductor] == [24]
     assert Coeff.from_exponent(5, theta, -1) == Coeff.from_phase(Fraction(5, 24), RATIONAL, -1)
+
+
+def test_float_zero_test_takes_any_finite_value():
+    # the modulus of this value is past the largest float: abs() raised
+    # OverflowError, so building an element that held it failed
+    big = Coeff.from_complex(complex(1.2711610061536462e+308, 1.2711610061536464e+308))
+    assert not big.is_zero()
+    assert Coeff.from_complex(complex(FLOAT_TOL / 2, -FLOAT_TOL / 2)).is_zero()
+    assert not Coeff.from_complex(complex(FLOAT_TOL, FLOAT_TOL)).is_zero()
 
 
 def test_zero_weight_gives_no_terms():

@@ -1,6 +1,7 @@
 """The phase-free solver and the phase-column reference solver against a
-dense Fraction Gauss-Jordan reference, and the cocycle span helper against
-one reference solve per vector."""
+dense Fraction Gauss-Jordan reference, and the star rule of the cocycle
+lemma (a vector lies in a span of star vectors exactly when its leaf is a
+leaf of the span) against one reference solve per vector."""
 
 import random
 from fractions import Fraction
@@ -13,7 +14,6 @@ from conftest import rng_for
 from heegaard.coeff import Coeff, FloatCoeff
 from heegaard.exactla import solve_exact
 from heegaard.phases import FLOAT_TOL, RATIONAL
-from heegaard.quotients import _first_unjoined
 from reference_solve import FLOAT_SOLVE_TOL
 from reference_solve import solve_exact as reference_solve
 
@@ -296,26 +296,43 @@ def per_vector_first_failure(span, vectors):
                  if reference_solve(span, v) is None), None)
 
 
-def gauged_systems(rng: random.Random, unit, count: int):
+def star_systems(rng: random.Random, unit, count: int):
     """Spans and vectors in the form of the cocycle lemma: u (g_A e_A - g_B
-    e_B) for words A != B, with one fixed invertible g_w per word and an
-    invertible u per vector, drawn by ``unit``."""
+    e_B) for a leaf A and its centre B, with one fixed invertible g_w per
+    word and an invertible u per vector, drawn by ``unit``.  Each vector
+    comes as (A, vector)."""
     for _ in range(count):
-        words = list(range(rng.randint(3, 8)))
-        g = {w: unit() for w in words}
+        centres = [("B", c) for c in range(rng.randint(1, 3))]
+        leaves = {("A", a): rng.choice(centres) for a in range(rng.randint(2, 6))}
+        g = {w: unit() for w in centres + list(leaves)}
 
-        def vec(a, b):
+        def vec(a):
             u = unit()
-            return {a: u * g[a], b: -(u * g[b])}
+            return a, {a: u * g[a], leaves[a]: -(u * g[leaves[a]])}
 
-        span = [vec(*rng.sample(words, 2)) for _ in range(rng.randint(0, 5))]
-        yield span, [vec(*rng.sample(words, 2)) for _ in range(rng.randint(1, 5))]
+        def draw(lo, hi):
+            return [vec(rng.choice(list(leaves))) for _ in range(rng.randint(lo, hi))]
+
+        yield draw(0, 5), draw(1, 5)
+
+
+def check_star_rule(systems):
+    """Per system: the first vector whose leaf is not a leaf of the span is
+    the first that a reference solve finds outside the span.  Returns the
+    positions seen."""
+    seen = set()
+    for span, vectors in systems:
+        leaves = {a for a, _ in span}
+        want = per_vector_first_failure([v for _, v in span], [v for _, v in vectors])
+        assert next((x for x, (a, _) in enumerate(vectors) if a not in leaves), None) == want
+        seen.add(want)
+    return seen
 
 
 @pytest.mark.parametrize("D", [1, 2, 3, 4, 8, 12])
 def test_span_helper_matches_per_vector_solves(D):
-    # quotients._first_unjoined decides span membership of the cocycle's
-    # two-word vectors by the words alone; exact per-vector solves agree
+    # quotients.cocycle_check decides span membership of the cocycle's star
+    # vectors by leaf membership alone; exact per-vector solves agree
     rng = rng_for(f"exactla-span-{D}")
 
     def unit():
@@ -323,28 +340,20 @@ def test_span_helper_matches_per_vector_solves(D):
                                 Fraction(rng.choice((-1, 1)) * rng.randint(1, 5),
                                          rng.randint(1, 3)))
 
-    seen = set()
-    for span, vectors in gauged_systems(rng, unit, 30):
-        want = per_vector_first_failure(span, vectors)
-        assert _first_unjoined(span, vectors) is (None if want is None else vectors[want])
-        seen.add(want)
+    seen = check_star_rule(star_systems(rng, unit, 30))
     # the first failure occurs at several positions, and sometimes never
     assert None in seen and len(seen) >= 3
 
 
 def test_span_helper_float_matches_per_vector_solves():
     # the same at float scalars, where solve_exact is least squares with a
-    # residual tolerance and the union-find needs none
+    # residual tolerance and the leaf rule needs none
     rng = rng_for("exactla-span-float")
 
     def unit():
         return Coeff.from_complex(complex(rng.uniform(0.2, 1), rng.uniform(-1, 1)))
 
-    seen = set()
-    for span, vectors in gauged_systems(rng, unit, 30):
-        want = per_vector_first_failure(span, vectors)
-        assert _first_unjoined(span, vectors) is (None if want is None else vectors[want])
-        seen.add(want)
+    seen = check_star_rule(star_systems(rng, unit, 30))
     assert None in seen and len(seen) >= 3
 
 

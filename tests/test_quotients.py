@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -16,6 +17,7 @@ from heegaard import (AlgebraElement, CocycleReport, Coeff, IncompatibleTuple,
                       generator, glue, is_compatible, pi_i_j, sigma_i,
                       sphere_defect, sphere_reduce, unit)
 from heegaard.algebra import Context, ContextMismatch, _unitary_reduce
+from heegaard.coeff import FloatCoeff
 from heegaard.phases import FLOAT, FLOAT_TOL, ThetaMatrix
 
 
@@ -166,7 +168,7 @@ def test_cocycle_below_degree_two_enumerates_nothing(monkeypatch):
     def refuse(*args):
         raise AssertionError("enumerated kernel images below degree 2")
 
-    monkeypatch.setattr(quotients, "_kernel_image_vectors", refuse)
+    monkeypatch.setattr(quotients, "_kernel_image_words", refuse)
     for N, d in [(2, 1), (3, 0), (46, 0), (3, -1)]:
         rep = cocycle_check(ThetaMatrix.zero(N + 1), d)
         assert rep == CocycleReport(passed=True, checked_degree=d)
@@ -200,7 +202,7 @@ def test_cocycle_size_cap(monkeypatch):
 
 
 def test_passing_cocycle_check_calls_nothing_in_exactla(monkeypatch):
-    # the span check is the union-find: no linear solve, exact or float
+    # the span check compares word sets: no linear solve, exact or float
     rng = rng_for("cocycle-no-solve")
     thetas = [ThetaMatrix.zero(4), ThetaMatrix.random_rational(4, seed=3, den=12),
               random_float_theta(4, rng)]
@@ -217,6 +219,21 @@ def test_passing_cocycle_check_calls_nothing_in_exactla(monkeypatch):
     for th in thetas:
         for d in (2, 3, 4):
             assert cocycle_check(th, d).passed
+
+
+@pytest.mark.parametrize("twist", ["zero", "rational", "float"])
+def test_passing_cocycle_check_does_no_coeff_arithmetic(twist, monkeypatch):
+    # only a failure's vector is built, so a pass forms no scalar at all
+    th = _twists(4, rng_for(f"cocycle-no-coeff-{twist}"))[twist]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Coeff arithmetic in a passing cocycle_check")
+
+    for cls in (Coeff, FloatCoeff):
+        for name in ("__mul__", "__add__", "from_exponent", "times_exponent"):
+            monkeypatch.setattr(cls, name, refuse)
+    for d in (2, 3, 4):
+        assert cocycle_check(th, d).passed
 
 
 def test_partition_of_unity_in_quotients():
@@ -321,29 +338,55 @@ def test_kernel_image_vectors_match_the_element_arithmetic(twist):
         th = _twists(n, rng)[twist]
         for i, j, k in permutations(range(n), 3):
             words = quotients._basis_monomials(n, 3, zero_slots=(i,), positive_slots=(k,))
-            got = quotients._kernel_image_vectors(th, i, j, k, 3)
-            assert len(got) == len(words)
-            for m, v in zip(words, got):
+            pairs = quotients._kernel_image_words(n, i, j, k, 3)
+            assert [m for _, m in pairs] == words
+            for A, m in pairs:
+                v = quotients._kernel_image_vector(th, i, j, k, m)
                 want = _element_vector(th, i, j, k, m)
                 assert [(w, exact(c)) for w, c in v.items()] == \
                     [(w, exact(c)) for w, c in want.items()]
                 a, b = v
-                assert a == _unitary_reduce(th, (i, j), *m)[1:]
+                assert a == A == _unitary_reduce(th, (i, j), *m)[1:]
                 assert b == _unitary_reduce(th, (k,), *a)[1:]
                 assert v == _gauged_vector(th, m, a, b)
 
 
 def test_kernel_image_words_are_the_same_at_every_twist():
-    # the union-find reads only the words, and they do not depend on the
-    # twist: zero, den-8, den-12 and float alike
+    # the check reads only the words, and they do not depend on the twist:
+    # each vector joins A to A reduced on slot k at zero, den-8, den-12 and
+    # float twists alike
     rng = rng_for("kernel-image-pairs")
     for n in (3, 4):
         thetas = [ThetaMatrix.zero(n), ThetaMatrix.random_rational(n, seed=1, den=8),
                   ThetaMatrix.random_rational(n, seed=2, den=12), random_float_theta(n, rng)]
         for i, j, k in permutations(range(n), 3):
-            words = [[list(v) for v in quotients._kernel_image_vectors(th, i, j, k, 3)]
-                     for th in thetas]
-            assert words[0] and all(w == words[0] for w in words)
+            pairs = quotients._kernel_image_words(n, i, j, k, 3)
+            stars = [[A, _unitary_reduce(thetas[0], (k,), *A)[1:]] for A, _ in pairs]
+            assert stars
+            for th in thetas:
+                assert [list(quotients._kernel_image_vector(th, i, j, k, m))
+                        for _, m in pairs] == stars
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_kernel_image_words_are_the_lemma_set(n):
+    # both sides' sets of A are the words with min 0 on i and j, interior on
+    # k and of degree <= d: generated and filtered here, for every ordered
+    # triple and every degree within the size cap
+    checked = 0
+    for d in range(6):
+        try:
+            quotients.check_cocycle_size(n, d)
+        except SizeOverflow:
+            continue
+        every = _reference_basis_monomials(n, d)
+        for i, j, k in permutations(range(n), 3):
+            want = {(p, q) for p, q in every if not min(p[i], q[i]) and not min(p[j], q[j])
+                    and min(p[k], q[k]) >= 1}
+            assert {A for A, _ in quotients._kernel_image_words(n, i, j, k, d)} == want
+            assert bool(want) == (d >= 2)
+            checked += 1
+    assert checked >= 4 * n * (n - 1) * (n - 2)
 
 
 def _reference_basis_monomials(n, degree_bound, zero_slots=(), positive_slots=()):
@@ -374,15 +417,20 @@ def test_basis_monomials_match_generate_and_filter(n):
 
 
 def _per_vector_failures(theta, degree):
-    """Span-equality witnesses from one exact solve per vector, independent
-    of the union-find: the triple, the first word and the whole vector,
-    sorted by word."""
+    """Span-equality witnesses from one exact solve per vector over the
+    element-arithmetic vectors of the (patched) word lists, independent of
+    the word-set comparison: the triple, the first word and the whole
+    vector, sorted by word."""
     failures = []
     n = theta.n
+
+    def vectors_of(i, j, k):
+        return [_element_vector(theta, i, j, k, m)
+                for _, m in quotients._kernel_image_words(n, i, j, k, degree)]
+
     for i, j in combinations(range(n), 2):
         for k in (k for k in range(n) if k not in (i, j)):
-            side_a = quotients._kernel_image_vectors(theta, i, j, k, degree)
-            side_b = quotients._kernel_image_vectors(theta, j, i, k, degree)
+            side_a, side_b = vectors_of(i, j, k), vectors_of(j, i, k)
             for a, b, vectors, span in ((i, j, side_a, side_b), (j, i, side_b, side_a)):
                 v = next((v for v in vectors if reference_solve(span, v) is None), None)
                 if v is not None:
@@ -397,18 +445,27 @@ def _cocycle_failures(theta, degree):
             for i, j, k, m, v in cocycle_check(theta, degree).failures]
 
 
-def _inject(monkeypatch, extra):
-    """Patch ``_kernel_image_vectors`` so that the triple (i, j, k) in
-    ``extra`` returns its own vectors with (position, vector) inserted."""
-    original = quotients._kernel_image_vectors
+def _inject(monkeypatch, edits):
+    """Patch ``_kernel_image_words`` so that the words m of a triple (i, j, k)
+    in ``edits`` are ``edits[i, j, k](words)``, each paired with A, its
+    reduction on {i, j} computed here."""
+    original = quotients._kernel_image_words
 
-    def patched(theta, i, j, k, degree):
-        vectors = original(theta, i, j, k, degree)
-        for at, v in extra.get((i, j, k), ()):
-            vectors.insert(len(vectors) if at is None else at, v)
-        return vectors
+    def patched(n, i, j, k, degree):
+        words = edits.get((i, j, k), list)([m for _, m in original(n, i, j, k, degree)])
+        return [(_unitary_reduce(ThetaMatrix.zero(n), (min(i, j), max(i, j)), *m)[1:], m)
+                for m in words]
 
-    monkeypatch.setattr(quotients, "_kernel_image_vectors", patched)
+    monkeypatch.setattr(quotients, "_kernel_image_words", patched)
+
+
+def _inserted(*extra):
+    """An edit for ``_inject``: each (position, word) inserted, None for the end."""
+    def edit(words):
+        for at, m in extra:
+            words.insert(len(words) if at is None else at, m)
+        return words
+    return edit
 
 
 @pytest.mark.parametrize("twist", ["zero", "rational", "float"])
@@ -421,14 +478,14 @@ def test_cocycle_span_failure_names_the_first_vector_outside(twist, monkeypatch,
     else:
         th_arg = '{"n":3,"mode":"float","upper":[[0,1,0.31],[0,2,-0.17],[1,2,0.42]]}'
         th = serialize.theta_from_obj(serialize.from_json(th_arg))
-    # side a of (0, 1, 2) gains, after its first vector, one of the other
-    # side's vectors, then the vectors of two words above the degree bound:
-    # their words are outside the other side's graph
-    inside = quotients._kernel_image_vectors(th, 1, 0, 2, 2)[0]
-    above = [_element_vector(th, 0, 1, 2, ((d, 0, 1), (0, 0, 1))) for d in (3, 2)]
-    extra = {(0, 1, 2): [(1, inside), (2, above[0]), (3, above[1])],
-             # side b of the pair (1, 2) gains one such vector at the end
-             (2, 1, 0): [(None, _element_vector(th, 2, 1, 0, ((1, 0, 4), (1, 0, 0))))]}
+    # side a of (0, 1, 2) gains, after its first word, the other side's first
+    # word, then two words above the degree bound: their words A are outside
+    # the other side's graph
+    (_, inside), = quotients._kernel_image_words(3, 1, 0, 2, 2)
+    above = [((d, 0, 1), (0, 0, 1)) for d in (3, 2)]
+    extra = {(0, 1, 2): _inserted((1, inside), (2, above[0]), (3, above[1])),
+             # side b of the pair (1, 2) gains one such word at the end
+             (2, 1, 0): _inserted((None, ((1, 0, 4), (1, 0, 0))))}
     _inject(monkeypatch, extra)
     want = _per_vector_failures(th, 2)
     assert [w[:4] for w in want] == [[0, 1, 2, [[3, 0, 0], [0, 0, 0]]],
@@ -455,9 +512,9 @@ def test_cocycle_witness_carries_the_whole_vector(monkeypatch, capsys):
     e58 = Coeff.from_phase(Fraction(5, 8), th.mode)
     assert list(bad) == [a, b] and bad[a] == e58 and bad[b] == -e58
     assert bad == _gauged_vector(th, m, a, b)
-    _inject(monkeypatch, {(0, 1, 2): [(None, bad)]})
+    _inject(monkeypatch, {(0, 1, 2): _inserted((None, m))})
     (i, j, k, first, vector), = quotients.cocycle_check(th, 2).failures
-    assert (i, j, k, first) == (0, 1, 2, b) and vector is bad
+    assert (i, j, k, first) == (0, 1, 2, b) and vector == bad and list(vector) == [a, b]
     code = cli.main(["cocycle", "--N", "2", "--degree", "2", "--theta", th_arg])
     out = json.loads(capsys.readouterr().out)
     assert code == 1
@@ -467,24 +524,21 @@ def test_cocycle_witness_carries_the_whole_vector(monkeypatch, capsys):
     assert out["failures"] == _per_vector_failures(th, 2)
 
 
-def _components(vectors):
-    """The words of each connected component of the two-word vectors, as
-    lists sorted by word, in order of their least word."""
-    comp = {}
-    for a, b in vectors:
-        merged = comp.get(a, {a}) | comp.get(b, {b})
-        for w in merged:
-            comp[w] = merged
-    return sorted((sorted(c) for c in {id(c): c for c in comp.values()}.values()))
+def _above(pair, k, degree):
+    """The word m of the pair (A, m) raised in slot k on both sides until A,
+    raised with it, passes the degree bound."""
+    a, m = pair
+    h = (degree - sum(a[0]) - sum(a[1])) // 2 + 1
+    return tuple((*w[:k], w[k] + h, *w[k + 1:]) for w in m)
 
 
 @pytest.mark.parametrize("twist", ["zero", "rational", "float"])
 def test_cocycle_check_matches_per_vector_solves(twist, monkeypatch):
-    # the union-find against one exact solve per vector: on random twists,
-    # where both pass, and with injected vectors in the lemma's form that
-    # join two components of one side (a failure unless the other side joins
-    # them too, directly or through a path) or two words of one component
-    # (no failure)
+    # the word-set comparison against one exact solve per vector, on random
+    # twists, where both pass, and with the faults a word list can have: an
+    # extra word on one side (a failure), the same extra word on both sides
+    # (none), a word dropped from one side whose A no other word of that side
+    # shares (a failure) and a duplicated word (none)
     rng = rng_for(f"cocycle-cross-{twist}")
     verdicts = {True: 0, False: 0}
     for trial in range(12):
@@ -493,30 +547,30 @@ def test_cocycle_check_matches_per_vector_solves(twist, monkeypatch):
             ThetaMatrix.random_rational(n, seed=rng.randrange(100), den=rng.choice((8, 12)))
         i, j, k = rng.sample(range(n), 3)
         monkeypatch.undo()
-        vectors = quotients._kernel_image_vectors(th, j, i, k, degree)
-        comps = _components(vectors)
-        x, y = rng.sample(comps, 2)
+        pairs = quotients._kernel_image_words(n, j, i, k, degree)
+        at = rng.randrange(len(pairs) + 1)
         kind = trial % 4
-        if kind == 0:       # join two components on one side only
-            extra = {(j, i, k): [(rng.randrange(len(vectors) + 1),
-                                  _gauged_vector(th, x[0], x[0], y[-1]))]}
-        elif kind == 1:     # the same join on both sides
-            join = _gauged_vector(th, y[0], x[-1], y[0])
-            extra = {(j, i, k): [(None, join)], (i, j, k): [(0, join)]}
-        elif kind == 2:     # joins through a path: other words of both components
-            extra = {(j, i, k): [(None, _gauged_vector(th, x[0], x[0], y[0]))],
-                     (i, j, k): [(None, _gauged_vector(th, y[-1], y[-1], x[-1]))]}
-        else:               # two words of one component
-            c = next((c for c in comps if len(c) > 2), x)
-            extra = {(j, i, k): [(0, _gauged_vector(th, c[0], c[-2], c[-1]))]}
+        if kind == 0:       # a word of B_j above the bound, on one side only
+            extra = _above(rng.choice(pairs), k, degree)
+            edits = {(j, i, k): _inserted((at, extra))}
+        elif kind == 1:     # a word of B_i and B_j above the bound, on both sides
+            a = rng.choice(pairs)[0]
+            extra = _above((a, a), k, degree)
+            edits = {(j, i, k): _inserted((None, extra)), (i, j, k): _inserted((at, extra))}
+        elif kind == 2:     # a word dropped, the only one of its side with its A
+            counts = Counter(A for A, _ in pairs)
+            drop = rng.choice([m for A, m in pairs if counts[A] == 1])
+            edits = {(j, i, k): lambda words: [m for m in words if m != drop]}
+        else:               # a word duplicated
+            edits = {(j, i, k): _inserted((at, rng.choice(pairs)[1]))}
         want_clean = _per_vector_failures(th, degree)
         assert want_clean == [] and _cocycle_failures(th, degree) == []
-        _inject(monkeypatch, extra)
+        _inject(monkeypatch, edits)
         want = _per_vector_failures(th, degree)
         assert _cocycle_failures(th, degree) == want, (n, degree, (i, j, k), kind)
-        assert bool(want) == (kind == 0)
+        assert bool(want) == (kind in (0, 2))
         verdicts[not want] += 1
-    assert verdicts[True] >= 6 and verdicts[False] >= 3
+    assert verdicts[True] == 6 and verdicts[False] == 6
 
 
 def _phase_column_glue(t):

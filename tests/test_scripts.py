@@ -80,6 +80,37 @@ def test_bench_pairs_script_reports_every_metric():
     for m in summary["metrics"].values():
         assert m["a"]["q1"] <= m["a"]["median"] <= m["a"]["q3"]
         assert m["wins"] in (0, 1)
+        assert m["verdict"] in ("ok", "worse", "unresolved")
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("better, a, b, want", [
+    # higher is better; tree a's quartiles 99..101 lie within the 25% bound
+    ("higher", [100, 99, 101, 100, 100], [70, 72, 71, 70, 69], "worse"),
+    ("higher", [100, 99, 101, 100, 100], [90, 92, 91, 90, 89], "ok"),
+    ("higher", [100, 99, 101, 100, 100], [130, 129, 131, 130, 130], "ok"),
+    # lower is better: the same runs read the other way
+    ("lower", [100, 99, 101, 100, 100], [130, 129, 131, 130, 130], "worse"),
+    ("lower", [100, 99, 101, 100, 100], [70, 72, 71, 70, 69], "ok"),
+    # tree a's quartiles 70..130 are wider than the bound: only a side that
+    # does better in every pair is told apart from the noise
+    ("lower", [70, 130, 100, 60, 140], [69, 129, 99, 59, 139], "ok"),
+    ("lower", [70, 130, 100, 60, 140], [69, 129, 99, 59, 141], "unresolved"),
+    ("lower", [70, 130, 100, 60, 140], [100, 100, 100, 100, 100], "unresolved"),
+    # worse beats unresolved
+    ("lower", [70, 130, 100, 60, 140], [130, 150, 140, 160, 150], "worse"),
+])
+def test_bench_pairs_verdict_rule(better, a, b, want):
+    runs = [{"a": {"metrics": {"m": x}}, "b": {"metrics": {"m": y}}} for x, y in zip(a, b)]
+    summary = _bench_pairs().summarize(runs, {"m": {"better": better, "bound": 0.25}})
+    assert summary["m"]["verdict"] == want
 
 
 def test_stdout_diff_script_reads_each_glue_input(tmp_path):

@@ -15,6 +15,7 @@ from heegaard.algebra import Context
 from heegaard.bundles import ProjectorMatrix, TensorElement
 from heegaard.coeff import _new
 from heegaard.phases import FLOAT, RATIONAL, ThetaMatrix
+from heegaard import serialize
 from heegaard.serialize import (SchemaError, element_from_obj, element_to_obj,
                                 from_json, projector_from_obj,
                                 projector_to_obj, tensor_from_obj,
@@ -581,6 +582,37 @@ def test_signed_zero_parts_are_rendered_apart():
     assert to_json(x) == _canonical(reference_dict(x))
     assert [(repr(r["re"]), repr(r["im"])) for r in element_to_obj(x)["terms"]] == [
         ("1.0", "0.0"), ("1.0", "-0.0"), ("0.0", "1.0"), ("-0.0", "1.0")]
+
+
+class _CountingDict(dict):
+    """A dict that counts its lookups, by any of the three ways to make one."""
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.lookups += 1
+        return super().__contains__(key)
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+def test_each_record_looks_its_scalar_up_once(mode):
+    # a key's hash is Python code for a Fraction, so each record hashes it
+    # once: one lookup per record, hits and misses alike, and the same text
+    theta = ThetaMatrix.random_rational(3, seed=0, den=8) if mode == RATIONAL else \
+        random_float_theta(3, rng_for("pieces-lookups"))
+    e = chern_galois_projector(-2, 2, theta)
+    scalars = [c for row in e.entries for x in row for c in x.terms.values()]
+    cache, plain = _CountingDict(), {}
+    counted = [piece for c in scalars for piece in serialize._pieces(c, cache)]
+    assert counted == [piece for c in scalars for piece in serialize._pieces(c, plain)]
+    assert cache.lookups == len(counted) > len(cache)     # hits and misses
 
 
 def test_an_integer_over_the_digit_limit_still_raises():
