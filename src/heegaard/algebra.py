@@ -238,14 +238,6 @@ class AlgebraElement:
         return _canonicalize(self.ctx,
                              {(q, p): c.conj() for (p, q), c in self.terms.items()})
 
-    def __pow__(self, k: int) -> "AlgebraElement":
-        if k < 0:
-            raise ValueError("negative powers are not defined")
-        out = AlgebraElement.unit(self.ctx)
-        for _ in range(k):
-            out = out * self
-        return out
-
     # -- queries -----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -353,17 +345,3 @@ def range_complement(ctx: Context, slots) -> AlgebraElement:
     one, slots = Coeff.from_exponent(0, ctx.theta), set(slots)
     words = product(*((0, 1) if s in slots else (0,) for s in range(ctx.n)))
     return _canonicalize(ctx, {(e, e): -one if sum(e) % 2 else one for e in words})
-
-
-def sphere_defect(ctx: Context) -> AlgebraElement:
-    """prod_i (1 - w_i w_i*); in the sphere context it normalizes to 0."""
-    return range_complement(ctx, range(ctx.n))
-
-
-def compact_matrix_unit(p, q, ctx: Context) -> AlgebraElement:
-    """W_p R W_q* with R the range-complement product; these multiply as
-    matrix units up to a unimodular scalar."""
-    left = AlgebraElement.monomial(ctx, p, (0,) * ctx.n)
-    right = AlgebraElement.monomial(ctx, q, (0,) * ctx.n).star()
-    return left * sphere_defect(ctx) * right
-

@@ -1,4 +1,4 @@
-"""Strong connections, line-bundle projectors, and projector pullback.
+"""Strong connections and line-bundle projectors.
 
 A strong connection value is a finite sum sum_l a_l (x) r_l of elementary
 tensors over the sphere quotient with sum_l a_l r_l = 1 and bidegree
@@ -24,10 +24,6 @@ from .phases import ThetaMatrix
 MAX_SIZE = 128
 """Cap on both C(|n|+N, N), the summand count of winding n (the projector
 has its square for entries), and 2^N, the word count of ``h_tail(0)``."""
-
-
-class NonzeroTwist(ValueError):
-    pass
 
 
 def check_size(n: int, N: int) -> None:
@@ -155,13 +151,10 @@ def verify_connection(conn: TensorElement, n: int) -> bool:
 
 @dataclass(frozen=True)
 class ProjectorMatrix:
-    """Idempotent matrix of degree-0 sphere-quotient elements, together
-    with the connection data (lefts gamma, rights beta) it was built from."""
+    """Idempotent matrix of degree-0 sphere-quotient elements."""
 
     winding: int
     entries: Tuple[Tuple[AlgebraElement, ...], ...]
-    lefts: Tuple[AlgebraElement, ...] = ()
-    rights: Tuple[AlgebraElement, ...] = ()
 
     def __post_init__(self):
         if not self.entries:
@@ -206,15 +199,14 @@ def chern_galois_projector(n: int, N: int, theta: ThetaMatrix) -> ProjectorMatri
     letters s_{l_i} than k.
     """
     conn = strong_connection(n, N, theta)
-    lefts = tuple(a for a, _ in conn.summands)
-    rights = tuple(r for _, r in conn.summands)
+    lefts = [a for a, _ in conn.summands]
     zero = AlgebraElement.zero(conn.ctx)
     alphas = [next(iter(a.terms))[0] for a in lefts]
     tops = [next((j + 1 for j, e in enumerate(al) if e), len(al)) for al in alphas]
     entries = tuple(tuple(rk * al if all(b <= a for a, b in zip(alphas[k][t:], alphas[l][t:]))
                           else zero for l, al in enumerate(lefts))
-                    for k, (rk, t) in enumerate(zip(rights, tops)))
-    return ProjectorMatrix(n, entries, lefts, rights)
+                    for k, ((_, rk), t) in enumerate(zip(conn.summands, tops)))
+    return ProjectorMatrix(n, entries)
 
 
 def projector_diagonal(n: int, N: int, theta: ThetaMatrix) -> List[AlgebraElement]:
@@ -223,81 +215,3 @@ def projector_diagonal(n: int, N: int, theta: ThetaMatrix) -> List[AlgebraElemen
     a_k is a product of isometries; for n >= 0 the one entry is W_{ne_0} W_{ne_0}*.
     So every entry sums words W_{e_T} W_{e_T}* with coefficients +-1."""
     return [r * a for a, r in strong_connection(n, N, theta).summands]
-
-
-def pullback_hom(x: AlgebraElement) -> AlgebraElement:
-    """Untwisted sphere morphism collapsing all generators above 0 to the
-    single generator 1 of the three-sphere quotient.  Lemma: at zero twist the
-    collapse keeps every word ascending and adds no phase, so W_p W_q* maps to
-    W_{(p_0, |p| - p_0)} W_{(q_0, |q| - q_0)}*; equal images are summed and
-    brought to the three-sphere normal form once."""
-    if x.ctx.kind != "sphere":
-        raise ContextMismatch("expected a sphere-quotient element")
-    if not x.ctx.theta.is_zero():
-        raise NonzeroTwist("generator collapse respects relations only at zero twist")
-    terms = {}
-    for (p, q), c in x.terms.items():
-        key = ((p[0], sum(p) - p[0]), (q[0], sum(q) - q[0]))
-        terms[key] = terms[key] + c if key in terms else c
-    return _canonicalize(Context.sphere(ThetaMatrix.zero(2, x.ctx.mode)), terms)
-
-
-@dataclass(frozen=True)
-class ConjugationWitness:
-    """Invertible G with G * E'' * G^{-1} == E' (+) 0, plus the summand
-    permutation that puts the surviving columns first."""
-
-    g: tuple
-    g_inv: tuple
-    permutation: Tuple[int, ...]
-    gamma_beta_is_one: bool
-    conjugation_holds: bool
-
-
-def pullback_projector(e: ProjectorMatrix):
-    """Push a projector along the sphere morphism.
-
-    Returns (E', E'', witness): E' is the projector of the pushed-forward
-    connection (f (x) f applied to the recorded summands, zero lefts
-    dropped), E'' is the entry-wise image of the source projector with the
-    summands permuted so the zero-left columns come last, and the witness
-    conjugates E' padded by zeros to E''.
-    """
-    if not e.lefts:
-        raise ValueError("projector carries no recorded connection data")
-    pushed = [(pullback_hom(a), pullback_hom(r))
-              for a, r in zip(e.lefts, e.rights)]
-    perm = sorted(range(len(pushed)), key=lambda l: pushed[l][0].is_zero())
-    gamma = [pushed[l][0] for l in perm]
-    beta = [pushed[l][1] for l in perm]
-    ctx = gamma[0].ctx
-    m, mp = len(pushed), sum(not a.is_zero() for a in gamma)
-    gamma_p, beta_p = gamma[:mp], beta[:mp]
-    zero, one = AlgebraElement.zero(ctx), unit(ctx)
-
-    e_prime = ProjectorMatrix(
-        e.winding,
-        tuple(tuple(rk * al for al in gamma_p) for rk in beta_p),
-        tuple(gamma_p), tuple(beta_p))
-    e_pp = ProjectorMatrix(
-        e.winding,
-        tuple(tuple(beta[k] * gamma[l] if l < mp else zero for l in range(m))
-              for k in range(m)))
-
-    # gamma' beta'^T = sum of the surviving a_l r_l; the dropped summands
-    # contribute zero, so this is the image of the full contraction
-    gamma_beta_is_one = TensorElement(ctx, zip(gamma_p, beta_p)).contract() == one
-
-    def unipotent(block):
-        """The identity with block(B_kl) at k >= mp > l, B_kl = rho_k gamma_l = E''_kl."""
-        return tuple(tuple(block(e_pp.entries[k][l]) if l < mp <= k else one if k == l
-                           else zero for l in range(m)) for k in range(m))
-
-    g, g_inv = unipotent(AlgebraElement.__neg__), unipotent(lambda b: b)    # 1 - B, 1 + B
-    padded = tuple(tuple(e_prime.entries[i][j] if i < mp and j < mp else zero
-                         for j in range(m)) for i in range(m))
-    conj = mat_mul(mat_mul(g_inv, padded), g)
-    holds = mat_eq(conj, e_pp.entries)
-    witness = ConjugationWitness(g, g_inv, tuple(perm),
-                                 gamma_beta_is_one, holds)
-    return e_prime, e_pp, witness

@@ -169,8 +169,13 @@ def _run(args) -> int:
         except UnstableInvariant as exc:
             _emit({"error": "unstable invariant", "detail": str(exc)}, args.output)
             return 1
-        _emit({"dimension_class": inv.dimension_class,
-               "compact_charge": inv.compact_charge,
+        d, chi = inv.as_pair()
+        if d < 0:           # the dimension class is a projector's rank
+            _emit({"error": "negative dimension class", "dimension_class": d,
+                   "compact_charge": chi}, args.output)
+            return 1
+        _emit({"dimension_class": d,
+               "compact_charge": chi,
                "truncations": args.truncations,
                "residual": inv.residual}, args.output)
         return 0

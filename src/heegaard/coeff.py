@@ -45,14 +45,6 @@ class Coeff:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, mode):
-        return _CLASS[mode].rational(0)
-
-    @classmethod
-    def one(cls, mode):
-        return _CLASS[mode].rational(1)
-
-    @classmethod
     def rational(cls, w) -> "Coeff":
         w = w if type(w) is int else Fraction(w)
         w = w.numerator if w.denominator == 1 else w

@@ -1,4 +1,4 @@
-"""Exact phase arithmetic and twist-matrix transformations.
+"""Twist matrices and exact phase exponents.
 
 Phases are kept as exponents t of e^{2*pi*i*t}: a ``Fraction``, or the
 integer t*D over the twist's conductor D, exact in both modes.  A float
@@ -119,9 +119,6 @@ class ThetaMatrix:
             rows[k][j] = -rows[j][k]
         return tuple(map(tuple, rows))
 
-    def is_zero(self) -> bool:
-        return not self.upper
-
     def __repr__(self):
         return f"ThetaMatrix(n={self.n}, mode={self.mode}, upper={dict(self.upper)})"
 
@@ -138,55 +135,3 @@ def check_dims(theta: ThetaMatrix, *indices: Iterable[int]) -> None:
         if len(mu) != theta.n:
             raise DimensionMismatch(
                 f"multi-index of length {len(mu)} against matrix of size {theta.n}")
-
-
-def cocycle_phase(theta: ThetaMatrix, mu, nu):
-    """Exponent t = (1/2) mu^T theta nu, so the scalar is e^{pi*i*mu^T.theta.nu}."""
-    check_dims(theta, mu, nu)
-    acc = Fraction(0)
-    for (j, k), v in theta.upper:
-        acc += v * (mu[j] * nu[k] - mu[k] * nu[j])
-    return acc / 2
-
-
-def _gauge(theta: ThetaMatrix, i: int, sign: int) -> ThetaMatrix:
-    """``kappa_matrix`` for sign 1, ``kappa_inv_matrix`` for sign -1."""
-    if not 0 <= i < theta.n:
-        raise IndexError(f"index {i} out of range")
-    entries = {}
-    for j in range(theta.n):
-        for k in range(j + 1, theta.n):
-            if i in (j, k):
-                entries[(j, k)] = theta.entry(j, k)
-            else:
-                entries[(j, k)] = (sign * theta.entry(i, j) + theta.entry(j, k)
-                                   + sign * theta.entry(k, i))
-    return ThetaMatrix.from_upper(theta.n, entries, theta.mode)
-
-
-def kappa_matrix(theta: ThetaMatrix, i: int) -> ThetaMatrix:
-    """Gauge transform: entry (j,k) becomes theta_ij + theta_jk + theta_ki for
-    j,k != i, while row/column i is left unchanged."""
-    return _gauge(theta, i, 1)
-
-
-def kappa_inv_matrix(theta: ThetaMatrix, i: int) -> ThetaMatrix:
-    """Inverse of :func:`kappa_matrix` for the same index."""
-    return _gauge(theta, i, -1)
-
-
-def skip_slot(i: int, a: int) -> int:
-    """Slot a of the algebra with slot i deleted, as a slot of the full one."""
-    return a + (a >= i)
-
-
-def drop_slot(i: int, s: int) -> int:
-    """Inverse of :func:`skip_slot`, for a slot s != i of the full algebra."""
-    return s - (s > i)
-
-
-def kappa_check_matrix(theta: ThetaMatrix, i: int) -> ThetaMatrix:
-    """kappa_i(theta) with row and column i deleted, slots relabeled by ``drop_slot``."""
-    entries = {(drop_slot(i, j), drop_slot(i, k)): v
-               for (j, k), v in kappa_matrix(theta, i).upper if i not in (j, k)}
-    return ThetaMatrix.from_upper(theta.n - 1, entries, theta.mode)

@@ -57,12 +57,6 @@ def pi_i_j(b: AlgebraElement, j: int) -> AlgebraElement:
     return b.with_context(Context.quotient(b.ctx.theta, i, j))
 
 
-def sphere_reduce(x: AlgebraElement) -> AlgebraElement:
-    if x.ctx.unitary:
-        raise ContextMismatch("sphere_reduce expects a full-algebra element")
-    return x.with_context(Context.sphere(x.ctx.theta))
-
-
 @dataclass(frozen=True)
 class MultipullbackTuple:
     """One element of each B_i, sharing the twist matrix."""

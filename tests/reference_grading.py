@@ -1,24 +1,83 @@
-"""Circle grading, spectral subspaces, and the gauge isomorphisms between
-the twisted quotients and the fixed-point algebras.
+"""Reference circle grading, gauge maps and fixed-point charts, for the tests.
+
+No command reaches these maps; the tests check the source paper's gauge
+isomorphisms and charts of CP^N_T with them.
 
 The diagonal circle action scales every generator, so a word W_p W_q* is
 homogeneous of degree |p| - |q|.  The gauge maps regrade a one-unitary-slot
 quotient B_i so that the whole degree sits in slot i; the fixed-point algebra
 of the regraded quotient is then a twisted multi-isometry algebra on one
 fewer generator, with twist matrix obtained by deleting row and column i
-from the gauged matrix.  The fixed-point maps read one relabeling of slots
-between the two algebras, ``phases.skip_slot`` and its inverse ``drop_slot``.
+from the gauged matrix (``kappa_check_matrix``).  The fixed-point maps read
+one relabeling of slots between the two algebras, ``skip_slot`` and its
+inverse ``drop_slot``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import List, Sequence
 
-from .algebra import (AlgebraElement, Context, ContextMismatch, generator, unit)
-from .phases import (ThetaMatrix, drop_slot, kappa_check_matrix, kappa_inv_matrix,
-                     kappa_matrix, skip_slot)
+from heegaard.algebra import AlgebraElement, Context, ContextMismatch, generator, unit
+from heegaard.phases import ThetaMatrix, check_dims
 
+
+# -- twist-matrix gauges ----------------------------------------------------
+
+def cocycle_phase(theta: ThetaMatrix, mu, nu):
+    """Exponent t = (1/2) mu^T theta nu, so the scalar is e^{pi*i*mu^T.theta.nu}."""
+    check_dims(theta, mu, nu)
+    acc = Fraction(0)
+    for (j, k), v in theta.upper:
+        acc += v * (mu[j] * nu[k] - mu[k] * nu[j])
+    return acc / 2
+
+
+def _gauge(theta: ThetaMatrix, i: int, sign: int) -> ThetaMatrix:
+    """``kappa_matrix`` for sign 1, ``kappa_inv_matrix`` for sign -1."""
+    if not 0 <= i < theta.n:
+        raise IndexError(f"index {i} out of range")
+    entries = {}
+    for j in range(theta.n):
+        for k in range(j + 1, theta.n):
+            if i in (j, k):
+                entries[(j, k)] = theta.entry(j, k)
+            else:
+                entries[(j, k)] = (sign * theta.entry(i, j) + theta.entry(j, k)
+                                   + sign * theta.entry(k, i))
+    return ThetaMatrix.from_upper(theta.n, entries, theta.mode)
+
+
+def kappa_matrix(theta: ThetaMatrix, i: int) -> ThetaMatrix:
+    """Gauge transform: entry (j,k) becomes theta_ij + theta_jk + theta_ki for
+    j,k != i, while row/column i is left unchanged."""
+    return _gauge(theta, i, 1)
+
+
+def kappa_inv_matrix(theta: ThetaMatrix, i: int) -> ThetaMatrix:
+    """Inverse of :func:`kappa_matrix` for the same index."""
+    return _gauge(theta, i, -1)
+
+
+def skip_slot(i: int, a: int) -> int:
+    """Slot a of the algebra with slot i deleted, as a slot of the full one."""
+    return a + (a >= i)
+
+
+def drop_slot(i: int, s: int) -> int:
+    """Inverse of :func:`skip_slot`, for a slot s != i of the full algebra."""
+    return s - (s > i)
+
+
+def kappa_check_matrix(theta: ThetaMatrix, i: int) -> ThetaMatrix:
+    """kappa_i(theta) with row and column i deleted, slots relabeled by ``drop_slot``."""
+    entries = {(drop_slot(i, j), drop_slot(i, k)): v
+               for (j, k), v in kappa_matrix(theta, i).upper if i not in (j, k)}
+    return ThetaMatrix.from_upper(theta.n - 1, entries, theta.mode)
+
+
+# -- circle grading ---------------------------------------------------------
 
 @dataclass(frozen=True)
 class GradedComponent:
@@ -47,6 +106,14 @@ def slot_degree(x: AlgebraElement, i: int):
     return {p[i] - q[i] for p, q in x.terms}
 
 
+def power(x: AlgebraElement, k: int) -> AlgebraElement:
+    """x^k for k >= 0, as k products onto the unit."""
+    out = unit(x.ctx)
+    for _ in range(k):
+        out = out * x
+    return out
+
+
 def extend_hom(x: AlgebraElement, target: Context,
                images: Sequence[AlgebraElement]) -> AlgebraElement:
     """Multiplicative *-linear extension of a generator assignment.
@@ -62,9 +129,9 @@ def extend_hom(x: AlgebraElement, target: Context,
         right = unit(target)
         for a in range(x.ctx.n):
             if p[a]:
-                left = left * images[a] ** p[a]
+                left = left * power(images[a], p[a])
             if q[a]:
-                right = right * images[a] ** q[a]
+                right = right * power(images[a], q[a])
         out = out + (left * right.star()).times_coeff(c)
     return out
 

@@ -6,14 +6,16 @@ import time
 
 from conftest import random_element, rng_for
 from reference_fock import represent
-from heegaard import (AlgebraElement, MultipullbackTuple, chern_galois_projector,
-                      class_invariant, cocycle_check, compact_matrix_unit,
-                      fixed_quotient_context, generator, glue, kappa_gen_inv,
-                      kappa_gen_map, projector_diagonal, psi_map, pullback_projector,
-                      relation_residual, sigma_i, sphere_defect, sphere_reduce,
-                      strong_connection, unit, verify_connection)
+from reference_grading import (fixed_quotient_context, kappa_gen_inv, kappa_gen_map,
+                               kappa_inv_matrix, kappa_matrix, psi_map)
+from reference_sphere import (compact_matrix_unit, pullback_projector, sphere_defect,
+                              sphere_reduce)
+from heegaard import (MultipullbackTuple, chern_galois_projector, class_invariant,
+                      cocycle_check, generator, glue, projector_diagonal,
+                      relation_residual, sigma_i, strong_connection, unit,
+                      verify_connection)
 from heegaard.algebra import Context
-from heegaard.phases import ThetaMatrix, kappa_inv_matrix, kappa_matrix
+from heegaard.phases import ThetaMatrix
 from heegaard.serialize import element_from_obj, element_to_obj, from_json, to_json
 
 import numpy as np
@@ -186,7 +188,7 @@ def test_criterion_09_pullback_functoriality():
     th = ThetaMatrix.zero(3)
     for n in (-2, -1, 1):
         e = chern_galois_projector(n, 2, th)
-        e_prime, e_pp, witness = pullback_projector(e)
+        e_prime, e_pp, witness = pullback_projector(e, strong_connection(n, 2, th).summands)
         assert witness.gamma_beta_is_one, n
         assert witness.conjugation_holds, n
         assert e_prime.is_idempotent(), n

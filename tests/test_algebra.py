@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_element, random_float_theta, rng_for
-from heegaard import (AlgebraElement, Coeff, compact_matrix_unit, generator,
-                      h_tail, sphere_defect, unit)
+from reference_sphere import compact_matrix_unit, sphere_defect
+from heegaard import AlgebraElement, Coeff, generator, h_tail, unit
 from heegaard.algebra import (Context, ContextMismatch, _unitary_reduce,
                               range_complement)
 from heegaard.phases import FLOAT_TOL, RATIONAL, ThetaMatrix

@@ -134,6 +134,18 @@ def test_invariant_builds_no_projector(capsys, monkeypatch):
                                    "truncations": None, "residual": 0.0}
 
 
+def test_invariant_refuses_a_negative_dimension_class(capsys, monkeypatch):
+    # a projector's rank cannot be negative: a diagonal of -1 is a witness
+    def negative(n, N, theta):
+        return [-unit(Context.sphere(theta))]
+
+    monkeypatch.setattr(cli, "projector_diagonal", negative)
+    code, out, err = run(capsys, "invariant", "--N", "2", "--n", "-2")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"error": "negative dimension class",
+                               "dimension_class": -1, "compact_charge": 0}
+
+
 def test_invariant_lifts_each_diagonal_entry_once(capsys, monkeypatch):
     # class_invariant lifts each of the C(3+2, 2) = 10 diagonal entries once
     calls = []

@@ -19,7 +19,7 @@ weights = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 def coeffs():
     return st.lists(st.tuples(phases, weights), max_size=3).map(
         lambda parts: sum((Coeff.from_phase(t, RATIONAL, w) for t, w in parts),
-                          Coeff.zero(RATIONAL)))
+                          Coeff.rational(0)))
 
 
 def test_i_is_a_quarter_phase():
@@ -57,7 +57,7 @@ def test_float_mode_tolerance():
 def test_ring_axioms(a, b, c):
     assert (a + b) * c == a * c + b * c
     assert a * (b * c) == (a * b) * c
-    assert a + (-a) == Coeff.zero(RATIONAL)
+    assert a + (-a) == Coeff.rational(0)
     assert (a * b).conj() == a.conj() * b.conj()
 
 
@@ -161,7 +161,7 @@ nonzero_weights = weights.filter(bool)
 def pairs(draw, max_size=3):
     """The same sum of phases as a Coeff and as a RefCoeff."""
     terms = draw(st.lists(st.tuples(any_phases, nonzero_weights), max_size=max_size))
-    c, ref = Coeff.zero(RATIONAL), RefCoeff({})
+    c, ref = Coeff.rational(0), RefCoeff({})
     for t, w in terms:
         c, ref = c + Coeff.from_phase(t, RATIONAL, w), ref + RefCoeff.from_phase(t, w)
     return c, ref
@@ -185,7 +185,7 @@ def test_integer_exponents_match_the_fraction_reference(a, b, w, single):
     assert_same(x.conj(), rx.conj())
     assert_same(x.scale(w), rx.scale(w))
     assert (x == y) == (rx == ry)
-    assert x == x * Coeff.one(RATIONAL) and (x == x + Coeff.one(RATIONAL)) is False
+    assert x == x * Coeff.rational(1) and (x == x + Coeff.rational(1)) is False
     k, D = w.numerator % 48, w.denominator * 4
     for sign in (1, -1):
         assert_same(x.times_exponent(k, D, sign), rx * RefCoeff.from_phase(Fraction(k, D), sign))
@@ -237,13 +237,13 @@ def test_float_coeff_matches_plain_complex_arithmetic(za, zb, k, weight, r, w):
 
 def test_class_closure():
     fa, fb = Coeff.from_complex(1 + 2j), Coeff.from_phase(Fraction(1, 3), FLOAT, 2)
-    ea, eb = Coeff.from_phase(Fraction(1, 4), RATIONAL, 3), Coeff.one(RATIONAL)
+    ea, eb = Coeff.from_phase(Fraction(1, 4), RATIONAL, 3), Coeff.rational(1)
     for x, y, cls in ((fa, fb, FloatCoeff), (ea, eb, Coeff)):
         for c in (x + y, x - y, x * y, -x, x.conj(), x.times_phase(Fraction(1, 6)),
                   x.times_exponent(1, 4), x.scale(2), x.inverse()):
             assert type(c) is cls
-    assert Coeff.one(FLOAT) != Coeff.one(RATIONAL)
-    assert Coeff.zero(FLOAT) != Coeff.zero(RATIONAL)
+    assert FloatCoeff.rational(1) != Coeff.rational(1)
+    assert FloatCoeff.rational(0) != Coeff.rational(0)
 
 
 def test_float_coeff_inherits_the_traced_arithmetic():
@@ -276,7 +276,7 @@ def test_zero_weight_gives_no_terms():
               Coeff.from_phase(Fraction(1, 3), RATIONAL).times_exponent(0, 1, Fraction(0))):
         assert c.terms == {}
         assert c.is_zero()
-        assert c == Coeff.zero(RATIONAL)
+        assert c == Coeff.rational(0)
 
 
 def test_unit_weight_shifts_the_terms_unmultiplied():
@@ -315,4 +315,27 @@ def test_equality_at_one_conductor_agrees_with_the_difference(a, b, k):
     assert x.D == y.D == D
     for u, v in ((x, y), (x, x + y - y), (x + y, y + x), (x.scale(2), x + x)):
         assert (u == v) == (u - v).is_zero()
-    assert x + y - y == x and (x == x + Coeff.one(RATIONAL).times_exponent(0, D)) is False
+    assert x + y - y == x and (x == x + Coeff.rational(1).times_exponent(0, D)) is False
+
+
+# Exact coefficients are sums in the group ring Q[Z/D], not numbers of the
+# cyclotomic field Q(zeta_D): a vanishing sum of roots of unity is a nonzero
+# dict.  These hold once every Coeff is reduced to a basis of Q(zeta_D).
+CYCLOTOMIC = pytest.mark.xfail(strict=True, reason="Coeff is not reduced mod the "
+                               "cyclotomic polynomial")
+
+
+@CYCLOTOMIC
+def test_one_plus_minus_one_phase_is_zero():
+    assert (Coeff.rational(1) + Coeff.from_phase(Fraction(1, 2), RATIONAL)).is_zero()
+
+
+@CYCLOTOMIC
+def test_the_cube_roots_of_unity_sum_to_zero():
+    roots = [Coeff.from_phase(Fraction(k, 3), RATIONAL) for k in range(3)]
+    assert (roots[0] + roots[1] + roots[2]).is_zero()
+
+
+@CYCLOTOMIC
+def test_minus_one_equals_the_half_phase():
+    assert Coeff.rational(-1) == Coeff.from_phase(Fraction(1, 2), RATIONAL)

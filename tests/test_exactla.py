@@ -71,7 +71,7 @@ def dense_solve(columns, target):
 def phase_sum(parts) -> Coeff:
     """sum_t w * e^{2*pi*i*t} over the {t: w} items of ``parts``."""
     return sum((Coeff.from_phase(t, RATIONAL, w) for t, w in parts.items()),
-               Coeff.zero(RATIONAL))
+               Coeff.rational(0))
 
 
 def random_coeff(rng: random.Random, D: int) -> Coeff:
@@ -203,7 +203,7 @@ def test_phase_free_solve_edge_cases():
     assert solve_exact([{"a"}], {}) == {}
     assert solve_exact([], {"a": one}) is None
     assert solve_exact([{"a"}], {"b": one}) is None
-    assert solve_exact([{"a"}, set()], {"a": Coeff.zero(RATIONAL)}) == {}
+    assert solve_exact([{"a"}, set()], {"a": Coeff.rational(0)}) == {}
     assert solve_exact([{"a"}, {"a"}], {"a": one}) == {0: one}
     # a pivot 2: x0 + x2 = x0 + x1 = x1 + x2 = 1 has x = (1/2, 1/2, 1/2)
     half = Coeff.rational(Fraction(1, 2))
@@ -283,7 +283,7 @@ def test_solve_edge_cases():
     assert reference_solve([], {}) == []
     assert reference_solve([], {"a": one}) is None
     assert reference_solve([{"a": one}], {"b": one}) is None
-    zero_target = reference_solve([{"a": one}, {}], {"a": Coeff.zero(RATIONAL)})
+    zero_target = reference_solve([{"a": one}, {}], {"a": Coeff.rational(0)})
     assert [c.is_zero() for c in zero_target] == [True, True]
     # 1 + e(1/2) is a zero divisor of the group ring: it does not reach 1
     half = phase_sum({Fraction(0): Fraction(1), Fraction(1, 2): Fraction(1)})

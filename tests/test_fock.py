@@ -15,9 +15,10 @@ import pytest
 
 from conftest import random_element, random_float_theta, rng_for
 from reference_fock import BandOperator, band, identity, represent, truncated_trace
+from reference_sphere import sphere_defect
 from heegaard import (AlgebraElement, UnstableInvariant, chern_galois_projector,
                       class_invariant, fock_generator, generator, projector_diagonal,
-                      relation_residual, sphere_defect, unit)
+                      relation_residual, unit)
 from heegaard import fock
 from heegaard.algebra import Context, SizeOverflow
 from heegaard.bundles import MAX_SIZE

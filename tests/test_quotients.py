@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 from conftest import random_element, random_float_theta, rng_for
 from reference_serialize import vector_records
 from reference_solve import solve_exact as reference_solve
+from reference_sphere import sphere_defect, sphere_reduce
 from heegaard import cli, exactla, quotients, serialize
 from heegaard import (AlgebraElement, CocycleReport, Coeff, IncompatibleTuple,
                       MultipullbackTuple, SizeOverflow, cocycle_check,
-                      generator, glue, is_compatible, pi_i_j, sigma_i,
-                      sphere_defect, sphere_reduce, unit)
+                      generator, glue, is_compatible, pi_i_j, sigma_i, unit)
 from heegaard.algebra import Context, ContextMismatch, _unitary_reduce
 from heegaard.coeff import FloatCoeff
-from heegaard.phases import FLOAT, FLOAT_TOL, ThetaMatrix
+from heegaard.phases import FLOAT, FLOAT_TOL, RATIONAL, ThetaMatrix
 
 
 def ambient(n, seed=None):
@@ -708,6 +708,16 @@ def _changed(t, rng):
     comps = list(t.components)
     comps[i] = AlgebraElement(b.ctx, terms)
     return MultipullbackTuple(tuple(comps))
+
+
+@pytest.mark.xfail(strict=True, reason="Coeff is not reduced mod the cyclotomic polynomial")
+def test_unit_tuple_with_one_written_as_minus_the_half_phase_is_compatible():
+    # at zero twist, component 1 of the unit's tuple written -e(1/2) is still 1
+    t = MultipullbackTuple.from_element(unit(ambient(2)))
+    b = t.components[1]
+    ((m, _),) = b.terms.items()
+    written = AlgebraElement(b.ctx, {m: -Coeff.from_phase(Fraction(1, 2), RATIONAL)})
+    assert is_compatible(MultipullbackTuple((t.components[0], written)))
 
 
 @pytest.mark.parametrize("twist", ["zero", "den-8", "den-12", "float"])

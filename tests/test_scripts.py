@@ -44,6 +44,19 @@ def test_invariant_sweep_script():
     assert rows[-1] == {"pairwise_distinct": True}
 
 
+def test_reach_script_finds_no_wholly_unreached_module():
+    (report,) = run_script("reach.py")
+    assert report["jobs"] == 44 and report["failed"] == 0
+    modules = report["modules"]
+    assert set(modules) == {p.stem for p in (ROOT / "src" / "heegaard").glob("*.py")}
+    for name, module in modules.items():
+        assert set(module) == {"defs", "def_lines", "unreached"}, name
+        assert module["def_lines"] == sum(d["lines"] for d in module["unreached"]), name
+        assert all(set(d) == {"name", "line", "lines"} for d in module["unreached"]), name
+        assert module["defs"] == 0 or len(module["unreached"]) < module["defs"], name
+    assert report["def_lines"] == sum(m["def_lines"] for m in modules.values())
+
+
 def test_stdout_diff_script_tree_against_itself():
     rows = run_script("stdout_diff.py", "--a", str(ROOT), "--b", str(ROOT),
                       "--workloads", "fock,solve", "--seeds", "0")

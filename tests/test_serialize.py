@@ -511,7 +511,7 @@ def test_records_of_an_element_share_one_conductor():
                      _record([1, 0], [0, 1], 1, -6, 5, 2), _record([2, 0], [0, 0], 1, 2)]}
     x = element_from_obj(obj)
     assert {c.D for c in x.terms.values()} == {24}
-    want = (AlgebraElement.monomial(ctx, (1, 0), (0, 1), Coeff.one(RATIONAL)
+    want = (AlgebraElement.monomial(ctx, (1, 0), (0, 1), Coeff.rational(1)
                                     + Coeff.from_phase(Fraction(-1, 6), RATIONAL, Fraction(5, 2)))
             + unit(ctx).times_coeff(Coeff.from_phase(Fraction(1, 3), RATIONAL))
             + AlgebraElement.monomial(ctx, (2, 0), (0, 0), Coeff.from_phase(Fraction(1, 2),
