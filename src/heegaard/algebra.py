@@ -21,9 +21,10 @@ conductor (``ThetaMatrix.table``).  Quotient contexts impose extra relations:
 unitary slots add w_s w_s* = 1, and the sphere quotient kills the
 range-complement product prod_j (1 - w_j w_j*).
 
-``AlgebraElement.__mul__`` evaluates this formula once per pair of terms:
-q - p of each left word and t - r of each right word are taken once, and
-one pass over the slots builds the word and sums phi.  A float twist's
+``AlgebraElement.__mul__`` evaluates this formula once per pair of terms
+(``_word_product``, which the chart check of ``quotients`` shares): q - p
+of each left word and t - r of each right word are taken once, and one pass
+over the slots builds the word and sums phi.  A float twist's
 entries are exact dyadic rationals, so phi is an exact integer in both
 modes and the order of its sum does not matter.
 
@@ -143,6 +144,29 @@ def _unitary_reduce(theta: ThetaMatrix, slots, p, q):
     return phase, tuple(p), tuple(q)
 
 
+def _word_product(table, p, q, qp, r, t, tr):
+    """(phi, p + r', q' + t) of (W_p W_q*)(W_r W_t*) over ``table``'s conductor
+    (module docstring), given qp = q - p and tr = t - r."""
+    phase, pp, qq, n = 0, list(p), list(t), len(p)
+    for a in range(n):
+        d = r[a] - q[a]
+        if d > 0:       # r'_a = d pairs with q_c - p_c
+            pp[a] += d
+            u = qp
+        elif d:         # q'_a = -d pairs with t_c - r_c
+            d = -d
+            qq[a] += d
+            u = tr
+        else:
+            continue
+        row = table[a]
+        for c in range(a + 1, n):
+            k = d * u[c]
+            if k:
+                phase += k * row[c]
+    return phase, tuple(pp), tuple(qq)
+
+
 class AlgebraElement:
     """Finite linear combination of canonical monomials in a fixed context."""
 
@@ -157,11 +181,6 @@ class AlgebraElement:
     @classmethod
     def zero(cls, ctx: Context) -> "AlgebraElement":
         return cls(ctx, {})
-
-    @classmethod
-    def unit(cls, ctx: Context) -> "AlgebraElement":
-        z = (0,) * ctx.n
-        return cls(ctx, {(z, z): Coeff.from_exponent(0, ctx.theta)})
 
     @classmethod
     def monomial(cls, ctx: Context, p, q, coeff=None) -> "AlgebraElement":
@@ -204,32 +223,14 @@ class AlgebraElement:
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
-        theta = self.ctx.theta
-        table, D, n = theta.table, theta.conductor, theta.n
+        table, D = self.ctx.theta.table, self.ctx.theta.conductor
         rights = [(r, t, tuple(map(sub, t, r)), c2) for (r, t), c2 in other.terms.items()]
         terms: Dict[Tuple[MultiIndex, MultiIndex], Coeff] = {}
         for (p, q), c1 in self.terms.items():
             qp = tuple(map(sub, q, p))
             for r, t, tr, c2 in rights:
-                phase, pp, qq = 0, list(p), list(t)
-                for a in range(n):
-                    d = r[a] - q[a]
-                    if d > 0:       # r'_a = d pairs with q_c - p_c
-                        pp[a] += d
-                        u = qp
-                    elif d:         # q'_a = -d pairs with t_c - r_c
-                        d = -d
-                        qq[a] += d
-                        u = tr
-                    else:
-                        continue
-                    row = table[a]
-                    for c in range(a + 1, n):
-                        k = d * u[c]
-                        if k:
-                            phase += k * row[c]
-                c = (c1 * c2).times_exponent(phase, D)
-                key = (tuple(pp), tuple(qq))
+                phase, pp, qq = _word_product(table, p, q, qp, r, t, tr)
+                c, key = (c1 * c2).times_exponent(phase, D), (pp, qq)
                 terms[key] = terms[key] + c if key in terms else c
         return _canonicalize(self.ctx, terms)
 
@@ -333,7 +334,8 @@ def generator(ctx: Context, i: int) -> AlgebraElement:
 
 
 def unit(ctx: Context) -> AlgebraElement:
-    return AlgebraElement.unit(ctx)
+    z = (0,) * ctx.n
+    return AlgebraElement(ctx, {(z, z): Coeff.from_exponent(0, ctx.theta)})
 
 
 def range_complement(ctx: Context, slots) -> AlgebraElement:

@@ -165,7 +165,7 @@ class ProjectorMatrix:
         return len(self.entries)
 
     def is_idempotent(self) -> bool:
-        return mat_eq(mat_mul(self.entries, self.entries), self.entries)
+        return mat_mul(self.entries, self.entries) == self.entries
 
     def entries_degree_zero(self) -> bool:
         return all(e.degrees() <= {0} for row in self.entries for e in row)
@@ -177,12 +177,6 @@ def mat_mul(a, b):
     return tuple(tuple(sum((x * y for x, y in zip(row, col)
                             if not (x.is_zero() or y.is_zero())), zero)
                        for col in zip(*b)) for row in a)
-
-
-def mat_eq(a, b) -> bool:
-    return (len(a) == len(b)
-            and all(len(ra) == len(rb) for ra, rb in zip(a, b))
-            and all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb)))
 
 
 def chern_galois_projector(n: int, N: int, theta: ThetaMatrix) -> ProjectorMatrix:

@@ -24,11 +24,12 @@ from .quotients import (IncompatibleTuple, LiftRounding, MultipullbackTuple,
 RESIDUAL_TOL = 1e-10
 
 MAX_INPUT_BYTES = 1 << 24
-"""Cap on a twist file or glue input, 16 MiB, from the largest inputs the other
-caps admit: a twist of 47 slots (``quotients.MAX_COCYCLE_WORDS``) is 9.4 MB with
-every integer at the 4300 digits ``int`` parses, and a glue tuple at
-``quotients.MAX_GLUE_SUPPORT`` words a component, about 150 bytes each at
-N = 3, is 2.3 MB."""
+"""Cap on a twist file or glue input, 16 MiB, about 7 times the largest inputs
+the other caps admit: a twist of 14 slots (``cocycle --N 13``, the largest
+size flag ``quotients.MAX_CHART_PRODUCTS`` admits) is 0.78 MB with every
+integer at the 4300 digits ``int`` parses, and a glue tuple at N = 3 with
+``quotients.MAX_GLUE_SUPPORT`` words a component, about 147 bytes each, is
+2.4 MB."""
 
 
 class UsageError(Exception):
@@ -137,7 +138,7 @@ def _run(args) -> int:
     if "n" in FLAGS[args.command]:
         check_size(args.n, args.N)
     if args.command == "cocycle":
-        check_cocycle_size(args.N + 1, args.degree)
+        check_cocycle_size(args.N + 1)
     if args.command == "residual":
         check_dim(args.N + 1, args.M)
     theta = _parse_theta(args.theta, args.N + 1, args.seed, args.den)
@@ -184,9 +185,9 @@ def _run(args) -> int:
         report = cocycle_check(theta, args.degree)
         _emit({"passed": report.passed,
                "checked_degree": report.checked_degree,
-               "failures": [[i, j, k, [list(m[0]), list(m[1])],
-                             serialize.vector_to_obj(v)]
-                            for (i, j, k, m, v) in report.failures]}, args.output)
+               "failures": [[*f[:5], *({"p": list(p), "q": list(q), "phase_num": t.numerator,
+                                        "phase_den": t.denominator} for p, q, t in f[5:])]
+                            for f in report.failures]}, args.output)
         return 0 if report.passed else 1
 
     if args.command == "residual":

@@ -1,26 +1,26 @@
 """Quotient maps, multipullback tuples, constructive gluing, and the
-cocycle-condition checker.
+chart-map check of CP^N_T.
 
 The ambient algebra surjects onto B_i (slot-i generator unitary), B_ij (two
 unitary slots) and the sphere quotient.  A multipullback tuple is one element
 of each B_i; it is compatible when all pairwise images in B_ij agree, and
 ``glue`` reconstructs a common preimage by one exact linear solve over the
-words of its closed-form lift.  ``cocycle_check`` compares kernel images as
-sets of words, and builds a scalar only for a failure (the gauge lemma is in
-its docstring).
+words of its closed-form lift.  ``cocycle_check`` checks that the transition
+maps between the N + 1 Toeplitz charts of CP^N_T respect the chart relations,
+each as two words and two integer phases from the kernel of products.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
-from itertools import combinations, product
-from math import comb
+from dataclasses import dataclass
+from fractions import Fraction
+from itertools import combinations, permutations, product
+from operator import sub
 from typing import Tuple
 
 from .algebra import (AlgebraElement, Context, ContextMismatch, SizeOverflow,
-                      _unitary_reduce)
-from .coeff import Coeff
+                      _unitary_reduce, _word_product)
 from .exactla import solve_exact
 from .phases import ThetaMatrix
 
@@ -33,8 +33,9 @@ class LiftRounding(ArithmeticError):
     pass
 
 
-MAX_COCYCLE_WORDS = 100_000
-"""Cap on the words ``cocycle_check`` enumerates, as ``bundles.MAX_SIZE``."""
+MAX_CHART_PRODUCTS = 100_000
+"""Cap on the word products of ``cocycle_check`` (``check_cocycle_size``),
+as ``bundles.MAX_SIZE``."""
 
 MAX_GLUE_SUPPORT = 4000
 """Cap on the words of one ``glue`` system, counted as ``_glue_support`` says."""
@@ -184,105 +185,82 @@ def glue(t: MultipullbackTuple) -> AlgebraElement:
 class CocycleReport:
     passed: bool
     checked_degree: int
-    failures: Tuple[tuple, ...] = field(default_factory=tuple)
+    failures: Tuple[tuple, ...] = ()
 
 
-def _basis_monomials(n: int, degree_bound: int, zero_slots=(), positive_slots=()):
-    """Multi-index pairs (p, q) with |p|+|q| <= bound, min(p_s,q_s)=0 on
-    zero_slots and min(p_s,q_s)>=1 on positive_slots, ordered by |p|+|q|,
-    then |p|, then p, then q.  A word positive on the slot set P is (e_P, e_P)
-    plus a word of degree <= bound - 2|P|, so only those are enumerated (in
-    ascending order, by stars and bars), and only zero_slots are filtered."""
-    shift = [int(s in positive_slots) for s in range(n)]
-
-    def vecs(total):
-        for cut in combinations(range(total + n - 1), n - 1):
-            yield tuple(b - a - 1 + e for a, b, e
-                        in zip((-1,) + cut, cut + (total + n - 1,), shift))
-
-    words = ((p, q) for d in range(degree_bound - 2 * sum(shift) + 1)
-             for dp in range(d + 1) for p in vecs(dp) for q in vecs(d - dp))
-    return [(p, q) for p, q in words if not any(min(p[s], q[s]) for s in zero_slots)]
+def check_cocycle_size(n: int) -> None:
+    """Raise ``SizeOverflow`` if ``cocycle_check`` on n = N + 1 slots would
+    form more than ``MAX_CHART_PRODUCTS`` word products: N + 1 + 3N(N - 1)
+    for each of the n(n - 1) ordered chart pairs (``_chart_relations``)."""
+    N = n - 1
+    if n * N * (N + 1 + 3 * N * (N - 1)) > MAX_CHART_PRODUCTS:
+        raise SizeOverflow(f"the chart check at N={N} exceeds the size cap: "
+                           f"n(n-1)(N + 1 + 3N(N-1)) word products with n = N+1 "
+                           f"must be at most {MAX_CHART_PRODUCTS}")
 
 
-def _kernel_image_words(n: int, i: int, j: int, k: int, degree_bound: int):
-    """Pairs (A, m) up to degree: each word m of B_i with slot k interior,
-    and A, m reduced on slot j (the ``cocycle_check`` lemma); no twist."""
-    return [((_shift(p, j, -c), _shift(q, j, -c)), (p, q))
-            for p, q in _basis_monomials(n, degree_bound, zero_slots=(i,), positive_slots=(k,))
-            for c in [min(p[j], q[j])]]
-
-
-def _kernel_image_vector(theta: ThetaMatrix, i: int, j: int, k: int, m) -> dict:
-    """The image in B_ij of m - e(phi_k) m_k, m_k the slot-k reduction of the
-    word m of B_i: two words, A = m and then B = m_k reduced on {i, j}."""
-    ij = tuple(sorted((i, j)))
-    a, pa, qa = _unitary_reduce(theta, ij, *m)
-    phi, pk, qk = _unitary_reduce(theta, (k,), *m)
-    b, pb, qb = _unitary_reduce(theta, ij, pk, qk)
-    return {(pa, qa): Coeff.from_exponent(a, theta),
-            (pb, qb): Coeff.from_exponent(phi, theta, -1) * Coeff.from_exponent(b, theta)}
-
-
-def check_cocycle_size(n: int, d: int) -> None:
-    """Raise ``SizeOverflow`` if ``cocycle_check`` would enumerate more
-    than ``MAX_COCYCLE_WORDS`` words, counted as C(d + 2n, 2n) for each of
-    the n(n-1)(n-2) ordered triples (the binomial only once n is small)."""
-    triples = n * (n - 1) * (n - 2)
-    if d >= 0 and (triples > MAX_COCYCLE_WORDS
-                   or triples * comb(d + 2 * n, 2 * n) > MAX_COCYCLE_WORDS):
-        raise SizeOverflow(f"degree {d} at N={n - 1} exceeds the size cap: "
-                           f"n(n-1)(n-2) C(d+2n, 2n) with n = N+1 must be at "
-                           f"most {MAX_COCYCLE_WORDS}")
+def _chart_twist(theta: ThetaMatrix, c: int) -> ThetaMatrix:
+    """kappa_c(s, t) = theta_cs + theta_st + theta_tc on the slots s, t != c,
+    kept at their labels; row c is 0, as no word of chart c has a slot-c letter."""
+    T, D = theta.table, theta.conductor
+    return ThetaMatrix.from_upper(theta.n, {
+        (s, t): Fraction(T[c][s] + T[s][t] + T[t][c], D)
+        for s, t in combinations(range(theta.n), 2) if c not in (s, t)}, theta.mode)
 
 
 def cocycle_check(theta: ThetaMatrix, degree_bound: int) -> CocycleReport:
-    """Kernel-image equality behind the induced isomorphisms.
+    """The transition maps between the N + 1 charts of CP^N_T respect the
+    chart relations.
 
-    For all distinct i,j,k: pi^i_j(ker pi^i_k) == pi^j_i(ker pi^j_k) as spans
-    inside B_ij, on monomials up to the degree bound.  A failure is
-    (i, j, k, first word, vector) for the first vector outside the span
-    (side a before side b): the vector is in pi^i_j(ker pi^i_k) but not in
-    pi^j_i(ker pi^j_k).  A size over ``MAX_COCYCLE_WORDS`` raises
-    ``SizeOverflow`` before anything is enumerated.
+    Chart c is the Toeplitz algebra over ``_chart_twist(theta, c)`` on
+    v_s = w_s w_c* (s != c).  On its overlap with chart d, where u = v_d is
+    unitary, T_{c<-d} sends chart d's generator g_s to v_s u*, and g_c to u*.
+    For every ordered pair (c, d) the images must satisfy, in chart c with
+    slot d unitary, chart d's relations: isometry g_a* g_a = 1, unitarity
+    g_c g_c* = 1, g_a g_b = e(kappa_d(a, b)) g_b g_a (a < b) and
+    g_a g_b* = e(-kappa_d(a, b)) g_b* g_a.  Each image is one word, so each
+    side is one word times an integer phase: the product kernel of
+    ``AlgebraElement.__mul__`` (``algebra._word_product``), then the slot-d
+    reduction.  No element, scalar or degree is formed; ``degree_bound`` is
+    only echoed.  A failure is (c, d, relation, a, b, lhs, rhs) for the first
+    failing relation of a pair, each side (p, q, t) for e(t) W_p W_q*.
 
-    Spans are compared as sets of words.  Take a side (i, j, k) and m, a
-    word of B_i (min 0 in slot i) interior on slot k.  Slot reductions add
-    their phases (``algebra`` docstring), so if psi(w) is the phase of
-    reducing w on every slot, m's vector is e(psi(m)) (e_A - e_B) in the
-    coordinates e(psi(w)) x_w, the same on both sides.  A is m reduced on
-    slot j, and B is A reduced on slot k, since word-level reductions on
-    different slots commute.  So every edge of a side joins a k-interior word
-    to its k-reduction: each side's graph is a union of stars, one around
-    each k-reduced word, and its span is the x on it with every star summing
-    to 0.  A vector (A, B) of one side thus lies in the other side's span
-    exactly when A is one of the other side's k-interior words, at float
-    twists as exactly as at rational.  Both sides' sets of A are the words
-    with min 0 on i and j, interior on k, and of degree <= d (take m = A on
-    either side), so the check passes at every twist and degree: it guards
-    the enumeration (``_basis_monomials``) and the word reduction, not the
-    twist or the product kernel.
-
-    The isomorphisms cohere for every twist: B_k -> B_j -> B_i and B_k ->
-    B_i, modulo all three slots, both compose slot reductions, whose phase is
-    additive over slots, since each leaves every p_j - q_j unchanged.
+    The transitions compose at every twist, so that is not checked: on
+    generators T_{c<-d} T_{d<-e} g_s = v_s u* (v_e u*)* = v_s (u* u) v_e*
+    (v_c = 1; for s = d both routes give v_d v_e*), which is T_{c<-e} g_s
+    = v_s v_e* by u* u = 1, a product the kernel forms with no phase.
     """
-    n = theta.n
-    check_cocycle_size(n, degree_bound)
-    if degree_bound < 2:        # no word of degree < 2 is interior on slot k
-        return CocycleReport(passed=True, checked_degree=degree_bound)
+    check_cocycle_size(theta.n)
+    charts = [_chart_twist(theta, c) for c in range(theta.n)]
     failures = []
-    for i, j in combinations(range(n), 2):
-        for k in (k for k in range(n) if k not in (i, j)):
-            side_a = _kernel_image_words(n, i, j, k, degree_bound)
-            side_b = _kernel_image_words(n, j, i, k, degree_bound)
-            for a, b, words, other in ((i, j, side_a, side_b), (j, i, side_b, side_a)):
-                leaves = {A for A, _ in other}
-                m = next((m for A, m in words if A not in leaves), None)
-                if m is not None:
-                    v = _kernel_image_vector(theta, a, b, k, m)
-                    failures.append((a, b, k, min(v), v))
-                    break
-    return CocycleReport(passed=not failures,
-                         checked_degree=degree_bound,
-                         failures=tuple(failures))
+    for c, d in permutations(range(theta.n), 2):
+        bad = next((r for r in _chart_relations(theta, charts, c, d) if r[3] != r[4]), None)
+        if bad is not None:
+            failures.append((c, d, *bad[:3], *((p, q, Fraction(t, theta.conductor))
+                                               for p, q, t in bad[3:])))
+    return CocycleReport(not failures, degree_bound, tuple(failures))
+
+
+def _chart_relations(theta: ThetaMatrix, charts, c: int, d: int):
+    """Chart d's relations on its images in chart c (``cocycle_check``), as
+    (relation, a, b, lhs, rhs), each side (p, q, t) for e(t/D) W_p W_q*."""
+    D, chart, table, kappa = theta.conductor, charts[c], charts[c].table, charts[d].table
+    e, f, zero = D // chart.conductor, D // charts[d].conductor, (0,) * theta.n
+
+    def side(x, y, shift=0):
+        phase, p, q = _word_product(table, *x, *y)
+        if p[d] and q[d]:
+            extra, p, q = _unitary_reduce(chart, (d,), p, q)
+            phase += extra
+        return p, q, (phase * e + shift) % D
+
+    g = {s: (_shift(zero, s, int(s != c)), _shift(zero, d, 1)) for s in range(theta.n) if s != d}
+    g, star = ({s: (p, q, tuple(map(sub, q, p))) for s, (p, q) in g.items()},
+               {s: (q, p, tuple(map(sub, p, q))) for s, (p, q) in g.items()})
+    yield from (("isometry", a, a, side(star[a], g[a]), (zero, zero, 0)) for a in g)
+    yield "unitarity", c, c, side(g[c], star[c]), (zero, zero, 0)
+    for a, b in combinations(g, 2):
+        yield "commutation", a, b, side(g[a], g[b]), side(g[b], g[a], kappa[a][b] * f)
+    for a, b in permutations(g, 2):
+        yield ("star commutation", a, b, side(g[a], star[b]),
+               side(star[b], g[a], -kappa[a][b] * f))

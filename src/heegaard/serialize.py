@@ -205,12 +205,6 @@ def element_to_obj(x: AlgebraElement) -> Dict[str, Any]:
     return json.loads(to_json(x))
 
 
-def vector_to_obj(v) -> list:
-    """A {(p, q): Coeff} vector as [[p, q, <Coeff records>], ...], sorted by word."""
-    return [[list(p), list(q), [json.loads("".join(r)) for r in _pieces(v[p, q], {})]]
-            for p, q in sorted(v)]
-
-
 def element_from_obj(obj: Any, path: str = "element", known=None) -> AlgebraElement:
     ctx, terms = _fields(obj, path, "context", "terms")
     ctx = context_from_obj(ctx, f"{path}.context", known)

@@ -115,7 +115,7 @@ def pullback_projector(e: ProjectorMatrix, summands):
     padded = tuple(tuple(e_prime.entries[i][j] if i < mp and j < mp else zero
                          for j in range(m)) for i in range(m))
     conj = bundles.mat_mul(bundles.mat_mul(g_inv, padded), g)
-    holds = bundles.mat_eq(conj, e_pp.entries)
+    holds = conj == e_pp.entries
     witness = ConjugationWitness(g, g_inv, tuple(perm),
                                  gamma_beta_is_one, holds)
     return e_prime, e_pp, witness

@@ -433,14 +433,23 @@ def test_oversized_windings_are_usage_errors(capsys, tmp_path, command, N, n):
     assert "exceeds the size cap" in err
 
 
-@pytest.mark.parametrize("N, degree", [(2, 12), (3, 7), (4, 5), (47, 0), (2, 10 ** 30),
-                                       (10 ** 30, 3)])
+@pytest.mark.parametrize("N, degree", [(14, 0), (47, 0), (10 ** 30, 3), (14, 10 ** 30)])
 def test_oversized_cocycles_are_usage_errors(capsys, tmp_path, N, degree):
     # refused before the twist is read: the missing twist file is never opened
     code, out, err = run(capsys, "cocycle", "--N", str(N), "--degree", str(degree),
                          "--theta", str(tmp_path / "missing.json"))
     assert (code, out) == (2, "")
     assert "exceeds the size cap" in err
+
+
+@pytest.mark.parametrize("N, degree", [(2, 12), (3, 7), (4, 5), (2, 10 ** 30), (13, 3)])
+def test_cocycle_degree_drives_no_work_and_is_echoed(capsys, N, degree):
+    # the chart check has no degree: sizes the degree-bounded enumeration
+    # refused are admitted, and the degree comes back as checked_degree
+    code, out, err = run(capsys, "cocycle", "--N", str(N), "--degree", str(degree),
+                         "--theta", "random-rational", "--seed", "1")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"passed": True, "checked_degree": degree, "failures": []}
 
 
 def test_usage_errors(capsys):

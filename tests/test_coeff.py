@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_serialize import coeff_records
-from heegaard.algebra import AlgebraElement, Context
+from heegaard.algebra import AlgebraElement, Context, unit
 from heegaard.coeff import Coeff, FloatCoeff
 from heegaard.phases import FLOAT, FLOAT_TOL, RATIONAL, ThetaMatrix
 
@@ -256,7 +256,7 @@ def test_float_coeff_inherits_the_traced_arithmetic():
 def test_unit_coefficients_are_built_at_the_twist_conductor():
     theta = ThetaMatrix.from_upper(3, {(0, 1): Fraction(1, 8), (1, 2): Fraction(1, 3)})
     ctx = Context.toeplitz(theta)
-    for x in (AlgebraElement.unit(ctx), AlgebraElement.monomial(ctx, (1, 0, 0), (0, 0, 1))):
+    for x in (unit(ctx), AlgebraElement.monomial(ctx, (1, 0, 0), (0, 0, 1))):
         assert [c.D for c in x.terms.values()] == [theta.conductor] == [24]
     assert Coeff.from_exponent(5, theta, -1) == Coeff.from_phase(Fraction(5, 24), RATIONAL, -1)
 

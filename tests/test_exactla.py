@@ -331,8 +331,9 @@ def check_star_rule(systems):
 
 @pytest.mark.parametrize("D", [1, 2, 3, 4, 8, 12])
 def test_span_helper_matches_per_vector_solves(D):
-    # quotients.cocycle_check decides span membership of the cocycle's star
-    # vectors by leaf membership alone; exact per-vector solves agree
+    # the kernel-image check (tests/reference_cocycle.py) decides span
+    # membership of the cocycle's star vectors by leaf membership alone;
+    # exact per-vector solves agree
     rng = rng_for(f"exactla-span-{D}")
 
     def unit():

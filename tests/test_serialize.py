@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_element, random_float_theta, rng_for
-from reference_serialize import reference_dict, vector_records
+from reference_serialize import reference_dict
 from heegaard import (AlgebraElement, Coeff, chern_galois_projector, generator,
                       serialize, strong_connection, unit)
 from heegaard.algebra import Context
@@ -20,7 +20,7 @@ from heegaard.serialize import (SchemaError, element_from_obj, element_to_obj,
                                 from_json, projector_from_obj,
                                 projector_to_obj, tensor_from_obj,
                                 tensor_to_obj, theta_from_obj, theta_to_obj,
-                                to_json, vector_to_obj)
+                                to_json)
 
 
 def test_theta_roundtrip():
@@ -567,12 +567,6 @@ def _documents(draw):
 @given(x=_documents())
 def test_to_json_writes_the_dict_layout(x):
     assert to_json(x) == _canonical(reference_dict(x))
-
-
-@settings(max_examples=200, deadline=None)
-@given(x=_documents().filter(lambda x: isinstance(x, AlgebraElement)))
-def test_cocycle_failure_vectors_match_the_dict_layout(x):
-    assert _canonical(vector_to_obj(x.terms)) == _canonical(vector_records(x.terms))
 
 
 def test_signed_zero_parts_are_rendered_apart():
