@@ -14,8 +14,15 @@ import, and a cache lowers it by about a megabyte.  Each pair runs
 ``PYTHONDONTWRITEBYTECODE=1``, tree a first in even pairs and tree b first
 in odd ones.  The script prints one JSON line per run, then a JSON summary:
 per end-to-end metric, each side's median and quartiles, the change of the
-medians, in how many pairs tree b did better, and a verdict.  The direction
-and the bound of each metric are read from ``BENCHMARK.json``:
+medians, in how many pairs tree b did better, and a verdict.  Each run's line
+also holds ``commands``: per CLI command, the median over its jobs of the
+scaled job seconds, read from that run's
+``.perfbench_out/<workload>-s<seed>-t0/result.json``.  As in the harness, a
+job's scaled time is its seconds times 1e-3 over its reference reading,
+and a job counts with its fastest repeat.  The summary gives each command's
+per-run medians as each side's median and quartiles and the change of the
+medians.  The direction and the bound of each metric are read from
+``BENCHMARK.json``:
 
 - ``worse``: tree b's median is worse than tree a's by more than the bound;
 - ``unresolved``: tree a's quartile spread exceeds the bound times its
@@ -55,8 +62,24 @@ def _run(tree: Path, args) -> dict:
                            "--trace", "0"],
                           cwd=tree, env=env, capture_output=True, text=True, check=True)
     result = json.loads(proc.stdout.splitlines()[-1])
+    out = tree / ".perfbench_out" / f"{args.workload}-s{args.seed}-t0" / "result.json"
     return {"failed": result["failed"],
-            "metrics": {k: m["value"] for k, m in result["metrics"].items()}}
+            "metrics": {k: m["value"] for k, m in result["metrics"].items()},
+            "commands": command_seconds(json.loads(out.read_text())["jobs"])}
+
+
+def command_seconds(jobs: list) -> dict:
+    """Per command, the median over its jobs of the fastest scaled repeat
+    (seconds * 1e-3 / ref, the harness's scaling) of each timed job."""
+    best = {}
+    for job in jobs:
+        if job["seconds"] is not None:
+            key, t = (job["cmd"], job["id"]), job["seconds"] * 1e-3 / job["ref"]
+            best[key] = min(best.get(key, t), t)
+    per_cmd = {}
+    for (cmd, _), t in best.items():
+        per_cmd.setdefault(cmd, []).append(t)
+    return {cmd: statistics.median(ts) for cmd, ts in sorted(per_cmd.items())}
 
 
 def _spread(values: list) -> dict:
@@ -94,6 +117,16 @@ def summarize(runs: list, spec: dict) -> dict:
     return out
 
 
+def summarize_commands(runs: list) -> dict:
+    """Per command: each side's median and quartiles of its per-run median
+    scaled job seconds, and the relative change of the medians."""
+    out = {}
+    for cmd in runs[0]["a"]["commands"]:
+        sa, sb = (_spread([r[s]["commands"][cmd] for r in runs]) for s in "ab")
+        out[cmd] = {"a": sa, "b": sb, "change": sb["median"] / sa["median"] - 1}
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--rev", required=True, help="tree a: git archive of this revision")
@@ -118,7 +151,8 @@ def main(argv=None) -> int:
             runs.append(run)
     print(json.dumps({"workload": args.workload, "seed": args.seed, "pairs": args.pairs,
                       "failed": {s: sum(r[s]["failed"] for r in runs) for s in "ab"},
-                      "metrics": summarize(runs, metrics)}))
+                      "metrics": summarize(runs, metrics),
+                      "commands": summarize_commands(runs)}))
     return 0
 
 

@@ -3,7 +3,7 @@ multipullback sphere and projective-space quotients, strong connections,
 line-bundle projectors, and truncated-Fock numerical invariants."""
 
 from .algebra import AlgebraElement, Context, ContextMismatch, SizeOverflow, generator, unit
-from .bundles import (ProjectorMatrix, TensorElement, chern_galois_projector, h_tail,
+from .bundles import (ProjectorMatrix, TensorElement, chern_galois_projector,
                       projector_diagonal, strong_connection, verify_connection)
 from .coeff import Coeff, FloatCoeff
 from .fock import (ClassInvariant, SparseOperator, UnstableInvariant,

@@ -22,9 +22,10 @@ unitary slots add w_s w_s* = 1, and the sphere quotient kills the
 range-complement product prod_j (1 - w_j w_j*).
 
 ``AlgebraElement.__mul__`` evaluates this formula once per pair of terms
-(``_word_product``, which the chart check of ``quotients`` shares): q - p
-of each left word and t - r of each right word are taken once, and one pass
-over the slots builds the word and sums phi.  A float twist's
+(``_word_product``, which the chart check of ``quotients`` and the
+projector entries of ``bundles`` share): q - p of each left word and t - r
+of each right word are taken once, and one pass over the slots builds the
+word and sums phi.  A float twist's
 entries are exact dyadic rationals, so phi is an exact integer in both
 modes and the order of its sum does not matter.
 
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from operator import mul, sub
 from typing import Dict, Tuple
 
@@ -337,13 +338,3 @@ def unit(ctx: Context) -> AlgebraElement:
     z = (0,) * ctx.n
     return AlgebraElement(ctx, {(z, z): Coeff.from_exponent(0, ctx.theta)})
 
-
-def range_complement(ctx: Context, slots) -> AlgebraElement:
-    """The ordered product prod_{s in slots} (1 - w_s w_s*) in closed form,
-    sum_{T subset slots} (-1)^{|T|} W_{e_T} W_{e_T}*: the projections w_s w_s*
-    commute, and by the product formula a product of them is the canonical
-    word with phase 0.  Words come in ascending e_T, as the product makes them.
-    """
-    one, slots = Coeff.from_exponent(0, ctx.theta), set(slots)
-    words = product(*((0, 1) if s in slots else (0,) for s in range(ctx.n)))
-    return _canonicalize(ctx, {(e, e): -one if sum(e) % 2 else one for e in words})

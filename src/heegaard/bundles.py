@@ -4,26 +4,33 @@ A strong connection value is a finite sum sum_l a_l (x) r_l of elementary
 tensors over the sphere quotient with sum_l a_l r_l = 1 and bidegree
 (-n, n).  The associated projector has entries E_kl = r_k a_l; idempotency
 follows from the multiplicativity condition alone, so any presentation of
-the connection value works.  ``strong_connection`` builds each right factor
-in closed form, r_k = H_{k_1} a_k*, one summand per multi-index, and a zero
-lemma on the letters of a_k and a_l picks the entries that can be nonzero,
-all on or below the diagonal in that order (lemmas in both docstrings).
+the connection value works.  ``strong_connection`` has one summand per
+multi-index and writes each factor in closed form, a_k = c_k W_alpha and
+r_k = H_{k_1} a_k*, word by word from integer phases.  A zero lemma on the
+letters of a_k and a_l picks the entries that can be nonzero, all on or
+below the diagonal in that order, and each is built word by word with the
+product kernel's phase (lemmas in both docstrings).  No element product and
+no sphere normal form is formed for a negative winding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, product
 from math import comb
+from operator import add, mul
 from typing import List, Tuple
 
 from .algebra import (AlgebraElement, Context, ContextMismatch, SizeOverflow,
-                      _canonicalize, generator, range_complement, unit)
+                      _canonicalize, _word_product, unit)
+from .coeff import Coeff
 from .phases import ThetaMatrix
 
 
 MAX_SIZE = 128
 """Cap on both C(|n|+N, N), the summand count of winding n (the projector
-has its square for entries), and 2^N, the word count of ``h_tail(0)``."""
+has its square for entries), and 2^N, the word count of a right factor
+r_k = H_0 a_k* with k_1 = 0 (``strong_connection``)."""
 
 
 def check_size(n: int, N: int) -> None:
@@ -94,27 +101,40 @@ def _proportionality(a: AlgebraElement, b: AlgebraElement):
     return lam if a == b.times_coeff(lam) else None
 
 
-def h_tail(i: int, ctx: Context) -> AlgebraElement:
-    """The ordered product of range complements in slots above i."""
-    if not 0 <= i < ctx.n:
-        raise IndexError(f"index {i} out of range")
-    return range_complement(ctx, range(i + 1, ctx.n))
-
-
 def strong_connection(n: int, N: int, theta: ThetaMatrix) -> TensorElement:
     """Connection value for winding n over the sphere quotient.
 
     Non-negative windings have the closed form s_0*^n (x) s_0^n, the two
     monomials W_0 W_{ne_0}* and W_{ne_0} W_0* (no phase).  Winding -m
-    is the m-th power of sum_k s_k (x) s_k* H_k, H_k = ``h_tail(k)``.  Each
-    factor 1 - s_j s_j* of an H is idempotent, is killed by s_j* on its left,
-    and commutes exactly with every letter of another slot (the phases
-    cancel).  So (s_l* H_l)(s_k* H_k) = 0 for k < l, and the summands are
-    a_k (x) r_k, a_k = s_{k_m}...s_{k_1}, one per k_1 <= ... <= k_m, ordered
-    by k_m, then by the prefix.  In r_k = s_{k_1}* H_{k_1}...s_{k_m}* H_{k_m}
-    the slot-j factor of H_{k_i} (j > k_i) stands before every s_j*, so it
-    passes only letters of slots <= k_i to the front; there they all merge
-    into H_{k_1}, and r_k = H_{k_1} a_k*.
+    is the m-th power of sum_k s_k (x) s_k* H_k, H_k = prod_{j>k}
+    (1 - s_j s_j*).  Each factor 1 - s_j s_j* of an H is idempotent, is
+    killed by s_j* on its left, and commutes exactly with every letter of
+    another slot (the phases cancel).  So (s_l* H_l)(s_k* H_k) = 0 for k < l,
+    and the summands are a_k (x) r_k, a_k = s_{k_m}...s_{k_1}, one per
+    k_1 <= ... <= k_m, ordered by k_m, then by the prefix.  In
+    r_k = s_{k_1}* H_{k_1}...s_{k_m}* H_{k_m} the slot-j factor of H_{k_i}
+    (j > k_i) stands before every s_j*, so it passes only letters of slots
+    <= k_i to the front; there they all merge into H_{k_1}, and
+    r_k = H_{k_1} a_k*.
+
+    Both factors are built word by word from the product formula of
+    ``algebra``, with D the twist's conductor, alpha the slot multiplicities
+    of a_k and e_T the indicator of a slot set T:
+
+    - a_k = c_k W_alpha.  Prepending s_k to a word whose slots are all
+      <= k costs the phase -sum_{a<k} alpha_a theta_ak, so c_k is one
+      ``times_exponent`` per letter after the first, from the unit phase.
+      The product s_k a forms the same scalar, as the unit times c is exact.
+    - r_k = H_{k_1} a_k* = sum_{T subset {k_1+1..N}} (-1)^{|T|} conj(c_k)
+      e(psi_T) W_{e_T} W_{e_T+alpha}*, in ascending e_T.  The phase of
+      (W_{e_T} W_{e_T}*)(W_alpha*) is psi_T = sum_{s in T} step_s with
+      step_s = sum_{c>s} alpha_c theta_sc, additive over T, so the steps are
+      formed once per summand and each word costs one
+      ``conj(c_k).times_exponent(psi_T, D, +-1)``.  The sign moves from the
+      product's left scalar onto the phase, which negates it exactly.
+    - No word is fully interior (p_{k_1} = 0), so the sphere normal form
+      leaves each as it is, and distinct T give distinct words.
+
     A size over ``MAX_SIZE`` raises ``SizeOverflow`` before anything is built.
     """
     if theta.n != N + 1:
@@ -125,13 +145,24 @@ def strong_connection(n: int, N: int, theta: ThetaMatrix) -> TensorElement:
         empty, ne0 = (0,) * ctx.n, (n,) + (0,) * N
         return TensorElement(ctx, [(AlgebraElement.monomial(ctx, empty, ne0),
                                     AlgebraElement.monomial(ctx, ne0, empty))]).simplify()
-    gens = [generator(ctx, k) for k in range(N + 1)]
-    heads = [h_tail(k, ctx) for k in range(N + 1)]
-    layer = [(k, k, g) for k, g in enumerate(gens)]     # (last slot, first slot, a)
-    for _ in range(-n - 1):
-        layer = [(k, first, gens[k] * a)
-                 for k in range(N + 1) for last, first, a in layer if last <= k]
-    return TensorElement(ctx, [(a, heads[f] * a.star()) for _, f, a in layer]).simplify()
+    table, D, zeros = theta.table, theta.conductor, (0,) * (N + 1)
+    cols = [[table[a][k] for a in range(k)] for k in range(N + 1)]
+    one = Coeff.from_exponent(0, theta)
+    layer = [(k, k, zeros[:k] + (1,) + zeros[k + 1:], one) for k in range(N + 1)]
+    for _ in range(-n - 1):      # (last slot, first slot, alpha, c) of each a
+        layer = [(k, first, alpha[:k] + (alpha[k] + 1,) + alpha[k + 1:],
+                  c.times_exponent(-sum(map(mul, alpha, cols[k])), D))
+                 for k in range(N + 1) for last, first, alpha, c in layer if last <= k]
+    summands = []
+    for _, first, alpha, c in layer:
+        cc = c.conj()
+        steps = [sum(map(mul, alpha[s + 1:], table[s][s + 1:])) for s in range(N + 1)]
+        right = {}
+        for e in product(*((0, 1) if s > first else (0,) for s in range(N + 1))):
+            right[e, tuple(map(add, e, alpha))] = \
+                cc.times_exponent(sum(compress(steps, e)), D, -1 if sum(e) % 2 else 1)
+        summands.append((AlgebraElement(ctx, {(alpha, zeros): c}), AlgebraElement(ctx, right)))
+    return TensorElement(ctx, summands).simplify()
 
 
 def check_connection(conn: TensorElement, n: int):
@@ -184,23 +215,51 @@ def chern_galois_projector(n: int, N: int, theta: ThetaMatrix) -> ProjectorMatri
 
     Zero lemma: with alpha, beta the slot multiplicities of a_k, a_l (0 for
     n >= 0), E_kl = 0 unless beta_j <= alpha_j on every slot j > k_1, so only
-    those entries are multiplied.  Proof: E_kl = H_{k_1} a_k* a_l (lemma in
+    those entries are formed.  Proof: E_kl = H_{k_1} a_k* a_l (lemma in
     ``strong_connection``) and a_k* a_l ~ W_{(beta-alpha)+} W_{(alpha-beta)+}*
     has s_j among its creations if beta_j > alpha_j; the factor 1 - s_j s_j*
     of H_{k_1} commutes exactly with the letters of other slots, and
     (1 - s_j s_j*) s_j = 0.  It kills every l after k in the summand order:
     at the last position i with k_i != l_i, l_i > k_i >= k_1, and l has more
     letters s_{l_i} than k.
+
+    For n < 0 an entry the lemma keeps is built word by word: each word
+    W_{e_T} W_{e_T+alpha}* of r_k times W_beta is one ``_word_product``, and
+    its scalar is (c_r * c_l).times_exponent(phi, D), the product kernel's
+    two operations in its order, with c_r, c_l the scalars of the two words.
+    By the product formula (``algebra``, q - p = alpha, t - r = -beta) the
+    word is W_{e_T+(beta-alpha-e_T)+} W_{(alpha+e_T-beta)+}* and
+    phi = sum_{a<c} [(beta-alpha-e_T)+_a alpha_c
+    - (alpha+e_T-beta)+_a beta_c] theta_ac.  At slot k_1 (e_T = 0
+    there) one of (beta-alpha)+ and (alpha-beta)+ is 0, so no word is fully
+    interior and the sphere normal form leaves each as it is.  On a slot
+    j > k_1 beta_j <= alpha_j makes the creation exponent e_T's, so distinct
+    words of r_k give distinct words of E_kl.  For n >= 0 the one entry is
+    the product r a.
     """
     conn = strong_connection(n, N, theta)
-    lefts = [a for a, _ in conn.summands]
-    zero = AlgebraElement.zero(conn.ctx)
-    alphas = [next(iter(a.terms))[0] for a in lefts]
-    tops = [next((j + 1 for j, e in enumerate(al) if e), len(al)) for al in alphas]
-    entries = tuple(tuple(rk * al if all(b <= a for a, b in zip(alphas[k][t:], alphas[l][t:]))
-                          else zero for l, al in enumerate(lefts))
-                    for k, ((_, rk), t) in enumerate(zip(conn.summands, tops)))
-    return ProjectorMatrix(n, entries)
+    if n >= 0:
+        (a, r), = conn.summands
+        return ProjectorMatrix(n, ((r * a,),))
+    ctx, table, D = conn.ctx, theta.table, theta.conductor
+    zero, zeros = AlgebraElement.zero(ctx), (0,) * (N + 1)
+    lefts = [(beta, tuple(-b for b in beta), cl)
+             for a, _ in conn.summands for (beta, _), cl in a.terms.items()]
+    rows = []
+    for (alpha, _, _), (_, rk) in zip(lefts, conn.summands):
+        t = next(j for j, e in enumerate(alpha) if e) + 1     # k_1 + 1
+        row = []
+        for beta, tr, cl in lefts:
+            if not all(b <= a for a, b in zip(alpha[t:], beta[t:])):
+                row.append(zero)
+                continue
+            entry = {}
+            for (p, q), cr in rk.terms.items():
+                phase, pp, qq = _word_product(table, p, q, alpha, beta, zeros, tr)
+                entry[pp, qq] = (cr * cl).times_exponent(phase, D)
+            row.append(AlgebraElement(ctx, entry))
+        rows.append(tuple(row))
+    return ProjectorMatrix(n, tuple(rows))
 
 
 def projector_diagonal(n: int, N: int, theta: ThetaMatrix) -> List[AlgebraElement]:

@@ -1,6 +1,7 @@
-"""Reference sphere-quotient maps, for the tests: the sphere relation, the
-compact matrix units, the quotient map onto the sphere, and the pullback
-of projectors to the three-sphere.
+"""Reference sphere-quotient maps, for the tests: the range complements and
+the sphere relation, the compact matrix units, the quotient map onto the
+sphere, the pullback of projectors to the three-sphere, and the strong
+connection and projector of a negative winding by element products.
 
 No command reaches these maps.  ``pullback_projector`` reads a projector's
 connection from ``strong_connection(...).summands``; the products of
@@ -11,17 +12,67 @@ that a test can substitute it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Tuple
 
 from heegaard import bundles
 from heegaard.algebra import (AlgebraElement, Context, ContextMismatch, _canonicalize,
-                              range_complement, unit)
-from heegaard.bundles import ProjectorMatrix, TensorElement
+                              generator, unit)
+from heegaard.bundles import ProjectorMatrix, TensorElement, check_size
+from heegaard.coeff import Coeff
 from heegaard.phases import ThetaMatrix
 
 
 class NonzeroTwist(ValueError):
     pass
+
+
+def range_complement(ctx: Context, slots) -> AlgebraElement:
+    """The ordered product prod_{s in slots} (1 - w_s w_s*) in closed form,
+    sum_{T subset slots} (-1)^{|T|} W_{e_T} W_{e_T}*: the projections w_s w_s*
+    commute, and by the product formula a product of them is the canonical
+    word with phase 0.  Words come in ascending e_T, as the product makes them.
+    """
+    one, slots = Coeff.from_exponent(0, ctx.theta), set(slots)
+    words = product(*((0, 1) if s in slots else (0,) for s in range(ctx.n)))
+    return _canonicalize(ctx, {(e, e): -one if sum(e) % 2 else one for e in words})
+
+
+def h_tail(i: int, ctx: Context) -> AlgebraElement:
+    """The ordered product of range complements in slots above i."""
+    if not 0 <= i < ctx.n:
+        raise IndexError(f"index {i} out of range")
+    return range_complement(ctx, range(i + 1, ctx.n))
+
+
+def product_connection(n: int, N: int, theta: ThetaMatrix) -> TensorElement:
+    """``strong_connection`` for n < 0 by element products: each left factor
+    a_k = s_k a over the non-decreasing slot sequences, and each right factor
+    r_k = h_tail(k_1) * a_k.star() (lemma in the ``strong_connection``
+    docstring)."""
+    check_size(n, N)
+    ctx = Context.sphere(theta)
+    gens = [generator(ctx, k) for k in range(N + 1)]
+    heads = [h_tail(k, ctx) for k in range(N + 1)]
+    layer = [(k, k, g) for k, g in enumerate(gens)]     # (last slot, first slot, a)
+    for _ in range(-n - 1):
+        layer = [(k, first, gens[k] * a)
+                 for k in range(N + 1) for last, first, a in layer if last <= k]
+    return TensorElement(ctx, [(a, heads[f] * a.star()) for _, f, a in layer]).simplify()
+
+
+def product_projector(n: int, N: int, theta: ThetaMatrix) -> ProjectorMatrix:
+    """``chern_galois_projector`` for n < 0 by element products: E_kl = r_k a_l
+    on ``product_connection`` for each pair the zero lemma keeps."""
+    conn = product_connection(n, N, theta)
+    lefts = [a for a, _ in conn.summands]
+    zero = AlgebraElement.zero(conn.ctx)
+    alphas = [next(iter(a.terms))[0] for a in lefts]
+    tops = [next((j + 1 for j, e in enumerate(al) if e), len(al)) for al in alphas]
+    entries = tuple(tuple(rk * al if all(b <= a for a, b in zip(alphas[k][t:], alphas[l][t:]))
+                          else zero for l, al in enumerate(lefts))
+                    for k, ((_, rk), t) in enumerate(zip(conn.summands, tops)))
+    return ProjectorMatrix(n, entries)
 
 
 def sphere_defect(ctx: Context) -> AlgebraElement:

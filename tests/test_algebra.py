@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_element, random_float_theta, rng_for
-from reference_sphere import compact_matrix_unit, sphere_defect
-from heegaard import AlgebraElement, Coeff, generator, h_tail, unit
-from heegaard.algebra import (Context, ContextMismatch, _unitary_reduce,
-                              range_complement)
+from reference_sphere import compact_matrix_unit, h_tail, range_complement, sphere_defect
+from heegaard import AlgebraElement, Coeff, generator, unit
+from heegaard.algebra import Context, ContextMismatch, _unitary_reduce
 from heegaard.phases import FLOAT_TOL, RATIONAL, ThetaMatrix
 
 

@@ -6,10 +6,12 @@ import pytest
 
 from conftest import random_element, random_float_theta, rng_for
 from reference_grading import extend_hom, power
-from reference_sphere import NonzeroTwist, pullback_hom, pullback_projector, sphere_defect
+from reference_sphere import (NonzeroTwist, h_tail, product_connection, product_projector,
+                               pullback_hom, pullback_projector, sphere_defect)
 from heegaard import (AlgebraElement, Coeff, TensorElement, chern_galois_projector,
-                      generator, h_tail, projector_diagonal, strong_connection, unit,
+                      generator, projector_diagonal, strong_connection, unit,
                       verify_connection)
+from heegaard import algebra
 from heegaard.algebra import Context
 from heegaard import bundles
 from heegaard.bundles import MAX_SIZE, SizeOverflow, _proportionality, check_size, mat_mul
@@ -237,22 +239,28 @@ def test_connection_matches_generate_and_filter_reference(N, lowest, kind):
 
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_connection_products_grow_with_the_multi_indices(N, monkeypatch):
-    # winding -m has C(m+N, N) summands: layer j >= 2 makes one left product
-    # per sequence of length j, and each right factor is one product
-    calls = [0]
-    mul = AlgebraElement.__mul__
+    # winding -m has C(m+N, N) summands, built from words and integer phases
+    # with no element product: one scalar operation per letter of a left
+    # factor after its first (layer j >= 2 makes C(j+N, N) of them), one per
+    # word of a right factor (2^{N-k_1} each), and one for the unit phase
+    products, scalars = _counting_products(monkeypatch), [0]
+    times_exponent = Coeff.times_exponent
 
-    def counting(self, other):
-        calls[0] += 1
-        return mul(self, other)
+    def counting(self, *args):
+        scalars[0] += 1
+        return times_exponent(self, *args)
 
-    monkeypatch.setattr(AlgebraElement, "__mul__", counting)
+    monkeypatch.setattr(Coeff, "times_exponent", counting)
     th = twist("den-8", N + 1)
     for m in range(1, 6):
-        calls[0] = 0
-        strong_connection(-m, N, th)
+        scalars[0] = 0
+        conn = strong_connection(-m, N, th)
         lefts = sum(comb(j + N, N) for j in range(2, m + 1))
-        assert calls[0] == lefts + comb(m + N, N), (N, m)
+        rights = sum(2 ** (N - first_slot(a)) for a, _ in conn.summands)
+        assert [len(r.terms) for _, r in conn.summands] == \
+            [2 ** (N - first_slot(a)) for a, _ in conn.summands], (N, m)
+        assert products[0] == 0, (N, m)
+        assert scalars[0] == 1 + lefts + rights, (N, m)
 
 
 def first_slot(a):
@@ -377,33 +385,93 @@ def test_projector_zero_lemma(N, kind):
 
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_projector_multiplies_only_the_lower_triangle(N, monkeypatch):
-    # one entry product per pair (k, l) the zero lemma keeps, all of them
-    # on or below the diagonal, on top of the connection's own products
-    calls = [0]
-    mul = AlgebraElement.__mul__
+    # one word product per word of r_k for each pair (k, l) the zero lemma
+    # keeps, all of them on or below the diagonal, and no element product
+    products, words = _counting_products(monkeypatch), [0]
+    word_product = bundles._word_product
 
-    def counting(self, other):
-        calls[0] += 1
-        return mul(self, other)
+    def counting(*args):
+        words[0] += 1
+        return word_product(*args)
 
-    monkeypatch.setattr(AlgebraElement, "__mul__", counting)
+    monkeypatch.setattr(bundles, "_word_product", counting)
     th = twist("den-8", N + 1)
     for m in range(1, 5):
-        calls[0] = 0
-        lefts = [a for a, _ in strong_connection(-m, N, th).summands]
-        connection = calls[0]
-        calls[0] = 0
+        conn = strong_connection(-m, N, th)
+        lefts = [a for a, _ in conn.summands]
+        words[0] = 0
         chern_galois_projector(-m, N, th)
         pairs = [(k, l) for k, ak in enumerate(lefts) for l, al in enumerate(lefts)
                  if live(ak, al)]
         assert all(l <= k for k, l in pairs), (N, m)
-        assert calls[0] - connection == len(pairs), (N, m)
+        assert words[0] == sum(len(conn.summands[k][1].terms) for k, _ in pairs), (N, m)
+        assert products[0] == 0, (N, m)
         if N > 1 and m > 1:
             assert len(pairs) < len(lefts) * (len(lefts) + 1) // 2, (N, m)
 
 
+def exact_terms(x):
+    """Words in order, with the class, conductor and bit-exact weights of each
+    scalar (repr tells -0.0 from 0.0)."""
+    return [(m, type(c), c.D, repr(c.terms)) for m, c in x.terms.items()]
+
+
+def within_cap(N):
+    """The negative windings n at N that ``MAX_SIZE`` admits."""
+    return [n for n in range(-1, -MAX_SIZE, -1) if comb(-n + N, N) <= MAX_SIZE]
+
+
+@pytest.mark.parametrize("kind", TWISTS)
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_word_builders_match_the_product_reference(N, kind):
+    # the connection and the projector built from words and integer phases
+    # equal the element products of the reference word for word, with the
+    # same float bits and the words in the same order.  Every admitted
+    # winding up to 64 summands is checked, and the largest admitted one: at
+    # N = 1 the reference takes about 60 s for the windings -64 ... -126
+    th = twist(kind, N + 1)
+    windings = within_cap(N)
+    for n in [n for n in windings if comb(-n + N, N) <= 64] + windings[-1:]:
+        got, want = strong_connection(n, N, th), product_connection(n, N, th)
+        assert [(exact_terms(a), exact_terms(r)) for a, r in got.summands] == \
+            [(exact_terms(a), exact_terms(r)) for a, r in want.summands], (N, n, kind)
+        got, want = chern_galois_projector(n, N, th), product_projector(n, N, th)
+        assert [[exact_terms(x) for x in row] for row in got.entries] == \
+            [[exact_terms(x) for x in row] for row in want.entries], (N, n, kind)
+
+
+@pytest.mark.parametrize("kind", TWISTS)
+def test_negative_windings_form_no_product_and_no_normal_form(kind, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("formed a product, an adjoint or a normal form")
+
+    for owner, name in [(AlgebraElement, "__mul__"), (AlgebraElement, "star"),
+                        (algebra, "_canonicalize"), (bundles, "_canonicalize")]:
+        monkeypatch.setattr(owner, name, refuse)
+    for N, n in [(1, -4), (2, -3), (3, -2), (4, -2)]:
+        th = twist(kind, N + 1)
+        assert len(strong_connection(n, N, th).summands) == comb(-n + N, N), (N, n, kind)
+        assert chern_galois_projector(n, N, th).size == comb(-n + N, N), (N, n, kind)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_every_built_word_has_a_zero_exponent_at_the_first_slot(N):
+    # so no word is fully interior and the sphere normal form is the identity
+    # on them: p_{k_1} = 0 in r_k, and one of (beta - alpha)+ and
+    # (alpha - beta)+ is 0 at k_1 in E_kl
+    th = twist("den-12", N + 1)
+    for n in within_cap(N)[:4]:
+        conn = strong_connection(n, N, th)
+        e = chern_galois_projector(n, N, th).entries
+        for k, (a, r) in enumerate(conn.summands):
+            k1 = first_slot(a)
+            assert all(p[k1] == 0 for p, _ in r.terms), (N, n, k)
+            assert all(p[k1] == 0 or q[k1] == 0 for x in e[k] for p, q in x.terms), (N, n, k)
+
+
 def test_size_cap_bounds_summands_and_tail_words():
-    # C(|n|+N, N) summands and 2^N words of h_tail(0), each at most MAX_SIZE
+    # C(|n|+N, N) summands and the 2^N words of a right factor with k_1 = 0,
+    # each at most MAX_SIZE
     assert MAX_SIZE == 128
     for n, N in [(-14, 2), (14, 2), (-127, 1), (127, 1), (-1, 7), (-5, 4), (0, 1)]:
         check_size(n, N)

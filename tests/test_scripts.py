@@ -87,6 +87,9 @@ def test_bench_pairs_script_reports_every_metric():
     metrics = {"jobs_per_s", "job_p50_s", "job_tail_s", "peak_rss_mb", "setup_s"}
     assert [(r["pair"], r["tree"]) for r in rows[:-1]] == [(0, "a"), (0, "b")]
     assert all(set(r["metrics"]) == metrics and r["failed"] == 0 for r in rows[:-1])
+    # the fock deck runs only residual jobs, each a few milliseconds scaled
+    assert all(set(r["commands"]) == {"residual"} for r in rows[:-1])
+    assert all(0 < r["commands"]["residual"] < 1 for r in rows[:-1])
     summary = rows[-1]
     assert set(summary["metrics"]) == metrics
     assert summary["failed"] == {"a": 0, "b": 0}
@@ -94,6 +97,10 @@ def test_bench_pairs_script_reports_every_metric():
         assert m["a"]["q1"] <= m["a"]["median"] <= m["a"]["q3"]
         assert m["wins"] in (0, 1)
         assert m["verdict"] in ("ok", "worse", "unresolved")
+    (cmd, c), = summary["commands"].items()
+    assert cmd == "residual" and c["a"]["median"] == rows[0]["commands"]["residual"]
+    assert c["b"]["median"] == rows[1]["commands"]["residual"]
+    assert c["change"] == c["b"]["median"] / c["a"]["median"] - 1
 
 
 def _bench_pairs():
