@@ -12,9 +12,18 @@ afterwards, so neither reads bytecode caches that a test run left behind:
 import, and a cache lowers it by about a megabyte.  Each pair runs
 ``perfbench/run.py --trace 0`` once in each tree, with
 ``PYTHONDONTWRITEBYTECODE=1``, tree a first in even pairs and tree b first
-in odd ones.  The script prints one JSON line per run, then a JSON summary:
+in odd ones.  Before its runs, each pair also times one set-up probe of
+each tree back to back, in the same order: ``perfbench/run.py --probe``,
+the fresh interpreter that imports ``heegaard`` and writes the inputs, whose
+median over five probes is ``setup_s``.  Its wall seconds are the run's
+``probe_s``.  A run's ``setup_s`` is read minutes apart from the other
+tree's, so drift of the machine shows in it; the back-to-back probes put
+both trees under the same conditions.
+The script prints one JSON line per run, then a JSON summary:
 per end-to-end metric, each side's median and quartiles, the change of the
-medians, in how many pairs tree b did better, and a verdict.  Each run's line
+medians, in how many pairs tree b did better, and a verdict; for the probes
+(``setup_probe_s``) each side's median and quartiles and the change of the
+medians.  Each run's line
 also holds ``commands``: per CLI command, the median over its jobs of the
 scaled job seconds, read from that run's
 ``.perfbench_out/<workload>-s<seed>-t0/result.json``.  As in the harness, a
@@ -41,6 +50,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -55,8 +65,26 @@ def _copy(tree: Path, dest: Path) -> Path:
     return dest
 
 
+def _env() -> dict:
+    # BLAS threads pinned as perfbench/run.py pins them for its own probes
+    return {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "OPENBLAS_NUM_THREADS": "1",
+            "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+def _probe(tree: Path, args) -> float:
+    """Wall seconds of one ``perfbench/run.py --probe`` set-up in ``tree``."""
+    dest = tree / ".perfbench_out" / "probe"
+    t0 = time.perf_counter()
+    subprocess.run([sys.executable, "perfbench/run.py", "--probe", str(dest),
+                    "--workload", args.workload, "--seed", str(args.seed)],
+                   cwd=tree, env=_env(), stdout=subprocess.DEVNULL, check=True)
+    seconds = time.perf_counter() - t0
+    shutil.rmtree(dest)
+    return seconds
+
+
 def _run(tree: Path, args) -> dict:
-    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    env = _env()
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", args.workload,
                            "--seed", str(args.seed), "--seconds", str(args.seconds),
                            "--trace", "0"],
@@ -117,14 +145,17 @@ def summarize(runs: list, spec: dict) -> dict:
     return out
 
 
+def _sides(a: list, b: list) -> dict:
+    """Each side's median and quartiles and the relative change of the medians."""
+    sa, sb = _spread(a), _spread(b)
+    return {"a": sa, "b": sb, "change": sb["median"] / sa["median"] - 1}
+
+
 def summarize_commands(runs: list) -> dict:
     """Per command: each side's median and quartiles of its per-run median
     scaled job seconds, and the relative change of the medians."""
-    out = {}
-    for cmd in runs[0]["a"]["commands"]:
-        sa, sb = (_spread([r[s]["commands"][cmd] for r in runs]) for s in "ab")
-        out[cmd] = {"a": sa, "b": sb, "change": sb["median"] / sa["median"] - 1}
-    return out
+    return {cmd: _sides(*([r[s]["commands"][cmd] for r in runs] for s in "ab"))
+            for cmd in runs[0]["a"]["commands"]}
 
 
 def main(argv=None) -> int:
@@ -144,14 +175,17 @@ def main(argv=None) -> int:
                  "b": _copy(args.b.resolve(), Path(tmp) / "b")}
         for pair in range(args.pairs):
             order = ("a", "b") if pair % 2 == 0 else ("b", "a")
+            probes = {side: _probe(trees[side], args) for side in order}
             run = {}
             for side in order:
-                run[side] = _run(trees[side], args)
+                run[side] = {**_run(trees[side], args), "probe_s": probes[side]}
                 print(json.dumps({"pair": pair, "tree": side, **run[side]}), flush=True)
             runs.append(run)
     print(json.dumps({"workload": args.workload, "seed": args.seed, "pairs": args.pairs,
                       "failed": {s: sum(r[s]["failed"] for r in runs) for s in "ab"},
                       "metrics": summarize(runs, metrics),
+                      "setup_probe_s": _sides([r["a"]["probe_s"] for r in runs],
+                                              [r["b"]["probe_s"] for r in runs]),
                       "commands": summarize_commands(runs)}))
     return 0
 

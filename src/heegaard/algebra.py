@@ -22,12 +22,12 @@ unitary slots add w_s w_s* = 1, and the sphere quotient kills the
 range-complement product prod_j (1 - w_j w_j*).
 
 ``AlgebraElement.__mul__`` evaluates this formula once per pair of terms
-(``_word_product``, which the chart check of ``quotients`` and the
-projector entries of ``bundles`` share): q - p of each left word and t - r
-of each right word are taken once, and one pass over the slots builds the
-word and sums phi.  A float twist's
-entries are exact dyadic rationals, so phi is an exact integer in both
-modes and the order of its sum does not matter.
+(``_word_product``, in a loop ``_add_products`` that the contraction of
+``bundles`` shares; its projector entries and the chart check of
+``quotients`` call the kernel alone): q - p of each left word and t - r of
+each right word are taken once, and one pass over the slots builds the word
+and sums phi.  Float twist entries are exact dyadic rationals, so phi is
+an exact integer in both modes and the order of its sum does not matter.
 
 Reducing W_p W_q* on a slot set V cancels the min(p_s, q_s) pairs w_s w_s*
 of each s in V for the phase sum_{s in V} min(p_s, q_s) sum_{j>s}
@@ -168,6 +168,18 @@ def _word_product(table, p, q, qp, r, t, tr):
     return phase, tuple(pp), tuple(qq)
 
 
+def _add_products(out, theta: ThetaMatrix, left, right) -> None:
+    """Add the product of the term dicts ``left`` and ``right`` into ``out``."""
+    table, D = theta.table, theta.conductor
+    rights = [(r, t, tuple(map(sub, t, r)), c2) for (r, t), c2 in right.items()]
+    for (p, q), c1 in left.items():
+        qp = tuple(map(sub, q, p))
+        for r, t, tr, c2 in rights:
+            phase, pp, qq = _word_product(table, p, q, qp, r, t, tr)
+            c, key = (c1 * c2).times_exponent(phase, D), (pp, qq)
+            out[key] = out[key] + c if key in out else c
+
+
 class AlgebraElement:
     """Finite linear combination of canonical monomials in a fixed context."""
 
@@ -224,15 +236,8 @@ class AlgebraElement:
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
-        table, D = self.ctx.theta.table, self.ctx.theta.conductor
-        rights = [(r, t, tuple(map(sub, t, r)), c2) for (r, t), c2 in other.terms.items()]
         terms: Dict[Tuple[MultiIndex, MultiIndex], Coeff] = {}
-        for (p, q), c1 in self.terms.items():
-            qp = tuple(map(sub, q, p))
-            for r, t, tr, c2 in rights:
-                phase, pp, qq = _word_product(table, p, q, qp, r, t, tr)
-                c, key = (c1 * c2).times_exponent(phase, D), (pp, qq)
-                terms[key] = terms[key] + c if key in terms else c
+        _add_products(terms, self.ctx.theta, self.terms, other.terms)
         return _canonicalize(self.ctx, terms)
 
     def star(self) -> "AlgebraElement":
@@ -296,7 +301,9 @@ def _canonicalize(ctx: Context,
     exponent) is the inclusion-exclusion sum over the slot sets V of the
     module docstring, and terms with none are wrapped as they are.  The
     reduction on V extends the one on V minus its last slot s by the integer
-    phase k_s sum_{j>s} (p_j - q_j) table[s][j], formed once per word.
+    phase k_s sum_{j>s} (p_j - q_j) table[s][j], formed once per word.  A
+    diagonal word W_p W_p*, as in a connection's contraction, has every step
+    0, so each reduction takes c.times_exponent(0, D, +-1), formed once.
     """
     sphere, unitary = ctx.kind == SPHERE, ctx.unitary
     if not unitary and not (sphere and any(0 not in p + q for p, q in terms)):
@@ -312,6 +319,13 @@ def _canonicalize(ctx: Context,
                     break
         if not sphere or 0 in p or 0 in q:
             out[p, q] = out[p, q] + c if (p, q) in out else c
+        elif p == q:        # every step is 0: the reductions of W_p W_p* are diagonal
+            pos, neg, reduced = c.times_exponent(0, D), c.times_exponent(0, D, -1), []
+            for prefix, s, sign in tree:
+                pp = reduced[prefix] if prefix >= 0 else p
+                reduced.append(pp[:s] + (0,) + pp[s + 1:])
+                key, cc = (reduced[-1],) * 2, pos if sign > 0 else neg
+                out[key] = out[key] + cc if key in out else cc
         else:
             d, ks = tuple(map(sub, p, q)), tuple(map(min, p, q))
             steps = [k * sum(map(mul, d[s + 1:], table[s][s + 1:])) for s, k in enumerate(ks)]

@@ -22,26 +22,25 @@ from operator import add, mul
 from typing import List, Tuple
 
 from .algebra import (AlgebraElement, Context, ContextMismatch, SizeOverflow,
-                      _canonicalize, _word_product, unit)
+                      _add_products, _canonicalize, _word_product, unit)
 from .coeff import Coeff
 from .phases import ThetaMatrix
 
 
 MAX_SIZE = 128
-"""Cap on both C(|n|+N, N), the summand count of winding n (the projector
-has its square for entries), and 2^N, the word count of a right factor
-r_k = H_0 a_k* with k_1 = 0 (``strong_connection``)."""
+"""Cap on |n| + 1, on 2^N, the word count of a right factor r_k = H_0 a_k*
+(``strong_connection``), and for n < 0 on C(|n|+N, N), the summand count (the
+projector has its square for entries); n >= 0 is one summand of two words."""
 
 
 def check_size(n: int, N: int) -> None:
     """Raise ``SizeOverflow`` unless winding n at N is within ``MAX_SIZE``.
 
-    C(|n|+N, N) exceeds both |n| and N, so a size with either at the cap
-    is refused before a huge binomial or power is formed."""
-    m = abs(n)
-    if m >= MAX_SIZE or N >= MAX_SIZE or max(comb(m + N, N), 2 ** N) > MAX_SIZE:
-        raise SizeOverflow(f"winding {n} at N={N} exceeds the size cap: C(|n|+N, N) "
-                           f"and 2^N must be at most {MAX_SIZE}")
+    |n| and N are checked first, so a huge one is refused before a huge
+    binomial or power is formed."""
+    if max(abs(n), N) >= MAX_SIZE or 2 ** N > MAX_SIZE or n < 0 and comb(N - n, N) > MAX_SIZE:
+        raise SizeOverflow(f"winding {n} at N={N} exceeds the size cap: |n| < {MAX_SIZE}, "
+                           f"and 2^N and (n < 0) C(|n|+N, N) at most {MAX_SIZE}")
 
 
 class TensorElement:
@@ -78,13 +77,13 @@ class TensorElement:
 
     def contract(self) -> AlgebraElement:
         """Multiplication map: sum_l a_l * r_l.  A sphere product is the
-        ambient product followed by the linear normal form, so the products
-        are summed in the ambient algebra and normalized once."""
-        amb, terms = self.ctx.ambient(), {}
+        ambient product followed by the linear normal form, so the word
+        products of all summands go into one dict and are normalized once.
+        For a connection each is diagonal, W_alpha W_{e_T} W_{e_T+alpha}* =
+        W_{alpha+e_T} W_{alpha+e_T}*, so every reduction has phase 0."""
+        terms = {}
         for a, r in self.summands:
-            ar = AlgebraElement(amb, a.terms) * AlgebraElement(amb, r.terms)
-            for m, c in ar.terms.items():
-                terms[m] = terms[m] + c if m in terms else c
+            _add_products(terms, self.ctx.theta, a.terms, r.terms)
         return _canonicalize(self.ctx, terms)
 
 

@@ -367,6 +367,7 @@ def _random_word(rng, n, low, high):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_sphere_normal_form_matches_the_rewrite_loop(n):
     rng = rng_for(f"sphere-nf-{n}")
+    diagonal_rng = rng_for(f"sphere-nf-diagonal-{n}")
     thetas = [ThetaMatrix.zero(n)] + [ThetaMatrix.random_rational(n, seed=n, den=d)
                                       for d in (2, 3, 4, 8, 12)]
     for th in thetas:
@@ -378,6 +379,15 @@ def test_sphere_normal_form_matches_the_rewrite_loop(n):
                 c = Coeff.from_phase(Fraction(rng.randrange(12), 12), "rational",
                                      Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3)))
                 terms[_random_word(rng, n, low, 4)] = c
+            # diagonal interior words W_p W_p* (the phase-0 branch), two of them
+            # one slot apart so their reductions collide; conductor-12
+            # scalars lift to the lcm against a den-8 twist
+            p = tuple(diagonal_rng.randint(1, 4) for _ in range(n))
+            s = diagonal_rng.randrange(n)
+            for word in (p, p[:s] + (p[s] % 4 + 1,) + p[s + 1:]):
+                terms[word, word] = Coeff.from_phase(
+                    Fraction(diagonal_rng.randrange(12), 12), "rational",
+                    Fraction(diagonal_rng.choice((-3, -1, 1, 2))))
             got = AlgebraElement(Context.toeplitz(th), terms).with_context(sphere)
             want = _rewrite_loop_normal_form(th, terms)
             assert got.terms.keys() == want.keys()
@@ -389,6 +399,7 @@ def test_float_sphere_normal_form_has_one_term_per_slot_set():
     # the closed form is 2^n - 1 words of modulus |c|; a rewrite cascade
     # subtracts nearly equal floats and can leave residues above FLOAT_TOL
     rng = rng_for("sphere-nf-float")
+    diagonal_rng = rng_for("sphere-nf-float-diagonal")
     for n in (2, 3, 4, 5):
         th = random_float_theta(n, rng)
         sphere = Context.sphere(th)
@@ -399,6 +410,20 @@ def test_float_sphere_normal_form_has_one_term_per_slot_set():
             assert len(nf.terms) == 2 ** n - 1, (p, q)
             for v in nf.terms.values():
                 assert abs(abs(v.to_complex()) - abs(c.to_complex())) < 1e-12
+        for _ in range(10):
+            # a diagonal interior word W_p W_p*: the slot-V reduction zeroes p
+            # on V at phase 0, with the scalar c.times_exponent(0, D, +-1) of
+            # any other word, bit for bit (the rewrite loop leaves residues)
+            p = tuple(diagonal_rng.randint(1, 4) for _ in range(n))
+            c = Coeff.from_complex(complex(diagonal_rng.uniform(-2, 2),
+                                           diagonal_rng.uniform(-2, 2)))
+            want = {}
+            for k in range(1, n + 1):
+                for v in itertools.combinations(range(n), k):
+                    w = tuple(0 if s in v else e for s, e in enumerate(p))
+                    want[w, w] = repr(c.times_exponent(0, th.conductor, (-1) ** (k + 1)))
+            nf = AlgebraElement.monomial(sphere, p, p, c)
+            assert {m: repr(v) for m, v in nf.terms.items()} == want, p
 
 
 @given(st.data())

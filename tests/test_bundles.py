@@ -470,12 +470,14 @@ def test_every_built_word_has_a_zero_exponent_at_the_first_slot(N):
 
 
 def test_size_cap_bounds_summands_and_tail_words():
-    # C(|n|+N, N) summands and the 2^N words of a right factor with k_1 = 0,
-    # each at most MAX_SIZE
+    # C(|n|+N, N) summands for n < 0 and the 2^N words of a right factor
+    # with k_1 = 0, each at most MAX_SIZE, and |n| below it; a winding
+    # n >= 0 is one summand at any N
     assert MAX_SIZE == 128
-    for n, N in [(-14, 2), (14, 2), (-127, 1), (127, 1), (-1, 7), (-5, 4), (0, 1)]:
+    for n, N in [(-14, 2), (14, 2), (15, 2), (10, 3), (127, 7), (-127, 1), (127, 1),
+                 (-1, 7), (-5, 4), (0, 1)]:
         check_size(n, N)
-    for n, N in [(-15, 2), (15, 2), (-128, 1), (128, 1), (0, 8), (-8, 4),
+    for n, N in [(-15, 2), (-128, 1), (128, 1), (0, 8), (-8, 4),
                  (-10 ** 400, 1), (1, 10 ** 400)]:
         with pytest.raises(SizeOverflow):
             check_size(n, N)
@@ -622,3 +624,41 @@ def test_contract_matches_the_eager_sum(N, kind):
     amb = ctx.ambient()
     assert any(0 not in p + q for t in randoms for a, r in t.summands
                for p, q in (a.with_context(amb) * r.with_context(amb)).terms)
+
+
+@pytest.mark.parametrize("kind", ("zero", "den-8", "float"))
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_contract_adds_word_products_and_normalizes_once(N, kind, monkeypatch):
+    # the tensors of test_contract_matches_the_eager_sum: every summand's
+    # word products go into one dict, with no element product, and the
+    # sphere normal form runs once
+    th = twist(kind, N + 1)
+    ctx = Context.sphere(th)
+    rng = rng_for(f"contract-{N}-{kind}")
+    conns = [strong_connection(n, N, th) for n in (-3, -1, 2)]
+    randoms = [TensorElement(ctx, [(random_element(ctx, rng, 4, 2 * N + 2),
+                                    random_element(ctx, rng, 4, 2 * N + 2))
+                                   for _ in range(3)]) for _ in range(4)]
+    calls = {}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    def refuse(*args):
+        raise AssertionError("contract formed an element product")
+
+    monkeypatch.setattr(AlgebraElement, "__mul__", refuse)
+    monkeypatch.setattr(algebra, "_word_product",
+                        counting("_word_product", algebra._word_product))
+    normal_form = counting("_canonicalize", algebra._canonicalize)
+    monkeypatch.setattr(algebra, "_canonicalize", normal_form)
+    monkeypatch.setattr(bundles, "_canonicalize", normal_form)
+    for t in conns + randoms:
+        calls.update(_word_product=0, _canonicalize=0)
+        t.contract()
+        pairs = sum(len(a.terms) * len(r.terms) for a, r in t.summands)
+        assert calls == {"_word_product": pairs, "_canonicalize": 1}, (N, kind)
+    assert any(len(a.terms) > 1 for t in randoms for a, _ in t.summands)

@@ -101,6 +101,13 @@ def test_bench_pairs_script_reports_every_metric():
     assert cmd == "residual" and c["a"]["median"] == rows[0]["commands"]["residual"]
     assert c["b"]["median"] == rows[1]["commands"]["residual"]
     assert c["change"] == c["b"]["median"] / c["a"]["median"] - 1
+    # one set-up probe of each tree per pair, a fresh interpreter: well under
+    # a minute, and not free
+    assert all(0 < r["probe_s"] < 60 for r in rows[:-1])
+    probes = summary["setup_probe_s"]
+    assert [probes[s]["median"] for s in "ab"] == [r["probe_s"] for r in rows[:-1]]
+    assert all(probes[s]["q1"] == probes[s]["median"] == probes[s]["q3"] for s in "ab")
+    assert probes["change"] == probes["b"]["median"] / probes["a"]["median"] - 1
 
 
 def _bench_pairs():
