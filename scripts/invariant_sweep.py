@@ -28,7 +28,7 @@ def main():
              else ThetaMatrix.random_rational(args.N + 1, seed=args.seed))
     rows = []
     for n in (int(v) for v in args.windings.split(",")):
-        diag = projector_diagonal(n, args.N, theta)
+        diag = projector_diagonal(n, theta)
         inv = class_invariant(diag)
         rows.append({"winding": n,
                      "size": len(diag),

@@ -36,9 +36,9 @@ def main():
         thetas += [(f"float-seed{s}", random_float(n_gen + 1, seed=s)) for s in seeds]
         for label, theta in thetas:
             t0 = time.time()
-            ok = all(verify_connection(strong_connection(n, n_gen, theta), n)
+            ok = all(verify_connection(strong_connection(n, theta), n)
                      for n in range(-args.max_winding, args.max_winding + 1))
-            idem = all(chern_galois_projector(n, n_gen, theta).is_idempotent()
+            idem = all(chern_galois_projector(n, theta).is_idempotent()
                        for n in range(-min(3, args.max_winding),
                                       min(3, args.max_winding) + 1))
             print(json.dumps({"N": n_gen, "theta": label,

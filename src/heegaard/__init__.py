@@ -9,8 +9,7 @@ from .coeff import Coeff, FloatCoeff
 from .fock import (ClassInvariant, SparseOperator, UnstableInvariant,
                    class_invariant, fock_generator, relation_residual)
 from .phases import DimensionMismatch, ThetaMatrix
-from .quotients import (CocycleReport, IncompatibleTuple, LiftRounding,
-                        MultipullbackTuple, cocycle_check, glue, is_compatible,
-                        pi_i_j, sigma_i)
+from .quotients import (IncompatibleTuple, LiftRounding, MultipullbackTuple,
+                        cocycle_check, glue, is_compatible, pi_i_j, sigma_i)
 
 __version__ = "0.1.0"

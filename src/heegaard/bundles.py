@@ -100,8 +100,8 @@ def _proportionality(a: AlgebraElement, b: AlgebraElement):
     return lam if a == b.times_coeff(lam) else None
 
 
-def strong_connection(n: int, N: int, theta: ThetaMatrix) -> TensorElement:
-    """Connection value for winding n over the sphere quotient.
+def strong_connection(n: int, theta: ThetaMatrix) -> TensorElement:
+    """Connection value for winding n over the sphere quotient, N = theta.n - 1.
 
     Non-negative windings have the closed form s_0*^n (x) s_0^n, the two
     monomials W_0 W_{ne_0}* and W_{ne_0} W_0* (no phase).  Winding -m
@@ -136,8 +136,7 @@ def strong_connection(n: int, N: int, theta: ThetaMatrix) -> TensorElement:
 
     A size over ``MAX_SIZE`` raises ``SizeOverflow`` before anything is built.
     """
-    if theta.n != N + 1:
-        raise ValueError("twist size must be N+1")
+    N = theta.n - 1
     check_size(n, N)
     ctx = Context.sphere(theta)
     if n >= 0:
@@ -209,7 +208,7 @@ def mat_mul(a, b):
                        for col in zip(*b)) for row in a)
 
 
-def chern_galois_projector(n: int, N: int, theta: ThetaMatrix) -> ProjectorMatrix:
+def chern_galois_projector(n: int, theta: ThetaMatrix) -> ProjectorMatrix:
     """E_kl = r_k a_l from the winding-n connection sum_l a_l (x) r_l.
 
     Zero lemma: with alpha, beta the slot multiplicities of a_k, a_l (0 for
@@ -236,12 +235,12 @@ def chern_galois_projector(n: int, N: int, theta: ThetaMatrix) -> ProjectorMatri
     words of r_k give distinct words of E_kl.  For n >= 0 the one entry is
     the product r a.
     """
-    conn = strong_connection(n, N, theta)
+    conn = strong_connection(n, theta)
     if n >= 0:
         (a, r), = conn.summands
         return ProjectorMatrix(n, ((r * a,),))
     ctx, table, D = conn.ctx, theta.table, theta.conductor
-    zero, zeros = AlgebraElement.zero(ctx), (0,) * (N + 1)
+    zero, zeros = AlgebraElement.zero(ctx), (0,) * theta.n
     lefts = [(beta, tuple(-b for b in beta), cl)
              for a, _ in conn.summands for (beta, _), cl in a.terms.items()]
     rows = []
@@ -261,9 +260,9 @@ def chern_galois_projector(n: int, N: int, theta: ThetaMatrix) -> ProjectorMatri
     return ProjectorMatrix(n, tuple(rows))
 
 
-def projector_diagonal(n: int, N: int, theta: ThetaMatrix) -> List[AlgebraElement]:
+def projector_diagonal(n: int, theta: ThetaMatrix) -> List[AlgebraElement]:
     """The diagonal E_kk = r_k a_k of ``chern_galois_projector``, one product
     each.  Lemma: E_kk = H_{k_1} a_k* a_k = H_{k_1} (``strong_connection``), as
     a_k is a product of isometries; for n >= 0 the one entry is W_{ne_0} W_{ne_0}*.
     So every entry sums words W_{e_T} W_{e_T}* with coefficients +-1."""
-    return [r * a for a, r in strong_connection(n, N, theta).summands]
+    return [r * a for a, r in strong_connection(n, theta).summands]

@@ -13,7 +13,7 @@ from contextlib import nullcontext
 from types import SimpleNamespace
 
 from . import serialize
-from .algebra import SizeOverflow
+from .algebra import AlgebraElement, Context, SizeOverflow
 from .bundles import (check_connection, check_size, chern_galois_projector,
                       projector_diagonal, strong_connection)
 from .fock import UnstableInvariant, check_dim, class_invariant, relation_residual
@@ -144,12 +144,12 @@ def _run(args) -> int:
     theta = _parse_theta(args.theta, args.N + 1, args.seed, args.den)
 
     if args.command == "connection":
-        conn = strong_connection(args.n, args.N, theta)
+        conn = strong_connection(args.n, theta)
         _emit(conn, args.output)
         return 0
 
     if args.command == "verify":
-        conn = strong_connection(args.n, args.N, theta)
+        conn = strong_connection(args.n, theta)
         contracted, is_one, bad = check_connection(conn, args.n)
         report = {"m_circ_l": "1" if is_one else serialize.element_to_obj(contracted),
                   "bidegree": bad is None}
@@ -160,13 +160,13 @@ def _run(args) -> int:
         return 0 if (is_one and bad is None) else 1
 
     if args.command == "projector":
-        e = chern_galois_projector(args.n, args.N, theta)
+        e = chern_galois_projector(args.n, theta)
         _emit(e, args.output)
         return 0
 
     if args.command == "invariant":
         try:
-            inv = class_invariant(projector_diagonal(args.n, args.N, theta))
+            inv = class_invariant(projector_diagonal(args.n, theta))
         except UnstableInvariant as exc:
             _emit({"error": "unstable invariant", "detail": str(exc)}, args.output)
             return 1
@@ -182,16 +182,16 @@ def _run(args) -> int:
         return 0
 
     if args.command == "cocycle":
-        report = cocycle_check(theta, args.degree)
-        _emit({"passed": report.passed,
-               "checked_degree": report.checked_degree,
+        failures = cocycle_check(theta)
+        _emit({"passed": not failures,
+               "checked_degree": args.degree,
                "failures": [[*f[:5], *({"p": list(p), "q": list(q), "phase_num": t.numerator,
                                         "phase_den": t.denominator} for p, q, t in f[5:])]
-                            for f in report.failures]}, args.output)
-        return 0 if report.passed else 1
+                            for f in failures]}, args.output)
+        return 1 if failures else 0
 
     if args.command == "residual":
-        value = relation_residual(args.N, theta, args.M)
+        value = relation_residual(args.M, theta)
         _emit({"residual": value, "M": args.M, "tolerance": RESIDUAL_TOL},
               args.output)
         return 0 if value <= RESIDUAL_TOL else 1
@@ -213,7 +213,12 @@ def _run_glue(args) -> int:
     try:
         lifted = glue(t)
     except IncompatibleTuple as exc:
-        _emit({"error": "incompatible tuple", "detail": str(exc)}, args.output)
+        detail, (i, j, (p, q), *cs) = exc.args
+        images = [AlgebraElement(Context.quotient(t.theta, i, j), {(p, q): c} if c else {})
+                  for c in cs]
+        _emit({"error": "incompatible tuple", "detail": detail, "pair": [i, j],
+               "word": {"p": list(p), "q": list(q)},
+               "images": [serialize.element_to_obj(x)["terms"] for x in images]}, args.output)
         return 1
     except LiftRounding as exc:         # no witness
         raise UsageError(str(exc)) from None

@@ -94,7 +94,7 @@ def fock_generator(i: int, M: int, theta: ThetaMatrix) -> SparseOperator:
     return SparseOperator(n, M, {tuple(int(j == i) for j in range(n)): v})
 
 
-def relation_defects(N: int, theta: ThetaMatrix, M: int) -> Iterator[SparseOperator]:
+def relation_defects(M: int, theta: ThetaMatrix) -> Iterator[SparseOperator]:
     """The defects S_i*S_i - 1, S_iS_j - e(theta_ij)S_jS_i and
     S_iS_j* - e(-theta_ij)S_j*S_i on the interior mu_s <= M-2, where no shift
     leaves the grid: one band each, zero off the interior.  With v_i the band
@@ -113,9 +113,7 @@ def relation_defects(N: int, theta: ThetaMatrix, M: int) -> Iterator[SparseOpera
     against the exact product."""
     if M < 3:
         raise ValueError("truncation too small to leave an interior")
-    if theta.n != N + 1:
-        raise ValueError("twist size must be N+1")
-    n = N + 1
+    n = theta.n
     v = [next(iter(fock_generator(i, M, theta).bands.values())) for i in range(n)]
     w = [np.conj(x) for x in v]
 
@@ -137,9 +135,9 @@ def relation_defects(N: int, theta: ThetaMatrix, M: int) -> Iterator[SparseOpera
                      - (v[i][at({}, j)] * w[j][at({i: 1, j: -1}, j)]) * (1 / ph))
 
 
-def relation_residual(N: int, theta: ThetaMatrix, M: int) -> float:
+def relation_residual(M: int, theta: ThetaMatrix) -> float:
     """Largest operator norm of the ``relation_defects``."""
-    return max(d.norm() for d in relation_defects(N, theta, M))
+    return max(d.norm() for d in relation_defects(M, theta))
 
 
 @dataclass(frozen=True)

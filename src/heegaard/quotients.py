@@ -160,8 +160,12 @@ def glue(t: MultipullbackTuple) -> AlgebraElement:
     sum is the signed sum over slot sets S of b_{min S} reduced on S, with
     2^{N+1} - 1 words for W_e W_e*; at the most common heights it has one.
     """
-    if not is_compatible(t):
-        raise IncompatibleTuple("pairwise images in B_ij do not agree")
+    if not is_compatible(t):  # witness: the first pair i < j and word, c_i, c_j or None
+        comps = t.components
+        raise IncompatibleTuple("pairwise images in B_ij do not agree", next(
+            (i, j, w, x.get(w), y.get(w)) for i, j in combinations(range(len(comps)), 2)
+            for x, y in [(pi_i_j(comps[i], j).terms, pi_i_j(comps[j], i).terms)]
+            for w in sorted(x.keys() | y.keys()) if x.get(w) != y.get(w)))
     theta, n, D = t.theta, t.theta.n, t.theta.conductor
 
     def psi(p, q):
@@ -179,13 +183,6 @@ def glue(t: MultipullbackTuple) -> AlgebraElement:
                            "target entries a row combines: float rounding")
     return AlgebraElement(Context.toeplitz(theta), {
         support[j]: c.times_exponent(-psi(*support[j]), D) for j, c in sol.items()})
-
-
-@dataclass(frozen=True)
-class CocycleReport:
-    passed: bool
-    checked_degree: int
-    failures: Tuple[tuple, ...] = ()
 
 
 def check_cocycle_size(n: int) -> None:
@@ -208,9 +205,9 @@ def _chart_twist(theta: ThetaMatrix, c: int) -> ThetaMatrix:
         for s, t in combinations(range(theta.n), 2) if c not in (s, t)}, theta.mode)
 
 
-def cocycle_check(theta: ThetaMatrix, degree_bound: int) -> CocycleReport:
-    """The transition maps between the N + 1 charts of CP^N_T respect the
-    chart relations.
+def cocycle_check(theta: ThetaMatrix) -> Tuple[tuple, ...]:
+    """The failures of the transition maps between the N + 1 charts of CP^N_T
+    to respect the chart relations; empty when they all do.
 
     Chart c is the Toeplitz algebra over ``_chart_twist(theta, c)`` on
     v_s = w_s w_c* (s != c).  On its overlap with chart d, where u = v_d is
@@ -221,9 +218,9 @@ def cocycle_check(theta: ThetaMatrix, degree_bound: int) -> CocycleReport:
     g_a g_b* = e(-kappa_d(a, b)) g_b* g_a.  Each image is one word, so each
     side is one word times an integer phase: the product kernel of
     ``AlgebraElement.__mul__`` (``algebra._word_product``), then the slot-d
-    reduction.  No element, scalar or degree is formed; ``degree_bound`` is
-    only echoed.  A failure is (c, d, relation, a, b, lhs, rhs) for the first
-    failing relation of a pair, each side (p, q, t) for e(t) W_p W_q*.
+    reduction.  No element, scalar or degree is formed.  A failure is
+    (c, d, relation, a, b, lhs, rhs) for the first failing relation of a
+    pair, each side (p, q, t) for e(t) W_p W_q*.
 
     The transitions compose at every twist, so that is not checked: on
     generators T_{c<-d} T_{d<-e} g_s = v_s u* (v_e u*)* = v_s (u* u) v_e*
@@ -238,7 +235,7 @@ def cocycle_check(theta: ThetaMatrix, degree_bound: int) -> CocycleReport:
         if bad is not None:
             failures.append((c, d, *bad[:3], *((p, q, Fraction(t, theta.conductor))
                                                for p, q, t in bad[3:])))
-    return CocycleReport(not failures, degree_bound, tuple(failures))
+    return tuple(failures)
 
 
 def _chart_relations(theta: ThetaMatrix, charts, c: int, d: int):

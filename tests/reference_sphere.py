@@ -45,26 +45,26 @@ def h_tail(i: int, ctx: Context) -> AlgebraElement:
     return range_complement(ctx, range(i + 1, ctx.n))
 
 
-def product_connection(n: int, N: int, theta: ThetaMatrix) -> TensorElement:
+def product_connection(n: int, theta: ThetaMatrix) -> TensorElement:
     """``strong_connection`` for n < 0 by element products: each left factor
     a_k = s_k a over the non-decreasing slot sequences, and each right factor
     r_k = h_tail(k_1) * a_k.star() (lemma in the ``strong_connection``
     docstring)."""
-    check_size(n, N)
+    check_size(n, theta.n - 1)
     ctx = Context.sphere(theta)
-    gens = [generator(ctx, k) for k in range(N + 1)]
-    heads = [h_tail(k, ctx) for k in range(N + 1)]
+    gens = [generator(ctx, k) for k in range(theta.n)]
+    heads = [h_tail(k, ctx) for k in range(theta.n)]
     layer = [(k, k, g) for k, g in enumerate(gens)]     # (last slot, first slot, a)
     for _ in range(-n - 1):
         layer = [(k, first, gens[k] * a)
-                 for k in range(N + 1) for last, first, a in layer if last <= k]
+                 for k in range(theta.n) for last, first, a in layer if last <= k]
     return TensorElement(ctx, [(a, heads[f] * a.star()) for _, f, a in layer]).simplify()
 
 
-def product_projector(n: int, N: int, theta: ThetaMatrix) -> ProjectorMatrix:
+def product_projector(n: int, theta: ThetaMatrix) -> ProjectorMatrix:
     """``chern_galois_projector`` for n < 0 by element products: E_kl = r_k a_l
     on ``product_connection`` for each pair the zero lemma keeps."""
-    conn = product_connection(n, N, theta)
+    conn = product_connection(n, theta)
     lefts = [a for a, _ in conn.summands]
     zero = AlgebraElement.zero(conn.ctx)
     alphas = [next(iter(a.terms))[0] for a in lefts]
@@ -127,7 +127,7 @@ def pullback_projector(e: ProjectorMatrix, summands):
     """Push a projector along the sphere morphism.
 
     ``summands`` are the (a_l, r_l) of the connection ``e`` was built from,
-    ``strong_connection(e.winding, N, theta).summands``.  Returns
+    ``strong_connection(e.winding, theta).summands``.  Returns
     (E', E'', witness): E' is the projector of the pushed-forward
     connection (f (x) f applied to the summands, zero lefts dropped), E'' is
     the entry-wise image of the source projector with the summands permuted

@@ -9,13 +9,13 @@ from reference_grading import extend_hom, power
 from reference_sphere import (NonzeroTwist, h_tail, product_connection, product_projector,
                                pullback_hom, pullback_projector, sphere_defect)
 from heegaard import (AlgebraElement, Coeff, TensorElement, chern_galois_projector,
-                      generator, projector_diagonal, strong_connection, unit,
-                      verify_connection)
+                      class_invariant, generator, projector_diagonal, relation_residual,
+                      strong_connection, unit, verify_connection)
 from heegaard import algebra
 from heegaard.algebra import Context
 from heegaard import bundles
 from heegaard.bundles import MAX_SIZE, SizeOverflow, _proportionality, check_size, mat_mul
-from heegaard.phases import ThetaMatrix
+from heegaard.phases import FLOAT, RATIONAL, ThetaMatrix
 
 
 def sphere(n, seed=None):
@@ -37,16 +37,16 @@ def test_connection_nonnegative_closed_form():
         th = ThetaMatrix.random_rational(n_gen + 1, seed=3)
         ctx = Context.sphere(th)
         s0 = generator(ctx, 0)
-        conn = strong_connection(2, n_gen, th)
+        conn = strong_connection(2, th)
         assert conn.summands == [(s0.star() * s0.star(), s0 * s0)]
-        assert strong_connection(0, n_gen, th).summands == [(unit(ctx), unit(ctx))]
+        assert strong_connection(0, th).summands == [(unit(ctx), unit(ctx))]
     # the two monomials equal the power chain s_0*^n (x) s_0^n by repr
     for N in range(1, 5):
         for kind in ("zero", "den-8", "float"):
             th = twist(kind, N + 1)
             s0 = generator(Context.sphere(th), 0)
             for n in range(5):
-                ((a, r),) = strong_connection(n, N, th).summands
+                ((a, r),) = strong_connection(n, th).summands
                 assert (repr(a), repr(r)) == (repr(power(s0.star(), n)), repr(power(s0, n))), \
                     (N, kind, n)
 
@@ -55,7 +55,7 @@ def test_connection_winding_minus_one_untwisted():
     th = ThetaMatrix.zero(2)
     ctx = Context.sphere(th)
     s0, s1 = generator(ctx, 0), generator(ctx, 1)
-    conn = strong_connection(-1, 1, th)
+    conn = strong_connection(-1, th)
     assert conn.summands == [
         (s0, s0.star() * (unit(ctx) - s1 * s1.star())),
         (s1, s1.star()),
@@ -68,7 +68,7 @@ def test_connection_sweep():
         for th in [ThetaMatrix.zero(n_gen + 1),
                    ThetaMatrix.random_rational(n_gen + 1, seed=5)]:
             for n in range(-3, 4):
-                conn = strong_connection(n, n_gen, th)
+                conn = strong_connection(n, th)
                 assert verify_connection(conn, n)
 
 
@@ -78,7 +78,7 @@ def test_float_connection_verifies_within_float_tolerance():
     upper = {(0, 1): -0.546588, (0, 2): 0.92459, (0, 3): -0.747338,
              (1, 2): 0.409634, (1, 3): -0.829629, (2, 3): -0.505118}
     th = ThetaMatrix.from_upper(4, upper, mode="float")
-    assert verify_connection(strong_connection(-4, 3, th), -4)
+    assert verify_connection(strong_connection(-4, th), -4)
 
 
 def test_verify_connection_negative_cases():
@@ -87,24 +87,31 @@ def test_verify_connection_negative_cases():
     bad_product = TensorElement(ctx, [(s0.star(), s1)])
     assert not verify_connection(bad_product, 1)
     # contracts to 1 but wrong bidegree for the claimed winding
-    good = strong_connection(1, 1, ctx.theta)
+    good = strong_connection(1, ctx.theta)
     assert not verify_connection(good, 2)
 
 
-def test_connection_size_mismatch():
-    with pytest.raises(ValueError):
-        strong_connection(1, 2, ThetaMatrix.zero(2))
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+@pytest.mark.parametrize("n", [-5, -1, 0, 3])
+def test_one_slot_twist_is_the_circle_over_a_point(n, mode):
+    # N = 0: S^1 over CP^0, where every line bundle is trivial
+    th = ThetaMatrix.zero(1, mode)
+    assert verify_connection(strong_connection(n, th), n)
+    e = chern_galois_projector(n, th)
+    assert e.size == 1 and e.is_idempotent()
+    assert class_invariant(projector_diagonal(n, th)).as_pair() == (1, 0)
+    assert relation_residual(6, th) == 0.0
 
 
 def test_projector_small_windings():
     th = ThetaMatrix.zero(2)
     ctx = Context.sphere(th)
     s0, s1 = generator(ctx, 0), generator(ctx, 1)
-    e0 = chern_galois_projector(0, 1, th)
+    e0 = chern_galois_projector(0, th)
     assert e0.entries == ((unit(ctx),),)
-    e1 = chern_galois_projector(1, 1, th)
+    e1 = chern_galois_projector(1, th)
     assert e1.entries == ((s0 * s0.star(),),)
-    em1 = chern_galois_projector(-1, 1, th)
+    em1 = chern_galois_projector(-1, th)
     assert em1.entries == (
         (unit(ctx) - s1 * s1.star(), AlgebraElement.zero(ctx)),
         (s1.star() * s0, unit(ctx)),
@@ -116,7 +123,7 @@ def test_projector_idempotent_degree_zero():
         for th in [ThetaMatrix.zero(n_gen + 1),
                    ThetaMatrix.random_rational(n_gen + 1, seed=7)]:
             for n in range(-2, 3):
-                e = chern_galois_projector(n, n_gen, th)
+                e = chern_galois_projector(n, th)
                 assert e.is_idempotent()
                 assert e.entries_degree_zero()
                 assert e.winding == n
@@ -155,7 +162,7 @@ def test_pullback_hom_matches_the_generator_collapse(N, mode):
         if mode == "rational":
             assert repr(got) == repr(want), (N, x)
     for n in (-2, -1, 1):
-        conn = strong_connection(n, N, ctx.theta)
+        conn = strong_connection(n, ctx.theta)
         for a, r in conn.summands:
             assert pullback_hom(a) == collapse_reference(a)
             assert pullback_hom(r) == collapse_reference(r)
@@ -170,8 +177,8 @@ def test_pullback_hom_rejects_twist():
 def test_pullback_projector_conjugation():
     th = ThetaMatrix.zero(3)
     for n in (-2, -1, 1):
-        e = chern_galois_projector(n, 2, th)
-        e_prime, e_pp, witness = pullback_projector(e, strong_connection(n, 2, th).summands)
+        e = chern_galois_projector(n, th)
+        e_prime, e_pp, witness = pullback_projector(e, strong_connection(n, th).summands)
         assert witness.gamma_beta_is_one
         assert witness.conjugation_holds
         assert e_prime.is_idempotent()
@@ -181,7 +188,7 @@ def test_pullback_projector_conjugation():
 
 
 def test_pullback_projector_requires_connection_data():
-    e = chern_galois_projector(-1, 2, ThetaMatrix.zero(3))
+    e = chern_galois_projector(-1, ThetaMatrix.zero(3))
     with pytest.raises(ValueError):
         pullback_projector(e, ())
 
@@ -221,7 +228,7 @@ def reference_connection(n, N, theta):
 def test_connection_matches_generate_and_filter_reference(N, lowest, kind):
     th = twist(kind, N + 1)
     for n in range(-1, lowest - 1, -1):
-        got = strong_connection(n, N, th).summands
+        got = strong_connection(n, th).summands
         want = reference_connection(n, N, th).summands
         assert len(got) == len(want) == comb(-n + N, N), (N, n, kind)
         assert [repr(a) for a, _ in got] == [repr(a) for a, _ in want], (N, n, kind)
@@ -254,7 +261,7 @@ def test_connection_products_grow_with_the_multi_indices(N, monkeypatch):
     th = twist("den-8", N + 1)
     for m in range(1, 6):
         scalars[0] = 0
-        conn = strong_connection(-m, N, th)
+        conn = strong_connection(-m, th)
         lefts = sum(comb(j + N, N) for j in range(2, m + 1))
         rights = sum(2 ** (N - first_slot(a)) for a, _ in conn.summands)
         assert [len(r.terms) for _, r in conn.summands] == \
@@ -280,9 +287,9 @@ def test_right_factor_closed_form(N, kind):
         ref = reference_connection(n, N, th)
         for a, r in ref.summands:
             assert r == h_tail(first_slot(a), ctx) * a.star(), where
-        assert verify_connection(strong_connection(n, N, th), n), where
-        e = chern_galois_projector(n, N, th)
-        lefts = [a for a, _ in strong_connection(n, N, th).summands]
+        assert verify_connection(strong_connection(n, th), n), where
+        e = chern_galois_projector(n, th)
+        lefts = [a for a, _ in strong_connection(n, th).summands]
         for k, ak in enumerate(lefts):
             head, ak_star = h_tail(first_slot(ak), ctx), ak.star()
             for l, al in enumerate(lefts[:k + 1]):
@@ -299,8 +306,8 @@ def test_diagonal_lemma(N, kind):
     ctx = Context.sphere(th)
     for n in [n for n in range(-1, -7, -1) if comb(-n + N, N) <= MAX_SIZE]:
         where = (N, n, kind)
-        conn = strong_connection(n, N, th)
-        diag = projector_diagonal(n, N, th)
+        conn = strong_connection(n, th)
+        diag = projector_diagonal(n, th)
         assert len(diag) == len(conn.summands) == comb(-n + N, N), where
         for (a, _), e in zip(conn.summands, diag):
             head = h_tail(first_slot(a), ctx)
@@ -310,11 +317,11 @@ def test_diagonal_lemma(N, kind):
                 assert e.terms == head.terms, where
                 assert all(c.terms in ({0: 1}, {0: -1}) for c in e.terms.values()), where
         if n >= -3:
-            e = chern_galois_projector(n, N, th).entries
+            e = chern_galois_projector(n, th).entries
             assert [repr(x) for x in diag] == [repr(e[k][k]) for k in range(len(e))], where
     s0 = generator(ctx, 0)
     for n in range(4):
-        (e,) = projector_diagonal(n, N, th)
+        (e,) = projector_diagonal(n, th)
         want = power(s0, n) * power(s0.star(), n)
         assert e == want and (kind == "float" or e.terms == want.terms), (N, n, kind)
 
@@ -342,10 +349,10 @@ def full_projector(conn):
 def test_projector_is_lower_triangular_in_summand_order(N, lowest, kind):
     th = twist(kind, N + 1)
     for n in range(lowest, 2):
-        full = full_projector(strong_connection(n, N, th))
+        full = full_projector(strong_connection(n, th))
         assert all(full[k][l].is_zero()
                    for k in range(len(full)) for l in range(k + 1, len(full))), (N, n, kind)
-        got = chern_galois_projector(n, N, th).entries
+        got = chern_galois_projector(n, th).entries
         assert [[repr(x) for x in row] for row in got] == \
             [[repr(x) for x in row] for row in full], (N, n, kind)
 
@@ -367,7 +374,7 @@ def test_projector_zero_lemma(N, kind):
     th = twist(kind, N + 1)
     skipped = 0
     for n in [n for n in range(-6, 4) if comb(abs(n) + N, N) <= MAX_SIZE]:
-        conn = strong_connection(n, N, th)
+        conn = strong_connection(n, th)
         lefts = [a for a, _ in conn.summands]
         full = full_projector(conn)
         for k, ak in enumerate(lefts):
@@ -376,7 +383,7 @@ def test_projector_zero_lemma(N, kind):
                     assert full[k][l].is_zero(), (N, n, kind, k, l)
                     skipped += l < k
                 assert l <= k or not live(ak, al), (N, n, kind, k, l)
-        got = chern_galois_projector(n, N, th).entries
+        got = chern_galois_projector(n, th).entries
         assert [[repr(x) for x in row] for row in got] == \
             [[repr(x) for x in row] for row in full], (N, n, kind)
     # above N = 1 the lemma kills entries below the diagonal too
@@ -397,10 +404,10 @@ def test_projector_multiplies_only_the_lower_triangle(N, monkeypatch):
     monkeypatch.setattr(bundles, "_word_product", counting)
     th = twist("den-8", N + 1)
     for m in range(1, 5):
-        conn = strong_connection(-m, N, th)
+        conn = strong_connection(-m, th)
         lefts = [a for a, _ in conn.summands]
         words[0] = 0
-        chern_galois_projector(-m, N, th)
+        chern_galois_projector(-m, th)
         pairs = [(k, l) for k, ak in enumerate(lefts) for l, al in enumerate(lefts)
                  if live(ak, al)]
         assert all(l <= k for k, l in pairs), (N, m)
@@ -432,10 +439,10 @@ def test_word_builders_match_the_product_reference(N, kind):
     th = twist(kind, N + 1)
     windings = within_cap(N)
     for n in [n for n in windings if comb(-n + N, N) <= 64] + windings[-1:]:
-        got, want = strong_connection(n, N, th), product_connection(n, N, th)
+        got, want = strong_connection(n, th), product_connection(n, th)
         assert [(exact_terms(a), exact_terms(r)) for a, r in got.summands] == \
             [(exact_terms(a), exact_terms(r)) for a, r in want.summands], (N, n, kind)
-        got, want = chern_galois_projector(n, N, th), product_projector(n, N, th)
+        got, want = chern_galois_projector(n, th), product_projector(n, th)
         assert [[exact_terms(x) for x in row] for row in got.entries] == \
             [[exact_terms(x) for x in row] for row in want.entries], (N, n, kind)
 
@@ -450,8 +457,8 @@ def test_negative_windings_form_no_product_and_no_normal_form(kind, monkeypatch)
         monkeypatch.setattr(owner, name, refuse)
     for N, n in [(1, -4), (2, -3), (3, -2), (4, -2)]:
         th = twist(kind, N + 1)
-        assert len(strong_connection(n, N, th).summands) == comb(-n + N, N), (N, n, kind)
-        assert chern_galois_projector(n, N, th).size == comb(-n + N, N), (N, n, kind)
+        assert len(strong_connection(n, th).summands) == comb(-n + N, N), (N, n, kind)
+        assert chern_galois_projector(n, th).size == comb(-n + N, N), (N, n, kind)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
@@ -461,8 +468,8 @@ def test_every_built_word_has_a_zero_exponent_at_the_first_slot(N):
     # (alpha - beta)+ is 0 at k_1 in E_kl
     th = twist("den-12", N + 1)
     for n in within_cap(N)[:4]:
-        conn = strong_connection(n, N, th)
-        e = chern_galois_projector(n, N, th).entries
+        conn = strong_connection(n, th)
+        e = chern_galois_projector(n, th).entries
         for k, (a, r) in enumerate(conn.summands):
             k1 = first_slot(a)
             assert all(p[k1] == 0 for p, _ in r.terms), (N, n, k)
@@ -482,7 +489,7 @@ def test_size_cap_bounds_summands_and_tail_words():
         with pytest.raises(SizeOverflow):
             check_size(n, N)
     with pytest.raises(SizeOverflow):
-        strong_connection(-1, 16, ThetaMatrix.zero(17))
+        strong_connection(-1, ThetaMatrix.zero(17))
 
 
 def _counting_products(monkeypatch):
@@ -520,7 +527,7 @@ def _reprs(matrix):
 @pytest.mark.parametrize("kind", TWISTS)
 @pytest.mark.parametrize("N, n", [(1, -3), (2, -2), (2, 2), (3, -1)])
 def test_mat_mul_forms_only_products_of_nonzero_factors(N, n, kind, monkeypatch):
-    e = chern_galois_projector(n, N, twist(kind, N + 1)).entries
+    e = chern_galois_projector(n, twist(kind, N + 1)).entries
     want = reference_mat_mul(e, e)
     calls = _counting_products(monkeypatch)
     got = mat_mul(e, e)
@@ -532,7 +539,7 @@ def test_mat_mul_forms_only_products_of_nonzero_factors(N, n, kind, monkeypatch)
 def test_pullback_projector_skips_products_with_a_zero_factor(monkeypatch):
     # 2545 entry products before, 1830 of them with a zero factor
     th = ThetaMatrix.zero(3)
-    e, summands = chern_galois_projector(-3, 2, th), strong_connection(-3, 2, th).summands
+    e, summands = chern_galois_projector(-3, th), strong_connection(-3, th).summands
     calls = _counting_products(monkeypatch)
     e_prime, e_pp, witness = pullback_projector(e, summands)
     assert calls[0] <= 715
@@ -612,7 +619,7 @@ def test_contract_matches_the_eager_sum(N, kind):
     th = twist(kind, N + 1)
     ctx = Context.sphere(th)
     rng = rng_for(f"contract-{N}-{kind}")
-    conns = [strong_connection(n, N, th) for n in (-3, -1, 2)]
+    conns = [strong_connection(n, th) for n in (-3, -1, 2)]
     dropped = TensorElement(ctx, conns[0].summands[1:])
     randoms = [TensorElement(ctx, [(random_element(ctx, rng, 4, 2 * N + 2),
                                     random_element(ctx, rng, 4, 2 * N + 2))
@@ -635,7 +642,7 @@ def test_contract_adds_word_products_and_normalizes_once(N, kind, monkeypatch):
     th = twist(kind, N + 1)
     ctx = Context.sphere(th)
     rng = rng_for(f"contract-{N}-{kind}")
-    conns = [strong_connection(n, N, th) for n in (-3, -1, 2)]
+    conns = [strong_connection(n, th) for n in (-3, -1, 2)]
     randoms = [TensorElement(ctx, [(random_element(ctx, rng, 4, 2 * N + 2),
                                     random_element(ctx, rng, 4, 2 * N + 2))
                                    for _ in range(3)]) for _ in range(4)]

@@ -37,8 +37,8 @@ def _patched_connection(monkeypatch, edit):
     the connections it returns are collected in the list returned."""
     made = []
 
-    def patched(n, N, theta):
-        conn = bundles.strong_connection(n, N, theta)
+    def patched(n, theta):
+        conn = bundles.strong_connection(n, theta)
         made.append(bundles.TensorElement(conn.ctx, edit(conn.ctx, conn.summands)))
         return made[-1]
 
@@ -138,7 +138,7 @@ def test_invariant_builds_no_projector(capsys, monkeypatch):
 
 def test_invariant_refuses_a_negative_dimension_class(capsys, monkeypatch):
     # a projector's rank cannot be negative: a diagonal of -1 is a witness
-    def negative(n, N, theta):
+    def negative(n, theta):
         return [-unit(Context.sphere(theta))]
 
     monkeypatch.setattr(cli, "projector_diagonal", negative)
@@ -355,7 +355,14 @@ def test_glue_incompatible(tmp_path, capsys):
     path.write_text(json.dumps(payload))
     code, out, _ = run(capsys, "glue", "--input", str(path))
     assert code == 1
-    assert json.loads(out)["error"] == "incompatible tuple"
+    # the witness: the first pair and word whose B_ij images differ, and each
+    # side's records of that word ([] where it lacks the word)
+    one = {"amp_den": 1, "amp_num": 1, "im": 0.0, "re": 1.0, "phase_den": 1, "phase_num": 0,
+           "p": [0, 0], "q": [0, 0]}
+    assert json.loads(out) == {"error": "incompatible tuple",
+                               "detail": "pairwise images in B_ij do not agree",
+                               "pair": [0, 1], "word": {"p": [0, 0], "q": [0, 0]},
+                               "images": [[one], []]}
 
 
 def test_glue_support_overflow_is_a_usage_error(tmp_path, capsys, monkeypatch):

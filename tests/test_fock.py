@@ -132,9 +132,9 @@ def test_relation_residuals():
     for n_gen, M in [(1, 8), (2, 5)]:
         for th in [ThetaMatrix.zero(n_gen + 1),
                    ThetaMatrix.random_rational(n_gen + 1, seed=7)]:
-            assert relation_residual(n_gen, th, M) <= 1e-10
+            assert relation_residual(M, th) <= 1e-10
     with pytest.raises(ValueError):
-        relation_residual(1, ThetaMatrix.zero(2), 2)
+        relation_residual(2, ThetaMatrix.zero(2))
 
 
 @pytest.mark.parametrize("mode", ["rational", "float"])
@@ -143,8 +143,8 @@ def test_residual_reads_the_twist_mod_one(mode):
     # shifted by an integer loses no precision and gives the same residual
     base = {(0, 1): Fraction(3, 10), (0, 2): Fraction(-2, 5), (1, 2): Fraction(7, 10)}
     conv = Fraction if mode == "rational" else float
-    res = [relation_residual(2, ThetaMatrix.from_upper(
-               3, {jk: conv(v + shift) for jk, v in base.items()}, mode), 6)
+    res = [relation_residual(6, ThetaMatrix.from_upper(
+               3, {jk: conv(v + shift) for jk, v in base.items()}, mode))
            for shift in (0, 10 ** 5, 10 ** 8)]
     assert max(res) <= 1e-10, res
     assert max(res) - min(res) <= 1e-15, res
@@ -169,7 +169,7 @@ def test_norm_matches_dense_norm_on_every_relation_defect(N, M, kind):
     th = {"zero": ThetaMatrix.zero(N + 1),
           "rational": ThetaMatrix.random_rational(N + 1, seed=17),
           "float": random_float_theta(N + 1, rng_for(f"defects-{N}-{M}"))}[kind]
-    defects = list(relation_defects(N, th, M))
+    defects = list(relation_defects(M, th))
     assert len(defects) == (N + 1) + 2 * N * (N + 1)
     for d in defects:
         assert abs(d.norm() - np.linalg.norm(band(d).toarray(), 2)) <= 1e-12
@@ -227,10 +227,10 @@ def test_closed_forms_match_the_band_algebra_bit_for_bit(N, kind):
                       for j in range(n) for k in range(j + 1, n)}, mode="float")}[kind]
         for i in range(n):
             assert _same_bands(fock_generator(i, M, th), _reference_generator(i, M, th))
-        got, want = list(relation_defects(N, th, M)), _reference_defects(N, th, M)
+        got, want = list(relation_defects(M, th)), _reference_defects(N, th, M)
         assert len(got) == len(want) == n + 2 * N * n
         assert all(map(_same_bands, got, want)), (N, M, kind)
-        assert relation_residual(N, th, M) == max(d.norm() for d in want)
+        assert relation_residual(M, th) == max(d.norm() for d in want)
 
 
 def test_norm_refuses_more_than_one_entry_per_row():
@@ -255,7 +255,7 @@ def test_residual_memory_at_the_dimension_cap():
         assert fock.MAX_DIM * 4 // 5 < (M + 1) ** (N + 1) <= fock.MAX_DIM
         code = ("from heegaard.fock import relation_residual\n"
                 "from heegaard.phases import ThetaMatrix\n"
-                f"r = relation_residual({N}, ThetaMatrix.random_rational({N + 1}, seed=1), {M})\n"
+                f"r = relation_residual({M}, ThetaMatrix.random_rational({N + 1}, seed=1))\n"
                 "with open('/proc/self/status') as fh:\n"
                 "    hwm = next(line for line in fh if line.startswith('VmHWM:'))\n"
                 "print(r, hwm.split()[1])\n")
@@ -345,8 +345,8 @@ def test_scalar_part():
 
 def test_invariant_examples():
     th = ThetaMatrix.zero(2)
-    assert class_invariant(projector_diagonal(0, 1, th)).as_pair() == (1, 0)
-    inv1 = class_invariant(projector_diagonal(-1, 1, th))
+    assert class_invariant(projector_diagonal(0, th)).as_pair() == (1, 0)
+    inv1 = class_invariant(projector_diagonal(-1, th))
     assert inv1.as_pair() == (1, 1)
     assert inv1.residual <= 1e-6
 
@@ -355,7 +355,7 @@ def test_invariant_winding_sweep_distinct():
     th = ThetaMatrix.zero(2)
     pairs = {}
     for n in range(-3, 4):
-        inv = class_invariant(projector_diagonal(n, 1, th))
+        inv = class_invariant(projector_diagonal(n, th))
         pairs[n] = inv.as_pair()
         assert pairs[n] == (1, -n)
     assert len(set(pairs.values())) == 7
@@ -378,7 +378,7 @@ def _fitted_charge(diag, d, N, ms):
 def test_compact_charge_closed_form_matches_polyfit(N):
     for th in [ThetaMatrix.zero(N + 1), ThetaMatrix.random_rational(N + 1, seed=23)]:
         for n in range(-3, 4):
-            e = projector_diagonal(n, N, th)
+            e = projector_diagonal(n, th)
             diag = _lifted_diagonal(e)
             longest = max(max(p) for x in diag for (p, q) in x.terms if p == q)
             inv = class_invariant(e)
@@ -395,16 +395,16 @@ def test_invariant_truncation_below_the_longest_word_is_unstable():
     # winding 3 at N=1 lifts to diagonal words up to S_0^3 S_0^3*; below
     # M+1 = 3 the truncated trace is not yet polynomial and the fit is off.
     # The invariant reads the closed form, which takes no cutoff.
-    diag = _lifted_diagonal(projector_diagonal(3, 1, ThetaMatrix.zero(2)))
+    diag = _lifted_diagonal(projector_diagonal(3, ThetaMatrix.zero(2)))
     assert abs(_fitted_charge(diag, 1, 1, [1, 2, 3]) + 3) > 1e-3
     assert abs(_fitted_charge(diag, 1, 1, [2, 3, 4]) + 3) < 1e-6
-    assert class_invariant(projector_diagonal(3, 1, ThetaMatrix.zero(2))).as_pair() == (1, -3)
+    assert class_invariant(projector_diagonal(3, ThetaMatrix.zero(2))).as_pair() == (1, -3)
 
 
 def test_invariant_input_validation():
     # no list of cutoffs is taken, so none is refused; what is checked is
     # that both numbers are integers
-    e = projector_diagonal(1, 1, ThetaMatrix.zero(2))
+    e = projector_diagonal(1, ThetaMatrix.zero(2))
     assert class_invariant(e).as_pair() == (1, -1)
     with pytest.raises(TypeError):
         class_invariant(e, [8, 16])
@@ -436,7 +436,7 @@ def test_lifted_diagonal_trace_closed_form(N, kind):
     # N+2 cutoffs from the first with M+1 >= max(n, 1); exact off float twists
     th = twist(kind, N + 1)
     for n in [n for n in range(-6, 5) if comb(abs(n) + N, N) <= MAX_SIZE]:
-        diag = _lifted_diagonal(projector_diagonal(n, N, th))
+        diag = _lifted_diagonal(projector_diagonal(n, th))
         for M in range(max(n, 1) - 1, max(n, 1) + N + 1):
             got = sum(truncated_trace(x, M) for x in diag)
             want = lifted_trace_closed_form(n, N, M)
@@ -450,7 +450,7 @@ def test_lifted_diagonal_trace_matches_the_representation():
     # independently of truncated_trace's closed form, at one small size
     th = ThetaMatrix.random_rational(3, seed=5)
     for n in (-2, 2):
-        diag = _lifted_diagonal(projector_diagonal(n, 2, th))
+        diag = _lifted_diagonal(projector_diagonal(n, th))
         for M in (2, 3):
             got = sum(represent(x, M).trace() for x in diag)
             assert abs(got - lifted_trace_closed_form(n, 2, M)) < 1e-9, (n, M)
@@ -467,7 +467,7 @@ def test_class_invariant_uses_no_numpy(kind, monkeypatch):
     for N in (1, 2, 3):
         th = twist(kind, N + 1)
         for n in range(-3, 4):
-            diag = projector_diagonal(n, N, th)
+            diag = projector_diagonal(n, th)
             inv = class_invariant(diag)
             assert inv.as_pair() == (1, -n), (N, n, kind)
             assert kind == "float" or inv.residual == 0.0, (N, n, kind)
@@ -493,7 +493,7 @@ def test_projector_residual_is_bounded_not_exact():
     # the truncated lift of a projector is only approximately idempotent;
     # the defect lives at the cutoff boundary and stays O(1)
     th = ThetaMatrix.zero(2)
-    e = chern_galois_projector(-1, 1, th)
+    e = chern_galois_projector(-1, th)
     ctx = e.entries[0][0].ctx
     norms = []
     for M in (4, 8):

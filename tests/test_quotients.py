@@ -22,7 +22,7 @@ from reference_serialize import vector_records
 from reference_solve import solve_exact as reference_solve
 from reference_sphere import sphere_defect, sphere_reduce
 from heegaard import cli, exactla, quotients, serialize
-from heegaard import (AlgebraElement, CocycleReport, Coeff, IncompatibleTuple,
+from heegaard import (AlgebraElement, Coeff, IncompatibleTuple,
                       MultipullbackTuple, SizeOverflow, cocycle_check,
                       generator, glue, is_compatible, pi_i_j, sigma_i, unit)
 from heegaard.algebra import Context, ContextMismatch, _unitary_reduce, _word_product
@@ -163,13 +163,9 @@ def test_glue_support_cap(monkeypatch):
 
 
 def test_cocycle_small():
-    # N = 1: two charts, each with one generator, unitary on the overlap;
-    # the degree is only echoed
+    # N = 1: two charts, each with one generator, unitary on the overlap
     for th in (ThetaMatrix.zero(2), ThetaMatrix.random_rational(2, seed=1)):
-        for d in (0, 2, 10 ** 30):
-            rep = cocycle_check(th, degree_bound=d)
-            assert isinstance(rep, CocycleReport)
-            assert rep == CocycleReport(passed=True, checked_degree=d)
+        assert cocycle_check(th) == ()
 
 
 def test_cocycle_below_degree_two_enumerates_nothing(monkeypatch):
@@ -185,8 +181,8 @@ def test_cocycle_below_degree_two_enumerates_nothing(monkeypatch):
 
 def test_cocycle_three_slots():
     for th in [ThetaMatrix.zero(3), ThetaMatrix.random_rational(3, seed=7)]:
-        rep = cocycle_check(th, degree_bound=2)
-        assert rep.passed, rep.failures
+        failures = cocycle_check(th)
+        assert not failures, failures
 
 
 def _chart_products(n):
@@ -217,7 +213,7 @@ def test_cocycle_size_cap(monkeypatch):
     monkeypatch.setattr(quotients, "_word_product", counting)
     for n in (2, 3, 4, 5):
         calls.clear()
-        assert cocycle_check(ThetaMatrix.random_rational(n, seed=n), 3).passed
+        assert cocycle_check(ThetaMatrix.random_rational(n, seed=n)) == ()
         assert len(calls) == _chart_products(n)
 
     def refuse(*args):
@@ -225,7 +221,7 @@ def test_cocycle_size_cap(monkeypatch):
 
     monkeypatch.setattr(quotients, "_chart_twist", refuse)
     with pytest.raises(SizeOverflow):
-        cocycle_check(ThetaMatrix.zero(15), 3)
+        cocycle_check(ThetaMatrix.zero(15))
 
 
 @pytest.mark.parametrize("twist", ["zero", "rational", "float"])
@@ -236,7 +232,7 @@ def test_chart_check_passes_at_N_1_to_4(twist):
         if twist == "rational":
             thetas += [ThetaMatrix.random_rational(N + 1, seed=s) for s in range(3)]
         for th in thetas:
-            assert cocycle_check(th, 3) == CocycleReport(passed=True, checked_degree=3)
+            assert cocycle_check(th) == ()
 
 
 def _chart_side(ctx, side, D):
@@ -351,8 +347,7 @@ def test_passing_cocycle_check_calls_nothing_in_exactla(monkeypatch):
         monkeypatch.setattr(exactla, name, refuse)
     monkeypatch.setattr(quotients, "solve_exact", refuse)
     for th in thetas:
-        for d in (2, 3, 4):
-            assert cocycle_check(th, d).passed
+        assert cocycle_check(th) == ()
 
 
 @pytest.mark.parametrize("twist", ["zero", "rational", "float"])
@@ -366,8 +361,7 @@ def test_passing_cocycle_check_does_no_coeff_arithmetic(twist, monkeypatch):
     for cls in (Coeff, FloatCoeff):
         for name in ("__mul__", "__add__", "from_exponent", "times_exponent"):
             monkeypatch.setattr(cls, name, refuse)
-    for d in (2, 3, 4):
-        assert cocycle_check(th, d).passed
+    assert cocycle_check(th) == ()
 
 
 def test_partition_of_unity_in_quotients():
@@ -844,6 +838,19 @@ def test_unit_tuple_with_one_written_as_minus_the_half_phase_is_compatible():
     ((m, _),) = b.terms.items()
     written = AlgebraElement(b.ctx, {m: -Coeff.from_phase(Fraction(1, 2), RATIONAL)})
     assert is_compatible(MultipullbackTuple((t.components[0], written)))
+
+
+@pytest.mark.xfail(strict=True, reason="FLOAT_TOL is absolute, so the B_ij images of a "
+                   "large coefficient differ by more than it through rounding alone")
+def test_exact_float_tuple_of_a_large_coefficient_is_compatible():
+    # the pi_01 images of W_(0,0,1) W_(0,1,0)* of the tuple of a are 2.57e-12 apart
+    theta = ThetaMatrix.from_upper(3, {(0, 1): 0.1, (0, 2): 0.2, (1, 2): 0.3}, mode=FLOAT)
+    a = AlgebraElement.monomial(Context.toeplitz(theta), (1, 1, 1), (1, 2, 0),
+                                Coeff.from_complex(10000))
+    t = MultipullbackTuple.from_element(a)
+    assert is_compatible(t)
+    lifted = glue(t)
+    assert all(sigma_i(lifted, i) == b for i, b in enumerate(t.components))
 
 
 @pytest.mark.parametrize("twist", ["zero", "den-8", "den-12", "float"])

@@ -164,7 +164,7 @@ def _residual_moved_by(tmp_path, shift):
     shutil.copytree(ROOT / "src", tmp_path / "src",
                     ignore=shutil.ignore_patterns("__pycache__"))
     module = tmp_path / "src" / "heegaard" / "fock.py"
-    old = "return max(d.norm() for d in relation_defects(N, theta, M))"
+    old = "return max(d.norm() for d in relation_defects(M, theta))"
     assert old in module.read_text()
     module.write_text(module.read_text().replace(old, f"{old} + {shift!r}"))
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "stdout_diff.py"),

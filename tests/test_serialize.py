@@ -79,7 +79,7 @@ def test_element_roundtrip_hypothesis(terms, seed):
 def test_tensor_roundtrip():
     th = ThetaMatrix.random_rational(2, seed=4)
     for n in (-2, 0, 2):
-        conn = strong_connection(n, 1, th)
+        conn = strong_connection(n, th)
         obj = tensor_to_obj(conn)
         back = tensor_from_obj(obj)
         assert back.summands == conn.summands
@@ -88,7 +88,7 @@ def test_tensor_roundtrip():
 
 def test_projector_roundtrip():
     th = ThetaMatrix.random_rational(2, seed=6)
-    e = chern_galois_projector(-1, 1, th)
+    e = chern_galois_projector(-1, th)
     obj = projector_to_obj(e)
     back = projector_from_obj(obj)
     assert back.winding == e.winding
@@ -150,13 +150,13 @@ def _record(p, q, num, den, a=1, b=1):
 
 def test_cell_term_errors_keep_their_paths():
     th = ThetaMatrix.random_rational(2, seed=6)
-    conn = tensor_to_obj(strong_connection(-1, 1, th))
+    conn = tensor_to_obj(strong_connection(-1, th))
     conn["summands"][0]["left"][0]["p"] = [1]
     with pytest.raises(SchemaError) as exc:
         tensor_from_obj(conn)
     assert exc.value.path == "tensor.summands[0].left.terms[0].p"
 
-    proj = projector_to_obj(chern_galois_projector(-1, 1, th))
+    proj = projector_to_obj(chern_galois_projector(-1, th))
     proj["entries"][1][0][0]["phase_den"] = 0
     with pytest.raises(SchemaError) as exc:
         projector_from_obj(proj)
@@ -170,7 +170,7 @@ def test_cell_term_errors_keep_their_paths():
 
 def test_projector_context_is_read_once_at_its_own_path():
     th = ThetaMatrix.random_rational(2, seed=6)
-    proj = projector_to_obj(chern_galois_projector(-1, 1, th))
+    proj = projector_to_obj(chern_galois_projector(-1, th))
     proj["context"]["theta"]["upper"] = [[0, 1, 1, 0]]
     with pytest.raises(SchemaError) as exc:
         projector_from_obj(proj)
@@ -184,8 +184,8 @@ def test_projector_context_is_read_once_at_its_own_path():
 
 def test_theta_is_parsed_once_per_document(monkeypatch):
     th = ThetaMatrix.random_rational(2, seed=6)
-    docs = [(tensor_from_obj, tensor_to_obj(strong_connection(-2, 1, th))),
-            (projector_from_obj, projector_to_obj(chern_galois_projector(-2, 1, th))),
+    docs = [(tensor_from_obj, tensor_to_obj(strong_connection(-2, th))),
+            (projector_from_obj, projector_to_obj(chern_galois_projector(-2, th))),
             (element_from_obj, element_to_obj(generator(Context.sphere(th), 0)))]
     calls = []
     parse = serialize.theta_from_obj
@@ -286,8 +286,8 @@ def _float_cases():
     rng = rng_for("serialize-float-elements")
     for ctx in (Context.toeplitz(th), Context.sphere(th)):
         yield element_to_obj, element_from_obj, random_element(ctx, rng, nterms=5)
-    yield tensor_to_obj, tensor_from_obj, strong_connection(-2, 1, th)
-    yield projector_to_obj, projector_from_obj, chern_galois_projector(-1, 1, th)
+    yield tensor_to_obj, tensor_from_obj, strong_connection(-2, th)
+    yield projector_to_obj, projector_from_obj, chern_galois_projector(-1, th)
 
 
 def _value(x):
@@ -601,7 +601,7 @@ def test_each_record_looks_its_scalar_up_once(mode):
     # once: one lookup per record, hits and misses alike, and the same text
     theta = ThetaMatrix.random_rational(3, seed=0, den=8) if mode == RATIONAL else \
         random_float_theta(3, rng_for("pieces-lookups"))
-    e = chern_galois_projector(-2, 2, theta)
+    e = chern_galois_projector(-2, theta)
     scalars = [c for row in e.entries for x in row for c in x.terms.values()]
     cache, plain = _CountingDict(), {}
     counted = [piece for c in scalars for piece in serialize._pieces(c, cache)]
@@ -617,7 +617,7 @@ def test_an_integer_over_the_digit_limit_still_raises():
 
 
 def test_writing_a_projector_allocates_a_quarter_of_the_reference_path():
-    e = chern_galois_projector(-3, 3, ThetaMatrix.random_rational(4, seed=0, den=8))
+    e = chern_galois_projector(-3, ThetaMatrix.random_rational(4, seed=0, den=8))
 
     def peak(emit):
         emit()
