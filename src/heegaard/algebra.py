@@ -29,12 +29,12 @@ each right word are taken once, and one pass over the slots builds the word
 and sums phi.  Float twist entries are exact dyadic rationals, so phi is
 an exact integer in both modes and the order of its sum does not matter.
 
-Reducing W_p W_q* on a slot set V cancels the min(p_s, q_s) pairs w_s w_s*
-of each s in V for the phase sum_{s in V} min(p_s, q_s) sum_{j>s}
-theta_sj (p_j - q_j).  It is additive over slots and independent of their
-order, because a reduction leaves every p_j - q_j unchanged.  In the sphere
-quotient every fully-interior word (all k_s = min(p_s, q_s) >= 1) has the
-closed normal form
+Reducing W_p W_q* on a slot set V (``_unitary_reduce``) cancels the
+min(p_s, q_s) pairs w_s w_s* of each s in V for the phase
+sum_{s in V} min(p_s, q_s) sum_{j>s} theta_sj (p_j - q_j), additive over
+slots and independent of their order, because a reduction leaves every
+p_j - q_j unchanged.  In the sphere quotient every fully-interior word
+(all k_s = min(p_s, q_s) >= 1) has the closed normal form
 
     W_p W_q*  =  sum_{V nonempty} (-1)^{|V|+1} (W_p W_q* reduced on V),
 
@@ -51,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from operator import mul, sub
+from operator import sub
 from typing import Dict, Tuple
 
 from .coeff import Coeff
@@ -122,21 +122,20 @@ class Context:
         return Context(TOEPLITZ, self.theta)
 
 
-def _unitary_reduce(theta: ThetaMatrix, slots, p, q):
-    """Cancel w_s w_s* pairs in unitary slots; returns (phase over D, p', q').
+def _unitary_reduce(table, slots, p, q):
+    """W_p W_q* reduced on ``slots``: (phase over ``table``'s conductor, p', q').
 
-    Cancelling one pair in slot s moves the innermost w_s right past the
+    Cancelling one w_s w_s* pair moves the innermost w_s right past the
     higher-index creations and the matching w_s* left past the higher-index
-    stars, for a net exponent sum_{j>s} theta_sj (p_j - q_j) per pair.
+    stars, for a net exponent sum_{j>s} theta_sj (p_j - q_j) per pair.  The
+    one slot reduction of the package: unitary quotients, the sphere normal
+    form of a non-diagonal word, glue's gauge and the chart check.
     """
-    table = theta.table
-    phase = 0
-    p = list(p)
-    q = list(q)
+    phase, p, q, n = 0, list(p), list(q), len(p)
     for s in slots:
         k = min(p[s], q[s])
         if k:
-            for j in range(s + 1, theta.n):
+            for j in range(s + 1, n):
                 d = p[j] - q[j]
                 if d:
                     phase += k * d * table[s][j]
@@ -286,10 +285,10 @@ class AlgebraElement:
 def _signed_slot_sets(n: int):
     """The nonempty slot sets V of range(n), each listed after V minus its
     last slot s, as (index of that prefix or -1 for the empty set, s, the
-    sign (-1)^{|V|+1})."""
+    sign (-1)^{|V|+1}, V)."""
     sets = [v for k in range(1, n + 1) for v in combinations(range(n), k)]
     index = {v: i for i, v in enumerate(sets)}
-    return tuple((index.get(v[:-1], -1), v[-1], (-1) ** (len(v) + 1)) for v in sets)
+    return tuple((index.get(v[:-1], -1), v[-1], (-1) ** (len(v) + 1), v) for v in sets)
 
 
 def _canonicalize(ctx: Context,
@@ -299,43 +298,36 @@ def _canonicalize(ctx: Context,
     Unitary contexts reduce on their unitary slots every word interior on
     one of them.  In the sphere quotient a fully-interior word (no zero
     exponent) is the inclusion-exclusion sum over the slot sets V of the
-    module docstring, and terms with none are wrapped as they are.  The
-    reduction on V extends the one on V minus its last slot s by the integer
-    phase k_s sum_{j>s} (p_j - q_j) table[s][j], formed once per word.  A
-    diagonal word W_p W_p*, as in a connection's contraction, has every step
-    0, so each reduction takes c.times_exponent(0, D, +-1), formed once.
+    module docstring, each term ``_unitary_reduce`` on V, and terms with
+    none are wrapped as they are.  A diagonal word W_p W_p*, as in a
+    connection's contraction, reduces at phase 0, so each reduction takes
+    c.times_exponent(0, D, +-1), formed once, and its word from the one on
+    V minus its last slot.
     """
     sphere, unitary = ctx.kind == SPHERE, ctx.unitary
     if not unitary and not (sphere and any(0 not in p + q for p, q in terms)):
         return AlgebraElement(ctx, terms)
-    theta, table, D, n = ctx.theta, ctx.theta.table, ctx.theta.conductor, ctx.n
-    tree, out = _signed_slot_sets(n) if sphere else (), {}
+    table, D = ctx.theta.table, ctx.theta.conductor
+    tree, out = _signed_slot_sets(ctx.n) if sphere else (), {}
     for (p, q), c in terms.items():
         if not sphere:
             for s in unitary:
                 if p[s] and q[s]:
-                    phase, p, q = _unitary_reduce(theta, unitary, p, q)
+                    phase, p, q = _unitary_reduce(table, unitary, p, q)
                     c = c.times_exponent(phase, D)
                     break
         if not sphere or 0 in p or 0 in q:
             out[p, q] = out[p, q] + c if (p, q) in out else c
-        elif p == q:        # every step is 0: the reductions of W_p W_p* are diagonal
+        elif p == q:
             pos, neg, reduced = c.times_exponent(0, D), c.times_exponent(0, D, -1), []
-            for prefix, s, sign in tree:
+            for prefix, s, sign, _ in tree:
                 pp = reduced[prefix] if prefix >= 0 else p
                 reduced.append(pp[:s] + (0,) + pp[s + 1:])
                 key, cc = (reduced[-1],) * 2, pos if sign > 0 else neg
                 out[key] = out[key] + cc if key in out else cc
         else:
-            d, ks = tuple(map(sub, p, q)), tuple(map(min, p, q))
-            steps = [k * sum(map(mul, d[s + 1:], table[s][s + 1:])) for s, k in enumerate(ks)]
-            reduced = []
-            for prefix, s, sign in tree:
-                phase, pp, qq = reduced[prefix] if prefix >= 0 else (0, p, q)
-                phase += steps[s]
-                pp = pp[:s] + (pp[s] - ks[s],) + pp[s + 1:]
-                qq = qq[:s] + (qq[s] - ks[s],) + qq[s + 1:]
-                reduced.append((phase, pp, qq))
+            for _, _, sign, v in tree:
+                phase, pp, qq = _unitary_reduce(table, v, p, q)
                 key, cc = (pp, qq), c.times_exponent(phase, D, sign)
                 out[key] = out[key] + cc if key in out else cc
     return AlgebraElement(ctx, out)

@@ -222,10 +222,7 @@ def _run_glue(args) -> int:
         return 1
     except LiftRounding as exc:         # no witness
         raise UsageError(str(exc)) from None
-    try:
-        _emit(lifted, args.output)
-    except OverflowError as exc:        # an amplitude whose re/im has no float
-        raise UsageError(f"coefficient outside float range: {exc}") from None
+    _emit(lifted, args.output)
     return 0
 
 

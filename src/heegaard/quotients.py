@@ -169,7 +169,7 @@ def glue(t: MultipullbackTuple) -> AlgebraElement:
     theta, n, D = t.theta, t.theta.n, t.theta.conductor
 
     def psi(p, q):
-        return _unitary_reduce(theta, range(n), p, q)[0]
+        return _unitary_reduce(theta.table, range(n), p, q)[0]
 
     support = _glue_support(t)[0]
     target = {(i, m): c.times_exponent(psi(*m), D)
@@ -196,29 +196,22 @@ def check_cocycle_size(n: int) -> None:
                            f"must be at most {MAX_CHART_PRODUCTS}")
 
 
-def _chart_twist(theta: ThetaMatrix, c: int) -> ThetaMatrix:
-    """kappa_c(s, t) = theta_cs + theta_st + theta_tc on the slots s, t != c,
-    kept at their labels; row c is 0, as no word of chart c has a slot-c letter."""
-    T, D = theta.table, theta.conductor
-    return ThetaMatrix.from_upper(theta.n, {
-        (s, t): Fraction(T[c][s] + T[s][t] + T[t][c], D)
-        for s, t in combinations(range(theta.n), 2) if c not in (s, t)}, theta.mode)
-
-
 def cocycle_check(theta: ThetaMatrix) -> Tuple[tuple, ...]:
     """The failures of the transition maps between the N + 1 charts of CP^N_T
     to respect the chart relations; empty when they all do.
 
-    Chart c is the Toeplitz algebra over ``_chart_twist(theta, c)`` on
-    v_s = w_s w_c* (s != c).  On its overlap with chart d, where u = v_d is
-    unitary, T_{c<-d} sends chart d's generator g_s to v_s u*, and g_c to u*.
-    For every ordered pair (c, d) the images must satisfy, in chart c with
-    slot d unitary, chart d's relations: isometry g_a* g_a = 1, unitarity
-    g_c g_c* = 1, g_a g_b = e(kappa_d(a, b)) g_b g_a (a < b) and
-    g_a g_b* = e(-kappa_d(a, b)) g_b* g_a.  Each image is one word, so each
-    side is one word times an integer phase: the product kernel of
+    Chart c is the Toeplitz algebra on v_s = w_s w_c* (s != c) whose twist
+    kappa_c(s, t) = theta_cs + theta_st + theta_tc is the integer table
+    ``charts[c]`` over theta's conductor D, at the slot labels (row c is 0).
+    On its overlap with chart d, where u = v_d is unitary, T_{c<-d} sends
+    chart d's generator g_s to v_s u*, and g_c to u*.  For every ordered
+    pair (c, d) the images must satisfy, in chart c with slot d unitary,
+    chart d's relations: isometry g_a* g_a = 1, unitarity g_c g_c* = 1,
+    g_a g_b = e(kappa_d(a, b)) g_b g_a (a < b) and g_a g_b* =
+    e(-kappa_d(a, b)) g_b* g_a.  Each image is one word, so each side is one
+    word times an integer phase mod D: the product kernel of
     ``AlgebraElement.__mul__`` (``algebra._word_product``), then the slot-d
-    reduction.  No element, scalar or degree is formed.  A failure is
+    reduction.  No element, scalar, twist or degree is formed.  A failure is
     (c, d, relation, a, b, lhs, rhs) for the first failing relation of a
     pair, each side (p, q, t) for e(t) W_p W_q*.
 
@@ -228,9 +221,10 @@ def cocycle_check(theta: ThetaMatrix) -> Tuple[tuple, ...]:
     = v_s v_e* by u* u = 1, a product the kernel forms with no phase.
     """
     check_cocycle_size(theta.n)
-    charts = [_chart_twist(theta, c) for c in range(theta.n)]
+    T, slots = theta.table, range(theta.n)
+    charts = [[[T[c][s] + T[s][t] + T[t][c] for t in slots] for s in slots] for c in slots]
     failures = []
-    for c, d in permutations(range(theta.n), 2):
+    for c, d in permutations(slots, 2):
         bad = next((r for r in _chart_relations(theta, charts, c, d) if r[3] != r[4]), None)
         if bad is not None:
             failures.append((c, d, *bad[:3], *((p, q, Fraction(t, theta.conductor))
@@ -241,15 +235,14 @@ def cocycle_check(theta: ThetaMatrix) -> Tuple[tuple, ...]:
 def _chart_relations(theta: ThetaMatrix, charts, c: int, d: int):
     """Chart d's relations on its images in chart c (``cocycle_check``), as
     (relation, a, b, lhs, rhs), each side (p, q, t) for e(t/D) W_p W_q*."""
-    D, chart, table, kappa = theta.conductor, charts[c], charts[c].table, charts[d].table
-    e, f, zero = D // chart.conductor, D // charts[d].conductor, (0,) * theta.n
+    D, table, kappa, zero = theta.conductor, charts[c], charts[d], (0,) * theta.n
 
     def side(x, y, shift=0):
         phase, p, q = _word_product(table, *x, *y)
         if p[d] and q[d]:
-            extra, p, q = _unitary_reduce(chart, (d,), p, q)
+            extra, p, q = _unitary_reduce(table, (d,), p, q)
             phase += extra
-        return p, q, (phase * e + shift) % D
+        return p, q, (phase + shift) % D
 
     g = {s: (_shift(zero, s, int(s != c)), _shift(zero, d, 1)) for s in range(theta.n) if s != d}
     g, star = ({s: (p, q, tuple(map(sub, q, p))) for s, (p, q) in g.items()},
@@ -257,7 +250,7 @@ def _chart_relations(theta: ThetaMatrix, charts, c: int, d: int):
     yield from (("isometry", a, a, side(star[a], g[a]), (zero, zero, 0)) for a in g)
     yield "unitarity", c, c, side(g[c], star[c]), (zero, zero, 0)
     for a, b in combinations(g, 2):
-        yield "commutation", a, b, side(g[a], g[b]), side(g[b], g[a], kappa[a][b] * f)
+        yield "commutation", a, b, side(g[a], g[b]), side(g[b], g[a], kappa[a][b])
     for a, b in permutations(g, 2):
         yield ("star commutation", a, b, side(g[a], star[b]),
-               side(star[b], g[a], -kappa[a][b] * f))
+               side(star[b], g[a], -kappa[a][b]))

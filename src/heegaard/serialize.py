@@ -18,7 +18,7 @@ from math import gcd, lcm
 from operator import itemgetter
 from typing import Any, Dict
 
-from .algebra import SPHERE, AlgebraElement, Context, _canonicalize
+from .algebra import SPHERE, AlgebraElement, Context, SizeOverflow, _canonicalize
 from .bundles import MAX_SIZE, ProjectorMatrix, TensorElement
 from .coeff import Coeff, _new
 from .phases import FLOAT, RATIONAL, ThetaMatrix
@@ -117,16 +117,21 @@ def context_from_obj(obj: Any, path: str = "context", known=None) -> Context:
 
 def _pieces(c: Coeff, cache: dict):
     """Each record of ``c`` (per phase; one re/im in float mode) as its text before "p",
-    between "p" and "q" and after "q", rendered once per (k, w, D) key into ``cache``."""
+    between "p" and "q" and after "q", rendered once per (k, w, D) key into ``cache``;
+    ``SizeOverflow`` for a re/im beyond float range or an int over repr's 4300 digits."""
     rational, D = c.mode == RATIONAL, c.D
     for k, w in sorted(c.terms.items()) if rational else [(0, c.to_complex())]:
         key = k, w, D if rational or w.real and w.imag else repr(w)   # -0.0 == 0.0
         if (piece := cache.get(key)) is None:
             z, head, mid = w, "", ""
             if rational:
-                z, g = complex(w) * cmath.exp(2j * cmath.pi * (k / D)), gcd(k, D)
-                head = f'"amp_den":{w.denominator!r},"amp_num":{w.numerator!r},'
-                mid = f',"phase_den":{D // g!r},"phase_num":{k // g!r}'
+                try:
+                    z, g = complex(w) * cmath.exp(2j * cmath.pi * (k / D)), gcd(k, D)
+                    head = f'"amp_den":{w.denominator!r},"amp_num":{w.numerator!r},'
+                    mid = f',"phase_den":{D // g!r},"phase_num":{k // g!r}'
+                except (OverflowError, ValueError) as exc:
+                    what = "outside float range" if isinstance(exc, OverflowError) else "too long"
+                    raise SizeOverflow(f"coefficient {what}: {exc}") from None
             re, im = map(repr if cmath.isfinite(z) else json.dumps, (z.real, z.imag))  # NaN
             piece = cache[key] = f'{{{head}"im":{im}', mid, f',"re":{re}}}'
         yield piece

@@ -73,9 +73,9 @@ def kernel_image_vector(theta: ThetaMatrix, i: int, j: int, k: int, m) -> dict:
     """The image in B_ij of m - e(phi_k) m_k, m_k the slot-k reduction of the
     word m of B_i: two words, A = m and then B = m_k reduced on {i, j}."""
     ij = tuple(sorted((i, j)))
-    a, pa, qa = _unitary_reduce(theta, ij, *m)
-    phi, pk, qk = _unitary_reduce(theta, (k,), *m)
-    b, pb, qb = _unitary_reduce(theta, ij, pk, qk)
+    a, pa, qa = _unitary_reduce(theta.table, ij, *m)
+    phi, pk, qk = _unitary_reduce(theta.table, (k,), *m)
+    b, pb, qb = _unitary_reduce(theta.table, ij, pk, qk)
     return {(pa, qa): Coeff.from_exponent(a, theta),
             (pb, qb): Coeff.from_exponent(phi, theta, -1) * Coeff.from_exponent(b, theta)}
 

@@ -186,7 +186,7 @@ def _reference_product(x, y):
             reductions = [((), 1)]
         for slots, sign in reductions:
             if slots:
-                phase, pp, qq = _unitary_reduce(th, slots, p, q)
+                phase, pp, qq = _unitary_reduce(th.table, slots, p, q)
                 key, cc = (pp, qq), c.times_exponent(phase, D, sign)
             else:
                 key, cc = (p, q), c
@@ -396,20 +396,27 @@ def test_sphere_normal_form_matches_the_rewrite_loop(n):
 
 
 def test_float_sphere_normal_form_has_one_term_per_slot_set():
-    # the closed form is 2^n - 1 words of modulus |c|; a rewrite cascade
+    # the closed form is 2^n - 1 words, the slot-V reduction of W_p W_q* at
+    # c.times_exponent(phi_V, D, +-1), bit for bit; a rewrite cascade
     # subtracts nearly equal floats and can leave residues above FLOAT_TOL
     rng = rng_for("sphere-nf-float")
     diagonal_rng = rng_for("sphere-nf-float-diagonal")
     for n in (2, 3, 4, 5):
         th = random_float_theta(n, rng)
-        sphere = Context.sphere(th)
+        sphere, table = Context.sphere(th), th.table
         for _ in range(30):
             p, q = _random_word(rng, n, 1, 4)
             c = Coeff.from_complex(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)))
+            want, ks = {}, [min(a, b) for a, b in zip(p, q)]
+            for k in range(1, n + 1):
+                for v in itertools.combinations(range(n), k):
+                    phi = sum(ks[s] * sum((p[j] - q[j]) * table[s][j] for j in range(s + 1, n))
+                              for s in v)
+                    w = [tuple(e - ks[s] if s in v else e for s, e in enumerate(x)) for x in (p, q)]
+                    want[tuple(w)] = repr(c.times_exponent(phi, th.conductor, (-1) ** (k + 1)))
             nf = AlgebraElement.monomial(sphere, p, q, c)
-            assert len(nf.terms) == 2 ** n - 1, (p, q)
-            for v in nf.terms.values():
-                assert abs(abs(v.to_complex()) - abs(c.to_complex())) < 1e-12
+            assert len(want) == 2 ** n - 1, (p, q)
+            assert {m: repr(v) for m, v in nf.terms.items()} == want, (p, q)
         for _ in range(10):
             # a diagonal interior word W_p W_p*: the slot-V reduction zeroes p
             # on V at phase 0, with the scalar c.times_exponent(0, D, +-1) of
@@ -440,8 +447,8 @@ def test_slot_reductions_compose(data):
     label = data.draw(side)
     a = [s for s in range(n) if label[s] == "A"]
     b = [s for s in range(n) if label[s] == "B"]
-    both = _unitary_reduce(th, sorted(a + b), p, q)
+    both = _unitary_reduce(th.table, sorted(a + b), p, q)
     for first, second in ((a, b), (b, a)):
-        ph1, p1, q1 = _unitary_reduce(th, first, p, q)
-        ph2, p2, q2 = _unitary_reduce(th, second, p1, q1)
+        ph1, p1, q1 = _unitary_reduce(th.table, first, p, q)
+        ph2, p2, q2 = _unitary_reduce(th.table, second, p1, q1)
         assert (ph1 + ph2, p2, q2) == both

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import overlong_glue_inputs, power_twist
 from heegaard import AlgebraElement, bundles, cli, generator, quotients, serialize, unit
 from heegaard.algebra import Context
 from heegaard.cli import FLAGS, main
@@ -378,22 +379,42 @@ def test_glue_support_overflow_is_a_usage_error(tmp_path, capsys, monkeypatch):
     assert "candidate support exceeds 1" in err
 
 
-@pytest.mark.parametrize("amp_num, amp_den", [(10 ** 400, 1), (-10 ** 400, 3)])
+@pytest.mark.parametrize("amp_num, amp_den", [(10 ** 400, 1), (-10 ** 400, 3),
+                                              (1, (3 ** 4500, 5 ** 3100))])
 def test_glue_amplitude_outside_float_range_is_a_usage_error(tmp_path, capsys, amp_num, amp_den):
-    # the lift is exact, but its records carry re/im floats: an amplitude
-    # beyond float range is exit 2 with stdout empty, not a crash
+    # the lift is exact, but its records carry re/im floats and ints that
+    # repr writes: an amplitude beyond float range, or one of 4314 digits
+    # summed from two records (a tuple of amp_den), is exit 2 with stdout
+    # empty, not a crash
     ctx = Context.toeplitz(ThetaMatrix.random_rational(2, seed=7))
     t = MultipullbackTuple.from_element(generator(ctx, 0) + unit(ctx))
     comps = [element_to_obj(c) for c in t.components]
+    dens = amp_den if isinstance(amp_den, tuple) else (amp_den,)
     for c in comps:
-        for rec in c["terms"]:
-            if rec["p"] == rec["q"] == [0, 0]:
-                rec["amp_num"], rec["amp_den"] = amp_num, amp_den
+        c["terms"] = [new for rec in c["terms"] for new in
+                      ([{**rec, "amp_num": amp_num, "amp_den": d} for d in dens]
+                       if rec["p"] == rec["q"] == [0, 0] else [rec])]
     path = tmp_path / "tuple.json"
     path.write_text(json.dumps({"components": comps}))
     code, out, err = run(capsys, "glue", "--input", str(path))
     assert (code, out) == (2, "")
-    assert "coefficient outside float range" in err
+    assert ("coefficient too long" if len(dens) > 1 else "coefficient outside float range") in err
+
+
+@pytest.mark.parametrize("argv", [["projector", "--N", "2", "--n", "-2"],
+                                  ["connection", "--N", "2", "--n", "-3"], ["glue"]],
+                         ids=["projector", "connection", "glue-witness"])
+def test_a_number_over_4300_digits_is_a_usage_error(tmp_path, capsys, argv):
+    # repr writes no int over 4300 digits: a projector or connection entry
+    # whose phase has a denominator of 4379 digits, and glue's exit-1 witness
+    # with such a phase, are exit 2 with stdout empty, not a traceback
+    twist, tuple_ = tmp_path / "twist.json", tmp_path / "tuple.json"
+    twist.write_text(json.dumps(theta_to_obj(power_twist(3, [(0, 1), (0, 2), (1, 2)]))))
+    tuple_.write_text(overlong_glue_inputs()["power-witness.json"])
+    extra = ["--input", str(tuple_)] if argv == ["glue"] else ["--theta", str(twist)]
+    code, out, err = run(capsys, *argv, *extra)
+    assert (code, out) == (2, "")
+    assert "error: coefficient too long" in err
 
 
 def test_an_overflow_inside_glue_is_not_a_usage_error(tmp_path, capsys, monkeypatch):

@@ -7,7 +7,9 @@ command's check before the twist is built), n = -200, and degree 200
 Whatever the argv, the exit status is 0, 1 or 2 and no exception escapes;
 exit 2 leaves stdout empty and writes ``error:`` to stderr; exits 0 and 1
 write one JSON document (to stdout, or to ``--output``), except that help
-exits 0 with a usage text.
+exits 0 with a usage text.  A twist of conductor 4379 digits and two glue
+inputs whose output needs an int over the 4300 digits ``repr`` writes
+(``conftest``) are among the inputs: those outputs exit 2.
 """
 
 import contextlib
@@ -18,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import overlong_glue_inputs, power_twist
 from heegaard import generator, unit
 from heegaard.algebra import Context
 from heegaard.cli import FLAGS, main
@@ -36,7 +39,7 @@ JUNK = st.sampled_from(["0", "-1", "2", "", "x", "1.5", "0x10", "1e3", "--N", "-
 TOKEN_JUNK = st.sampled_from(["--bogus", "--th", "--n-", "-N", "--", "=", "--N=",
                               "extra", "-h", "--help", "{}"]) | st.text(max_size=6)
 TWISTS = ["zero", "random-rational", "inline", "file", "mutant", "oversized", "cut",
-          "text"]
+          "text", "power"]
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +54,8 @@ def files(tmp_path_factory):
              for name, comps in [("tuple.json", good), ("incompatible.json", bad),
                                  ("mismatched.json", (good[0], good[0]))]}
     texts.update({"schema.json": '{"components": 3}', "list.json": "[1, 2]",
-                  "junk.json": "not json", "deep.json": "[" * 100_000})
+                  "junk.json": "not json", "deep.json": "[" * 100_000,
+                  **overlong_glue_inputs()})
     for n in (2, 3):
         texts[f"theta{n}.json"] = json.dumps(theta_to_obj(
             ThetaMatrix.random_rational(n, seed=1)))
@@ -71,6 +75,8 @@ def _twist(data, files):
         return data.draw(st.sampled_from(files["inputs"]))
     if kind == "text":
         return "{" + data.draw(st.text(max_size=20))
+    if kind == "power":     # a conductor of 4379 digits, over the 4300 repr writes
+        return json.dumps(theta_to_obj(power_twist(3, [(0, 1), (0, 2), (1, 2)])))
     n = data.draw(st.integers(1, 4))
     obj = theta_to_obj(ThetaMatrix.random_rational(n, seed=data.draw(st.integers(0, 9)),
                                                    den=data.draw(st.integers(1, 12))))

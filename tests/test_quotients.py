@@ -217,9 +217,9 @@ def test_cocycle_size_cap(monkeypatch):
         assert len(calls) == _chart_products(n)
 
     def refuse(*args):
-        raise AssertionError("built a chart of an oversized cocycle")
+        raise AssertionError("checked a chart of an oversized cocycle")
 
-    monkeypatch.setattr(quotients, "_chart_twist", refuse)
+    monkeypatch.setattr(quotients, "_chart_relations", refuse)
     with pytest.raises(SizeOverflow):
         cocycle_check(ThetaMatrix.zero(15))
 
@@ -233,6 +233,24 @@ def test_chart_check_passes_at_N_1_to_4(twist):
             thetas += [ThetaMatrix.random_rational(N + 1, seed=s) for s in range(3)]
         for th in thetas:
             assert cocycle_check(th) == ()
+
+
+def _chart_tables(theta):
+    """The kappa tables ``cocycle_check`` builds for ``theta``, caught on
+    their way to ``_chart_relations``."""
+    seen, relations = [], quotients._chart_relations
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quotients, "_chart_relations",
+                   lambda th, charts, c, d: seen.append(charts) or relations(th, charts, c, d))
+        assert cocycle_check(theta) == ()
+    return seen[0]
+
+
+def _chart_twist(theta, table):
+    """The twist whose entries are the integer ``table`` over theta's conductor."""
+    return ThetaMatrix.from_upper(theta.n, {
+        (s, t): Fraction(table[s][t], theta.conductor)
+        for s, t in combinations(range(theta.n), 2)}, theta.mode)
 
 
 def _chart_side(ctx, side, D):
@@ -250,12 +268,12 @@ def _chart_image(ctx, c, d, s):
     return AlgebraElement.monomial(ctx, e(s) if s != c else (0,) * ctx.n, e(d))
 
 
-def _element_sides(theta, c, d, relation, a, b):
+def _element_sides(theta, charts, c, d, relation, a, b):
     """Both sides of chart d's relation (a, b) on the images in chart c with
     slot d unitary, by element arithmetic."""
-    ctx = Context.quotient(quotients._chart_twist(theta, c), d)
+    ctx = Context.quotient(_chart_twist(theta, charts[c]), d)
     x, y, one = _chart_image(ctx, c, d, a), _chart_image(ctx, c, d, b), unit(ctx)
-    kappa = Coeff.from_phase(quotients._chart_twist(theta, d).entry(a, b), theta.mode)
+    kappa = Coeff.from_phase(_chart_twist(theta, charts[d]).entry(a, b), theta.mode)
     return {"isometry": (x.star() * x, one), "unitarity": (x * x.star(), one),
             "commutation": (x * y, (y * x).times_coeff(kappa)),
             "star commutation": (x * y.star(), (y.star() * x).times_coeff(kappa.conj()))
@@ -271,19 +289,19 @@ def test_chart_relations_are_the_element_products(twist):
     rng = rng_for(f"chart-elements-{twist}")
     for n in (2, 3, 4):
         th = _twists(n, rng)[twist]
-        charts = [quotients._chart_twist(th, c) for c in range(n)]
+        charts = _chart_tables(th)
         for c, chart in enumerate(charts):
-            ref = kappa_check_matrix(th, c)
+            ref, chart = kappa_check_matrix(th, c), _chart_twist(th, chart)
             assert all(chart.entry(c, s) == 0 for s in range(n))
             assert all((chart.entry(s, t) - ref.entry(drop_slot(c, s), drop_slot(c, t))) % 1 == 0
                        for s, t in permutations(set(range(n)) - {c}, 2))
         for c, d in permutations(range(n), 2):
-            ctx = Context.quotient(charts[c], d)
+            ctx = Context.quotient(_chart_twist(th, charts[c]), d)
             relations = list(quotients._chart_relations(th, charts, c, d))
             N = n - 1
             assert len(relations) == N + 1 + N * (N - 1) // 2 + N * (N - 1)
             for relation, a, b, lhs, rhs in relations:
-                want = _element_sides(th, c, d, relation, a, b)
+                want = _element_sides(th, charts, c, d, relation, a, b)
                 assert [_chart_side(ctx, x, th.conductor) for x in (lhs, rhs)] == list(want)
                 assert lhs == rhs
 
@@ -320,7 +338,7 @@ def test_cocycle_flags_each_twist_phase_mutant(mutant, tmp_path):
         out = json.loads(proc.stdout)
         assert out["passed"] is False and out["checked_degree"] == 3 and out["failures"]
         th = ThetaMatrix.random_rational(N + 1, seed=1)
-        charts = [quotients._chart_twist(th, c) for c in range(N + 1)]
+        charts = _chart_tables(th)
         assert len({tuple(f[:2]) for f in out["failures"]}) == len(out["failures"])
         for c, d, relation, a, b, *sides in out["failures"]:
             assert all(set(x) == {"p", "q", "phase_num", "phase_den"} for x in sides)
@@ -352,15 +370,17 @@ def test_passing_cocycle_check_calls_nothing_in_exactla(monkeypatch):
 
 @pytest.mark.parametrize("twist", ["zero", "rational", "float"])
 def test_passing_cocycle_check_does_no_coeff_arithmetic(twist, monkeypatch):
-    # only a failure's vector is built, so a pass forms no scalar at all
+    # only a failure's vector is built, so a pass forms no scalar at all,
+    # and no twist either: the charts are integer tables over theta's conductor
     th = _twists(4, rng_for(f"cocycle-no-coeff-{twist}"))[twist]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("Coeff arithmetic in a passing cocycle_check")
+        raise AssertionError("Coeff arithmetic or a twist in a passing cocycle_check")
 
     for cls in (Coeff, FloatCoeff):
         for name in ("__mul__", "__add__", "from_exponent", "times_exponent"):
             monkeypatch.setattr(cls, name, refuse)
+    monkeypatch.setattr(ThetaMatrix, "__post_init__", refuse)
     assert cocycle_check(th) == ()
 
 
@@ -397,7 +417,7 @@ def _coherence_sides(theta, i, j, k, p, q):
     to B_ab, read the canonical form in B_a) is the slot-(a, b) unitary
     reduction, so both routes are compositions of ``_unitary_reduce``."""
     def reduce(slots, phase, p, q):
-        d, p, q = _unitary_reduce(theta, sorted(slots), p, q)
+        d, p, q = _unitary_reduce(theta.table, sorted(slots), p, q)
         return phase + d, p, q
 
     via_j = reduce((i, j), *reduce((j, k), 0, p, q))
@@ -440,7 +460,7 @@ def _twists(n, rng):
 def _element_vector(th, i, j, k, m):
     """m - e(phi_k) m_k built as elements of B_i, carried to B_ij."""
     bi, bij = Context.quotient(th, i), Context.quotient(th, i, j)
-    phase, pp, qq = _unitary_reduce(th, (k,), *m)
+    phase, pp, qq = _unitary_reduce(th.table, (k,), *m)
     hat = AlgebraElement.monomial(bi, pp, qq).times_coeff(Coeff.from_exponent(phase, th))
     return (AlgebraElement.monomial(bi, *m) - hat).with_context(bij).terms
 
@@ -448,7 +468,7 @@ def _element_vector(th, i, j, k, m):
 def _gauged_vector(th, m, a, b):
     """e(psi(m)) (e(-psi(A)) e_A - e(-psi(B)) e_B): the lemma's form of a
     kernel-image vector, for any words m, A and B."""
-    psi = {w: _unitary_reduce(th, range(th.n), *w)[0] for w in (m, a, b)}
+    psi = {w: _unitary_reduce(th.table, range(th.n), *w)[0] for w in (m, a, b)}
     return {a: Coeff.from_exponent(psi[m] - psi[a], th),
             b: Coeff.from_exponent(psi[m] - psi[b], th, -1)}
 
@@ -474,8 +494,8 @@ def test_kernel_image_vectors_match_the_element_arithmetic(twist):
                 assert [(w, exact(c)) for w, c in v.items()] == \
                     [(w, exact(c)) for w, c in want.items()]
                 a, b = v
-                assert a == A == _unitary_reduce(th, (i, j), *m)[1:]
-                assert b == _unitary_reduce(th, (k,), *a)[1:]
+                assert a == A == _unitary_reduce(th.table, (i, j), *m)[1:]
+                assert b == _unitary_reduce(th.table, (k,), *a)[1:]
                 assert v == _gauged_vector(th, m, a, b)
 
 
@@ -489,7 +509,7 @@ def test_kernel_image_words_are_the_same_at_every_twist():
                   ThetaMatrix.random_rational(n, seed=2, den=12), random_float_theta(n, rng)]
         for i, j, k in permutations(range(n), 3):
             pairs = reference_cocycle.kernel_image_words(n, i, j, k, 3)
-            stars = [[A, _unitary_reduce(thetas[0], (k,), *A)[1:]] for A, _ in pairs]
+            stars = [[A, _unitary_reduce(thetas[0].table, (k,), *A)[1:]] for A, _ in pairs]
             assert stars
             for th in thetas:
                 assert [list(reference_cocycle.kernel_image_vector(th, i, j, k, m))
@@ -579,7 +599,7 @@ def _inject(monkeypatch, edits):
 
     def patched(n, i, j, k, degree):
         words = edits.get((i, j, k), list)([m for _, m in original(n, i, j, k, degree)])
-        return [(_unitary_reduce(ThetaMatrix.zero(n), (min(i, j), max(i, j)), *m)[1:], m)
+        return [(_unitary_reduce(ThetaMatrix.zero(n).table, (min(i, j), max(i, j)), *m)[1:], m)
                 for m in words]
 
     monkeypatch.setattr(reference_cocycle, "kernel_image_words", patched)
@@ -704,7 +724,7 @@ def _phase_column_glue(t):
     for p, q in cands:
         col = {}
         for i in range(n):
-            phase, pp, qq = _unitary_reduce(theta, (i,), p, q)
+            phase, pp, qq = _unitary_reduce(theta.table, (i,), p, q)
             col[(i, (pp, qq))] = Coeff.from_exponent(phase, theta)
         columns.append(col)
     sol = reference_solve(columns, target)
@@ -932,7 +952,7 @@ def _raised_lift(t, height):
         for (p, q), c in (b - sigma_i(a, k)).terms.items():
             h = height(k, p, q)
             m = (p[:k] + (p[k] + h,) + p[k + 1:], q[:k] + (q[k] + h,) + q[k + 1:])
-            terms[m] = c.times_exponent(-_unitary_reduce(theta, (k,), *m)[0], theta.conductor)
+            terms[m] = c.times_exponent(-_unitary_reduce(theta.table, (k,), *m)[0], theta.conductor)
         a = a + AlgebraElement(ctx, terms)
     return a
 
@@ -943,7 +963,7 @@ def _random_heights(theta, rng):
     table = {}
 
     def height(k, p, q):
-        key = (k,) + _unitary_reduce(theta, range(k + 1), p, q)[1:]
+        key = (k,) + _unitary_reduce(theta.table, range(k + 1), p, q)[1:]
         return table.setdefault(key, rng.randrange(3))
     return height
 
