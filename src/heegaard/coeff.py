@@ -9,8 +9,10 @@ Gaussian-rational amplitudes need no real/imaginary bookkeeping.
 In float mode (``FloatCoeff``) a complex z is the one-term sum {0: z}: C is
 the group ring at conductor 1.  So the float class inherits the arithmetic
 and overrides only how a phase is applied (folded into the weight), the
-zero test (``FLOAT_TOL``) and the readers.  A phase e(k/D) arrives in both
-modes as an exact integer k over the twist's conductor D.
+readers, equality and the zero test: within ``FLOAT_TOL`` times the l1
+weight that ``is_zero`` reads (``exactla`` tracks it; exact scalars ignore
+it).  A phase e(k/D) arrives in both modes as an exact integer k over the
+twist's conductor D.
 """
 
 from __future__ import annotations
@@ -150,7 +152,8 @@ class Coeff:
         """Read-only {Fraction exponent in [0, 1): weight}; None in float mode."""
         return {Fraction(k, self.D): w for k, w in self.terms.items()}
 
-    def is_zero(self) -> bool:
+    def is_zero(self, weight=1) -> bool:
+        """Exact, so the weight is ignored."""
         return not self.terms
 
     def is_single_phase(self) -> bool:
@@ -165,12 +168,9 @@ class Coeff:
             return NotImplemented
         if type(self) is not type(other):
             return False
-        if self.D == other.D and self.mode == RATIONAL:   # no zero weight is stored
+        if self.D == other.D:   # no zero weight is stored
             return self.terms == other.terms
         return (self - other).is_zero()
-
-    def __hash__(self):
-        raise TypeError("Coeff is not hashable")
 
     def __repr__(self):
         body = " + ".join(f"{w}*e(2pi*{t})" for t, w in sorted(self.parts.items()))
@@ -198,11 +198,18 @@ class FloatCoeff(Coeff):
     def parts(self):
         return None
 
-    def is_zero(self) -> bool:
-        return not self.terms or hypot(self.terms[0].real, self.terms[0].imag) < FLOAT_TOL
+    def is_zero(self, weight=1) -> bool:
+        """|z| < ``FLOAT_TOL`` * max(weight, 1), a bound on a sum of that l1 weight."""
+        return not self.terms or (hypot(self.terms[0].real, self.terms[0].imag)
+                                  < (FLOAT_TOL * weight if weight > 1 else FLOAT_TOL))
 
     def to_complex(self) -> complex:
         return self.terms.get(0, 0j)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Coeff):
+            return NotImplemented
+        return type(other) is FloatCoeff and (self - other).is_zero()
 
     def __repr__(self):
         return f"Coeff({self.to_complex()!r})"

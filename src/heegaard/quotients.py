@@ -26,7 +26,8 @@ from .phases import ThetaMatrix
 
 
 class IncompatibleTuple(ValueError):
-    pass
+    def __str__(self):   # args[1], the witness, may hold ints too long to write
+        return self.args[0]
 
 
 class LiftRounding(ArithmeticError):

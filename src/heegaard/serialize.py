@@ -116,11 +116,11 @@ def context_from_obj(obj: Any, path: str = "context", known=None) -> Context:
 # -- scalars and terms ------------------------------------------------------
 
 def _pieces(c: Coeff, cache: dict):
-    """Each record of ``c`` (per phase; one re/im in float mode) as its text before "p",
-    between "p" and "q" and after "q", rendered once per (k, w, D) key into ``cache``;
-    ``SizeOverflow`` for a re/im beyond float range or an int over repr's 4300 digits."""
-    rational, D = c.mode == RATIONAL, c.D
-    for k, w in sorted(c.terms.items()) if rational else [(0, c.to_complex())]:
+    """Each record of ``c`` (per phase; a complex weight has re/im only) as its text before
+    "p", between "p" and "q" and after "q", rendered once per (k, w, D) key into ``cache``;
+    ``SizeOverflow`` for a re/im beyond float range or an int over repr's digit limit."""
+    for k, w in sorted(c.terms.items()):
+        rational, D = type(w) is not complex, c.D
         key = k, w, D if rational or w.real and w.imag else repr(w)   # -0.0 == 0.0
         if (piece := cache.get(key)) is None:
             z, head, mid = w, "", ""
@@ -129,9 +129,11 @@ def _pieces(c: Coeff, cache: dict):
                     z, g = complex(w) * cmath.exp(2j * cmath.pi * (k / D)), gcd(k, D)
                     head = f'"amp_den":{w.denominator!r},"amp_num":{w.numerator!r},'
                     mid = f',"phase_den":{D // g!r},"phase_num":{k // g!r}'
-                except (OverflowError, ValueError) as exc:
-                    what = "outside float range" if isinstance(exc, OverflowError) else "too long"
-                    raise SizeOverflow(f"coefficient {what}: {exc}") from None
+                except (OverflowError, ValueError) as exc:   # ValueError: repr's digit limit
+                    what = (f"outside float range: {exc}" if isinstance(exc, OverflowError) else
+                            f"too long: an int over the {sys.get_int_max_str_digits()}-digit "
+                            "limit of integer string conversion")
+                    raise SizeOverflow(f"coefficient {what}") from None
             re, im = map(repr if cmath.isfinite(z) else json.dumps, (z.real, z.imag))  # NaN
             piece = cache[key] = f'{{{head}"im":{im}', mid, f',"re":{re}}}'
         yield piece
@@ -264,7 +266,10 @@ def to_json(obj) -> str:
         records = []
         for (p, q), c in x.sorted_terms():
             p, q = ",".join(map(repr, p)), ",".join(map(repr, q))
-            records += [f'{a},"p":[{p}]{b},"q":[{q}]{e}' for a, b, e in _pieces(c, cache)]
+            try:
+                records += [f'{a},"p":[{p}]{b},"q":[{q}]{e}' for a, b, e in _pieces(c, cache)]
+            except SizeOverflow as exc:
+                raise SizeOverflow(f"{exc}, in the record of word p=[{p}], q=[{q}]") from None
         return f'[{",".join(records)}]'
 
     if isinstance(obj, AlgebraElement):

@@ -401,13 +401,15 @@ def test_glue_amplitude_outside_float_range_is_a_usage_error(tmp_path, capsys, a
     assert ("coefficient too long" if len(dens) > 1 else "coefficient outside float range") in err
 
 
-@pytest.mark.parametrize("argv", [["projector", "--N", "2", "--n", "-2"],
-                                  ["connection", "--N", "2", "--n", "-3"], ["glue"]],
-                         ids=["projector", "connection", "glue-witness"])
-def test_a_number_over_4300_digits_is_a_usage_error(tmp_path, capsys, argv):
+@pytest.mark.parametrize("argv, word", [
+    (["projector", "--N", "2", "--n", "-2"], "p=[2,0,0], q=[0,1,1]"),
+    (["connection", "--N", "2", "--n", "-3"], "p=[1,1,1], q=[0,0,0]"),
+    (["glue"], "p=[0,1,1,1], q=[0,0,0,0]")], ids=["projector", "connection", "glue-witness"])
+def test_a_number_over_4300_digits_is_a_usage_error(tmp_path, capsys, argv, word):
     # repr writes no int over 4300 digits: a projector or connection entry
     # whose phase has a denominator of 4379 digits, and glue's exit-1 witness
-    # with such a phase, are exit 2 with stdout empty, not a traceback
+    # with such a phase, are exit 2 with stdout empty, not a traceback; the
+    # message names the record's word and the limit, not the interpreter call
     twist, tuple_ = tmp_path / "twist.json", tmp_path / "tuple.json"
     twist.write_text(json.dumps(theta_to_obj(power_twist(3, [(0, 1), (0, 2), (1, 2)]))))
     tuple_.write_text(overlong_glue_inputs()["power-witness.json"])
@@ -415,6 +417,9 @@ def test_a_number_over_4300_digits_is_a_usage_error(tmp_path, capsys, argv):
     code, out, err = run(capsys, *argv, *extra)
     assert (code, out) == (2, "")
     assert "error: coefficient too long" in err
+    assert f"the record of word {word}\n" in err
+    assert f"over the {sys.get_int_max_str_digits()}-digit limit" in err
+    assert "set_int_max_str_digits" not in err
 
 
 def test_an_overflow_inside_glue_is_not_a_usage_error(tmp_path, capsys, monkeypatch):

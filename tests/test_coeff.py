@@ -1,12 +1,15 @@
+import ast
 import cmath
 import math
 import operator
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import heegaard
 from reference_serialize import coeff_records
 from heegaard.algebra import AlgebraElement, Context, unit
 from heegaard.coeff import Coeff, FloatCoeff
@@ -251,6 +254,37 @@ def test_float_coeff_inherits_the_traced_arithmetic():
     # both modes, so the float class must not define its own.
     for name in ("__mul__", "__add__"):
         assert name in Coeff.__dict__ and name not in FloatCoeff.__dict__
+
+
+def test_each_scalar_class_owns_its_zero_test_and_equality():
+    # an exact scalar ignores the weight; a float one is zero within
+    # FLOAT_TOL * max(weight, 1) and equals only a float within FLOAT_TOL
+    assert not Coeff.rational(Fraction(1, 10 ** 20)).is_zero(10 ** 30)
+    small = FloatCoeff.from_complex(3e-12)
+    assert not small.is_zero() and not small.is_zero(Fraction(1, 2)) and small.is_zero(4)
+    one = FloatCoeff.from_complex(1)
+    assert one == FloatCoeff.from_complex(1 + 5e-13) != FloatCoeff.from_complex(1 + 2e-12)
+    assert not one == Coeff.rational(1) and not Coeff.rational(1) == one
+    assert one.__eq__(1) is NotImplemented and one != 1
+    for c in (Coeff.rational(1), one):
+        with pytest.raises(TypeError):
+            hash(c)
+
+
+def test_no_mode_branch_outside_the_schema_and_validation():
+    # each scalar class decides for itself: no module but the JSON schema
+    # (serialize) and the twist's validation (phases) compares a mode
+    names = {"RATIONAL", "FLOAT"}
+    found = []
+    for path in sorted(Path(heegaard.__file__).parent.glob("*.py")):
+        if path.name in ("serialize.py", "phases.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(x, ast.Attribute) and (x.attr == "mode" or x.attr in names)
+                    or isinstance(x, ast.Name) and x.id in names for x in ast.walk(node)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_unit_coefficients_are_built_at_the_twist_conductor():

@@ -213,6 +213,26 @@ def test_phase_free_solve_edge_cases():
                        {k: one for k in "abd"}) is None
 
 
+@pytest.mark.parametrize("eps, consistent", [(2.4e-12, True), (2.6e-12, False)])
+def test_float_bound_through_a_non_unit_pivot(eps, consistent):
+    # row c leaves pivot 2 and is halved, so the leftover row of key e,
+    # x2 = 1/2 + eps less row c, combines target weight 1 + 3/2: it is zero
+    # within FLOAT_TOL * 5/2, and an exact target ignores the weight
+    columns = [{"a", "b"}, {"b", "c"}, {"a", "c", "e"}]
+    exact = {"a": Fraction(1), "b": Fraction(1), "c": Fraction(1), "e": Fraction(1, 2)}
+    got = solve_exact(columns, {k: Coeff.from_complex(float(v) + eps * (k == "e"))
+                                for k, v in exact.items()})
+    assert (got is not None) == consistent
+    if consistent:
+        assert sorted(got) == [0, 1, 2]
+        assert all(abs(c.to_complex() - 0.5) < FLOAT_TOL for c in got.values())
+    half = Coeff.rational(Fraction(1, 2))
+    assert solve_exact(columns, {k: Coeff.rational(v) for k, v in exact.items()}) \
+        == {0: half, 1: half, 2: half}
+    exact["e"] += Fraction(1, 10 ** 30)
+    assert solve_exact(columns, {k: Coeff.rational(v) for k, v in exact.items()}) is None
+
+
 @pytest.mark.parametrize("D", [1, 2, 3, 4, 8, 12])
 def test_sparse_solve_matches_dense_reference(D):
     rng = rng_for(f"exactla-{D}")

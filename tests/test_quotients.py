@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_cocycle
-from conftest import random_element, random_float_theta, rng_for
+from conftest import overlong_glue_inputs, random_element, random_float_theta, rng_for
 from reference_cocycle import kernel_image_failures
 from reference_grading import drop_slot, kappa_check_matrix
 from reference_serialize import vector_records
@@ -128,6 +128,17 @@ def test_compatibility():
     assert not is_compatible(bad)
     with pytest.raises(IncompatibleTuple):
         glue(bad)
+
+
+def test_an_incompatible_tuple_prints_its_message_whatever_its_witness():
+    # the witness's images are Coeff values whose phase has a conductor of
+    # 4379 digits, over what repr writes of an int; str() is the message
+    comps = json.loads(overlong_glue_inputs()["power-witness.json"])["components"]
+    t = MultipullbackTuple(tuple(map(serialize.element_from_obj, comps)))
+    with pytest.raises(IncompatibleTuple) as info:
+        glue(t)
+    assert str(info.value) == "pairwise images in B_ij do not agree"
+    assert info.value.args[1][:2] == (0, 1)
 
 
 def test_glue_roundtrip_examples():
