@@ -254,9 +254,6 @@ class AlgebraElement:
             return NotImplemented
         return self.ctx == other.ctx and self.terms == other.terms   # both pruned
 
-    def __hash__(self):
-        raise TypeError("AlgebraElement is not hashable")
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda mc: mc[0])
 
@@ -275,10 +272,8 @@ class AlgebraElement:
         return _canonicalize(ctx, self.terms)
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = [f"{c!r}*W{list(p)}W{list(q)}^*" for (p, q), c in self.sorted_terms()]
-        return " + ".join(bits)
+        return " + ".join(f"{c!r}*W{list(p)}W{list(q)}^*"
+                          for (p, q), c in self.sorted_terms()) or "0"
 
 
 @lru_cache(maxsize=None)

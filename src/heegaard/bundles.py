@@ -59,16 +59,15 @@ class TensorElement:
         self.summands = pruned
 
     def simplify(self) -> "TensorElement":
-        """Merge summands whose left factors are exact scalar multiples."""
-        # insertion order is kept; only left factors with equal words are proportional
+        """Merge equal left factors, a (x) r + a (x) r' = a (x) (r + r'), in first-seen
+        order; a connection has none, its left factors being distinct words."""
         merged, kept = [], {}       # kept: left words -> their indices in merged
         for a, r in self.summands:
             same = kept.setdefault(frozenset(a.terms), [])
             for idx in same:
                 a0, r0 = merged[idx]
-                lam = _proportionality(a, a0)
-                if lam is not None:
-                    merged[idx] = (a0, r0 + r.times_coeff(lam))
+                if a == a0:
+                    merged[idx] = (a0, r0 + r)
                     break
             else:
                 same.append(len(merged))
@@ -85,19 +84,6 @@ class TensorElement:
         for a, r in self.summands:
             _add_products(terms, self.ctx.theta, a.terms, r.terms)
         return _canonicalize(self.ctx, terms)
-
-
-def _proportionality(a: AlgebraElement, b: AlgebraElement):
-    """Coeff lam with a == b*lam, or None; only single-phase ratios are
-    recognized (sufficient: connection coefficients are phase monomials)."""
-    if set(a.terms) != set(b.terms) or not a.terms:
-        return None
-    m0 = next(iter(a.terms))
-    cb = b.terms[m0]
-    if not cb.is_single_phase():
-        return None
-    lam = a.terms[m0] * cb.inverse()
-    return lam if a == b.times_coeff(lam) else None
 
 
 def strong_connection(n: int, theta: ThetaMatrix) -> TensorElement:

@@ -137,14 +137,6 @@ class Coeff:
         is built at this conductor, so the product needs no lift."""
         return self * _new(type(self), self.D, self.rational(w).terms)
 
-    def inverse(self) -> "Coeff":
-        """Exact inverse; only single-phase coefficients
-        (weight * e^{2*pi*i*t}) are invertible here."""
-        if len(self.terms) != 1:
-            raise ArithmeticError("can only invert single-phase coefficients exactly")
-        (k, w), = self.terms.items()
-        return Coeff.rational(Fraction(1) / w).times_exponent(-k, self.D)
-
     # -- queries -----------------------------------------------------------
 
     @property
@@ -155,9 +147,6 @@ class Coeff:
     def is_zero(self, weight=1) -> bool:
         """Exact, so the weight is ignored."""
         return not self.terms
-
-    def is_single_phase(self) -> bool:
-        return len(self.terms) == 1
 
     def to_complex(self) -> complex:
         return sum((complex(w) * cmath.exp(2j * cmath.pi * (k / self.D))
@@ -173,7 +162,11 @@ class Coeff:
         return (self - other).is_zero()
 
     def __repr__(self):
-        body = " + ".join(f"{w}*e(2pi*{t})" for t, w in sorted(self.parts.items()))
+        try:   # str refuses an int over sys.get_int_max_str_digits() digits: show its size
+            body = " + ".join(f"{w}*e(2pi*{t})" for t, w in sorted(self.parts.items()))
+        except ValueError:
+            big = max(abs(x) for w in self.terms.values() for x in (w.numerator, w.denominator))
+            body = f"<an int of {max(big, self.D).bit_length()} bits>"
         return f"Coeff({body or 0})"
 
 
@@ -191,9 +184,6 @@ class FloatCoeff(Coeff):
         z = weight * cmath.exp(2j * cmath.pi * (k / D))
         return _new(FloatCoeff, 1, self.terms and {0: self.terms[0] * z})
 
-    def inverse(self) -> "FloatCoeff":
-        return _new(FloatCoeff, 1, {0: 1.0 / self.to_complex()})
-
     @property
     def parts(self):
         return None
@@ -207,9 +197,10 @@ class FloatCoeff(Coeff):
         return self.terms.get(0, 0j)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Coeff):
-            return NotImplemented
-        return type(other) is FloatCoeff and (self - other).is_zero()
+        if type(other) is not FloatCoeff:
+            return False if isinstance(other, Coeff) else NotImplemented
+        d = self.to_complex() - other.to_complex()
+        return hypot(d.real, d.imag) < FLOAT_TOL
 
     def __repr__(self):
         return f"Coeff({self.to_complex()!r})"

@@ -38,6 +38,13 @@ def random_float_theta(n: int, rng: random.Random) -> ThetaMatrix:
         mode="float")
 
 
+def phase_inverse(c: Coeff) -> Coeff:
+    """The exact inverse (1/w) e(-k/D) of a one-term scalar w e(k/D), for
+    reference computations; the scalar classes invert nothing."""
+    (k, w), = c.terms.items()
+    return Coeff.rational(Fraction(1) / w).times_exponent(-k, c.D)
+
+
 def power_twist(n: int, pairs) -> ThetaMatrix:
     """The rational twist with theta_jk = 1/3^3000, 1/5^2100, 1/7^1750 at
     the three ``pairs`` (j, k): each denominator has about 1450 digits and

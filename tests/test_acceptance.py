@@ -4,7 +4,7 @@ single PASS line with its pinned tolerance and time budget."""
 import itertools
 import time
 
-from conftest import random_element, rng_for
+from conftest import phase_inverse, random_element, rng_for
 from reference_cocycle import kernel_image_failures
 from reference_fock import represent
 from reference_grading import (fixed_quotient_context, kappa_gen_inv, kappa_gen_map,
@@ -75,7 +75,7 @@ def test_criterion_03_sphere_relation_and_matrix_units():
                     else:
                         u3 = units[(p, b)]
                         m0, c0 = u3.sorted_terms()[0]
-                        lam = prod.terms[m0] * c0.inverse()
+                        lam = prod.terms[m0] * phase_inverse(c0)
                         assert prod == u3.times_coeff(lam), (p, q, a, b)
     report(3, "sphere relation and matrix units")
 

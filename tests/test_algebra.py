@@ -1,3 +1,4 @@
+import collections.abc
 import itertools
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_element, random_float_theta, rng_for
+from conftest import phase_inverse, random_element, random_float_theta, rng_for
 from reference_sphere import compact_matrix_unit, h_tail, range_complement, sphere_defect
 from heegaard import AlgebraElement, Coeff, generator, unit
 from heegaard.algebra import Context, ContextMismatch, _unitary_reduce
@@ -254,7 +255,7 @@ def test_matrix_units():
         else:
             u3 = compact_matrix_unit(p, b, ctx)
             m0, c0 = u3.sorted_terms()[0]
-            lam = prod.terms[m0] * c0.inverse()
+            lam = prod.terms[m0] * phase_inverse(c0)
             assert abs(abs(lam.to_complex()) - 1) < 1e-12
             assert prod == u3.times_coeff(lam)
 
@@ -264,6 +265,15 @@ def test_matrix_units_untwisted_exact():
     for p, q, b in itertools.product([(0, 0), (1, 0), (1, 1)], repeat=3):
         lhs = compact_matrix_unit(p, q, ctx) * compact_matrix_unit(q, b, ctx)
         assert lhs == compact_matrix_unit(p, b, ctx)
+
+
+def test_elements_are_not_hashable():
+    # __eq__ without __hash__: Python sets __hash__ to None
+    x = generator(toeplitz(2), 0)
+    assert AlgebraElement.__hash__ is None
+    assert not isinstance(x, collections.abc.Hashable)
+    with pytest.raises(TypeError):
+        hash(x)
 
 
 def test_context_mismatch():
@@ -339,7 +349,7 @@ def _rewrite_loop_normal_form(theta, terms):
         if (p, q) not in rewrites:
             expr = (AlgebraElement.monomial(ctx, [a - 1 for a in p], z) * defect
                     * AlgebraElement.monomial(ctx, [a - 1 for a in q], z).star())
-            inv = expr.terms[(p, q)].inverse()
+            inv = phase_inverse(expr.terms[(p, q)])
             rewrites[(p, q)] = {m: -(c * inv) for m, c in expr.terms.items()
                                 if m != (p, q)}
         return rewrites[(p, q)]

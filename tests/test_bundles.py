@@ -14,7 +14,7 @@ from heegaard import (AlgebraElement, Coeff, TensorElement, chern_galois_project
 from heegaard import algebra
 from heegaard.algebra import Context
 from heegaard import bundles
-from heegaard.bundles import MAX_SIZE, SizeOverflow, _proportionality, check_size, mat_mul
+from heegaard.bundles import MAX_SIZE, SizeOverflow, check_size, mat_mul
 from heegaard.phases import FLOAT, RATIONAL, ThetaMatrix
 
 
@@ -565,13 +565,13 @@ def test_pullback_projector_skips_products_with_a_zero_factor(monkeypatch):
 
 
 def reference_simplify(t):
-    # the quadratic merge: each summand against every kept summand in order
+    # the quadratic merge: each summand into the first kept summand with an
+    # equal left factor
     merged = []
     for a, r in t.summands:
         for idx, (a0, r0) in enumerate(merged):
-            lam = _proportionality(a, a0)
-            if lam is not None:
-                merged[idx] = (a0, r0 + r.times_coeff(lam))
+            if a == a0:
+                merged[idx] = (a0, r0 + r)
                 break
         else:
             merged.append((a, r))
@@ -600,6 +600,31 @@ def test_simplify_matches_the_quadratic_merge(kind):
         got = t.simplify().summands
         assert [(repr(a), repr(r)) for a, r in got] == [(repr(a), repr(r)) for a, r in want]
         assert len(got) < len(pairs)
+        # x and x e(1/8) 3 are proportional, not equal: they stay apart
+        kept = [a for a, _ in got]
+        assert sum(a == x for a in kept) == sum(a == lefts[2] for a in kept) == 1
+
+
+@pytest.mark.parametrize("kind", ("zero", "den-8", "float"))
+def test_connection_simplify_compares_no_left_factors(kind, monkeypatch):
+    # every summand of a connection has its own left word, so simplify
+    # compares no two left factors at any winding the size cap admits
+    def refuse(self, other):
+        raise AssertionError("simplify compared two left factors")
+    monkeypatch.setattr(AlgebraElement, "__eq__", refuse)
+    built = 0
+    for N in range(1, 5):
+        th = twist(kind, N + 1)
+        for n in range(-6, 7):
+            try:
+                check_size(n, N)
+            except SizeOverflow:
+                continue
+            built += bool(strong_connection(n, th).summands)
+    assert built == 13 + 13 + 13 + 12
+    x = generator(Context.sphere(th), 0)
+    with pytest.raises(AssertionError, match="compared"):
+        TensorElement(x.ctx, [(x, x), (x, x)]).simplify()
 
 
 def eager_contract(t):
